@@ -2,10 +2,12 @@
 The exact rational LP layer
 ===========================
 
-Model computation bottoms out in a small linear-programming module:
-exact fractions end to end, a two-phase simplex with Bland's rule, and
-a lexicographic mode for deterministic tie-breaking. It is usable on
-its own.
+Preferred models of programs with existential rules bottom out in a
+small linear-programming module; plain programs are solved by a least
+fixpoint and use it only as the reference route (`--no-fast-path`) and
+in `mvdl ground`/`check`. It has exact fractions end to end, a
+two-phase simplex with Bland's rule, and a lexicographic mode for
+deterministic tie-breaking. It is usable on its own.
 """
 
 from fractions import Fraction

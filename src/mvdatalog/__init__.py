@@ -1,7 +1,8 @@
 """Many-valued Datalog(+-) reasoning under Lukasiewicz semantics.
 
 Exact-rational minimal and preferred fuzzy models via the oblivious
-chase and a rational simplex; fuzzy fact entailment on top.
+chase, a least fixpoint and a rational simplex; fuzzy fact entailment
+on top.
 """
 
 from .core import (

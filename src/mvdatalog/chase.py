@@ -245,7 +245,7 @@ def oblivious_chase(
     gamma_list: list[GroundRule] = []
     for rule in rules:
         for hom in enumerate_homomorphisms(rule, atoms, index):
-            if rule.existential_vars:
-                assert registry.lookup(rule.id, hom) is not None, "unapplied pair at fixed point"
+            if rule.existential_vars and registry.lookup(rule.id, hom) is None:
+                raise AssertionError(f"unapplied pair of rule {rule.id} at fixed point")
             gamma_list.append(_ground_rule(rule, hom, registry))
     return ChaseResult(frozenset(atoms), tuple(gamma_list), registry, False, steps)

@@ -32,7 +32,6 @@ from .engine import (
     TruncatedChase,
     Unsatisfiable,
     build_eoptk,
-    build_optk,
 )
 from .parser import NonGroundQuery, ParseError, SafetyError, parse_ground_atom, parse_many
 from .termination import is_weakly_acyclic_ve
@@ -135,22 +134,7 @@ def _source_of(a: Atom, instance: Instance, model, renaming) -> str:
 def cmd_solve(args) -> int:
     instance, renaming = _load(args)
     _gate_chase(instance, args)
-    engine = _engine(instance, args)
-    try:
-        model = engine.model
-    except Unsatisfiable:
-        _emit({"status": "unsatisfiable"}, args.format == "json", ["unsatisfiable"])
-        return EXIT_UNSAT
-    except NoObliviousBaseModel:
-        _emit(
-            {"status": "no-oblivious-base-model"},
-            args.format == "json",
-            ["no obliviously-based model"],
-        )
-        return EXIT_NO_OBLIVIOUS_BASE
-    except TruncatedChase as exc:
-        raise CliError(EXIT_CHASE_LIMIT, str(exc)) from exc
-
+    model = _engine(instance, args).model
     presented = _presented_model(model.assignment.support, instance, renaming)
     entries = []
     for a in sorted(presented, key=Atom.sort_key):
@@ -187,21 +171,7 @@ def cmd_query(args) -> int:
         raise CliError(EXIT_INPUT_ERROR, str(exc)) from exc
     if renaming and atom.predicate in renaming:
         atom = Atom(renaming[atom.predicate], atom.args)
-    engine = _engine(instance, args)
-    try:
-        result = engine.query(atom, threshold)
-    except Unsatisfiable:
-        _emit({"status": "unsatisfiable"}, args.format == "json", ["unsatisfiable"])
-        return EXIT_UNSAT
-    except NoObliviousBaseModel:
-        _emit(
-            {"status": "no-oblivious-base-model"},
-            args.format == "json",
-            ["no obliviously-based model"],
-        )
-        return EXIT_NO_OBLIVIOUS_BASE
-    except TruncatedChase as exc:
-        raise CliError(EXIT_CHASE_LIMIT, str(exc)) from exc
+    result = _engine(instance, args).query(atom, threshold)
     payload = {
         "status": "ok",
         "atom": args.atom,
@@ -235,10 +205,7 @@ def cmd_check(args) -> int:
         if chase.truncated:
             _emit(payload, args.format == "json")
             raise CliError(EXIT_CHASE_LIMIT, f"chase exceeded {args.max_chase_steps} steps")
-        if instance.program.has_existential_rules:
-            lp, _secondary = build_eoptk(instance, chase)
-        else:
-            lp = build_optk(instance, chase)
+        lp, _secondary = build_eoptk(instance, chase)
         payload["stats"] = {
             "olim": len(chase.olim),
             "gamma": len(chase.gamma),
@@ -302,15 +269,8 @@ def _lp_as_text(lp, secondary: Optional[dict] = None) -> list[str]:
 def cmd_ground(args) -> int:
     instance, _ = _load(args)
     _gate_chase(instance, args)
-    engine = _engine(instance, args)
-    chase = engine.chase
-    if chase.truncated:
-        raise CliError(EXIT_CHASE_LIMIT, f"chase exceeded {args.max_chase_steps} steps")
-    secondary = None
-    if instance.program.has_existential_rules:
-        lp, secondary = build_eoptk(instance, chase)
-    else:
-        lp = build_optk(instance, chase)
+    chase = _engine(instance, args).chase
+    lp, secondary = build_eoptk(instance, chase)  # raises TruncatedChase
     nulls = [
         {
             "rule": rid,
@@ -356,7 +316,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
             help="relaxed rewrites the program so models only need nu >= tau",
         )
         p.add_argument("--max-chase-steps", type=int, default=None, metavar="N")
-        p.add_argument("--no-fast-path", action="store_true", help="disable certain-knowledge pruning")
+        p.add_argument(
+            "--no-fast-path",
+            action="store_true",
+            help="solve plain programs with the reference LP, not the least fixpoint; same answer",
+        )
         p.add_argument("--format", choices=["json", "text"], default="json")
 
     p_solve = sub.add_parser("solve", help="compute the minimal / preferred model")
@@ -381,8 +345,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    as_json = args.format == "json"
     try:
         return args.func(args)
+    except Unsatisfiable:
+        _emit({"status": "unsatisfiable"}, as_json, ["unsatisfiable"])
+        return EXIT_UNSAT
+    except NoObliviousBaseModel:
+        _emit({"status": "no-oblivious-base-model"}, as_json, ["no obliviously-based model"])
+        return EXIT_NO_OBLIVIOUS_BASE
+    except TruncatedChase as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHASE_LIMIT
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

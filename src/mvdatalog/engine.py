@@ -1,21 +1,26 @@
 """Model computation and fact entailment.
 
-Pipeline: crispify, chase, translate the ground rules into an exact LP
-(one variable per chase atom, one >=K row per ground rule, database
-atoms fixed), solve. For plain programs the optimum is the unique
-minimal model; with existential rules a weighted variant plus a
-lexicographic tie-break yields a deterministic preferred model. A
-Kleene-style fixpoint of the consequence operator doubles as an
-independent oracle for cross-checks.
+Pipeline: chase the crisp instance, then solve over its ground rules.
+Plain programs get their unique minimal model as the exact least
+fixpoint of nu(H) >= nu(body) - 1 + K, checked against the database's
+pinned degrees. Programs with existential rules become an exact LP
+whose head rows sum every atom matching the head pattern; a weighted
+objective plus a lexicographic tie-break yields a deterministic
+preferred model. The same LP, built for a plain program, is the
+reference route behind `use_fast_path=False`. A Kleene-style iteration
+of the consequence operator doubles as an independent oracle for
+cross-checks.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .chase import ChaseResult, matches, oblivious_chase
 from .core import (
@@ -97,50 +102,20 @@ def _existential_nulls(rule, head: Atom) -> set[LabelledNull]:
     out = set()
     for pattern_term, ground_term in zip(rule.head.args, head.args):
         if getattr(pattern_term, "name", None) in rule.existential_vars:
-            assert isinstance(ground_term, LabelledNull)
+            if not isinstance(ground_term, LabelledNull):
+                raise AssertionError(f"existential position of {head} holds {ground_term}")
             out.add(ground_term)
     return out
 
 
-def build_optk(
-    instance: Instance,
-    chase: ChaseResult,
-    certain: frozenset[Atom] = frozenset(),
-) -> LinearProgram:
+def build_optk(instance: Instance, chase: ChaseResult) -> LinearProgram:
     """The base LP: minimize the total truth subject to every ground rule.
 
     Each ground rule G_1,...,G_l -> H contributes
-    sum(1 - x_i) + x_head >= K, i.e. x_head - sum(x_i) >= K - l.
-    `certain` atoms (already known to be fully true) are fixed to 1.
+    sum(1 - x_i) + x_head >= K, i.e. x_head - sum(x_i) >= K - l. Without
+    existential rules this is exactly the LP of `build_eoptk`.
     """
-    if chase.truncated:
-        raise TruncatedChase(f"chase stopped after {chase.steps} steps")
-    tau = instance.database
-    lp = LinearProgram()
-    for a in ground_atoms(chase, tau):
-        lp.add_variable(str(a), ZERO, ONE)
-        lp.objective[str(a)] = ONE
-    for a, d in tau.entries.items():
-        lp.fix(str(a), d)
-    for a in sorted(certain, key=Atom.sort_key):
-        known = tau.degree(a)
-        if known is not None:
-            if known != ONE:
-                raise Unsatisfiable(
-                    f"{a} is classically entailed from the certain facts but the "
-                    f"database pins it at {known}"
-                )
-            continue
-        lp.fix(str(a), ONE)
-    K = instance.K
-    for g in chase.gamma:
-        coeffs: dict[str, Fraction] = {}
-        name = str(g.head)
-        coeffs[name] = coeffs.get(name, ZERO) + ONE
-        for b in g.body:
-            coeffs[str(b)] = coeffs.get(str(b), ZERO) - ONE
-        lp.add_constraint(coeffs, K - len(g.body))
-    return lp
+    return build_eoptk(instance, chase)[0]
 
 
 def build_eoptk(
@@ -191,6 +166,47 @@ def build_eoptk(
     return lp, secondary
 
 
+def least_fixpoint(
+    gamma: Sequence[GroundRule], seeds: Mapping[Atom, Fraction], K: Fraction
+) -> dict[Atom, Fraction]:
+    """The least nu >= seeds with nu(H) >= nu(body) - 1 + K for every ground rule.
+
+    Knuth's generalisation of Dijkstra's algorithm: a rule's value is
+    monotone in its body and never above its weakest body atom, so the
+    atom with the largest tentative degree is final when it leaves the
+    heap. Each ground rule fires once, when the last of its distinct body
+    atoms settles. Seeds are lower bounds, not pins; only positive
+    degrees are returned.
+    """
+    waiting: dict[Atom, list[int]] = {}
+    unsettled: list[int] = []
+    for i, g in enumerate(gamma):
+        body = set(g.body)
+        unsettled.append(len(body))
+        for b in body:
+            waiting.setdefault(b, []).append(i)
+    nu = dict(seeds)
+    tick = itertools.count()
+    heap = [(-d, next(tick), a) for a, d in nu.items()]
+    heapq.heapify(heap)
+    settled: set[Atom] = set()
+    while heap:
+        a = heapq.heappop(heap)[2]
+        if a in settled:
+            continue
+        settled.add(a)
+        for i in waiting.get(a, ()):
+            unsettled[i] -= 1
+            if unsettled[i]:
+                continue
+            g = gamma[i]
+            value = sum((nu[b] for b in g.body), ZERO) - len(g.body) + K
+            if value > nu.get(g.head, ZERO):
+                nu[g.head] = value
+                heapq.heappush(heap, (-value, next(tick), g.head))
+    return nu
+
+
 def _chase_instance(instance: Instance, step_limit: Optional[int]) -> ChaseResult:
     crisp = crispify(instance.program)
     return oblivious_chase(crisp, crisp_database(instance.database), step_limit)
@@ -208,33 +224,43 @@ def _assignment_from(solution: Solution, universe: Sequence[Atom]) -> TruthAssig
 def certain_closure(instance: Instance) -> frozenset[Atom]:
     """Classical closure of the fully-true facts under the crisp program.
 
-    Only meaningful as a pruning aid at K = 1: those atoms are fully true
-    in every 1-fuzzy model, so their LP variables can be fixed.
+    At K = 1 a rule body is fully true exactly when all its atoms are, so
+    the closure is the set of degree-1 atoms of the K = 1 least fixpoint
+    over the instance's own chase. In a satisfiable instance these are the
+    atoms that are fully true in every 1-fuzzy model.
     """
-    d1 = {a for a, d in instance.database.entries.items() if d == ONE}
-    result = oblivious_chase(crispify(instance.program), d1, None)
-    return frozenset(result.olim)
+    chase = _chase_instance(instance, None)
+    nu = least_fixpoint(chase.gamma, instance.database.entries, ONE)
+    return frozenset(a for a, d in nu.items() if d == ONE)
 
 
 def _solve_minimal(
     instance: Instance, chase: ChaseResult, use_fast_path: bool
 ) -> GroundModel:
-    certain = (
-        certain_closure(instance)
-        if use_fast_path and instance.K == ONE
-        else frozenset()
-    )
-    lp = build_optk(instance, chase, certain=certain)
-    solution = solve(lp)
-    assert solution.status is not Status.UNBOUNDED, "box-bounded LP cannot be unbounded"
-    if not solution.optimal:
-        raise Unsatisfiable(f"no {instance.K}-fuzzy model exists")
-    universe = ground_atoms(chase, instance.database)
+    tau = instance.database
+    universe = ground_atoms(chase, tau)
+    if use_fast_path:
+        nu = least_fixpoint(chase.gamma, tau.entries, instance.K)
+        for a, d in tau.entries.items():
+            if nu[a] > d:
+                raise Unsatisfiable(
+                    f"derivations force {a} to {nu[a]} but the database pins it at {d}"
+                )
+        assignment = TruthAssignment(nu)
+    else:
+        solution = solve(build_optk(instance, chase))
+        if solution.status is Status.UNBOUNDED:
+            raise AssertionError("box-bounded LP cannot be unbounded")
+        if not solution.optimal:
+            raise Unsatisfiable(f"no {instance.K}-fuzzy model exists")
+        assignment = _assignment_from(solution, universe)
+    # at K = 1 exactly the classical consequences of the fully-true facts
+    certain = frozenset(a for a, d in assignment.support.items() if d == ONE)
     return GroundModel(
-        assignment=_assignment_from(solution, universe),
+        assignment=assignment,
         kind=ModelKind.MINIMAL,
         K=instance.K,
-        certain_atoms=certain,
+        certain_atoms=certain if instance.K == ONE else frozenset(),
         gamma_size=len(chase.gamma),
         variable_count=len(universe),
     )
@@ -250,19 +276,19 @@ def minimal_model(
 
     Only defined for programs without existential rules; their chase
     always terminates, so `step_limit` is normally left unset.
+    `use_fast_path=False` solves the reference LP in place of the least
+    fixpoint; the model is the same.
     """
     if instance.program.has_existential_rules:
         raise ValueError("minimal_model requires an existential-free program")
-    chase = _chase_instance(instance, step_limit)
-    if chase.truncated:
-        raise TruncatedChase("step limit hit on a plain Datalog chase")
-    return _solve_minimal(instance, chase, use_fast_path)
+    return Engine(instance, step_limit=step_limit, use_fast_path=use_fast_path).model
 
 
 def _solve_preferred(instance: Instance, chase: ChaseResult) -> GroundModel:
     lp, secondary = build_eoptk(instance, chase)
     solution = lexicographic_solve(lp, secondary)
-    assert solution.status is not Status.UNBOUNDED, "box-bounded LP cannot be unbounded"
+    if solution.status is Status.UNBOUNDED:
+        raise AssertionError("box-bounded LP cannot be unbounded")
     if not solution.optimal:
         raise NoObliviousBaseModel(
             f"no {instance.K}-fuzzy model with an oblivious base exists"
@@ -287,12 +313,7 @@ def preferred_model(
     returned. Raises TruncatedChase when the chase limit cuts the run
     short (the result would be unsound).
     """
-    chase = _chase_instance(instance, step_limit)
-    if chase.truncated:
-        raise TruncatedChase(
-            f"chase exceeded {step_limit} steps; supply a higher limit or check acyclicity"
-        )
-    return _solve_preferred(instance, chase)
+    return _solve_preferred(instance, _chase_instance(instance, step_limit))
 
 
 def k_truth(
@@ -309,19 +330,8 @@ def k_truth(
     answer is relative to the deterministic preferred model and flagged
     as such.
     """
-    c = as_degree(threshold)
-    if not atom.is_ground():
-        raise ValueError(f"query atom must be ground: {atom}")
-    if instance.program.has_existential_rules:
-        model = preferred_model(instance, step_limit=step_limit)
-        relative = True
-    else:
-        model = minimal_model(
-            instance, use_fast_path=use_fast_path, step_limit=step_limit
-        )
-        relative = False
-    degree = model.assignment(atom)
-    return QueryResult(atom, c, degree >= c, degree, relative)
+    engine = Engine(instance, step_limit=step_limit, use_fast_path=use_fast_path)
+    return engine.query(atom, threshold)
 
 
 # ---------------------------------------------------------------------------

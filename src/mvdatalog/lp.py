@@ -308,7 +308,8 @@ def solve(lp: LinearProgram) -> Solution:
         phase1_cost = {a: ONE for a in artificials}
         z_row, value = tab.reduced_costs(phase1_cost)
         outcome, delta = _simplex_loop(tab, z_row)
-        assert outcome == "optimal", "phase 1 is bounded below by zero"
+        if outcome != "optimal":
+            raise AssertionError("solver bug: phase 1 is bounded below by zero")
         if value + delta > 0:
             return Solution(Status.INFEASIBLE, {}, None)
         art_set = set(artificials)
@@ -381,9 +382,11 @@ def lexicographic_solve(lp: LinearProgram, secondary: Mapping[str, Fraction]) ->
         objective=dict(secondary),
     )
     primary = {v: c for v, c in lp.objective.items() if c != 0}
-    assert first.objective_value is not None
+    if first.objective_value is None:
+        raise AssertionError("solver bug: optimal solution without a value")
     stage2.add_constraint(primary, first.objective_value)
     stage2.add_constraint({v: -c for v, c in primary.items()}, -first.objective_value)
     second = solve(stage2)
-    assert second.optimal, "stage two inherits a feasible point"
+    if not second.optimal:
+        raise AssertionError("solver bug: stage two inherits a feasible point")
     return Solution(Status.OPTIMAL, second.assignment, first.objective_value)

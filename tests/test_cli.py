@@ -131,6 +131,21 @@ class TestSolve:
         b = run_cli("solve", files["orca"], "--no-fast-path")
         assert json.loads(a.stdout)["model"] == json.loads(b.stdout)["model"]
 
+    def test_no_fast_path_prints_the_same(self, tmp_path):
+        # a derived fully-true atom is labelled "certain" on both routes
+        path = tmp_path / "certain.mvdl"
+        path.write_text(
+            "1 :: company(acme).\n0.8 :: kp(amy, acme).\norg(X) :- company(X).\n", encoding="utf-8"
+        )
+        for fmt in ("json", "text"):
+            default = run_cli("solve", str(path), "--format", fmt)
+            reference = run_cli("solve", str(path), "--format", fmt, "--no-fast-path")
+            assert default.returncode == reference.returncode == 0
+            assert default.stdout == reference.stdout
+        payload = json.loads(run_cli("solve", str(path)).stdout)
+        assert {"atom": "org(acme)", "degree": "1", "source": "certain"} in payload["model"]
+        assert payload["stats"]["certain"] == 2
+
     def test_text_format(self, files):
         proc = run_cli("solve", files["orca"], "--format", "text")
         assert proc.returncode == 0

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -474,3 +478,88 @@ class TestEngineWrapper:
         engine = Engine(inst("p(a).\np(Y) :- p(X)."), step_limit=3)
         with pytest.raises(TruncatedChase):
             engine.model
+
+
+class TestLeastFixpointRoute:
+    """The default least-fixpoint route against the LP route and the Kleene oracle."""
+
+    @staticmethod
+    def _routes(instance):
+        out = []
+        for solve_with in (
+            lambda: minimal_model(instance),
+            lambda: minimal_model(instance, use_fast_path=False),
+        ):
+            try:
+                model = solve_with()
+            except Unsatisfiable:
+                out.append(None)
+            else:
+                out.append((model.assignment, model.certain_atoms))
+        try:
+            out.append(fixpoint_minimal_model(instance))
+        except Unsatisfiable:
+            out.append(None)
+        return out
+
+    def test_three_routes_agree(self):
+        rng = random.Random(15001)
+        satisfiable = unsatisfiable = below_one = 0
+        for _ in range(1500):
+            instance = random_instance(rng, max_rules=8, max_facts=7)
+            fast, slow, kleene = self._routes(instance)
+            if fast is None:
+                unsatisfiable += 1
+                assert slow is None and kleene is None
+                continue
+            satisfiable += 1
+            below_one += instance.K < 1
+            assert fast == slow
+            assert fast[0] == kleene
+            expected = {a for a, d in kleene.support.items() if d == 1} if instance.K == 1 else set()
+            assert fast[1] == expected
+        assert satisfiable >= 800 and unsatisfiable >= 100 and below_one >= 300
+
+    @pytest.mark.parametrize(
+        "text, K, expected",
+        [
+            # a repeated body atom counts twice in the conjunction
+            ("0.8 :: p(a).\nq(X) :- p(X), p(X).", F(1), {"q(a)": F(3, 5)}),
+            ("0.8 :: p(a).\nq(X) :- p(X), p(X).", F(9, 10), {"q(a)": F(1, 2)}),
+            # a rule whose head is in its own body never raises its head
+            ("0.9 :: s(a).\n0.8 :: r(a).\np(X) :- s(X).\np(X) :- p(X), r(X).", F(1), {"p(a)": F(9, 10)}),
+            ("1 :: r(a).\n0.6 :: p(a).\np(X) :- p(X), r(X).", F(1), {}),
+        ],
+    )
+    def test_degenerate_bodies(self, text, K, expected):
+        instance = inst(text, K)
+        fast, slow, kleene = self._routes(instance)
+        assert fast == slow and fast[0] == kleene
+        derived = {str(a): d for a, d in kleene.support.items() if a not in instance.database}
+        assert derived == expected
+
+    def test_overshoot_of_a_pinned_fact_is_unsatisfiable(self):
+        instance = inst("1 :: r(a).\n0.9 :: s(a).\n0.5 :: t(a).\ns(X) :- r(X).\nt(X) :- s(X).", F(9, 10))
+        assert self._routes(instance) == [None, None, None]
+
+    def test_soundness_checks_survive_optimisation(self):
+        # under `python -O` an `assert` vanishes; an unbounded LP must still
+        # be reported as a solver fault, never as an unsatisfiable instance
+        script = (
+            "import mvdatalog.engine as engine\n"
+            "from mvdatalog.lp import Solution, Status\n"
+            "from mvdatalog.parser import parse\n"
+            "from mvdatalog.core import Instance\n"
+            "engine.solve = lambda lp: Solution(Status.UNBOUNDED, {}, None)\n"
+            "program, database = parse('0.8 :: p(a).\\nq(X) :- p(X).')\n"
+            "try:\n"
+            "    engine.minimal_model(Instance(program, database), use_fast_path=False)\n"
+            "except AssertionError:\n"
+            "    print('AssertionError')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "AssertionError"
