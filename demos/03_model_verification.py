@@ -19,8 +19,6 @@ from mvdatalog import (
     NoObliviousBaseModel,
     TruthAssignment,
     atom,
-    crisp_database,
-    crispify,
     oblivious_chase,
     parse,
     preferred_model,
@@ -45,7 +43,7 @@ except NoObliviousBaseModel as exc:
 # every ground rule under strong existential semantics and agrees with
 # the database -- it is a genuine 1-fuzzy model -- yet three of its
 # nulls live outside the chase limit, so it has no oblivious base.
-chase = oblivious_chase(crispify(program), crisp_database(database))
+chase = oblivious_chase(program, set(database.entries))
 support = {atom("s", "a"): Fraction(4, 5), atom("t", "a"): Fraction(1, 5)}
 for null_id in (1, 2, 3, 4):
     support[Atom("p", (Constant("a"), LabelledNull(null_id)))] = Fraction(1, 5)

@@ -20,8 +20,6 @@ from .core import (
     as_degree,
     atom,
     body_truth,
-    crisp_database,
-    crispify,
     k_satisfies,
     make_rule,
     relax_rewrite,
@@ -71,8 +69,6 @@ __all__ = [
     "atom",
     "body_truth",
     "certain_closure",
-    "crisp_database",
-    "crispify",
     "enumerate_homomorphisms",
     "fixpoint_minimal_model",
     "format_instance",

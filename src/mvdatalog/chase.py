@@ -2,10 +2,11 @@
 
 Saturation is round-based and FIFO: every round enumerates all (rule,
 body-homomorphism) pairs against a snapshot of the current atom set,
-applies the pairs not yet applied, and repeats to a fixed point. Each
-pair is applied exactly once; existential rules draw their labelled
-nulls from a registry keyed by (rule id, body homomorphism) so reruns
-and re-enumerations are stable.
+applies the pairs not yet applied, and stops at the first round that
+adds no atom. Each pair is applied exactly once, and its ground rule is
+recorded as it is applied; existential rules draw their labelled nulls
+from a registry keyed by (rule id, body homomorphism) so reruns are
+stable.
 """
 
 from __future__ import annotations
@@ -33,12 +34,16 @@ def _hom_key(hom: Mapping[str, Term]) -> tuple:
     return tuple(sorted(hom.items()))
 
 
+def _hom_order(hom_key: tuple) -> tuple:
+    """Sort key of a homomorphism: its image terms in variable-name order."""
+    return tuple(term_sort_key(t) for _, t in hom_key)
+
+
 class NullRegistry:
     """One tuple of fresh nulls per (rule, body homomorphism) pair."""
 
     def __init__(self) -> None:
         self._assigned: dict[tuple, tuple[LabelledNull, ...]] = {}
-        self._vars: dict[tuple, tuple[str, ...]] = {}
         self._counter = itertools.count(1)
 
     def nulls_for(self, rule: Rule, hom: Mapping[str, Term]) -> dict[str, LabelledNull]:
@@ -47,11 +52,7 @@ class NullRegistry:
         variables = tuple(sorted(rule.existential_vars))
         if key not in self._assigned:
             self._assigned[key] = tuple(LabelledNull(next(self._counter)) for _ in variables)
-            self._vars[key] = variables
-        return dict(zip(self._vars[key], self._assigned[key]))
-
-    def lookup(self, rule_id: int, hom: Mapping[str, Term]) -> Optional[tuple[LabelledNull, ...]]:
-        return self._assigned.get((rule_id, _hom_key(hom)))
+        return dict(zip(variables, self._assigned[key]))
 
     def entries(self) -> list[tuple[int, tuple, tuple[LabelledNull, ...]]]:
         return [(rid, hom_key, nulls) for (rid, hom_key), nulls in self._assigned.items()]
@@ -135,8 +136,7 @@ def enumerate_homomorphisms(
                 extend(i + 1, extended)
 
     extend(0, {})
-    variables = sorted(rule.body_variables())
-    results.sort(key=lambda h: tuple(term_sort_key(h[v]) for v in variables))
+    results.sort(key=lambda h: _hom_order(_hom_key(h)))
     return results
 
 
@@ -193,11 +193,12 @@ def oblivious_chase(
 ) -> ChaseResult:
     """Chase `facts` with the (crisp) program, applying each pair once.
 
-    On natural termination, `gamma` is re-derived by exhaustive
-    homomorphism enumeration over the final atom set, so it contains one
-    ground rule per (rule, homomorphism) pair whose body maps into olim.
+    `gamma` holds the ground rule of every applied pair, ordered by rule
+    id and then by homomorphism as `enumerate_homomorphisms` orders them.
+    On natural termination every (rule, homomorphism) pair whose body maps
+    into olim was applied, so `gamma` has exactly one ground rule per pair.
     When the step limit is exceeded the result is flagged truncated and
-    `gamma` holds only the rules induced by the applications performed.
+    `gamma` holds only the rules of the applications performed.
     """
     atoms: set[Atom] = set(facts)
     for a in atoms:
@@ -212,7 +213,6 @@ def oblivious_chase(
     index = _index_by_predicate(atoms)
     while not truncated:
         new_atoms: set[Atom] = set()
-        progressed = False
         for rule in rules:
             if truncated:
                 break
@@ -226,26 +226,15 @@ def oblivious_chase(
                 steps += 1
                 grounded = _ground_rule(rule, hom, registry)
                 applied[key] = grounded
-                if grounded.head not in atoms and grounded.head not in new_atoms:
+                if grounded.head not in atoms:
                     new_atoms.add(grounded.head)
-                progressed = True
+        if not new_atoms:
+            # every pair into this unchanged atom set has been applied
+            break
         for a in new_atoms:
             index.setdefault(a.predicate, []).append(a)
         atoms |= new_atoms
-        if not progressed:
-            break
 
-    if truncated:
-        gamma = tuple(applied.values())
-        return ChaseResult(frozenset(atoms), gamma, registry, True, steps)
-
-    # Natural fixed point: every applicable pair was applied, so the
-    # registry covers each existential (rule, homomorphism) pair and this
-    # enumeration reproduces exactly the induced ground rules.
-    gamma_list: list[GroundRule] = []
-    for rule in rules:
-        for hom in enumerate_homomorphisms(rule, atoms, index):
-            if rule.existential_vars and registry.lookup(rule.id, hom) is None:
-                raise AssertionError(f"unapplied pair of rule {rule.id} at fixed point")
-            gamma_list.append(_ground_rule(rule, hom, registry))
-    return ChaseResult(frozenset(atoms), tuple(gamma_list), registry, False, steps)
+    order = sorted(applied, key=lambda k: (k[0], _hom_order(k[1])))
+    gamma = tuple(applied[k] for k in order)
+    return ChaseResult(frozenset(atoms), gamma, registry, truncated, steps)

@@ -12,6 +12,7 @@ model.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -202,10 +203,11 @@ def cmd_check(args) -> int:
     if chase_allowed:
         engine = _engine(instance, args)
         chase = engine.chase
-        if chase.truncated:
+        try:
+            lp, _secondary = build_eoptk(instance, chase)
+        except TruncatedChase:
             _emit(payload, args.format == "json")
-            raise CliError(EXIT_CHASE_LIMIT, f"chase exceeded {args.max_chase_steps} steps")
-        lp, _secondary = build_eoptk(instance, chase)
+            raise
         payload["stats"] = {
             "olim": len(chase.olim),
             "gamma": len(chase.gamma),
@@ -299,6 +301,7 @@ def cmd_ground(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvdl",

@@ -116,10 +116,6 @@ class Atom:
         return f"{self.predicate}({', '.join(str(t) for t in self.args)})"
 
 
-# Alias used in signatures where groundness is a contract, not a separate type.
-GroundAtom = Atom
-
-
 def atom(predicate: str, *args: Union[Term, str]) -> Atom:
     """Convenience constructor mirroring the surface syntax.
 
@@ -267,9 +263,6 @@ class FuzzyDatabase:
     def degree(self, a: Atom) -> Optional[Fraction]:
         return self.entries.get(a)
 
-    def support(self) -> set[Atom]:
-        return set(self.entries)
-
     def constants(self) -> set[str]:
         out: set[str] = set()
         for a in self.entries:
@@ -299,9 +292,6 @@ class TruthAssignment:
 
     def __call__(self, a: Atom) -> Fraction:
         return self.support.get(a, ZERO)
-
-    def atoms(self) -> set[Atom]:
-        return set(self.support)
 
     def __len__(self) -> int:
         return len(self.support)
@@ -372,20 +362,6 @@ def k_satisfies(nu: TruthAssignment, gamma: GroundRule, K: Fraction) -> bool:
 
 # ---------------------------------------------------------------------------
 # Classical projections and rewritings
-
-
-def crispify(program: Program) -> Program:
-    """Project to the classical reading of the same rules.
-
-    The syntax carries no connective objects, so the structure is reused
-    as-is; downstream consumers evaluate it two-valued.
-    """
-    return program
-
-
-def crisp_database(tau: FuzzyDatabase) -> set[Atom]:
-    """All facts on which tau is defined (degrees are positive by invariant)."""
-    return set(tau.entries)
 
 
 def active_domain(program: Program, tau: FuzzyDatabase) -> set[str]:

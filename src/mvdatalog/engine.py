@@ -36,8 +36,6 @@ from .core import (
     active_atoms,
     as_degree,
     body_truth,
-    crisp_database,
-    crispify,
     k_satisfies,
     luk_implies,
 )
@@ -88,6 +86,11 @@ class QueryResult:
     model_relative: bool = False
 
 
+def _require_complete(chase: ChaseResult) -> None:
+    if chase.truncated:
+        raise TruncatedChase(f"chase stopped after {chase.steps} steps")
+
+
 def ground_atoms(chase: ChaseResult, tau: FuzzyDatabase) -> list[Atom]:
     """The LP's atom universe: atoms of the ground rules plus tau's support."""
     atoms = set(tau.entries)
@@ -129,8 +132,7 @@ def build_eoptk(
     null-free atoms and 0 on null-carrying ones; the secondary form sums
     exactly the null-carrying atoms.
     """
-    if chase.truncated:
-        raise TruncatedChase(f"chase stopped after {chase.steps} steps")
+    _require_complete(chase)
     tau = instance.database
     universe = ground_atoms(chase, tau)
     active = active_atoms(instance, universe)
@@ -208,8 +210,7 @@ def least_fixpoint(
 
 
 def _chase_instance(instance: Instance, step_limit: Optional[int]) -> ChaseResult:
-    crisp = crispify(instance.program)
-    return oblivious_chase(crisp, crisp_database(instance.database), step_limit)
+    return oblivious_chase(instance.program, set(instance.database.entries), step_limit)
 
 
 def _assignment_from(solution: Solution, universe: Sequence[Atom]) -> TruthAssignment:
@@ -352,8 +353,7 @@ def fixpoint_minimal_model(
     stabilize within the round budget.
     """
     chase = _chase_instance(instance, step_limit)
-    if chase.truncated:
-        raise TruncatedChase("fixpoint oracle needs the full ground rule set")
+    _require_complete(chase)
     tau = instance.database
     K = instance.K
     nu: dict[Atom, Fraction] = dict(tau.entries)
@@ -463,8 +463,7 @@ class Engine:
 
     @cached_property
     def model(self) -> GroundModel:
-        if self.chase.truncated:
-            raise TruncatedChase(f"chase exceeded {self.step_limit} steps")
+        _require_complete(self.chase)
         if self.is_existential:
             return _solve_preferred(self.instance, self.chase)
         return _solve_minimal(self.instance, self.chase, self.use_fast_path)

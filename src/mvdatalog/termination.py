@@ -3,9 +3,11 @@
 The plain weak-acyclicity condition is tailored to the restricted chase;
 for the oblivious chase the program is first rewritten so that every
 existential rule carries all of its body variables through a fresh
-starred predicate. A cycle through a special edge in the position
+starred predicate. A special edge lying on a cycle of the position
 dependency graph of the expanded program then signals a potentially
-infinite oblivious chase.
+infinite oblivious chase; the test searches for a path back from each
+special edge's target to its source, and the first path found closes
+the witness cycle.
 """
 
 from __future__ import annotations
@@ -121,64 +123,12 @@ def build_dependency_graph(program: Program) -> DependencyGraph:
     return DependencyGraph(frozenset(vertices), frozenset(normal), frozenset(special))
 
 
-def _strongly_connected_components(
-    vertices: list[PositionVertex], adjacency: dict[PositionVertex, list[PositionVertex]]
-) -> dict[PositionVertex, int]:
-    """Iterative Tarjan; returns a vertex -> component id map."""
-    index: dict[PositionVertex, int] = {}
-    lowlink: dict[PositionVertex, int] = {}
-    on_stack: set[PositionVertex] = set()
-    stack: list[PositionVertex] = []
-    component: dict[PositionVertex, int] = {}
-    counter = 0
-    comp_count = 0
-
-    for root in vertices:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, child_i = work.pop()
-            if child_i == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            recursed = False
-            neighbors = adjacency.get(v, [])
-            for i in range(child_i, len(neighbors)):
-                w = neighbors[i]
-                if w not in index:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recursed = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if recursed:
-                continue
-            if lowlink[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component[w] = comp_count
-                    if w == v:
-                        break
-                comp_count += 1
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return component
-
-
-def _path_within_component(
+def _shortest_path(
     start: PositionVertex,
     goal: PositionVertex,
     adjacency: dict[PositionVertex, list[PositionVertex]],
-    component: dict[PositionVertex, int],
-) -> list[PositionVertex]:
-    """Shortest vertex path start -> goal staying inside start's component."""
-    comp = component[start]
+) -> Optional[list[PositionVertex]]:
+    """Shortest vertex path start -> goal by breadth-first search, or None."""
     if start == goal:
         return [start]
     previous: dict[PositionVertex, PositionVertex] = {}
@@ -188,7 +138,7 @@ def _path_within_component(
         nxt = []
         for v in frontier:
             for w in adjacency.get(v, []):
-                if component.get(w) != comp or w in seen:
+                if w in seen:
                     continue
                 previous[w] = v
                 if w == goal:
@@ -199,7 +149,7 @@ def _path_within_component(
                 seen.add(w)
                 nxt.append(w)
         frontier = nxt
-    raise AssertionError("no path inside a strongly connected component")
+    return None
 
 
 def is_weakly_acyclic_ve(program: Program) -> tuple[bool, Optional[WitnessCycle]]:
@@ -212,15 +162,13 @@ def is_weakly_acyclic_ve(program: Program) -> tuple[bool, Optional[WitnessCycle]
     """
     ve = variable_expansion(program)
     graph = build_dependency_graph(ve)
-    vertices = sorted(graph.vertices, key=lambda v: (v.predicate, v.index))
     adjacency: dict[PositionVertex, list[PositionVertex]] = {}
     for src, dst in sorted(graph.all_edges(), key=lambda e: (str(e[0]), str(e[1]))):
         adjacency.setdefault(src, []).append(dst)
-    component = _strongly_connected_components(vertices, adjacency)
     for src, dst in sorted(graph.special_edges, key=lambda e: (str(e[0]), str(e[1]))):
-        if component[src] != component[dst]:
+        back = _shortest_path(dst, src, adjacency)
+        if back is None:
             continue
-        back = _path_within_component(dst, src, adjacency, component)
         steps: list[tuple[PositionVertex, PositionVertex, bool]] = [(src, dst, True)]
         for i in range(len(back) - 1):
             pair = (back[i], back[i + 1])

@@ -121,6 +121,28 @@ def classical_closure(program: Program, facts: set[Atom]) -> set[Atom]:
     return known
 
 
+def naive_weakly_acyclic(graph) -> bool:
+    """Reference weak-acyclicity verdict over a dependency graph.
+
+    Builds the full transitive closure by repeated set unions; a special
+    edge lies on a cycle iff its target reaches its source.
+    """
+    reach = {v: set() for v in graph.vertices}
+    for src, dst in graph.normal_edges | graph.special_edges:
+        reach[src].add(dst)
+    changed = True
+    while changed:
+        changed = False
+        for v in reach:
+            grown = set(reach[v])
+            for w in reach[v]:
+                grown |= reach[w]
+            if grown != reach[v]:
+                reach[v] = grown
+                changed = True
+    return not any(src in reach[dst] or src == dst for src, dst in graph.special_edges)
+
+
 def _image(a: Atom, sub: dict) -> Atom:
     return Atom(a.predicate, tuple(sub.get(t.name, t) if isinstance(t, Variable) else t for t in a.args))
 

@@ -21,8 +21,6 @@ from mvdatalog.core import (
     LabelledNull,
     TruthAssignment,
     atom,
-    crisp_database,
-    crispify,
     rule_gap,
 )
 from mvdatalog.engine import (
@@ -87,7 +85,7 @@ s(X) :- r(X).
 
 
 def chase_of(instance):
-    return oblivious_chase(crispify(instance.program), crisp_database(instance.database))
+    return oblivious_chase(instance.program, set(instance.database.entries))
 
 
 def test_criterion_01_uncertain_labels():

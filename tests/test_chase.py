@@ -2,7 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from helpers import random_instance
+from helpers import random_existential_program, random_instance
+from mvdatalog import chase as chase_module
 from mvdatalog.chase import enumerate_homomorphisms, matches, oblivious_chase
 from mvdatalog.core import (
     Atom,
@@ -11,11 +12,10 @@ from mvdatalog.core import (
     Program,
     Variable,
     atom,
-    crisp_database,
-    crispify,
     make_rule,
     substitute,
 )
+from mvdatalog.termination import is_weakly_acyclic_ve
 
 F = Fraction
 
@@ -68,7 +68,7 @@ class TestObliviousChase:
         rng = random.Random(7)
         for _ in range(30):
             inst = random_instance(rng)
-            result = oblivious_chase(crispify(inst.program), crisp_database(inst.database))
+            result = oblivious_chase(inst.program, set(inst.database.entries))
             assert not result.truncated
             adom = {
                 t.name
@@ -92,12 +92,11 @@ class TestObliviousChase:
         rng = random.Random(11)
         for _ in range(20):
             inst = random_instance(rng)
-            crisp = crispify(inst.program)
-            facts = crisp_database(inst.database)
-            full = oblivious_chase(crisp, facts)
+            facts = set(inst.database.entries)
+            full = oblivious_chase(inst.program, facts)
             assert full.olim >= frozenset(facts)
-            if len(crisp.rules) > 1:
-                smaller = Program.from_rules(crisp.rules[:-1], extra_atoms=list(facts))
+            if len(inst.program.rules) > 1:
+                smaller = Program.from_rules(inst.program.rules[:-1], extra_atoms=list(facts))
                 partial = oblivious_chase(smaller, facts)
                 assert partial.olim <= full.olim
 
@@ -127,26 +126,102 @@ class TestGammaCompleteness:
                     found.add((rule.id, tuple(sorted(sub.items()))))
         return found
 
-    def test_one_ground_rule_per_pair(self):
+    def _draws(self):
         rng = random.Random(23)
         for _ in range(25):
             inst = random_instance(rng, max_rules=4)
-            crisp = crispify(inst.program)
-            result = oblivious_chase(crisp, crisp_database(inst.database))
-            expected = self._independent_groundings(crisp, result.olim)
-            seen = set()
+            yield inst.program, set(inst.database.entries)
+        rng = random.Random(29)
+        facts = {atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")}
+        accepted = 0
+        while accepted < 25:
+            program = random_existential_program(rng)
+            if is_weakly_acyclic_ve(program)[0]:
+                accepted += 1
+                yield program, facts
+
+    def test_one_ground_rule_per_pair(self):
+        for program, facts in self._draws():
+            result = oblivious_chase(program, facts)
+            assert not result.truncated
+            expected = self._independent_groundings(program, result.olim)
+            keys = []
             for g in result.gamma:
-                rule = crisp.rule_by_id(g.origin_rule_id)
-                variables = sorted(rule.body_variables())
+                rule = program.rule_by_id(g.origin_rule_id)
                 sub = {}
                 for pattern, ground in zip(rule.body, g.body):
                     for p, c in zip(pattern.args, ground.args):
                         if isinstance(p, Variable):
                             sub[p.name] = c
-                key = (g.origin_rule_id, tuple(sorted(sub.items())))
-                assert key not in seen, "duplicate grounding"
-                seen.add(key)
-            assert seen == expected
+                keys.append((g.origin_rule_id, tuple(sorted(sub.items()))))
+            assert len(set(keys)) == len(keys), "duplicate grounding"
+            assert set(keys) == expected
+            # rule-id order, then the order enumerate_homomorphisms lists
+            enumerated = [
+                (rule.id, tuple(sorted(hom.items())))
+                for rule in sorted(program.rules, key=lambda r: r.id)
+                for hom in enumerate_homomorphisms(rule, result.olim)
+            ]
+            assert keys == enumerated
+
+
+class TestRounds:
+    """One enumeration per rule per round; the last round adds no atom."""
+
+    @staticmethod
+    def _rounds_adding_atoms(program, facts):
+        """Naive round count: apply every rule to a snapshot until nothing is new."""
+        known = set(facts)
+        rounds = 0
+        while True:
+            heads = set()
+            terms = sorted({t for a in known for t in a.args}, key=str)
+            for rule in program.rules:
+                variables = sorted(rule.body_variables())
+                for combo in itertools.product(terms, repeat=len(variables)):
+                    sub = dict(zip(variables, combo))
+                    if all(substitute(b, sub) in known for b in rule.body):
+                        heads.add(substitute(rule.head, sub))
+            if heads <= known:
+                return rounds
+            known |= heads
+            rounds += 1
+
+    def _count_calls(self, monkeypatch, program, facts):
+        calls = []
+
+        def counting(rule, atoms, index=None):
+            calls.append(rule.id)
+            return enumerate_homomorphisms(rule, atoms, index)
+
+        monkeypatch.setattr(chase_module, "enumerate_homomorphisms", counting)
+        result = oblivious_chase(program, facts)
+        monkeypatch.undo()
+        assert not result.truncated
+        return len(calls)
+
+    def test_transitive_closure_of_a_path(self, monkeypatch):
+        prog = _program(
+            ([atom("e", "X", "Y")], atom("t", "X", "Y")),
+            ([atom("t", "X", "Y"), atom("e", "Y", "Z")], atom("t", "X", "Z")),
+        )
+        facts = {atom("e", "a", "b"), atom("e", "b", "c"), atom("e", "c", "d")}
+        # rounds add t of length 1, 2 and 3; a fourth round adds nothing
+        assert self._count_calls(monkeypatch, prog, facts) == 2 * (3 + 1)
+
+    def test_existential_rule(self, monkeypatch):
+        prog = _program(([atom("company", "X")], atom("kp", "Y", "X")))
+        facts = {atom("company", "acme"), atom("kp", "amy", "acme")}
+        assert self._count_calls(monkeypatch, prog, facts) == 1 * (1 + 1)
+
+    def test_random_plain_programs(self, monkeypatch):
+        rng = random.Random(31)
+        for _ in range(25):
+            inst = random_instance(rng, max_rules=5)
+            facts = set(inst.database.entries)
+            rounds = self._rounds_adding_atoms(inst.program, facts)
+            calls = self._count_calls(monkeypatch, inst.program, facts)
+            assert calls == len(inst.program.rules) * (rounds + 1)
 
 
 class TestNullRegistry:

@@ -116,6 +116,12 @@ class TestSolve:
         proc = run_cli("solve", files["selfloop"], "--max-chase-steps", "5")
         assert proc.returncode == 4
 
+    def test_truncation_message_is_shared(self, files):
+        for command in ("solve", "check", "ground"):
+            proc = run_cli(command, files["selfloop"], "--max-chase-steps", "5")
+            assert proc.returncode == 4, command
+            assert proc.stderr == "error: chase stopped after 5 steps\n", command
+
     def test_custom_k(self, files):
         proc = run_cli("solve", files["orca"], "--K", "4/5")
         model = {e["atom"]: e["degree"] for e in json.loads(proc.stdout)["model"]}

@@ -18,8 +18,6 @@ from mvdatalog.core import (
     as_degree,
     atom,
     body_truth,
-    crisp_database,
-    crispify,
     k_satisfies,
     luk_and,
     luk_not,
@@ -170,32 +168,6 @@ class TestTypes:
         prog = Program.from_rules([])
         with pytest.raises(DomainError):
             Instance(prog, FuzzyDatabase({}), F(0))
-
-
-class TestCrisp:
-    def test_crispify_identity_datalog(self):
-        prog = Program.from_rules([make_rule(0, [LABEL, POLAR], atom("orca", "X"))])
-        assert crispify(prog) == prog
-
-    def test_crispify_existential_shape(self):
-        r = make_rule(0, [atom("company", "X")], atom("kp", "Y", "X"))
-        prog = Program.from_rules([r])
-        assert crispify(prog).rules[0].existential_vars == frozenset({"Y"})
-
-    def test_crispify_empty(self):
-        prog = Program.from_rules([])
-        assert crispify(prog) == prog
-
-    def test_crisp_database_is_support(self):
-        tau = FuzzyDatabase({LABEL: F(4, 5), POLAR: F(7, 10)})
-        assert crisp_database(tau) == {LABEL, POLAR}
-
-    def test_crisp_database_empty(self):
-        assert crisp_database(FuzzyDatabase({})) == set()
-
-    def test_crisp_database_example3(self):
-        tau = FuzzyDatabase({atom("s", "a"): F(4, 5), atom("t", "a"): F(1, 5)})
-        assert crisp_database(tau) == {atom("s", "a"), atom("t", "a")}
 
 
 class TestActiveAtoms:

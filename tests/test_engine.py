@@ -16,8 +16,6 @@ from mvdatalog.core import (
     LabelledNull,
     TruthAssignment,
     atom,
-    crisp_database,
-    crispify,
     rule_gap,
 )
 from mvdatalog.engine import (
@@ -75,7 +73,7 @@ s(X) :- r(X).
 
 
 def chase_of(instance):
-    return oblivious_chase(crispify(instance.program), crisp_database(instance.database))
+    return oblivious_chase(instance.program, set(instance.database.entries))
 
 
 class TestBuildOptk:
@@ -108,7 +106,7 @@ class TestBuildOptk:
     def test_truncated_chase_rejected(self):
         instance = inst(KEY_PERSON)
         truncated = oblivious_chase(
-            crispify(instance.program), crisp_database(instance.database), step_limit=0
+            instance.program, set(instance.database.entries), step_limit=0
         )
         with pytest.raises(TruncatedChase):
             build_optk(instance, truncated)

@@ -1,6 +1,6 @@
 import random
 
-from helpers import random_existential_program
+from helpers import naive_weakly_acyclic, random_existential_program
 from mvdatalog.chase import oblivious_chase
 from mvdatalog.core import Program, atom, make_rule
 from mvdatalog.termination import (
@@ -121,6 +121,32 @@ class TestWeakAcyclicity:
         )
         ok, witness = is_weakly_acyclic_ve(prog)
         assert not ok and witness is not None
+        assert str(witness) == "p[1] => q*[2], q*[2] -> q[2], q[2] -> p[1]"
+
+    def test_self_feeding_witness_string(self):
+        _, witness = is_weakly_acyclic_ve(SELF_FEEDING)
+        assert str(witness) == "p[1] => p*[1], p*[1] -> p[1]"
+
+    def test_verdict_matches_transitive_closure_oracle(self):
+        rng = random.Random(5)
+        rejected = 0
+        for i in range(3000):
+            program = random_existential_program(rng, max_rules=2 + i % 7)
+            graph = build_dependency_graph(variable_expansion(program))
+            ok, witness = is_weakly_acyclic_ve(program)
+            assert ok == naive_weakly_acyclic(graph), program.rules
+            if ok:
+                assert witness is None
+                continue
+            rejected += 1
+            steps = witness.steps
+            assert steps[0][2], "witness must start with a special edge"
+            for src, dst, special in steps:
+                assert (src, dst) in (graph.special_edges if special else graph.normal_edges)
+            for (_, dst, _), (src, _, _) in zip(steps, steps[1:]):
+                assert dst == src
+            assert steps[-1][1] == steps[0][0]
+        assert 0 < rejected < 3000
 
 
 class TestSoundnessAtDeskScale:
