@@ -70,12 +70,8 @@ def _read_files(paths: list[str]) -> list[str]:
 
 
 def _load(args) -> tuple[Instance, dict[str, str]]:
-    try:
-        program, database = parse_many(_read_files(args.files))
-        K = as_degree(args.K, positive=True)
-        instance = Instance(program, database, K)
-    except (ParseError, DomainError, ArityError, SafetyError) as exc:
-        raise CliError(EXIT_INPUT_ERROR, str(exc)) from exc
+    program, database = parse_many(_read_files(args.files))
+    instance = Instance(program, database, as_degree(args.K, positive=True))
     renaming: dict[str, str] = {}
     if args.mode == "relaxed":
         instance, renaming = relax_rewrite(instance)
@@ -165,11 +161,8 @@ def cmd_solve(args) -> int:
 def cmd_query(args) -> int:
     instance, renaming = _load(args)
     _gate_chase(instance, args)
-    try:
-        atom = parse_ground_atom(args.atom)
-        threshold = as_degree(args.at_least)
-    except (ParseError, NonGroundQuery, DomainError) as exc:
-        raise CliError(EXIT_INPUT_ERROR, str(exc)) from exc
+    atom = parse_ground_atom(args.atom)
+    threshold = as_degree(args.at_least)
     if renaming and atom.predicate in renaming:
         atom = Atom(renaming[atom.predicate], atom.args)
     result = _engine(instance, args).query(atom, threshold)
@@ -202,23 +195,22 @@ def cmd_check(args) -> int:
     )
     if chase_allowed:
         engine = _engine(instance, args)
-        chase = engine.chase
-        try:
-            lp, _secondary = build_eoptk(instance, chase)
-        except TruncatedChase:
-            _emit(payload, args.format == "json")
-            raise
-        payload["stats"] = {
-            "olim": len(chase.olim),
-            "gamma": len(chase.gamma),
-            "lp_variables": len(lp.variables),
-            "lp_constraints": len(lp.constraints),
-        }
         try:
             engine.model
             payload["satisfiable"] = True
         except (Unsatisfiable, NoObliviousBaseModel):
             payload["satisfiable"] = False
+        except TruncatedChase:
+            _emit(payload, args.format == "json")
+            raise
+        # the LP has one variable per chase atom and one constraint per ground rule
+        chase = engine.chase
+        payload["stats"] = {
+            "olim": len(chase.olim),
+            "gamma": len(chase.gamma),
+            "lp_variables": len(chase.olim),
+            "lp_constraints": len(chase.gamma),
+        }
     text = [
         f"weakly acyclic (variable expansion): {'yes' if acyclic else 'no'}",
     ]

@@ -16,9 +16,8 @@ existentially quantified unless strict mode is on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, TypeVar
 
 from .core import (
     ONE,
@@ -31,7 +30,6 @@ from .core import (
     Term,
     Variable,
     as_degree,
-    infer_signature,
     make_rule,
 )
 
@@ -57,18 +55,9 @@ class NonGroundQuery(ValueError):
     """A query atom contains variables."""
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WS>\s+)
-    | (?P<COMMENT>%[^\n]*)
+      (?P<SKIP>\s+|%[^\n]*)
     | (?P<NUMBER>\d+(?:\.\d+)?)
     | (?P<IDENT>[a-z][A-Za-z0-9_']*)
     | (?P<VAR>[A-Z_][A-Za-z0-9_]*)
@@ -79,206 +68,156 @@ _TOKEN_RE = re.compile(
     | (?P<COMMA>,)
     | (?P<DOT>\.)
     | (?P<SLASH>/)
+    | (?P<OTHER>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character", line, pos - line_start + 1, text[pos])
-        kind = m.lastgroup or ""
-        value = m.group()
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(Token(kind, value, line, m.start() - line_start + 1))
-        line += value.count("\n")
-        if "\n" in value:
-            line_start = m.start() + value.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, pos - line_start + 1))
-    return tokens
-
-
-@dataclass(frozen=True)
-class FactStatement:
-    degree: Fraction
-    atom: Atom
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class RuleStatement:
-    head: Atom
-    body: tuple[Atom, ...]
-    line: int
-    column: int
-
-
-Statement = Union[FactStatement, RuleStatement]
-
-
-@dataclass(frozen=True)
-class SourceFile:
-    """The ordered statements of one parsed text."""
-
-    statements: tuple[Statement, ...]
+T = TypeVar("T")
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Tokens are (kind, text, offset) tuples; line and column are worked
+    out from the offset only when an error reports them."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "OTHER":
+                self.fail("unexpected character", (kind, m.group(), m.start()))
+            if kind != "SKIP":
+                self.tokens.append((kind, m.group(), m.start()))
+        self.tokens.append(("EOF", "", len(text)))
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def line_column(self, offset: int) -> tuple[int, int]:
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return self.text.count("\n", 0, offset) + 1, offset - line_start + 1
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def fail(self, message: str, token: Optional[tuple[str, str, int]] = None) -> NoReturn:
+        _, text, offset = token or self.tokens[self.pos]
+        raise ParseError(message, *self.line_column(offset), text)
+
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def next(self) -> tuple[str, str, int]:
+        token = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return token
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}", tok.line, tok.column, tok.text)
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        if self.peek() != kind:
+            self.fail(f"expected {kind}")
         return self.next()
 
-    def fail(self, message: str) -> None:
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column, tok.text)
-
-    def source_file(self) -> SourceFile:
-        statements: list[Statement] = []
-        while self.peek().kind != "EOF":
-            statements.append(self.statement())
-        return SourceFile(tuple(statements))
-
-    def statement(self) -> Statement:
-        start = self.peek()
-        if start.kind == "NUMBER":
-            degree = self.degree()
-            self.expect("DEGSEP")
-            a = self.atom()
-            self.expect("DOT")
-            return FactStatement(degree, a, start.line, start.column)
-        if start.kind != "IDENT":
-            self.fail("expected a fact or rule")
-        head = self.atom()
-        if self.peek().kind == "IMPLIEDBY":
-            self.next()
-            body = [self.atom()]
-            while self.peek().kind == "COMMA":
+    def statements(self) -> Iterator[tuple[Atom, Optional[list[Atom]], Fraction, int]]:
+        """Yield (head, body, degree, offset) per statement; a fact's body is None."""
+        while self.peek() != "EOF":
+            kind, _, offset = self.tokens[self.pos]
+            degree, body = ONE, None
+            if kind == "NUMBER":
+                degree = self.degree()
+                self.expect("DEGSEP")
+            elif kind != "IDENT":
+                self.fail("expected a fact or rule")
+            head = self.atom()
+            if kind == "IDENT" and self.peek() == "IMPLIEDBY":
                 self.next()
-                body.append(self.atom())
+                body = self.comma_separated(self.atom)
             self.expect("DOT")
-            return RuleStatement(head, tuple(body), start.line, start.column)
-        self.expect("DOT")
-        return FactStatement(ONE, head, start.line, start.column)
+            yield head, body, degree, offset
+
+    def comma_separated(self, item: Callable[[], T]) -> list[T]:
+        items = [item()]
+        while self.peek() == "COMMA":
+            self.next()
+            items.append(item())
+        return items
 
     def degree(self) -> Fraction:
-        first = self.expect("NUMBER")
-        if self.peek().kind == "SLASH":
-            self.next()
-            second = self.expect("NUMBER")
-            if "." in first.text or "." in second.text:
-                raise ParseError(
-                    "fraction degrees must be integer/integer", first.line, first.column, first.text
-                )
-            if second.text == "0":
-                raise ParseError("zero denominator", second.line, second.column, second.text)
-            return Fraction(int(first.text), int(second.text))
-        # Fraction parses decimal strings exactly (no float intermediate).
-        return Fraction(first.text)
+        first = self.next()
+        if self.peek() != "SLASH":
+            # Fraction parses decimal strings exactly (no float intermediate).
+            return Fraction(first[1])
+        self.next()
+        second = self.expect("NUMBER")
+        if "." in first[1] or "." in second[1]:
+            self.fail("fraction degrees must be integer/integer", first)
+        denominator = int(second[1])
+        if denominator == 0:
+            self.fail("zero denominator", second)
+        return Fraction(int(first[1]), denominator)
 
     def atom(self) -> Atom:
-        name = self.expect("IDENT")
-        if self.peek().kind != "LPAREN":
-            return Atom(name.text)
+        name = self.expect("IDENT")[1]
+        if self.peek() != "LPAREN":
+            return Atom(name)
         self.next()
-        args = [self.term()]
-        while self.peek().kind == "COMMA":
-            self.next()
-            args.append(self.term())
+        args = self.comma_separated(self.term)
         self.expect("RPAREN")
-        return Atom(name.text, tuple(args))
+        return Atom(name, tuple(args))
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "IDENT" or tok.kind == "NUMBER":
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "VAR":
             self.next()
-            return Constant(tok.text)
-        if tok.kind == "VAR":
-            self.next()
-            return Variable(tok.text)
-        self.fail("expected a term")
-        raise AssertionError("unreachable")
-
-
-def parse_source(text: str) -> SourceFile:
-    """Tokenize and parse one text into its statement list."""
-    return _Parser(tokenize(text)).source_file()
-
-
-def _assemble(
-    statements: Sequence[Statement], *, strict: bool = False
-) -> tuple[Program, FuzzyDatabase]:
-    facts: dict[Atom, Fraction] = {}
-    rules: list[Rule] = []
-    for stmt in statements:
-        if isinstance(stmt, FactStatement):
-            if not stmt.atom.is_ground():
-                raise ParseError("facts must be ground", stmt.line, stmt.column, str(stmt.atom))
-            degree = as_degree(stmt.degree, positive=True)
-            known = facts.get(stmt.atom)
-            if known is not None and known != degree:
-                raise DomainError(
-                    f"conflicting degrees {known} and {degree} for fact {stmt.atom} "
-                    f"(line {stmt.line})"
-                )
-            facts[stmt.atom] = degree
-        else:
-            body_vars = set().union(*(a.variables() for a in stmt.body))
-            loose = stmt.head.variables() - body_vars
-            if strict and loose:
-                raise SafetyError(
-                    f"head variables {sorted(loose)} do not occur in the body "
-                    f"(line {stmt.line}): {stmt.head}"
-                )
-            rules.append(make_rule(len(rules), stmt.body, stmt.head))
-    all_atoms = [a for r in rules for a in (*r.body, r.head)] + list(facts)
-    infer_signature(all_atoms)
-    return Program.from_rules(rules, extra_atoms=list(facts)), FuzzyDatabase(facts)
+            return Variable(text)
+        if kind != "IDENT" and kind != "NUMBER":
+            self.fail("expected a term")
+        self.next()
+        return Constant(text)
 
 
 def parse(text: str, *, strict: bool = False) -> tuple[Program, FuzzyDatabase]:
     """Parse one `.mvdl` text into a program and fuzzy database."""
-    return _assemble(parse_source(text).statements, strict=strict)
+    return parse_many([text], strict=strict)
 
 
 def parse_many(texts: Iterable[str], *, strict: bool = False) -> tuple[Program, FuzzyDatabase]:
-    """Parse and merge several texts; conflicting duplicate facts are errors."""
-    statements: list[Statement] = []
-    for text in texts:
-        statements.extend(parse_source(text).statements)
-    return _assemble(statements, strict=strict)
+    """Parse and merge several texts; conflicting duplicate facts are errors.
+
+    Every text is read before any statement is checked, so a syntax error
+    anywhere is reported before a semantic one.
+    """
+    parsed = [(parser, list(parser.statements())) for parser in map(_Parser, texts)]
+    facts: dict[Atom, Fraction] = {}
+    rules: list[Rule] = []
+    for parser, statements in parsed:
+        for head, body, degree, offset in statements:
+            if body is not None:
+                rule = make_rule(len(rules), body, head)
+                if strict and rule.existential_vars:
+                    raise SafetyError(
+                        f"head variables {sorted(rule.existential_vars)} do not occur in the body "
+                        f"(line {parser.line_column(offset)[0]}): {head}"
+                    )
+                rules.append(rule)
+                continue
+            if not head.is_ground():
+                parser.fail("facts must be ground", ("", str(head), offset))
+            degree = as_degree(degree, positive=True)
+            known = facts.get(head)
+            if known is not None and known != degree:
+                raise DomainError(
+                    f"conflicting degrees {known} and {degree} for fact {head} "
+                    f"(line {parser.line_column(offset)[0]})"
+                )
+            facts[head] = degree
+    # Program.from_rules rejects a predicate used with two arities.
+    return Program.from_rules(rules, extra_atoms=list(facts)), FuzzyDatabase(facts)
 
 
 def parse_ground_atom(text: str) -> Atom:
     """Parse a single ground atom, e.g. a query argument."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     a = parser.atom()
-    tok = parser.peek()
-    if tok.kind == "DOT":
+    if parser.peek() == "DOT":
         parser.next()
-        tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError("trailing input after atom", tok.line, tok.column, tok.text)
+    if parser.peek() != "EOF":
+        parser.fail("trailing input after atom")
     if not a.is_ground():
         raise NonGroundQuery(f"query atom must be ground: {a}")
     return a

@@ -107,6 +107,13 @@ class TestSolve:
         assert proc.returncode == 3
         assert "error" in proc.stderr
 
+    def test_zero_denominator_exit_3(self, tmp_path):
+        bad = tmp_path / "bad.mvdl"
+        bad.write_text("1/00 :: p(a).\n", encoding="utf-8")
+        proc = run_cli("solve", str(bad))
+        assert proc.returncode == 3
+        assert proc.stderr == "error: zero denominator (line 1, column 3 near '00')\n"
+
     def test_non_weakly_acyclic_requires_limit_exit_4(self, files):
         proc = run_cli("solve", files["selfloop"])
         assert proc.returncode == 4
@@ -226,6 +233,38 @@ class TestCheck:
         proc = run_cli("check", files["unsat"])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["satisfiable"] is False
+
+    @pytest.mark.parametrize("name, builds", [("kp", 1), ("orca", 0)])
+    def test_existential_lp_built_at_most_once(self, files, monkeypatch, capsys, name, builds):
+        from mvdatalog import cli, engine
+
+        calls = []
+        real = engine.build_eoptk
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "build_eoptk", counted)
+        monkeypatch.setattr(cli, "build_eoptk", counted)
+        assert cli.main(["check", files[name]]) == 0
+        assert len(calls) == builds
+        assert json.loads(capsys.readouterr().out)["satisfiable"] is True
+
+    @pytest.mark.parametrize("name", ["orca", "kp", "nulls", "unsat"])
+    def test_lp_size_is_that_of_the_ground_lp(self, files, name):
+        stats = json.loads(run_cli("check", files[name]).stdout)["stats"]
+        lp = json.loads(run_cli("ground", files[name]).stdout)["lp"]
+        assert stats["lp_variables"] == len(lp["variables"])
+        assert stats["lp_constraints"] == len(lp["constraints"])
+
+    def test_truncated_chase_prints_payload_then_exit_4(self, files):
+        proc = run_cli("check", files["selfloop"], "--max-chase-steps", "5")
+        assert proc.returncode == 4
+        payload = json.loads(proc.stdout)
+        assert payload["weakly_acyclic"] is False
+        assert payload["stats"] is None and payload["satisfiable"] is None
+        assert proc.stderr == "error: chase stopped after 5 steps\n"
 
 
 class TestGround:

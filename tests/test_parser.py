@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_instance
@@ -110,6 +110,43 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse("p(a) :- .")
 
+    @pytest.mark.parametrize("text, token", [("1/00 :: p(a).", "00"), ("3/000 :: p(a).", "000")])
+    def test_zero_denominator_written_with_several_zeros(self, text, token):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        found = (err.value.message, err.value.line, err.value.column, err.value.token)
+        assert found == ("zero denominator", 1, 3, token)
+
+
+def _error_of(texts):
+    try:
+        parse_many(texts)
+    except ParseError as exc:
+        return ParseError, exc.line, exc.column, exc.token
+    except DomainError as exc:
+        return DomainError, str(exc)
+    return None
+
+
+class TestErrorPositions:
+    @pytest.mark.parametrize(
+        "texts, expected",
+        [
+            (["p(a).\n% a comment & more\nq(b) & r(c).\n"], (ParseError, 3, 6, "&")),
+            (["p(a).\nq(b)"], (ParseError, 2, 5, "")),  # end of input
+            (["p(,)."], (ParseError, 1, 3, ",")),
+            (["p(a).\n  q(X)."], (ParseError, 2, 3, "q(X)")),
+            (
+                ["0.5 :: p(a).\n\n0.6 :: p(a).\n"],
+                (DomainError, "conflicting degrees 1/2 and 3/5 for fact p(a) (line 3)"),
+            ),
+            # a syntax error in a later text wins over a conflict in an earlier one
+            (["0.5 :: p(a).\n0.6 :: p(a).\n", "q(b)\n"], (ParseError, 2, 1, "")),
+        ],
+    )
+    def test_exact_position(self, texts, expected):
+        assert _error_of(texts) == expected
+
 
 class TestQueryAtoms:
     def test_parse_ground_atom(self):
@@ -188,3 +225,31 @@ class TestMultiFile:
     def test_cross_file_conflict(self):
         with pytest.raises(DomainError):
             parse_many(["0.5 :: p(a).", "0.7 :: p(a)."])
+
+
+# Grammar tokens, fragments of statements and a few characters outside it.
+_PIECES = st.sampled_from(
+    [":-", "::", "/", ".", ",", "(", ")", "%", "\n", " ", "0", "1", "00", "0.5", "3/4", "p", "q(a)",
+     "r", "a", "X", "Y", "_", "p(X)", "p(a).", "0.5 :: ", "q(X) :- p(X).", "&", "é", "\t", "'", ":"]
+)
+
+
+class TestFuzz:
+    @given(st.lists(_PIECES, max_size=30).map("".join))
+    @example("1/00 :: p(a).")
+    @settings(max_examples=300, deadline=None)
+    def test_parse_many_raises_only_input_errors(self, text):
+        for strict in (False, True):
+            try:
+                parse_many([text, "r(c).\n"], strict=strict)
+            except (ParseError, DomainError, ArityError, SafetyError):
+                pass
+
+    @given(st.lists(_PIECES, max_size=12).map("".join))
+    @example("1/00 :: p(a).")
+    @settings(max_examples=300, deadline=None)
+    def test_parse_ground_atom_raises_only_input_errors(self, text):
+        try:
+            parse_ground_atom(text)
+        except (ParseError, NonGroundQuery):
+            pass
