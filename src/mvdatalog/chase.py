@@ -1,12 +1,14 @@
 """Oblivious chase over the crisp instance.
 
-Saturation is round-based and FIFO: every round enumerates all (rule,
-body-homomorphism) pairs against a snapshot of the current atom set,
-applies the pairs not yet applied, and stops at the first round that
-adds no atom. Each pair is applied exactly once, and its ground rule is
-recorded as it is applied; existential rules draw their labelled nulls
-from a registry keyed by (rule id, body homomorphism) so reruns are
-stable.
+Saturation is round-based and semi-naive: round 0 joins the rules with
+the input facts, and each later round only with homomorphisms that map
+some body atom into the atoms the previous round added (the delta),
+matching the other body atoms in hash indexes on (predicate, bound
+argument positions) over the round's snapshot. Every pair found is new
+and is applied once, in rule-id and then homomorphism order; the chase
+stops at the first round that adds no atom. Existential rules draw their
+labelled nulls from a registry keyed by (rule id, body homomorphism) so
+reruns are stable.
 """
 
 from __future__ import annotations
@@ -104,54 +106,107 @@ def _match_atom(pattern: Atom, candidate: Atom, hom: Homomorphism) -> Optional[H
     return out
 
 
-def enumerate_homomorphisms(
-    rule: Rule,
-    atoms: Iterable[Atom],
-    index: Optional[dict[str, list[Atom]]] = None,
-) -> list[Homomorphism]:
-    """All substitutions of the rule's body variables into `atoms`.
+def _plans(rule: Rule) -> list[tuple[tuple[str, ...], Atom, list[tuple]]]:
+    """One join plan per body position d: the predicates before d, body[d],
+    and a step (pattern, old, bound positions, their terms) per other atom.
 
-    Deterministic: the result is sorted lexicographically by variable
-    name, then by the image terms.
+    Body atom d is matched in the delta first, the atoms before it outside
+    the delta (`old`) and the atoms after it anywhere, so a homomorphism
+    with several body atoms in the delta is found once, under the first.
     """
-    atom_set = atoms if isinstance(atoms, (set, frozenset)) else set(atoms)
-    if index is None:
-        index = _index_by_predicate(atom_set)
+    plans = []
+    for d, first in enumerate(rule.body):
+        bound = first.variables()
+        steps = []
+        for j, pattern in enumerate(rule.body):
+            if j != d:
+                args = pattern.args
+                positions = tuple(i for i, t in enumerate(args) if not isinstance(t, Variable) or t.name in bound)
+                steps.append((pattern, j < d, positions, tuple(args[i] for i in positions)))
+                bound = bound | pattern.variables()
+        plans.append((tuple(b.predicate for b in rule.body[:d]), first, steps))
+    return plans
+
+
+class _Index:
+    """A round's atom set and delta, with hash indexes keyed on (predicate,
+    bound argument positions). An index is built by one scan of the atom
+    set when a join first asks for it and then extended with each round's
+    new atoms. A fresh `_Index` takes all its atoms as the delta.
+    """
+
+    def __init__(self, atoms: set[Atom]):
+        self.atoms = self.delta = atoms
+        self.delta_by_predicate = _index_by_predicate(atoms)
+        self.tables: dict[tuple[str, tuple[int, ...]], dict[tuple, list[Atom]]] = {}
+        self.plans: dict[int, list] = {}
+
+    def add(self, new_atoms: set[Atom]) -> None:
+        """Make `new_atoms` part of the atom set and the next round's delta."""
+        self.delta, self.delta_by_predicate = new_atoms, _index_by_predicate(new_atoms)
+        self.atoms |= new_atoms
+        for (predicate, positions), table in self.tables.items():
+            for a in self.delta_by_predicate.get(predicate, ()):
+                table.setdefault(tuple(a.args[i] for i in positions), []).append(a)
+
+    def lookup(self, predicate: str, positions: tuple[int, ...], values: tuple) -> list[Atom]:
+        table = self.tables.get((predicate, positions))
+        if table is None:
+            table = self.tables[predicate, positions] = {}
+            for a in self.atoms:
+                if a.predicate == predicate:
+                    table.setdefault(tuple(a.args[i] for i in positions), []).append(a)
+        return table.get(values, [])
+
+    def has_old(self, predicate: str) -> bool:
+        """True iff some atom of `predicate` lies outside the delta."""
+        return len(self.lookup(predicate, (), ())) > len(self.delta_by_predicate.get(predicate, ()))
+
+
+def _join(rule: Rule, index: _Index) -> list[Homomorphism]:
+    """The rule's body homomorphisms into the atom set that map at least
+    one body atom into the delta, sorted by `_hom_order`."""
+    if rule.id not in index.plans:
+        index.plans[rule.id] = _plans(rule)
+    atoms, delta = index.atoms, index.delta
     results: list[Homomorphism] = []
 
-    def extend(i: int, hom: Homomorphism) -> None:
-        if i == len(rule.body):
-            results.append(dict(hom))
+    def extend(steps: list[tuple], i: int, hom: Homomorphism) -> None:
+        if i == len(steps):
+            results.append(hom)
             return
-        pattern = rule.body[i]
-        grounded = _ground_under(pattern, hom)
-        if grounded is not None:
-            # fully bound pattern: a membership test replaces the scan
-            if grounded in atom_set:
-                extend(i + 1, hom)
+        pattern, old, positions, terms = steps[i]
+        values = tuple(hom[t.name] if isinstance(t, Variable) else t for t in terms)
+        if len(positions) == len(pattern.args):
+            # fully bound pattern: a membership test replaces the lookup
+            image = Atom(pattern.predicate, values)
+            if image in atoms and not (old and image in delta):
+                extend(steps, i + 1, hom)
             return
-        for candidate in index.get(pattern.predicate, ()):
-            extended = _match_atom(pattern, candidate, hom)
-            if extended is not None:
-                extend(i + 1, extended)
+        for candidate in index.lookup(pattern.predicate, positions, values):
+            if not (old and candidate in delta):
+                extended = _match_atom(pattern, candidate, hom)
+                if extended is not None:
+                    extend(steps, i + 1, extended)
 
-    extend(0, {})
+    for earlier, first, steps in index.plans[rule.id]:
+        if all(map(index.has_old, earlier)):
+            for candidate in index.delta_by_predicate.get(first.predicate, ()):
+                hom = _match_atom(first, candidate, {})
+                if hom is not None:
+                    extend(steps, 0, hom)
     results.sort(key=lambda h: _hom_order(_hom_key(h)))
     return results
 
 
-def _ground_under(pattern: Atom, hom: Mapping[str, Term]) -> Optional[Atom]:
-    """The pattern's image when all its variables are bound, else None."""
-    args = []
-    for t in pattern.args:
-        if isinstance(t, Variable):
-            bound = hom.get(t.name)
-            if bound is None:
-                return None
-            args.append(bound)
-        else:
-            args.append(t)
-    return Atom(pattern.predicate, tuple(args))
+def enumerate_homomorphisms(rule: Rule, atoms: Iterable[Atom]) -> list[Homomorphism]:
+    """All substitutions of the rule's body variables into `atoms`.
+
+    Deterministic: the result is sorted lexicographically by variable
+    name, then by the image terms. This is the chase's join with every
+    atom in the delta.
+    """
+    return _join(rule, _Index(set(atoms)))
 
 
 def matches(candidate: Atom, head_pattern: Atom, nulls: set[LabelledNull]) -> bool:
@@ -193,6 +248,10 @@ def oblivious_chase(
 ) -> ChaseResult:
     """Chase `facts` with the (crisp) program, applying each pair once.
 
+    A rule none of whose body predicates gained atoms in the previous
+    round is not joined; null numbering, `steps` and the truncation point
+    are those of a chase that re-enumerates every pair each round.
+
     `gamma` holds the ground rule of every applied pair, ordered by rule
     id and then by homomorphism as `enumerate_homomorphisms` orders them.
     On natural termination every (rule, homomorphism) pair whose body maps
@@ -210,30 +269,27 @@ def oblivious_chase(
     steps = 0
     truncated = False
 
-    index = _index_by_predicate(atoms)
+    index = _Index(atoms)  # round 0's delta is every fact
     while not truncated:
         new_atoms: set[Atom] = set()
         for rule in rules:
             if truncated:
                 break
-            for hom in enumerate_homomorphisms(rule, atoms, index):
-                key = (rule.id, _hom_key(hom))
-                if key in applied:
-                    continue
+            if index.delta_by_predicate.keys().isdisjoint(b.predicate for b in rule.body):
+                continue
+            for hom in _join(rule, index):
                 if step_limit is not None and steps >= step_limit:
                     truncated = True
                     break
                 steps += 1
                 grounded = _ground_rule(rule, hom, registry)
-                applied[key] = grounded
+                applied[(rule.id, _hom_key(hom))] = grounded
                 if grounded.head not in atoms:
                     new_atoms.add(grounded.head)
         if not new_atoms:
             # every pair into this unchanged atom set has been applied
             break
-        for a in new_atoms:
-            index.setdefault(a.predicate, []).append(a)
-        atoms |= new_atoms
+        index.add(new_atoms)
 
     order = sorted(applied, key=lambda k: (k[0], _hom_order(k[1])))
     gamma = tuple(applied[k] for k in order)

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator, NoReturn, Optional, TypeVar
 
 from .core import (
     ONE,
+    ZERO,
     Atom,
     Constant,
     DomainError,
@@ -141,15 +142,22 @@ class _Parser:
         first = self.next()
         if self.peek() != "SLASH":
             # Fraction parses decimal strings exactly (no float intermediate).
-            return Fraction(first[1])
+            return self.number(Fraction, first)
         self.next()
         second = self.expect("NUMBER")
         if "." in first[1] or "." in second[1]:
             self.fail("fraction degrees must be integer/integer", first)
-        denominator = int(second[1])
+        denominator = self.number(int, second)
         if denominator == 0:
             self.fail("zero denominator", second)
-        return Fraction(int(first[1]), denominator)
+        return Fraction(self.number(int, first), denominator)
+
+    def number(self, convert: Callable[[str], T], token: tuple[str, str, int]) -> T:
+        try:
+            return convert(token[1])
+        except ValueError:
+            # Python refuses to convert integer strings beyond sys.get_int_max_str_digits()
+            self.fail("too many digits in degree", token)
 
     def atom(self) -> Atom:
         name = self.expect("IDENT")[1]
@@ -198,7 +206,9 @@ def parse_many(texts: Iterable[str], *, strict: bool = False) -> tuple[Program, 
                 continue
             if not head.is_ground():
                 parser.fail("facts must be ground", ("", str(head), offset))
-            degree = as_degree(degree, positive=True)
+            # FuzzyDatabase validates every degree; a bad one fails here, in statement order
+            if not ZERO < degree <= ONE:
+                as_degree(degree, positive=True)
             known = facts.get(head)
             if known is not None and known != degree:
                 raise DomainError(

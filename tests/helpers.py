@@ -10,6 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from mvdatalog.chase import ChaseResult, NullRegistry, _ground_rule, _hom_key, _hom_order
 from mvdatalog.core import (
     Atom,
     Constant,
@@ -141,6 +142,80 @@ def naive_weakly_acyclic(graph) -> bool:
                 reach[v] = grown
                 changed = True
     return not any(src in reach[dst] or src == dst for src, dst in graph.special_edges)
+
+
+def naive_homomorphisms(rule: Rule, atoms: set[Atom]) -> list[dict]:
+    """Reference enumeration: every body atom scans every atom of its predicate."""
+    by_predicate: dict = {}
+    for a in atoms:
+        by_predicate.setdefault(a.predicate, []).append(a)
+    results = []
+
+    def extend(i: int, hom: dict) -> None:
+        if i == len(rule.body):
+            results.append(hom)
+            return
+        pattern = rule.body[i]
+        image = _image(pattern, hom)
+        if image.is_ground():
+            if image in atoms:
+                extend(i + 1, hom)
+            return
+        for candidate in by_predicate.get(pattern.predicate, ()):
+            if len(candidate.args) != len(pattern.args):
+                continue
+            extended = dict(hom)
+            for p, c in zip(pattern.args, candidate.args):
+                if isinstance(p, Variable):
+                    if extended.setdefault(p.name, c) != c:
+                        break
+                elif p != c:
+                    break
+            else:
+                extend(i + 1, extended)
+
+    extend(0, {})
+    results.sort(key=lambda h: _hom_order(_hom_key(h)))
+    return results
+
+
+def naive_oblivious_chase(program: Program, facts, step_limit=None) -> ChaseResult:
+    """Reference chase: every round enumerates every homomorphism against
+    the whole atom set and applies those not applied before."""
+    atoms: set[Atom] = set(facts)
+    for a in atoms:
+        if not a.is_ground():
+            raise ValueError(f"chase input atom {a} is not ground")
+    registry = NullRegistry()
+    applied: dict = {}
+    rules = sorted(program.rules, key=lambda r: r.id)
+    steps = 0
+    truncated = False
+
+    while not truncated:
+        new_atoms: set[Atom] = set()
+        for rule in rules:
+            if truncated:
+                break
+            for hom in naive_homomorphisms(rule, atoms):
+                key = (rule.id, _hom_key(hom))
+                if key in applied:
+                    continue
+                if step_limit is not None and steps >= step_limit:
+                    truncated = True
+                    break
+                steps += 1
+                grounded = _ground_rule(rule, hom, registry)
+                applied[key] = grounded
+                if grounded.head not in atoms:
+                    new_atoms.add(grounded.head)
+        if not new_atoms:
+            break
+        atoms |= new_atoms
+
+    order = sorted(applied, key=lambda k: (k[0], _hom_order(k[1])))
+    gamma = tuple(applied[k] for k in order)
+    return ChaseResult(frozenset(atoms), gamma, registry, truncated, steps)
 
 
 def _image(a: Atom, sub: dict) -> Atom:

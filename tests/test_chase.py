@@ -2,7 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from helpers import random_existential_program, random_instance
+from helpers import naive_oblivious_chase, random_existential_program, random_instance
 from mvdatalog import chase as chase_module
 from mvdatalog.chase import enumerate_homomorphisms, matches, oblivious_chase
 from mvdatalog.core import (
@@ -166,13 +166,15 @@ class TestGammaCompleteness:
 
 
 class TestRounds:
-    """One enumeration per rule per round; the last round adds no atom."""
+    """A rule is joined in a round only when one of its body predicates has
+    new atoms there; the last round adds no atom."""
 
     @staticmethod
-    def _rounds_adding_atoms(program, facts):
-        """Naive round count: apply every rule to a snapshot until nothing is new."""
+    def _deltas(program, facts):
+        """Naive rounds: apply every rule to a snapshot until nothing is new;
+        returns each round's delta, the facts first."""
         known = set(facts)
-        rounds = 0
+        deltas = [set(facts)]
         while True:
             heads = set()
             terms = sorted({t for a in known for t in a.args}, key=str)
@@ -183,18 +185,24 @@ class TestRounds:
                     if all(substitute(b, sub) in known for b in rule.body):
                         heads.add(substitute(rule.head, sub))
             if heads <= known:
-                return rounds
+                return deltas
+            deltas.append(heads - known)
             known |= heads
-            rounds += 1
+
+    @staticmethod
+    def _rules_reading(program, delta):
+        predicates = {a.predicate for a in delta}
+        return sum(any(b.predicate in predicates for b in r.body) for r in program.rules)
 
     def _count_calls(self, monkeypatch, program, facts):
         calls = []
+        join = chase_module._join
 
-        def counting(rule, atoms, index=None):
+        def counting(rule, index):
             calls.append(rule.id)
-            return enumerate_homomorphisms(rule, atoms, index)
+            return join(rule, index)
 
-        monkeypatch.setattr(chase_module, "enumerate_homomorphisms", counting)
+        monkeypatch.setattr(chase_module, "_join", counting)
         result = oblivious_chase(program, facts)
         monkeypatch.undo()
         assert not result.truncated
@@ -206,22 +214,79 @@ class TestRounds:
             ([atom("t", "X", "Y"), atom("e", "Y", "Z")], atom("t", "X", "Z")),
         )
         facts = {atom("e", "a", "b"), atom("e", "b", "c"), atom("e", "c", "d")}
-        # rounds add t of length 1, 2 and 3; a fourth round adds nothing
-        assert self._count_calls(monkeypatch, prog, facts) == 2 * (3 + 1)
+        # round 0 joins both rules on the facts; rounds 1-3 see only new t
+        # atoms (lengths 1, 2, 3), which the first rule does not read
+        assert self._count_calls(monkeypatch, prog, facts) == 2 + 1 + 1 + 1
+        assert [self._rules_reading(prog, d) for d in self._deltas(prog, facts)] == [2, 1, 1, 1]
 
     def test_existential_rule(self, monkeypatch):
         prog = _program(([atom("company", "X")], atom("kp", "Y", "X")))
         facts = {atom("company", "acme"), atom("kp", "amy", "acme")}
-        assert self._count_calls(monkeypatch, prog, facts) == 1 * (1 + 1)
+        # round 1's delta is the null kp atom, which the rule does not read
+        assert self._count_calls(monkeypatch, prog, facts) == 1
 
     def test_random_plain_programs(self, monkeypatch):
         rng = random.Random(31)
         for _ in range(25):
             inst = random_instance(rng, max_rules=5)
             facts = set(inst.database.entries)
-            rounds = self._rounds_adding_atoms(inst.program, facts)
+            deltas = self._deltas(inst.program, facts)  # one per round, the last adds nothing
             calls = self._count_calls(monkeypatch, inst.program, facts)
-            assert calls == len(inst.program.rules) * (rounds + 1)
+            assert calls == sum(self._rules_reading(inst.program, d) for d in deltas)
+            assert calls <= len(inst.program.rules) * len(deltas)
+
+    def test_chain_work_is_linear(self, monkeypatch):
+        """Candidate atoms examined on a path grow linearly with its length."""
+        match = chase_module._match_atom
+
+        def examined(edges):
+            count = 0
+
+            def counting(pattern, candidate, hom):
+                nonlocal count
+                count += 1
+                return match(pattern, candidate, hom)
+
+            prog = _program(([atom("edge", "X", "Y"), atom("reach", "X")], atom("reach", "Y")))
+            facts = {atom("reach", "c0")} | {atom("edge", f"c{i}", f"c{i + 1}") for i in range(edges)}
+            monkeypatch.setattr(chase_module, "_match_atom", counting)
+            result = oblivious_chase(prog, facts)
+            monkeypatch.undo()
+            assert len(result.olim) == 2 * edges + 1
+            return count
+
+        assert examined(200) <= 2.2 * examined(100)
+
+
+class TestNaiveOracle:
+    """The semi-naive chase equals the naive one in tests/helpers.py."""
+
+    @staticmethod
+    def _assert_same(program, facts, step_limit):
+        fast = oblivious_chase(program, facts, step_limit)
+        naive = naive_oblivious_chase(program, facts, step_limit)
+        assert fast.olim == naive.olim
+        assert fast.gamma == naive.gamma
+        assert fast.registry.entries() == naive.registry.entries()
+        assert (fast.steps, fast.truncated) == (naive.steps, naive.truncated)
+        return fast.truncated
+
+    def test_random_plain_programs(self):
+        rng = random.Random(37)
+        for _ in range(1500):
+            inst = random_instance(rng)
+            facts = set(inst.database.entries)
+            for step_limit in (None, 1, 3, 7):
+                self._assert_same(inst.program, facts, step_limit)
+
+    def test_random_existential_programs(self):
+        rng = random.Random(41)
+        facts = {atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")}
+        truncated = sum(
+            self._assert_same(random_existential_program(rng), facts, rng.randint(5, 100))
+            for _ in range(1500)
+        )
+        assert 0 < truncated < 1500
 
 
 class TestNullRegistry:

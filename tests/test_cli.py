@@ -114,6 +114,17 @@ class TestSolve:
         assert proc.returncode == 3
         assert proc.stderr == "error: zero denominator (line 1, column 3 near '00')\n"
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="this Python converts integer strings of any length"
+    )
+    @pytest.mark.parametrize("degree", ["1/" + "1" * 5000, "0." + "1" * 5000], ids=["fraction", "decimal"])
+    def test_degree_with_too_many_digits_exit_3(self, tmp_path, degree):
+        bad = tmp_path / "bad.mvdl"
+        bad.write_text(f"{degree} :: p(a).\n", encoding="utf-8")
+        proc = run_cli("solve", str(bad))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: too many digits in degree (line 1, column ")
+
     def test_non_weakly_acyclic_requires_limit_exit_4(self, files):
         proc = run_cli("solve", files["selfloop"])
         assert proc.returncode == 4

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_instance
-from mvdatalog.core import ArityError, Atom, DomainError, atom
+from mvdatalog import core, parser
+from mvdatalog.core import ArityError, Atom, DomainError, FuzzyDatabase, atom
 from mvdatalog.parser import (
     NonGroundQuery,
     ParseError,
@@ -116,6 +119,51 @@ class TestErrors:
             parse(text)
         found = (err.value.message, err.value.line, err.value.column, err.value.token)
         assert found == ("zero denominator", 1, 3, token)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="this Python converts integer strings of any length"
+    )
+    @pytest.mark.parametrize(
+        "text, column",
+        [("1/" + "1" * 5000 + " :: p(a).", 3), ("0." + "1" * 5000 + " :: p(a).", 1)],
+        ids=["fraction", "decimal"],
+    )
+    def test_degree_with_too_many_digits(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        found = (err.value.message, err.value.line, err.value.column, err.value.token)
+        assert found == ("too many digits in degree", 1, column, text[column - 1 : text.index(" ")])
+
+
+class TestDegreeValidation:
+    def test_each_fact_degree_validated_once(self, monkeypatch):
+        calls = []
+        as_degree = core.as_degree
+
+        def counting(value, *, positive=False):
+            calls.append(value)
+            return as_degree(value, positive=positive)
+
+        monkeypatch.setattr(core, "as_degree", counting)
+        monkeypatch.setattr(parser, "as_degree", counting)
+        parse("0.5 :: p(a).\n1/3 :: q(b).\nr(c).\n")
+        assert calls == [F(1, 2), F(1, 3), F(1)]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p(a).\n2 :: q(b).\nr(X).", "degree 2 outside [0, 1]"),
+            ("0 :: p(a).\n2 :: q(b).", "degree must be strictly positive"),
+        ],
+        ids=["above-one", "zero"],
+    )
+    def test_first_bad_degree_wins_over_later_statements(self, text, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            parse(text)
+
+    def test_public_database_still_rejects_bad_degrees(self):
+        with pytest.raises(DomainError, match="outside"):
+            FuzzyDatabase({atom("p", "a"): F(3, 2)})
 
 
 def _error_of(texts):
