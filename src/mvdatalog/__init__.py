@@ -33,7 +33,6 @@ from .engine import (
     QueryResult,
     TruncatedChase,
     Unsatisfiable,
-    certain_closure,
     fixpoint_minimal_model,
     k_truth,
     minimal_model,
@@ -68,7 +67,6 @@ __all__ = [
     "as_degree",
     "atom",
     "body_truth",
-    "certain_closure",
     "enumerate_homomorphisms",
     "fixpoint_minimal_model",
     "format_instance",

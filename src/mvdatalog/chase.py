@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .core import (
@@ -68,14 +69,26 @@ class NullRegistry:
 
 @dataclass(frozen=True)
 class ChaseResult:
+    """The chase's atoms (olim: the facts plus Gamma's heads), Gamma and nulls.
+
+    olim is the engine's one atom universe, sorted once by `sorted_olim`.
+    Its constants all come from the program or the facts, so an atom lies
+    over the active domain exactly when it is null-free.
+    """
+
     olim: frozenset[Atom]
     gamma: tuple[GroundRule, ...]
     registry: NullRegistry
     truncated: bool
     steps: int
 
-    def sorted_olim(self) -> list[Atom]:
+    @cached_property
+    def _sorted_olim(self) -> list[Atom]:
         return sorted(self.olim, key=Atom.sort_key)
+
+    def sorted_olim(self) -> list[Atom]:
+        """olim in `Atom.sort_key` order, sorted once per chase; do not mutate."""
+        return self._sorted_olim
 
 
 def _index_by_predicate(atoms: Iterable[Atom]) -> dict[str, list[Atom]]:
@@ -106,26 +119,23 @@ def _match_atom(pattern: Atom, candidate: Atom, hom: Homomorphism) -> Optional[H
     return out
 
 
-def _plans(rule: Rule) -> list[tuple[tuple[str, ...], Atom, list[tuple]]]:
-    """One join plan per body position d: the predicates before d, body[d],
-    and a step (pattern, old, bound positions, their terms) per other atom.
+def _plan(rule: Rule, d: int) -> list[tuple]:
+    """The join plan for body position d: a step (pattern, old, bound
+    positions, their terms) per body atom other than body[d].
 
     Body atom d is matched in the delta first, the atoms before it outside
     the delta (`old`) and the atoms after it anywhere, so a homomorphism
     with several body atoms in the delta is found once, under the first.
     """
-    plans = []
-    for d, first in enumerate(rule.body):
-        bound = first.variables()
-        steps = []
-        for j, pattern in enumerate(rule.body):
-            if j != d:
-                args = pattern.args
-                positions = tuple(i for i, t in enumerate(args) if not isinstance(t, Variable) or t.name in bound)
-                steps.append((pattern, j < d, positions, tuple(args[i] for i in positions)))
-                bound = bound | pattern.variables()
-        plans.append((tuple(b.predicate for b in rule.body[:d]), first, steps))
-    return plans
+    bound = rule.body[d].variables()
+    steps = []
+    for j, pattern in enumerate(rule.body):
+        if j != d:
+            args = pattern.args
+            positions = tuple(i for i, t in enumerate(args) if not isinstance(t, Variable) or t.name in bound)
+            steps.append((pattern, j < d, positions, tuple(args[i] for i in positions)))
+            bound = bound | pattern.variables()
+    return steps
 
 
 class _Index:
@@ -139,7 +149,7 @@ class _Index:
         self.atoms = self.delta = atoms
         self.delta_by_predicate = _index_by_predicate(atoms)
         self.tables: dict[tuple[str, tuple[int, ...]], dict[tuple, list[Atom]]] = {}
-        self.plans: dict[int, list] = {}
+        self.plans: dict[tuple[int, int], list[tuple]] = {}
 
     def add(self, new_atoms: set[Atom]) -> None:
         """Make `new_atoms` part of the atom set and the next round's delta."""
@@ -165,36 +175,36 @@ class _Index:
 
 def _join(rule: Rule, index: _Index) -> list[Homomorphism]:
     """The rule's body homomorphisms into the atom set that map at least
-    one body atom into the delta, sorted by `_hom_order`."""
-    if rule.id not in index.plans:
-        index.plans[rule.id] = _plans(rule)
+    one body atom into the delta, sorted by `_hom_order`. Depth-first on
+    an explicit stack, so body length is not bounded by recursion depth."""
     atoms, delta = index.atoms, index.delta
     results: list[Homomorphism] = []
-
-    def extend(steps: list[tuple], i: int, hom: Homomorphism) -> None:
-        if i == len(steps):
-            results.append(hom)
-            return
-        pattern, old, positions, terms = steps[i]
-        values = tuple(hom[t.name] if isinstance(t, Variable) else t for t in terms)
-        if len(positions) == len(pattern.args):
-            # fully bound pattern: a membership test replaces the lookup
-            image = Atom(pattern.predicate, values)
-            if image in atoms and not (old and image in delta):
-                extend(steps, i + 1, hom)
-            return
-        for candidate in index.lookup(pattern.predicate, positions, values):
-            if not (old and candidate in delta):
-                extended = _match_atom(pattern, candidate, hom)
-                if extended is not None:
-                    extend(steps, i + 1, extended)
-
-    for earlier, first, steps in index.plans[rule.id]:
-        if all(map(index.has_old, earlier)):
-            for candidate in index.delta_by_predicate.get(first.predicate, ()):
-                hom = _match_atom(first, candidate, {})
-                if hom is not None:
-                    extend(steps, 0, hom)
+    for d, first in enumerate(rule.body):
+        firsts = index.delta_by_predicate.get(first.predicate)
+        if not firsts or not all(index.has_old(b.predicate) for b in rule.body[:d]):
+            continue
+        steps = index.plans.get((rule.id, d))
+        if steps is None:
+            steps = index.plans[rule.id, d] = _plan(rule, d)
+        stack = [(0, hom) for hom in (_match_atom(first, c, {}) for c in firsts) if hom is not None]
+        while stack:
+            i, hom = stack.pop()
+            if i == len(steps):
+                results.append(hom)
+                continue
+            pattern, old, positions, terms = steps[i]
+            values = tuple(hom[t.name] if isinstance(t, Variable) else t for t in terms)
+            if len(positions) == len(pattern.args):
+                # fully bound pattern: a membership test replaces the lookup
+                image = Atom(pattern.predicate, values)
+                if image in atoms and not (old and image in delta):
+                    stack.append((i + 1, hom))
+                continue
+            for candidate in index.lookup(pattern.predicate, positions, values):
+                if not (old and candidate in delta):
+                    extended = _match_atom(pattern, candidate, hom)
+                    if extended is not None:
+                        stack.append((i + 1, extended))
     results.sort(key=lambda h: _hom_order(_hom_key(h)))
     return results
 

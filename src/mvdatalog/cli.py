@@ -34,7 +34,7 @@ from .engine import (
     Unsatisfiable,
     build_eoptk,
 )
-from .parser import NonGroundQuery, ParseError, SafetyError, parse_ground_atom, parse_many
+from .parser import NonGroundQuery, ParseError, SafetyError, parse_degree, parse_ground_atom, parse_many
 from .termination import is_weakly_acyclic_ve
 
 EXIT_OK = 0
@@ -71,7 +71,7 @@ def _read_files(paths: list[str]) -> list[str]:
 
 def _load(args) -> tuple[Instance, dict[str, str]]:
     program, database = parse_many(_read_files(args.files))
-    instance = Instance(program, database, as_degree(args.K, positive=True))
+    instance = Instance(program, database, as_degree(parse_degree(args.K), positive=True))
     renaming: dict[str, str] = {}
     if args.mode == "relaxed":
         instance, renaming = relax_rewrite(instance)
@@ -131,7 +131,8 @@ def _source_of(a: Atom, instance: Instance, model, renaming) -> str:
 def cmd_solve(args) -> int:
     instance, renaming = _load(args)
     _gate_chase(instance, args)
-    model = _engine(instance, args).model
+    engine = _engine(instance, args)
+    model = engine.model
     presented = _presented_model(model.assignment.support, instance, renaming)
     entries = []
     for a in sorted(presented, key=Atom.sort_key):
@@ -148,8 +149,8 @@ def cmd_solve(args) -> int:
         "K": str(instance.K),
         "model": entries,
         "stats": {
-            "ground_rules": model.gamma_size,
-            "variables": model.variable_count,
+            "ground_rules": len(engine.chase.gamma),
+            "variables": len(engine.chase.olim),
             "certain": len(model.certain_atoms),
         },
     }
@@ -162,7 +163,7 @@ def cmd_query(args) -> int:
     instance, renaming = _load(args)
     _gate_chase(instance, args)
     atom = parse_ground_atom(args.atom)
-    threshold = as_degree(args.at_least)
+    threshold = as_degree(parse_degree(args.at_least))
     if renaming and atom.predicate in renaming:
         atom = Atom(renaming[atom.predicate], atom.args)
     result = _engine(instance, args).query(atom, threshold)

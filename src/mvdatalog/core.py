@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 ZERO = Fraction(0)
@@ -218,11 +219,12 @@ class Program:
         )
         return cls(rules, sig)
 
+    @cached_property
+    def _rules_by_id(self) -> dict[int, Rule]:
+        return {r.id: r for r in self.rules}
+
     def rule_by_id(self, rule_id: int) -> Rule:
-        for r in self.rules:
-            if r.id == rule_id:
-                return r
-        raise KeyError(rule_id)
+        return self._rules_by_id[rule_id]
 
     @property
     def has_existential_rules(self) -> bool:
@@ -278,13 +280,12 @@ class FuzzyDatabase:
 
 @dataclass(frozen=True)
 class TruthAssignment:
-    """A total valuation with finite support: atoms off-support have degree 0."""
+    """A total valuation with finite support: atoms off-support have degree 0.
+
+    The constructor trusts `support`; `from_map` validates each degree.
+    """
 
     support: dict[Atom, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for a, d in self.support.items():
-            as_degree(d, positive=True)
 
     @classmethod
     def from_map(cls, mapping: Mapping[Atom, RationalLike]) -> "TruthAssignment":
@@ -361,21 +362,7 @@ def k_satisfies(nu: TruthAssignment, gamma: GroundRule, K: Fraction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Classical projections and rewritings
-
-
-def active_domain(program: Program, tau: FuzzyDatabase) -> set[str]:
-    return program.constants() | tau.constants()
-
-
-def active_atoms(instance: Instance, universe: Iterable[Atom]) -> set[Atom]:
-    """The null-free atoms of `universe` over the instance's active domain."""
-    adom = active_domain(instance.program, instance.database)
-    out = set()
-    for a in universe:
-        if all(isinstance(t, Constant) and t.name in adom for t in a.args):
-            out.add(a)
-    return out
+# Rewritings
 
 
 def _fresh_predicate(base: str, taken: set[str]) -> str:

@@ -1,15 +1,18 @@
 """Model computation and fact entailment.
 
-Pipeline: chase the crisp instance, then solve over its ground rules.
-Plain programs get their unique minimal model as the exact least
-fixpoint of nu(H) >= nu(body) - 1 + K, checked against the database's
-pinned degrees. Programs with existential rules become an exact LP
-whose head rows sum every atom matching the head pattern; a weighted
-objective plus a lexicographic tie-break yields a deterministic
-preferred model. The same LP, built for a plain program, is the
-reference route behind `use_fast_path=False`. A Kleene-style iteration
-of the consequence operator doubles as an independent oracle for
-cross-checks.
+Pipeline: chase the crisp instance once, then solve over what it
+returns. The chase result is the one source of the universe: its atoms
+(olim, sorted once per chase) are the LP's columns and the model's
+atoms, an atom is active exactly when it is null-free, and each ground
+rule's head sum comes from `_head_atoms`. Plain programs get their
+unique minimal model as the exact least fixpoint of
+nu(H) >= nu(body) - 1 + K, checked against the database's pinned
+degrees. Programs with existential rules become an exact LP whose head
+rows sum every atom matching the head pattern; a weighted objective
+plus a lexicographic tie-break yields a deterministic preferred model.
+The same LP, built for a plain program, is the reference route behind
+`use_fast_path=False`. A Kleene-style iteration of the consequence
+operator doubles as an independent oracle for cross-checks.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .chase import ChaseResult, matches, oblivious_chase
+from .chase import ChaseResult, _index_by_predicate, matches, oblivious_chase
 from .core import (
     ONE,
     ZERO,
@@ -32,11 +35,10 @@ from .core import (
     Instance,
     LabelledNull,
     RationalLike,
+    Rule,
     TruthAssignment,
-    active_atoms,
     as_degree,
     body_truth,
-    k_satisfies,
     luk_implies,
 )
 from .lp import LinearProgram, Solution, Status, lexicographic_solve, solve
@@ -73,8 +75,6 @@ class GroundModel:
     kind: ModelKind
     K: Fraction
     certain_atoms: frozenset[Atom] = frozenset()
-    gamma_size: int = 0
-    variable_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -92,23 +92,27 @@ def _require_complete(chase: ChaseResult) -> None:
 
 
 def ground_atoms(chase: ChaseResult, tau: FuzzyDatabase) -> list[Atom]:
-    """The LP's atom universe: atoms of the ground rules plus tau's support."""
-    atoms = set(tau.entries)
-    for g in chase.gamma:
-        atoms.update(g.body)
-        atoms.add(g.head)
-    return sorted(atoms, key=Atom.sort_key)
+    """The LP's atom universe, sorted: olim, which is tau's support plus
+    the atoms of the ground rules (`tau` is read by the chase already)."""
+    return chase.sorted_olim()
 
 
-def _existential_nulls(rule, head: Atom) -> set[LabelledNull]:
-    """Nulls standing at the head positions that were existentially quantified."""
-    out = set()
-    for pattern_term, ground_term in zip(rule.head.args, head.args):
+def _head_atoms(rule: Rule, g: GroundRule, by_predicate: Mapping[str, list[Atom]]) -> list[Atom]:
+    """The atoms whose degrees sum to the head value of g, grounded from `rule`.
+
+    A plain rule's head is g.head alone. An existential rule's head is
+    every atom of `by_predicate` that matches g.head with the nulls at its
+    existential positions replaced (consistently) by anything.
+    """
+    if not rule.is_existential:
+        return [g.head]
+    nulls = set()
+    for pattern_term, ground_term in zip(rule.head.args, g.head.args):
         if getattr(pattern_term, "name", None) in rule.existential_vars:
             if not isinstance(ground_term, LabelledNull):
-                raise AssertionError(f"existential position of {head} holds {ground_term}")
-            out.add(ground_term)
-    return out
+                raise AssertionError(f"existential position of {g.head} holds {ground_term}")
+            nulls.add(ground_term)
+    return [a for a in by_predicate.get(g.head.predicate, ()) if matches(a, g.head, nulls)]
 
 
 def build_optk(instance: Instance, chase: ChaseResult) -> LinearProgram:
@@ -133,37 +137,23 @@ def build_eoptk(
     exactly the null-carrying atoms.
     """
     _require_complete(chase)
-    tau = instance.database
-    universe = ground_atoms(chase, tau)
-    active = active_atoms(instance, universe)
+    universe = chase.sorted_olim()
+    name = {a: str(a) for a in universe}
     lp = LinearProgram()
     secondary: dict[str, Fraction] = {}
     for a in universe:
-        lp.add_variable(str(a), ZERO, ONE)
-        if a in active:
-            lp.objective[str(a)] = ONE
-        else:
-            secondary[str(a)] = ONE
-    for a, d in tau.entries.items():
-        lp.fix(str(a), d)
+        lp.add_variable(name[a], ZERO, ONE)
+        (secondary if a.has_nulls() else lp.objective)[name[a]] = ONE
+    for a, d in instance.database.entries.items():
+        lp.fix(name[a], d)
     K = instance.K
-    by_predicate: dict[str, list[Atom]] = {}
-    for a in universe:
-        by_predicate.setdefault(a.predicate, []).append(a)
+    by_predicate = _index_by_predicate(universe)
     for g in chase.gamma:
-        rule = instance.program.rule_by_id(g.origin_rule_id)
         coeffs: dict[str, Fraction] = {}
-        if rule.is_existential:
-            nulls = _existential_nulls(rule, g.head)
-            for candidate in by_predicate.get(g.head.predicate, ()):
-                if matches(candidate, g.head, nulls):
-                    name = str(candidate)
-                    coeffs[name] = coeffs.get(name, ZERO) + ONE
-        else:
-            name = str(g.head)
-            coeffs[name] = coeffs.get(name, ZERO) + ONE
+        for h in _head_atoms(instance.program.rule_by_id(g.origin_rule_id), g, by_predicate):
+            coeffs[name[h]] = coeffs.get(name[h], ZERO) + ONE
         for b in g.body:
-            coeffs[str(b)] = coeffs.get(str(b), ZERO) - ONE
+            coeffs[name[b]] = coeffs.get(name[b], ZERO) - ONE
         lp.add_constraint(coeffs, K - len(g.body))
     return lp, secondary
 
@@ -213,33 +203,24 @@ def _chase_instance(instance: Instance, step_limit: Optional[int]) -> ChaseResul
     return oblivious_chase(instance.program, set(instance.database.entries), step_limit)
 
 
-def _assignment_from(solution: Solution, universe: Sequence[Atom]) -> TruthAssignment:
+def _assignment_from(solution: Solution, chase: ChaseResult, no_model: Exception) -> TruthAssignment:
+    """The optimum's nonzero degrees over olim; raise `no_model` if the LP is infeasible."""
+    if solution.status is Status.UNBOUNDED:
+        raise AssertionError("box-bounded LP cannot be unbounded")
+    if not solution.optimal:
+        raise no_model
     support = {}
-    for a in universe:
+    for a in chase.sorted_olim():
         value = solution.assignment[str(a)]
         if value != ZERO:
             support[a] = value
     return TruthAssignment(support)
 
 
-def certain_closure(instance: Instance) -> frozenset[Atom]:
-    """Classical closure of the fully-true facts under the crisp program.
-
-    At K = 1 a rule body is fully true exactly when all its atoms are, so
-    the closure is the set of degree-1 atoms of the K = 1 least fixpoint
-    over the instance's own chase. In a satisfiable instance these are the
-    atoms that are fully true in every 1-fuzzy model.
-    """
-    chase = _chase_instance(instance, None)
-    nu = least_fixpoint(chase.gamma, instance.database.entries, ONE)
-    return frozenset(a for a, d in nu.items() if d == ONE)
-
-
 def _solve_minimal(
     instance: Instance, chase: ChaseResult, use_fast_path: bool
 ) -> GroundModel:
     tau = instance.database
-    universe = ground_atoms(chase, tau)
     if use_fast_path:
         nu = least_fixpoint(chase.gamma, tau.entries, instance.K)
         for a, d in tau.entries.items():
@@ -249,12 +230,8 @@ def _solve_minimal(
                 )
         assignment = TruthAssignment(nu)
     else:
-        solution = solve(build_optk(instance, chase))
-        if solution.status is Status.UNBOUNDED:
-            raise AssertionError("box-bounded LP cannot be unbounded")
-        if not solution.optimal:
-            raise Unsatisfiable(f"no {instance.K}-fuzzy model exists")
-        assignment = _assignment_from(solution, universe)
+        no_model = Unsatisfiable(f"no {instance.K}-fuzzy model exists")
+        assignment = _assignment_from(solve(build_optk(instance, chase)), chase, no_model)
     # at K = 1 exactly the classical consequences of the fully-true facts
     certain = frozenset(a for a, d in assignment.support.items() if d == ONE)
     return GroundModel(
@@ -262,8 +239,6 @@ def _solve_minimal(
         kind=ModelKind.MINIMAL,
         K=instance.K,
         certain_atoms=certain if instance.K == ONE else frozenset(),
-        gamma_size=len(chase.gamma),
-        variable_count=len(universe),
     )
 
 
@@ -286,21 +261,12 @@ def minimal_model(
 
 
 def _solve_preferred(instance: Instance, chase: ChaseResult) -> GroundModel:
-    lp, secondary = build_eoptk(instance, chase)
-    solution = lexicographic_solve(lp, secondary)
-    if solution.status is Status.UNBOUNDED:
-        raise AssertionError("box-bounded LP cannot be unbounded")
-    if not solution.optimal:
-        raise NoObliviousBaseModel(
-            f"no {instance.K}-fuzzy model with an oblivious base exists"
-        )
-    universe = ground_atoms(chase, instance.database)
+    solution = lexicographic_solve(*build_eoptk(instance, chase))
+    no_model = NoObliviousBaseModel(f"no {instance.K}-fuzzy model with an oblivious base exists")
     return GroundModel(
-        assignment=_assignment_from(solution, universe),
+        assignment=_assignment_from(solution, chase, no_model),
         kind=ModelKind.PREFERRED,
         K=instance.K,
-        gamma_size=len(chase.gamma),
-        variable_count=len(universe),
     )
 
 
@@ -357,8 +323,7 @@ def fixpoint_minimal_model(
     tau = instance.database
     K = instance.K
     nu: dict[Atom, Fraction] = dict(tau.entries)
-    universe = ground_atoms(chase, tau)
-    budget = max_rounds if max_rounds is not None else len(universe) * len(chase.gamma) + 1
+    budget = max_rounds if max_rounds is not None else len(chase.olim) * len(chase.gamma) + 1
     for _ in range(budget + 1):
         changed = False
         for g in chase.gamma:
@@ -404,26 +369,20 @@ def verify_model(
 ) -> VerificationReport:
     """Check a truth assignment against the ground rules, tau, and the chase base.
 
-    Existential ground rules are checked under strong existential
-    semantics: the head contribution is the (truncated) sum over all
-    support atoms matching the head pattern.
+    Raises DomainError when a degree of `model` lies outside (0, 1].
+    Each ground rule's head value is the sum, truncated at 1, over its
+    `_head_atoms`; for an existential rule that is strong existential
+    semantics, a sum over all atoms matching the head pattern.
     """
+    for d in model.support.values():
+        as_degree(d, positive=True)
     K = instance.K
+    by_predicate = _index_by_predicate(model.support)  # atoms off the support add 0
     rule_violations = []
     for g in chase.gamma:
-        rule = instance.program.rule_by_id(g.origin_rule_id)
-        if rule.is_existential:
-            nulls = _existential_nulls(rule, g.head)
-            head_truth = ZERO
-            for candidate in set(model.support) | {g.head}:
-                if matches(candidate, g.head, nulls):
-                    head_truth += model(candidate)
-            head_truth = min(ONE, head_truth)
-            value = luk_implies(body_truth(model, g.body), head_truth)
-            if value < K:
-                rule_violations.append((g, value))
-        elif not k_satisfies(model, g, K):
-            value = luk_implies(body_truth(model, g.body), model(g.head))
+        heads = _head_atoms(instance.program.rule_by_id(g.origin_rule_id), g, by_predicate)
+        value = luk_implies(body_truth(model, g.body), min(ONE, sum(map(model, heads), ZERO)))
+        if value < K:
             rule_violations.append((g, value))
     tau_mismatches = []
     for a, d in instance.database.entries.items():

@@ -139,7 +139,7 @@ class _Parser:
         return items
 
     def degree(self) -> Fraction:
-        first = self.next()
+        first = self.expect("NUMBER")
         if self.peek() != "SLASH":
             # Fraction parses decimal strings exactly (no float intermediate).
             return self.number(Fraction, first)
@@ -231,6 +231,14 @@ def parse_ground_atom(text: str) -> Atom:
     if not a.is_ground():
         raise NonGroundQuery(f"query atom must be ground: {a}")
     return a
+
+
+def parse_degree(text: str) -> Fraction:
+    """Parse a degree as the file grammar writes one (`1`, `0.8`, `4/5`); range unchecked."""
+    parser = _Parser(text)
+    degree = parser.degree()
+    parser.expect("EOF")
+    return degree
 
 
 def format_instance(program: Program, database: FuzzyDatabase) -> str:

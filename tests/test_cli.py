@@ -306,3 +306,63 @@ class TestGround:
         proc = run_cli("ground", files["orca"], "--format", "text")
         assert proc.returncode == 0
         assert "minimize" in proc.stdout and "subject to" in proc.stdout
+
+
+class TestDegreeOptions:
+    """`--K` and `--at-least` take a degree as the file grammar writes one."""
+
+    @pytest.mark.parametrize("value", ["1e-5000", "5e-1", "+1/2", "1/0", "0.5.", ""])
+    def test_malformed_degree_exit_3(self, files, value):
+        for argv in (
+            ("solve", files["orca"], "--K", value),
+            ("query", files["orca"], "orca(i1)", "--at-least", value),
+        ):
+            proc = run_cli(*argv)
+            assert proc.returncode == 3, (argv, proc.stderr)
+            assert proc.stdout == "" and proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("value, threshold, code", [("1/2", "1/2", 0), ("0.50", "1/2", 0), ("1", "1", 1)])
+    def test_threshold_syntax(self, files, value, threshold, code):
+        proc = run_cli("query", files["orca"], "orca(i1)", "--at-least", value)
+        assert proc.returncode == code
+        assert json.loads(proc.stdout)["threshold"] == threshold
+
+    def test_decimal_k(self, files):
+        proc = run_cli("solve", files["orca"], "--K", "0.8")
+        model = {e["atom"]: e["degree"] for e in json.loads(proc.stdout)["model"]}
+        assert model["orca(i1)"] == "3/10"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("solve", "--K", "0"), "degree must be strictly positive"),
+            (("query", "orca(i1)", "--at-least", "3/2"), "degree 3/2 outside [0, 1]"),
+        ],
+        ids=["zero-K", "threshold-above-1"],
+    )
+    def test_out_of_range_exit_3(self, files, argv, message):
+        proc = run_cli(argv[0], files["orca"], *argv[1:])
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: {message}\n"
+
+
+class TestLongRuleBody:
+    """A rule body of any length joins without running out of recursion depth."""
+
+    @pytest.mark.parametrize(
+        "command", [("solve",), ("check",), ("solve", "--no-fast-path")], ids=["solve", "check", "no-fast-path"]
+    )
+    def test_1500_body_atoms(self, tmp_path, command):
+        n = 1500
+        path = tmp_path / "long.mvdl"
+        facts = "".join(f"p{i}(a).\n" for i in range(n))
+        path.write_text(facts + "q(X) :- " + ", ".join(f"p{i}(X)" for i in range(n)) + ".\n", encoding="utf-8")
+        proc = run_cli(*command, str(path))
+        assert proc.returncode == 0, proc.stderr[-300:]
+        payload = json.loads(proc.stdout)
+        if command[0] == "check":
+            assert payload["satisfiable"] is True
+            assert payload["stats"]["olim"] == n + 1 and payload["stats"]["gamma"] == 1
+        else:
+            model = {e["atom"]: e["degree"] for e in payload["model"]}
+            assert model["q(a)"] == "1" and len(model) == n + 1

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from mvdatalog.core import (
     Atom,
-    Constant,
     DomainError,
     FuzzyDatabase,
     GroundRule,
@@ -14,7 +13,6 @@ from mvdatalog.core import (
     LabelledNull,
     Program,
     TruthAssignment,
-    active_atoms,
     as_degree,
     atom,
     body_truth,
@@ -168,29 +166,6 @@ class TestTypes:
         prog = Program.from_rules([])
         with pytest.raises(DomainError):
             Instance(prog, FuzzyDatabase({}), F(0))
-
-
-class TestActiveAtoms:
-    def _instance(self):
-        r = make_rule(0, [atom("company", "X")], atom("kp", "Y", "X"))
-        tau = FuzzyDatabase({atom("kp", "amy", "acme"): F(4, 5), atom("company", "acme"): F(1)})
-        return Instance(Program.from_rules([r]), tau, F(1))
-
-    def test_nulls_filtered(self):
-        inst = self._instance()
-        n1 = LabelledNull(1)
-        universe = {atom("kp", "amy", "acme"), Atom("kp", (n1, Constant("acme"))), atom("company", "acme")}
-        assert active_atoms(inst, universe) == {atom("kp", "amy", "acme"), atom("company", "acme")}
-
-    def test_no_nulls_identity(self):
-        inst = self._instance()
-        universe = {atom("kp", "amy", "acme"), atom("company", "acme")}
-        assert active_atoms(inst, universe) == universe
-
-    def test_all_null_empty(self):
-        inst = self._instance()
-        universe = {Atom("kp", (LabelledNull(1), LabelledNull(2)))}
-        assert active_atoms(inst, universe) == set()
 
 
 class TestRelaxRewrite:

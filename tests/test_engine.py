@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import classical_closure, random_instance
+from helpers import classical_closure, random_degree, random_existential_program, random_instance
 from mvdatalog.chase import oblivious_chase
 from mvdatalog.core import (
     Atom,
     Constant,
+    DomainError,
+    FuzzyDatabase,
     Instance,
     LabelledNull,
     TruthAssignment,
@@ -27,7 +29,6 @@ from mvdatalog.engine import (
     Unsatisfiable,
     build_eoptk,
     build_optk,
-    certain_closure,
     fixpoint_minimal_model,
     ground_atoms,
     k_truth,
@@ -229,23 +230,66 @@ class TestKTruth:
 
 
 class TestCertainClosure:
+    """At K = 1 the model's certain atoms are the classical closure of the fully-true facts."""
+
     def test_derives_from_fully_true_facts(self):
         instance = inst("1 :: company(acme).\n0.8 :: kp(amy, acme).\norg(X) :- company(X).")
-        assert certain_closure(instance) == frozenset(
+        assert minimal_model(instance).certain_atoms == frozenset(
             {atom("company", "acme"), atom("org", "acme")}
         )
 
     def test_no_fully_true_facts(self):
         instance = inst("0.9 :: p(a).\nq(X) :- p(X).")
-        assert certain_closure(instance) == frozenset()
+        assert minimal_model(instance).certain_atoms == frozenset()
 
     def test_orca_all_uncertain(self):
-        assert certain_closure(inst(ORCA)) == frozenset()
+        assert minimal_model(inst(ORCA)).certain_atoms == frozenset()
 
     def test_conflict_with_database_unsatisfiable(self):
         instance = inst("1 :: r(a).\n0.5 :: s(a).\ns(X) :- r(X).")
         with pytest.raises(Unsatisfiable):
             minimal_model(instance)  # fast path sees s(a) certain but pinned at 1/2
+
+
+class TestOneUniverse:
+    """The engine's universe is the chase's olim, and its active atoms are the null-free ones."""
+
+    @staticmethod
+    def _draws():
+        rng = random.Random(6006)
+        for _ in range(1000):
+            instance = random_instance(rng)
+            for step_limit in (None, 1, 3):
+                yield instance, oblivious_chase(instance.program, set(instance.database.entries), step_limit)
+        facts = [atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")]
+        for _ in range(500):
+            tau = FuzzyDatabase({a: random_degree(rng) for a in facts})
+            instance = Instance(random_existential_program(rng), tau, rng.choice([F(1), F(4, 5)]))
+            for step_limit in (5, 40):
+                yield instance, oblivious_chase(instance.program, set(tau.entries), step_limit)
+
+    def test_universe_and_objective_split(self):
+        draws = with_nulls = 0
+        for instance, chase in self._draws():
+            draws += 1
+            tau = instance.database
+            # an independent universe: tau's support plus Gamma's atoms
+            rebuilt = set(tau.entries) | {a for g in chase.gamma for a in (*g.body, g.head)}
+            universe = ground_atoms(chase, tau)
+            assert universe == sorted(rebuilt, key=Atom.sort_key) == chase.sorted_olim()
+            with pytest.raises(DomainError):
+                verify_model(instance, chase, TruthAssignment({universe[-1]: F(3, 2)}))
+            if chase.truncated:
+                continue
+            lp, secondary = build_eoptk(instance, chase)
+            adom = instance.program.constants() | tau.constants()
+            active = {str(a) for a in universe if all(isinstance(t, Constant) and t.name in adom for t in a.args)}
+            null_free = {str(a) for a in universe if not a.has_nulls()}
+            assert set(lp.objective) == active == null_free
+            assert set(secondary) == set(lp.variables) - null_free
+            assert set(lp.objective.values()) | set(secondary.values()) <= {F(1)}
+            with_nulls += bool(secondary)
+        assert draws >= 3000 and with_nulls > 100
 
 
 class TestFixpointOracle:
