@@ -5,9 +5,11 @@ The exact rational LP layer
 Preferred models of programs with existential rules bottom out in a
 small linear-programming module; plain programs are solved by a least
 fixpoint and use it only as the reference route (`--no-fast-path`) and
-in `mvdl ground`/`check`. It has exact fractions end to end, a
-two-phase simplex with Bland's rule, and a lexicographic mode for
-deterministic tie-breaking. It is usable on its own.
+in `mvdl ground`/`check`. It has exact fractions end to end and a
+two-phase simplex with Bland's rule on one tableau per model. Objectives
+can be staged for deterministic tie-breaking: a secondary objective is
+minimized on the same tableau, over the primary's optima. It is usable
+on its own.
 """
 
 from fractions import Fraction
@@ -29,8 +31,9 @@ print(f"optimum:   {solution.objective_value}")
 print(f"point:     x={solution.assignment['x']}, y={solution.assignment['y']}")
 # Exactness matters: 3/8 + 3/8 is exactly 3/4, with no epsilon anywhere.
 
-# Fixed variables (how database atoms enter the per-model LPs) are
-# substituted away before pivoting, so infeasibility shows up exactly.
+# Fixed variables (how database atoms enter the per-model LPs) are folded
+# into the right-hand sides as the tableau is built, so a row they violate
+# on their own shows up as infeasible before any pivot.
 pinned = LinearProgram()
 pinned.add_variable("x", F(0), F(1))
 pinned.fix("x", F(1, 5))
@@ -38,8 +41,9 @@ pinned.add_constraint({"x": F(1)}, F(4, 5))
 pinned.objective = {"x": F(1)}
 print(f"\npinned below a constraint: {solve(pinned).status.value}")
 
-# Lexicographic solving: several points minimize the primary objective;
-# the secondary form picks one of them deterministically.
+# Staged objectives: several points minimize the primary objective; the
+# secondary form picks one of them deterministically. Stage two continues
+# from stage one's optimal tableau with only the primary's optima left.
 tie = LinearProgram()
 tie.add_variable("a", F(0), F(1))
 tie.add_variable("b", F(0), F(1))

@@ -4,9 +4,9 @@ Subcommands: solve, query, check, ground. Results go to stdout as
 deterministic JSON (or plain text with --format text); degrees are
 printed as reduced fractions, never floats.
 
-Exit codes: 0 ok/entailed, 1 not entailed, 2 unsatisfiable, 3 parse or
-input error, 4 chase limit reached/required, 5 no obliviously-based
-model.
+Exit codes: 0 ok/entailed, 1 not entailed, 2 unsatisfiable, 3 usage,
+parse or input error, 4 chase limit reached/required, 5 no
+obliviously-based model.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .core import (
     ArityError,
@@ -294,9 +294,23 @@ def cmd_ground(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 3), not argparse's 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise CliError(EXIT_INPUT_ERROR, message)
+
+
+def _step_count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mvdl",
         description="Many-valued Datalog(+-) reasoning under Lukasiewicz semantics.",
     )
@@ -311,7 +325,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             default="strict",
             help="relaxed rewrites the program so models only need nu >= tau",
         )
-        p.add_argument("--max-chase-steps", type=int, default=None, metavar="N")
+        p.add_argument("--max-chase-steps", type=_step_count, default=None, metavar="N")
         p.add_argument(
             "--no-fast-path",
             action="store_true",
@@ -340,15 +354,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    as_json = args.format == "json"
     try:
+        args = build_arg_parser().parse_args(argv)
         return args.func(args)
     except Unsatisfiable:
-        _emit({"status": "unsatisfiable"}, as_json, ["unsatisfiable"])
+        _emit({"status": "unsatisfiable"}, args.format == "json", ["unsatisfiable"])
         return EXIT_UNSAT
     except NoObliviousBaseModel:
-        _emit({"status": "no-oblivious-base-model"}, as_json, ["no obliviously-based model"])
+        _emit({"status": "no-oblivious-base-model"}, args.format == "json", ["no obliviously-based model"])
         return EXIT_NO_OBLIVIOUS_BASE
     except TruncatedChase as exc:
         print(f"error: {exc}", file=sys.stderr)

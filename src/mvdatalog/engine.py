@@ -203,15 +203,18 @@ def _chase_instance(instance: Instance, step_limit: Optional[int]) -> ChaseResul
     return oblivious_chase(instance.program, set(instance.database.entries), step_limit)
 
 
-def _assignment_from(solution: Solution, chase: ChaseResult, no_model: Exception) -> TruthAssignment:
-    """The optimum's nonzero degrees over olim; raise `no_model` if the LP is infeasible."""
+def _assignment_from(
+    solution: Solution, lp: LinearProgram, chase: ChaseResult, no_model: Exception
+) -> TruthAssignment:
+    """The optimum's nonzero degrees over olim, whose atoms name lp's columns
+    in order; raise `no_model` if the LP is infeasible."""
     if solution.status is Status.UNBOUNDED:
         raise AssertionError("box-bounded LP cannot be unbounded")
     if not solution.optimal:
         raise no_model
     support = {}
-    for a in chase.sorted_olim():
-        value = solution.assignment[str(a)]
+    for a, name in zip(chase.sorted_olim(), lp.variables):
+        value = solution.assignment[name]
         if value != ZERO:
             support[a] = value
     return TruthAssignment(support)
@@ -231,7 +234,8 @@ def _solve_minimal(
         assignment = TruthAssignment(nu)
     else:
         no_model = Unsatisfiable(f"no {instance.K}-fuzzy model exists")
-        assignment = _assignment_from(solve(build_optk(instance, chase)), chase, no_model)
+        lp = build_optk(instance, chase)
+        assignment = _assignment_from(solve(lp), lp, chase, no_model)
     # at K = 1 exactly the classical consequences of the fully-true facts
     certain = frozenset(a for a, d in assignment.support.items() if d == ONE)
     return GroundModel(
@@ -261,10 +265,10 @@ def minimal_model(
 
 
 def _solve_preferred(instance: Instance, chase: ChaseResult) -> GroundModel:
-    solution = lexicographic_solve(*build_eoptk(instance, chase))
+    lp, secondary = build_eoptk(instance, chase)
     no_model = NoObliviousBaseModel(f"no {instance.K}-fuzzy model with an oblivious base exists")
     return GroundModel(
-        assignment=_assignment_from(solution, chase, no_model),
+        assignment=_assignment_from(lexicographic_solve(lp, secondary), lp, chase, no_model),
         kind=ModelKind.PREFERRED,
         K=instance.K,
     )

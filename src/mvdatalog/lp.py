@@ -5,8 +5,11 @@ anti-cycling rule. Floating point is deliberately avoided: the reasoning
 layer turns optima into yes/no decisions and needs exact arithmetic.
 
 Models are small structured objects: box-bounded variables, optional
-exact fixings (substituted out before pivoting), and >=-constraints.
-Rows are kept as sparse {column: coefficient} dicts.
+exact fixings, and >=-constraints. `solve` reads the model into one
+sparse tableau in one pass (fixings folded into the right-hand sides,
+the other variables shifted to start at zero) and optimizes the staged
+objectives on it: the primary objective first, then, optionally, a
+secondary one over the primary's optima, without rebuilding anything.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,7 +69,7 @@ class LinearProgram:
             Constraint({v: Fraction(c) for v, c in coeffs.items() if c != 0}, Fraction(rhs))
         )
 
-    def validate(self) -> None:
+    def validate(self, secondary: Iterable[str] = ()) -> None:
         declared = set(self.bounds)
         if len(self.variables) != len(declared):
             raise MalformedModel("variable list and bounds disagree")
@@ -83,7 +86,7 @@ class LinearProgram:
             for v in c.coeffs:
                 if v not in declared:
                     raise MalformedModel(f"constraint references undeclared variable {v!r}")
-        for v in self.objective:
+        for v in (*self.objective, *secondary):
             if v not in declared:
                 raise MalformedModel(f"objective references undeclared variable {v!r}")
 
@@ -109,6 +112,7 @@ class _Tableau:
         self.active: list[bool] = []
         self.col_rows: dict[int, set[int]] = {}
         self.ncols = 0
+        self.artificials: list[int] = []
 
     def new_column(self) -> int:
         col = self.ncols
@@ -116,15 +120,27 @@ class _Tableau:
         self.col_rows[col] = set()
         return col
 
-    def add_row(self, coeffs: dict[int, Fraction], rhs: Fraction, basic: int) -> int:
+    def add_ge(self, coeffs: dict[int, Fraction], rhs: Fraction) -> None:
+        """Add the row sum(coeffs) >= rhs with a basic slack, or, when the
+        all-zero point violates it, a surplus and a basic artificial."""
+        if rhs <= 0:
+            basic = self.new_column()
+            row = {c: -a for c, a in coeffs.items()}
+            row[basic] = ONE
+            rhs = -rhs
+        else:
+            row = coeffs
+            row[self.new_column()] = Fraction(-1)
+            basic = self.new_column()
+            row[basic] = ONE
+            self.artificials.append(basic)
         rid = len(self.rows)
-        self.rows.append(dict(coeffs))
+        self.rows.append(row)
         self.rhs.append(rhs)
         self.basis.append(basic)
         self.active.append(True)
-        for col in coeffs:
+        for col in row:
             self.col_rows[col].add(rid)
-        return rid
 
     def set_entry(self, rid: int, col: int, value: Fraction) -> None:
         row = self.rows[rid]
@@ -227,92 +243,49 @@ def _simplex_loop(tab: _Tableau, z_row: dict[int, Fraction]) -> tuple[str, Fract
         if leaving is None:
             return "unbounded", total_delta
         total_delta += tab.pivot(leaving, entering, z_row)
-    raise AssertionError("unreachable")
 
 
-def _substitute_fixings(lp: LinearProgram):
-    """Fold fixed variables (and degenerate lo==hi bounds) into constants."""
-    fixed = dict(lp.fixings)
-    for name, (lo, hi) in lp.bounds.items():
-        if hi is not None and lo == hi and name not in fixed:
-            fixed[name] = lo
-    free = [v for v in lp.variables if v not in fixed]
-    rows = []
+def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None) -> Solution:
+    """Exact optimum of `lp`, or INFEASIBLE / UNBOUNDED.
+
+    With `secondary`, the returned assignment minimizes it among the
+    optima of lp's objective; `objective_value` is still the primary one.
+    Phase 1 introduces artificials only for rows violated at the all-zero
+    point. The returned assignment is re-checked against every original
+    constraint, bound, and fixing.
+    """
+    secondary = secondary or {}
+    lp.validate(secondary)
+    fixed = lp.fixings
+    tab = _Tableau()
+    var_col = {v: tab.new_column() for v in lp.variables if v not in fixed}
     for c in lp.constraints:
+        coeffs: dict[int, Fraction] = {}
         rhs = c.rhs
-        coeffs: dict[str, Fraction] = {}
         for v, a in c.coeffs.items():
             if v in fixed:
                 rhs -= a * fixed[v]
-            else:
-                coeffs[v] = coeffs.get(v, ZERO) + a
-        rows.append((coeffs, rhs))
-    return fixed, free, rows
-
-
-def solve(lp: LinearProgram) -> Solution:
-    """Exact optimum of `lp`, or INFEASIBLE / UNBOUNDED.
-
-    Fixed variables are substituted out, the remaining ones shifted to
-    start at zero; phase 1 introduces artificials only for rows violated
-    at the all-zero point. The returned assignment is re-checked against
-    every original constraint, bound, and fixing.
-    """
-    lp.validate()
-    fixed, free, rows = _substitute_fixings(lp)
-
-    # All-fixed rows decide feasibility immediately.
-    pending = []
-    for coeffs, rhs in rows:
+            elif a != 0:
+                coeffs[var_col[v]] = a
+                rhs -= a * lp.bounds[v][0]
         if coeffs:
-            pending.append((coeffs, rhs))
+            tab.add_ge(coeffs, rhs)
         elif rhs > 0:
             return Solution(Status.INFEASIBLE, {}, None)
-
-    shift = {v: lp.bounds[v][0] for v in free}
-    tab = _Tableau()
-    var_col = {v: tab.new_column() for v in free}
-
-    def shifted(coeffs: Mapping[str, Fraction], rhs: Fraction) -> tuple[dict[int, Fraction], Fraction]:
-        out = {var_col[v]: a for v, a in coeffs.items() if a != 0}
-        return out, rhs - sum(a * shift[v] for v, a in coeffs.items())
-
-    artificials: list[int] = []
-    ge_rows: list[tuple[dict[int, Fraction], Fraction]] = []
-    for coeffs, rhs in pending:
-        cols, b = shifted(coeffs, rhs)
-        ge_rows.append((cols, b))
-    for v in free:
+    for v, col in var_col.items():
         lo, hi = lp.bounds[v]
         if hi is not None:
-            # upper bound row: y_v <= hi - lo
-            ge_rows.append(({var_col[v]: Fraction(-1)}, lo - hi))
+            tab.add_ge({col: Fraction(-1)}, lo - hi)
 
-    for cols, b in ge_rows:
-        if b <= 0:
-            # -sum >= -b with slack basic at -b >= 0
-            slack = tab.new_column()
-            row = {c: -a for c, a in cols.items()}
-            row[slack] = ONE
-            tab.add_row(row, -b, slack)
-        else:
-            surplus = tab.new_column()
-            art = tab.new_column()
-            row = dict(cols)
-            row[surplus] = Fraction(-1)
-            row[art] = ONE
-            tab.add_row(row, b, art)
-            artificials.append(art)
-
-    if artificials:
-        phase1_cost = {a: ONE for a in artificials}
+    if tab.artificials:
+        phase1_cost = {a: ONE for a in tab.artificials}
         z_row, value = tab.reduced_costs(phase1_cost)
         outcome, delta = _simplex_loop(tab, z_row)
         if outcome != "optimal":
             raise AssertionError("solver bug: phase 1 is bounded below by zero")
         if value + delta > 0:
             return Solution(Status.INFEASIBLE, {}, None)
-        art_set = set(artificials)
+        art_set = set(tab.artificials)
         for rid in range(len(tab.rows)):
             if not tab.active[rid] or tab.basis[rid] not in art_set:
                 continue
@@ -326,7 +299,7 @@ def solve(lp: LinearProgram) -> Solution:
                 tab.drop_row(rid)
             else:
                 tab.pivot(rid, pivot_col, {})
-        for art in artificials:
+        for art in tab.artificials:
             tab.drop_column(art)
 
     cost_cols = {var_col[v]: c for v, c in lp.objective.items() if v in var_col and c != 0}
@@ -335,13 +308,27 @@ def solve(lp: LinearProgram) -> Solution:
     if outcome == "unbounded":
         return Solution(Status.UNBOUNDED, {}, None)
 
+    staged = {var_col[v]: Fraction(c) for v, c in secondary.items() if v in var_col and c != 0}
+    if staged:
+        # At this optimum the primary is its value plus sum(z_j * x_j) over
+        # nonbasic columns with every z_j >= 0, so its optima are exactly
+        # the points with x_j = 0 wherever z_j > 0.
+        for col, z in z_row.items():
+            if z > 0:
+                tab.drop_column(col)
+        z_row, _ = tab.reduced_costs({col: c for col, c in staged.items() if col in tab.col_rows})
+        if _simplex_loop(tab, z_row)[0] != "optimal":
+            raise AssertionError("stage two is unbounded")
+
     values = {col: ZERO for col in var_col.values()}
     for rid, basic in enumerate(tab.basis):
         if tab.active[rid] and basic in values:
             values[basic] = tab.rhs[rid]
+    if staged and sum((c * values[col] for col, c in cost_cols.items()), ZERO) != value + delta:
+        raise AssertionError("solver bug: stage two moved the primary objective")
     assignment = dict(fixed)
-    for v in free:
-        assignment[v] = shift[v] + values[var_col[v]]
+    for v, col in var_col.items():
+        assignment[v] = lp.bounds[v][0] + values[col]
     objective_value = sum(
         (c * assignment[v] for v, c in lp.objective.items()), ZERO
     )
@@ -370,23 +357,4 @@ def lexicographic_solve(lp: LinearProgram, secondary: Mapping[str, Fraction]) ->
     The returned solution carries the primary objective value; its
     assignment is the stage-two optimum.
     """
-    first = solve(lp)
-    secondary = {v: Fraction(c) for v, c in secondary.items() if c != 0}
-    if not first.optimal or not secondary:
-        return first
-    stage2 = LinearProgram(
-        variables=list(lp.variables),
-        bounds=dict(lp.bounds),
-        fixings=dict(lp.fixings),
-        constraints=list(lp.constraints),
-        objective=dict(secondary),
-    )
-    primary = {v: c for v, c in lp.objective.items() if c != 0}
-    if first.objective_value is None:
-        raise AssertionError("solver bug: optimal solution without a value")
-    stage2.add_constraint(primary, first.objective_value)
-    stage2.add_constraint({v: -c for v, c in primary.items()}, -first.objective_value)
-    second = solve(stage2)
-    if not second.optimal:
-        raise AssertionError("solver bug: stage two inherits a feasible point")
-    return Solution(Status.OPTIMAL, second.assignment, first.objective_value)
+    return solve(lp, secondary)

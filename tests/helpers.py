@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from mvdatalog.chase import ChaseResult, NullRegistry, _ground_rule, _hom_key, _hom_order
+from mvdatalog.lp import LinearProgram, Solution, Status, solve
 from mvdatalog.core import (
     Atom,
     Constant,
@@ -272,3 +273,27 @@ def brute_force_lp(variables, rows, objective):
     if not feasible:
         return "infeasible", None
     return "optimal", best
+
+
+def two_solve_lexicographic(lp: LinearProgram, secondary) -> Solution:
+    """Reference staged optimum: solve lp, then solve a copy of it whose
+    objective is `secondary` and whose primary is pinned to its optimum
+    by two added rows."""
+    first = solve(lp)
+    secondary = {v: Fraction(c) for v, c in secondary.items() if c != 0}
+    if not first.optimal or not secondary:
+        return first
+    stage2 = LinearProgram(
+        variables=list(lp.variables),
+        bounds=dict(lp.bounds),
+        fixings=dict(lp.fixings),
+        constraints=list(lp.constraints),
+        objective=secondary,
+    )
+    primary = {v: c for v, c in lp.objective.items() if c != 0}
+    stage2.add_constraint(primary, first.objective_value)
+    stage2.add_constraint({v: -c for v, c in primary.items()}, -first.objective_value)
+    second = solve(stage2)
+    if not second.optimal:
+        raise AssertionError("stage two lost the feasible point stage one found")
+    return Solution(Status.OPTIMAL, second.assignment, first.objective_value)

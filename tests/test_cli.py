@@ -308,6 +308,38 @@ class TestGround:
         assert "minimize" in proc.stdout and "subject to" in proc.stdout
 
 
+class TestUsageErrors:
+    """Command-line usage errors are input errors (exit 3); 2 means unsatisfiable."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve",),
+            ("solve", "{orca}", "--format", "xml"),
+            ("solve", "{orca}", "--max-chase-steps", "x"),
+            ("solve", "{orca}", "--max-chase-steps", "-1"),
+            ("check", "{orca}", "--max-chase-steps", "2.5"),
+            ("frobnicate", "{orca}"),
+            (),
+        ],
+        ids=["no-files", "format-xml", "steps-word", "steps-negative", "steps-fraction", "unknown-command", "no-command"],
+    )
+    def test_usage_error_exit_3(self, files, argv):
+        proc = run_cli(*(a.format(**files) for a in argv))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: mvdl") and proc.stderr.splitlines()[-1].startswith("error: ")
+
+    def test_help_exits_0(self):
+        proc = run_cli("solve", "--help")
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: mvdl solve")
+
+    def test_zero_steps_still_allowed(self, files):
+        proc = run_cli("solve", files["orca"], "--max-chase-steps", "0")
+        assert proc.returncode == 4
+        assert proc.stderr == "error: chase stopped after 0 steps\n"
+
+
 class TestDegreeOptions:
     """`--K` and `--at-least` take a degree as the file grammar writes one."""
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -605,3 +606,14 @@ class TestLeastFixpointRoute:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "AssertionError"
+
+
+def test_package_has_no_assert_statements():
+    # soundness checks must survive `python -O`, which strips every `assert`
+    package = Path(__file__).resolve().parent.parent / "src" / "mvdatalog"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} uses assert at lines {lines}"

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_force_lp
+from helpers import brute_force_lp, random_degree, random_existential_program, two_solve_lexicographic
+from mvdatalog import lp as lp_module
+from mvdatalog.chase import oblivious_chase
+from mvdatalog.core import FuzzyDatabase, Instance, atom
+from mvdatalog.engine import build_eoptk
 from mvdatalog.lp import (
     Constraint,
     LinearProgram,
@@ -12,6 +16,7 @@ from mvdatalog.lp import (
     lexicographic_solve,
     solve,
 )
+from mvdatalog.termination import is_weakly_acyclic_ve
 
 F = Fraction
 
@@ -89,6 +94,11 @@ class TestMalformed:
         lp = lp_with(["x"], [], {"x": 1}, fixings={"x": F(3, 2)})
         with pytest.raises(MalformedModel):
             solve(lp)
+
+    def test_undeclared_variable_in_secondary(self):
+        lp = lp_with(["x"], [({"x": 1}, F(0))], {"x": 1})
+        with pytest.raises(MalformedModel):
+            lexicographic_solve(lp, {"ghost": F(1)})
 
     def test_undeclared_variable_in_constraint(self):
         lp = lp_with(["x"], [({"ghost": 1}, F(0))], {"x": 1})
@@ -223,3 +233,79 @@ class TestOracleAgreement:
                 assert sol.status is Status.OPTIMAL
                 assert sol.objective_value == value
         assert optimal >= 50 and infeasible >= 20
+
+
+def _value(objective, assignment):
+    return sum((F(c) * assignment[v] for v, c in objective.items()), F(0))
+
+
+def _compare_staged(lp, secondary):
+    """Check status and both stage values against the two-solve oracle.
+
+    Returns whether the result is optimal and whether its vertex differs
+    from the oracle's (both are then optimal for both stages)."""
+    staged = lexicographic_solve(lp, secondary)
+    reference = two_solve_lexicographic(lp, secondary)
+    assert staged.status is reference.status
+    if not staged.optimal:
+        return False, False
+    assert staged.objective_value == reference.objective_value == _value(lp.objective, staged.assignment)
+    assert _value(secondary, staged.assignment) == _value(secondary, reference.assignment)
+    return True, staged.assignment != reference.assignment
+
+
+class TestStagedObjectives:
+    """Stage two runs on stage one's tableau and agrees with re-solving a pinned copy."""
+
+    def test_one_tableau_per_staged_solve(self, monkeypatch):
+        built = []
+
+        class Counted(lp_module._Tableau):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(lp_module, "_Tableau", Counted)
+        # a + b >= 1 with an indifferent primary: stage one stops at a = 1,
+        # stage two must pivot over to b = 1
+        lp = lp_with(["a", "b"], [({"a": 1, "b": 1}, F(1))], {})
+        assert solve(lp).assignment == {"a": F(1), "b": F(0)}
+        built.clear()
+        sol = lexicographic_solve(lp, {"a": F(1)})
+        assert sol.assignment == {"a": F(0), "b": F(1)}
+        assert len(built) == 1
+
+    def test_random_lps_with_fixings(self):
+        rng = random.Random(4242)
+        draws = optimal_with_fixings = differing = 0
+        while draws < 3000:
+            lp, variables, _ = random_lp(rng)
+            for v in variables:
+                if rng.random() < 0.3:
+                    lp.fix(v, F(rng.randint(0, 4), 4))
+            secondary = {v: F(rng.randint(-2, 2)) for v in variables}
+            feasible, differs = _compare_staged(lp, secondary)
+            optimal_with_fixings += feasible and bool(lp.fixings)
+            differing += differs
+            draws += 1
+        assert optimal_with_fixings >= 500
+        # two optimal vertices are both right; many would mean the tie-break drifted
+        assert differing <= draws // 100
+
+    def test_existential_preferred_model_lps(self):
+        rng = random.Random(5151)
+        facts = [atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")]
+        draws = with_secondary = differing = 0
+        while draws < 3000:
+            program = random_existential_program(rng)
+            if not is_weakly_acyclic_ve(program)[0]:
+                continue
+            tau = FuzzyDatabase({a: random_degree(rng) for a in facts})
+            instance = Instance(program, tau, rng.choice([F(1), F(4, 5)]))
+            lp, secondary = build_eoptk(instance, oblivious_chase(program, set(tau.entries)))
+            feasible, differs = _compare_staged(lp, secondary)
+            with_secondary += feasible and bool(secondary)
+            differing += differs
+            draws += 1
+        assert with_secondary >= 1000
+        assert differing <= draws // 100
