@@ -6,10 +6,10 @@ Preferred models of programs with existential rules bottom out in a
 small linear-programming module; plain programs are solved by a least
 fixpoint and use it only as the reference route (`--no-fast-path`) and
 in `mvdl ground`/`check`. It has exact fractions end to end and a
-two-phase simplex with Bland's rule on one tableau per model. Objectives
-can be staged for deterministic tie-breaking: a secondary objective is
-minimized on the same tableau, over the primary's optima. It is usable
-on its own.
+simplex with Bland's rule on one tableau per model, which minimizes
+phase 1's artificials, the objective and, for deterministic
+tie-breaking, a secondary objective in turn, each over the optima of
+the stages before it. It is usable on its own.
 """
 
 from fractions import Fraction
@@ -42,8 +42,9 @@ pinned.objective = {"x": F(1)}
 print(f"\npinned below a constraint: {solve(pinned).status.value}")
 
 # Staged objectives: several points minimize the primary objective; the
-# secondary form picks one of them deterministically. Stage two continues
-# from stage one's optimal tableau with only the primary's optima left.
+# secondary form picks one of them deterministically. Each stage ends by
+# dropping the columns with a strictly positive reduced cost, so the next
+# one moves over the previous stage's optima only.
 tie = LinearProgram()
 tie.add_variable("a", F(0), F(1))
 tie.add_variable("b", F(0), F(1))

@@ -373,13 +373,15 @@ def verify_model(
 ) -> VerificationReport:
     """Check a truth assignment against the ground rules, tau, and the chase base.
 
-    Raises DomainError when a degree of `model` lies outside (0, 1].
+    Raises DomainError when a degree of `model` lies outside (0, 1], then
+    TruncatedChase when the chase stopped at its step limit.
     Each ground rule's head value is the sum, truncated at 1, over its
     `_head_atoms`; for an existential rule that is strong existential
     semantics, a sum over all atoms matching the head pattern.
     """
     for d in model.support.values():
         as_degree(d, positive=True)
+    _require_complete(chase)
     K = instance.K
     by_predicate = _index_by_predicate(model.support)  # atoms off the support add 0
     rule_violations = []

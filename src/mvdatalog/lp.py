@@ -1,15 +1,15 @@
 """Exact-rational linear programming.
 
-A self-contained two-phase simplex over `fractions.Fraction` with Bland's
+A self-contained simplex over `fractions.Fraction` with Bland's
 anti-cycling rule. Floating point is deliberately avoided: the reasoning
 layer turns optima into yes/no decisions and needs exact arithmetic.
 
 Models are small structured objects: box-bounded variables, optional
 exact fixings, and >=-constraints. `solve` reads the model into one
 sparse tableau in one pass (fixings folded into the right-hand sides,
-the other variables shifted to start at zero) and optimizes the staged
-objectives on it: the primary objective first, then, optionally, a
-secondary one over the primary's optima, without rebuilding anything.
+the other variables shifted to start at zero) and minimizes on it, in
+turn, phase 1's artificials, the objective and optionally a secondary
+objective, each stage over the optima of the stages before it.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ class _Tableau:
         self.rows: list[dict[int, Fraction]] = []
         self.rhs: list[Fraction] = []
         self.basis: list[int] = []
-        self.active: list[bool] = []
         self.col_rows: dict[int, set[int]] = {}
         self.ncols = 0
         self.artificials: list[int] = []
@@ -138,7 +137,6 @@ class _Tableau:
         self.rows.append(row)
         self.rhs.append(rhs)
         self.basis.append(basic)
-        self.active.append(True)
         for col in row:
             self.col_rows[col].add(rid)
 
@@ -153,15 +151,14 @@ class _Tableau:
                 self.col_rows[col].add(rid)
             row[col] = value
 
-    def pivot(self, rid: int, col: int, z_row: dict[int, Fraction]) -> Fraction:
-        """Make `col` basic in row `rid`; returns the z-row value delta."""
+    def pivot(self, rid: int, col: int, z_row: dict[int, Fraction]) -> None:
+        """Make `col` basic in row `rid`, updating the z-row too."""
         row = self.rows[rid]
         pivot = row[col]
         if pivot != 1:
             for c in list(row):
                 row[c] /= pivot
             self.rhs[rid] /= pivot
-        z_delta = ZERO
         factor = z_row.get(col, ZERO)
         if factor != 0:
             for c, v in row.items():
@@ -170,10 +167,8 @@ class _Tableau:
                     z_row.pop(c, None)
                 else:
                     z_row[c] = nv
-            # objective moves by (reduced cost) * (entering value)
-            z_delta = factor * self.rhs[rid]
         for other in list(self.col_rows[col]):
-            if other == rid or not self.active[other]:
+            if other == rid:
                 continue
             f = self.rows[other].get(col)
             if f is None or f == 0:
@@ -182,42 +177,34 @@ class _Tableau:
                 self.set_entry(other, c, self.rows[other].get(c, ZERO) - f * v)
             self.rhs[other] -= f * self.rhs[rid]
         self.basis[rid] = col
-        return z_delta
-
-    def drop_row(self, rid: int) -> None:
-        for col in self.rows[rid]:
-            self.col_rows[col].discard(rid)
-        self.rows[rid] = {}
-        self.active[rid] = False
 
     def drop_column(self, col: int) -> None:
         for rid in list(self.col_rows.get(col, ())):
             self.rows[rid].pop(col, None)
         self.col_rows.pop(col, None)
 
-    def reduced_costs(self, cost: dict[int, Fraction]) -> tuple[dict[int, Fraction], Fraction]:
-        """z-row = cost - cost_B * B^-1 A, and the current objective value."""
-        z = dict(cost)
-        value = ZERO
+    def reduced_costs(self, cost: dict[int, Fraction]) -> dict[int, Fraction]:
+        """z-row = cost - cost_B * B^-1 A over the columns still present."""
+        z = {col: c for col, c in cost.items() if col in self.col_rows}
         for rid, basic in enumerate(self.basis):
-            if not self.active[rid]:
-                continue
             c_b = cost.get(basic, ZERO)
             if c_b == 0:
                 continue
-            value += c_b * self.rhs[rid]
             for col, v in self.rows[rid].items():
                 nv = z.get(col, ZERO) - c_b * v
                 if nv == 0:
                     z.pop(col, None)
                 else:
                     z[col] = nv
-        return z, value
+        return z
+
+    def value(self, cost: dict[int, Fraction]) -> Fraction:
+        """The current basic solution's cost (nonbasic columns are 0)."""
+        return sum((cost[b] * self.rhs[rid] for rid, b in enumerate(self.basis) if b in cost), ZERO)
 
 
-def _simplex_loop(tab: _Tableau, z_row: dict[int, Fraction]) -> tuple[str, Fraction]:
-    """Bland-rule pivoting until optimal or unbounded; returns value delta."""
-    total_delta = ZERO
+def _simplex_loop(tab: _Tableau, z_row: dict[int, Fraction]) -> bool:
+    """Bland-rule pivoting; True when optimal, False when unbounded."""
     while True:
         entering = None
         for col in sorted(z_row):
@@ -225,12 +212,10 @@ def _simplex_loop(tab: _Tableau, z_row: dict[int, Fraction]) -> tuple[str, Fract
                 entering = col
                 break
         if entering is None:
-            return "optimal", total_delta
+            return True
         leaving = None
         best_ratio: Optional[Fraction] = None
         for rid in sorted(tab.col_rows.get(entering, ())):
-            if not tab.active[rid]:
-                continue
             a = tab.rows[rid].get(entering, ZERO)
             if a <= 0:
                 continue
@@ -241,18 +226,18 @@ def _simplex_loop(tab: _Tableau, z_row: dict[int, Fraction]) -> tuple[str, Fract
                 best_ratio = ratio
                 leaving = rid
         if leaving is None:
-            return "unbounded", total_delta
-        total_delta += tab.pivot(leaving, entering, z_row)
+            return False
+        tab.pivot(leaving, entering, z_row)
 
 
 def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None) -> Solution:
     """Exact optimum of `lp`, or INFEASIBLE / UNBOUNDED.
 
     With `secondary`, the returned assignment minimizes it among the
-    optima of lp's objective; `objective_value` is still the primary one.
-    Phase 1 introduces artificials only for rows violated at the all-zero
-    point. The returned assignment is re-checked against every original
-    constraint, bound, and fixing.
+    optima of lp's objective; `objective_value` is still the primary one,
+    and UNBOUNDED covers either objective. Phase 1 adds artificials only
+    for rows violated at the all-zero point. The returned assignment is
+    re-checked against every original constraint, bound, and fixing.
     """
     secondary = secondary or {}
     lp.validate(secondary)
@@ -277,55 +262,35 @@ def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None)
         if hi is not None:
             tab.add_ge({col: Fraction(-1)}, lo - hi)
 
-    if tab.artificials:
-        phase1_cost = {a: ONE for a in tab.artificials}
-        z_row, value = tab.reduced_costs(phase1_cost)
-        outcome, delta = _simplex_loop(tab, z_row)
-        if outcome != "optimal":
-            raise AssertionError("solver bug: phase 1 is bounded below by zero")
-        if value + delta > 0:
-            return Solution(Status.INFEASIBLE, {}, None)
-        art_set = set(tab.artificials)
-        for rid in range(len(tab.rows)):
-            if not tab.active[rid] or tab.basis[rid] not in art_set:
-                continue
-            # basic artificial at zero: pivot it out or drop a redundant row
-            pivot_col = None
-            for col in sorted(tab.rows[rid]):
-                if col not in art_set and tab.rows[rid][col] != 0:
-                    pivot_col = col
-                    break
-            if pivot_col is None:
-                tab.drop_row(rid)
-            else:
-                tab.pivot(rid, pivot_col, {})
-        for art in tab.artificials:
-            tab.drop_column(art)
-
-    cost_cols = {var_col[v]: c for v, c in lp.objective.items() if v in var_col and c != 0}
-    z_row, value = tab.reduced_costs(cost_cols)
-    outcome, delta = _simplex_loop(tab, z_row)
-    if outcome == "unbounded":
-        return Solution(Status.UNBOUNDED, {}, None)
-
+    phase1 = {a: ONE for a in tab.artificials}
+    primary = {var_col[v]: c for v, c in lp.objective.items() if v in var_col and c != 0}
     staged = {var_col[v]: Fraction(c) for v, c in secondary.items() if v in var_col and c != 0}
-    if staged:
-        # At this optimum the primary is its value plus sum(z_j * x_j) over
-        # nonbasic columns with every z_j >= 0, so its optima are exactly
-        # the points with x_j = 0 wherever z_j > 0.
+    z_row: dict[int, Fraction] = {}
+    for cost in (phase1, primary, staged):
+        if not cost:
+            continue
+        # The last stage's cost is its value plus sum(z_j * x_j) over nonbasic
+        # columns, all z_j >= 0: its optima are the points with x_j = 0 where
+        # z_j > 0 (after phase 1 ends at 0, they have every artificial at 0).
         for col, z in z_row.items():
             if z > 0:
                 tab.drop_column(col)
-        z_row, _ = tab.reduced_costs({col: c for col, c in staged.items() if col in tab.col_rows})
-        if _simplex_loop(tab, z_row)[0] != "optimal":
-            raise AssertionError("stage two is unbounded")
+        if cost is staged:
+            reached = tab.value(primary)
+        z_row = tab.reduced_costs(cost)
+        if not _simplex_loop(tab, z_row):
+            if cost is phase1:
+                raise AssertionError("solver bug: phase 1 is bounded below by zero")
+            return Solution(Status.UNBOUNDED, {}, None)
+        if cost is phase1 and tab.value(phase1) > 0:
+            return Solution(Status.INFEASIBLE, {}, None)
+    if staged and tab.value(primary) != reached:
+        raise AssertionError("solver bug: stage two moved the primary objective")
 
     values = {col: ZERO for col in var_col.values()}
     for rid, basic in enumerate(tab.basis):
-        if tab.active[rid] and basic in values:
+        if basic in values:
             values[basic] = tab.rhs[rid]
-    if staged and sum((c * values[col] for col, c in cost_cols.items()), ZERO) != value + delta:
-        raise AssertionError("solver bug: stage two moved the primary objective")
     assignment = dict(fixed)
     for v, col in var_col.items():
         assignment[v] = lp.bounds[v][0] + values[col]

@@ -9,9 +9,10 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Mapping, Optional
 
 from mvdatalog.chase import ChaseResult, NullRegistry, _ground_rule, _hom_key, _hom_order
-from mvdatalog.lp import LinearProgram, Solution, Status, solve
+from mvdatalog.lp import ONE, ZERO, LinearProgram, Solution, Status, _audit, solve
 from mvdatalog.core import (
     Atom,
     Constant,
@@ -297,3 +298,243 @@ def two_solve_lexicographic(lp: LinearProgram, secondary) -> Solution:
     if not second.optimal:
         raise AssertionError("stage two lost the feasible point stage one found")
     return Solution(Status.OPTIMAL, second.assignment, first.objective_value)
+
+
+# ---------------------------------------------------------------------------
+# Reference simplex: the two-mechanism solver the stage loop replaced, kept
+# verbatim (phase 1, artificial drive-out with row deactivation, then the
+# objectives) as a differential oracle for `mvdatalog.lp.solve`.
+
+
+class _Tableau:
+    """Sparse simplex tableau in equational form (all columns >= 0)."""
+
+    def __init__(self) -> None:
+        self.rows: list[dict[int, Fraction]] = []
+        self.rhs: list[Fraction] = []
+        self.basis: list[int] = []
+        self.active: list[bool] = []
+        self.col_rows: dict[int, set[int]] = {}
+        self.ncols = 0
+        self.artificials: list[int] = []
+
+    def new_column(self) -> int:
+        col = self.ncols
+        self.ncols += 1
+        self.col_rows[col] = set()
+        return col
+
+    def add_ge(self, coeffs: dict[int, Fraction], rhs: Fraction) -> None:
+        """Add the row sum(coeffs) >= rhs with a basic slack, or, when the
+        all-zero point violates it, a surplus and a basic artificial."""
+        if rhs <= 0:
+            basic = self.new_column()
+            row = {c: -a for c, a in coeffs.items()}
+            row[basic] = ONE
+            rhs = -rhs
+        else:
+            row = coeffs
+            row[self.new_column()] = Fraction(-1)
+            basic = self.new_column()
+            row[basic] = ONE
+            self.artificials.append(basic)
+        rid = len(self.rows)
+        self.rows.append(row)
+        self.rhs.append(rhs)
+        self.basis.append(basic)
+        self.active.append(True)
+        for col in row:
+            self.col_rows[col].add(rid)
+
+    def set_entry(self, rid: int, col: int, value: Fraction) -> None:
+        row = self.rows[rid]
+        if value == 0:
+            if col in row:
+                del row[col]
+                self.col_rows[col].discard(rid)
+        else:
+            if col not in row:
+                self.col_rows[col].add(rid)
+            row[col] = value
+
+    def pivot(self, rid: int, col: int, z_row: dict[int, Fraction]) -> Fraction:
+        """Make `col` basic in row `rid`; returns the z-row value delta."""
+        row = self.rows[rid]
+        pivot = row[col]
+        if pivot != 1:
+            for c in list(row):
+                row[c] /= pivot
+            self.rhs[rid] /= pivot
+        z_delta = ZERO
+        factor = z_row.get(col, ZERO)
+        if factor != 0:
+            for c, v in row.items():
+                nv = z_row.get(c, ZERO) - factor * v
+                if nv == 0:
+                    z_row.pop(c, None)
+                else:
+                    z_row[c] = nv
+            # objective moves by (reduced cost) * (entering value)
+            z_delta = factor * self.rhs[rid]
+        for other in list(self.col_rows[col]):
+            if other == rid or not self.active[other]:
+                continue
+            f = self.rows[other].get(col)
+            if f is None or f == 0:
+                continue
+            for c, v in row.items():
+                self.set_entry(other, c, self.rows[other].get(c, ZERO) - f * v)
+            self.rhs[other] -= f * self.rhs[rid]
+        self.basis[rid] = col
+        return z_delta
+
+    def drop_row(self, rid: int) -> None:
+        for col in self.rows[rid]:
+            self.col_rows[col].discard(rid)
+        self.rows[rid] = {}
+        self.active[rid] = False
+
+    def drop_column(self, col: int) -> None:
+        for rid in list(self.col_rows.get(col, ())):
+            self.rows[rid].pop(col, None)
+        self.col_rows.pop(col, None)
+
+    def reduced_costs(self, cost: dict[int, Fraction]) -> tuple[dict[int, Fraction], Fraction]:
+        """z-row = cost - cost_B * B^-1 A, and the current objective value."""
+        z = dict(cost)
+        value = ZERO
+        for rid, basic in enumerate(self.basis):
+            if not self.active[rid]:
+                continue
+            c_b = cost.get(basic, ZERO)
+            if c_b == 0:
+                continue
+            value += c_b * self.rhs[rid]
+            for col, v in self.rows[rid].items():
+                nv = z.get(col, ZERO) - c_b * v
+                if nv == 0:
+                    z.pop(col, None)
+                else:
+                    z[col] = nv
+        return z, value
+
+
+def _simplex_loop(tab: _Tableau, z_row: dict[int, Fraction]) -> tuple[str, Fraction]:
+    """Bland-rule pivoting until optimal or unbounded; returns value delta."""
+    total_delta = ZERO
+    while True:
+        entering = None
+        for col in sorted(z_row):
+            if z_row[col] < 0:
+                entering = col
+                break
+        if entering is None:
+            return "optimal", total_delta
+        leaving = None
+        best_ratio: Optional[Fraction] = None
+        for rid in sorted(tab.col_rows.get(entering, ())):
+            if not tab.active[rid]:
+                continue
+            a = tab.rows[rid].get(entering, ZERO)
+            if a <= 0:
+                continue
+            ratio = tab.rhs[rid] / a
+            if best_ratio is None or ratio < best_ratio or (
+                ratio == best_ratio and tab.basis[rid] < tab.basis[leaving]  # type: ignore[index]
+            ):
+                best_ratio = ratio
+                leaving = rid
+        if leaving is None:
+            return "unbounded", total_delta
+        total_delta += tab.pivot(leaving, entering, z_row)
+
+
+def reference_solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None) -> Solution:
+    """Exact optimum of `lp`, or INFEASIBLE / UNBOUNDED.
+
+    With `secondary`, the returned assignment minimizes it among the
+    optima of lp's objective; `objective_value` is still the primary one.
+    Phase 1 introduces artificials only for rows violated at the all-zero
+    point. The returned assignment is re-checked against every original
+    constraint, bound, and fixing.
+    """
+    secondary = secondary or {}
+    lp.validate(secondary)
+    fixed = lp.fixings
+    tab = _Tableau()
+    var_col = {v: tab.new_column() for v in lp.variables if v not in fixed}
+    for c in lp.constraints:
+        coeffs: dict[int, Fraction] = {}
+        rhs = c.rhs
+        for v, a in c.coeffs.items():
+            if v in fixed:
+                rhs -= a * fixed[v]
+            elif a != 0:
+                coeffs[var_col[v]] = a
+                rhs -= a * lp.bounds[v][0]
+        if coeffs:
+            tab.add_ge(coeffs, rhs)
+        elif rhs > 0:
+            return Solution(Status.INFEASIBLE, {}, None)
+    for v, col in var_col.items():
+        lo, hi = lp.bounds[v]
+        if hi is not None:
+            tab.add_ge({col: Fraction(-1)}, lo - hi)
+
+    if tab.artificials:
+        phase1_cost = {a: ONE for a in tab.artificials}
+        z_row, value = tab.reduced_costs(phase1_cost)
+        outcome, delta = _simplex_loop(tab, z_row)
+        if outcome != "optimal":
+            raise AssertionError("solver bug: phase 1 is bounded below by zero")
+        if value + delta > 0:
+            return Solution(Status.INFEASIBLE, {}, None)
+        art_set = set(tab.artificials)
+        for rid in range(len(tab.rows)):
+            if not tab.active[rid] or tab.basis[rid] not in art_set:
+                continue
+            # basic artificial at zero: pivot it out or drop a redundant row
+            pivot_col = None
+            for col in sorted(tab.rows[rid]):
+                if col not in art_set and tab.rows[rid][col] != 0:
+                    pivot_col = col
+                    break
+            if pivot_col is None:
+                tab.drop_row(rid)
+            else:
+                tab.pivot(rid, pivot_col, {})
+        for art in tab.artificials:
+            tab.drop_column(art)
+
+    cost_cols = {var_col[v]: c for v, c in lp.objective.items() if v in var_col and c != 0}
+    z_row, value = tab.reduced_costs(cost_cols)
+    outcome, delta = _simplex_loop(tab, z_row)
+    if outcome == "unbounded":
+        return Solution(Status.UNBOUNDED, {}, None)
+
+    staged = {var_col[v]: Fraction(c) for v, c in secondary.items() if v in var_col and c != 0}
+    if staged:
+        # At this optimum the primary is its value plus sum(z_j * x_j) over
+        # nonbasic columns with every z_j >= 0, so its optima are exactly
+        # the points with x_j = 0 wherever z_j > 0.
+        for col, z in z_row.items():
+            if z > 0:
+                tab.drop_column(col)
+        z_row, _ = tab.reduced_costs({col: c for col, c in staged.items() if col in tab.col_rows})
+        if _simplex_loop(tab, z_row)[0] != "optimal":
+            raise AssertionError("stage two is unbounded")
+
+    values = {col: ZERO for col in var_col.values()}
+    for rid, basic in enumerate(tab.basis):
+        if tab.active[rid] and basic in values:
+            values[basic] = tab.rhs[rid]
+    if staged and sum((c * values[col] for col, c in cost_cols.items()), ZERO) != value + delta:
+        raise AssertionError("solver bug: stage two moved the primary objective")
+    assignment = dict(fixed)
+    for v, col in var_col.items():
+        assignment[v] = lp.bounds[v][0] + values[col]
+    objective_value = sum(
+        (c * assignment[v] for v, c in lp.objective.items()), ZERO
+    )
+    _audit(lp, assignment)
+    return Solution(Status.OPTIMAL, assignment, objective_value)

@@ -335,6 +335,15 @@ class TestVerifyModel:
         nu = TruthAssignment({atom("p", "a"): F(4, 5), atom("q", "b"): F(3, 10)})
         assert verify_model(instance, chase_of(instance), nu).ok
 
+    def test_truncated_chase_rejected(self):
+        # p(_:n1) -> p(_:n2) lies past the step limit and was never checked
+        instance = inst("p(a).\np(Y) :- p(X).")
+        truncated = oblivious_chase(instance.program, set(instance.database.entries), step_limit=1)
+        nu = TruthAssignment({atom("p", "a"): F(1), Atom("p", (LabelledNull(1),)): F(1)})
+        assert set(nu.support) == truncated.olim
+        with pytest.raises(TruncatedChase):
+            verify_model(instance, truncated, nu)
+
     def test_hand_built_four_null_assignment(self):
         # satisfies every ground rule under strong existential semantics but
         # has no oblivious base (three of the nulls never appear in the chase)

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_force_lp, random_degree, random_existential_program, two_solve_lexicographic
+import helpers
+from helpers import (
+    brute_force_lp,
+    random_degree,
+    random_existential_program,
+    reference_solve,
+    two_solve_lexicographic,
+)
 from mvdatalog import lp as lp_module
 from mvdatalog.chase import oblivious_chase
 from mvdatalog.core import FuzzyDatabase, Instance, atom
@@ -64,6 +71,12 @@ class TestSolveBasics:
         lp.add_variable("x", F(0), None)
         lp.objective = {"x": F(-1)}
         assert solve(lp).status is Status.UNBOUNDED
+
+    def test_unbounded_tie_break(self):
+        # the primary is bounded, but over its optima x may grow without end
+        lp = lp_with(["x", "y"], [({"y": 1}, F(1, 2))], {"y": 1}, bounds={"x": (F(0), None)})
+        assert solve(lp, {"x": F(-1)}).status is Status.UNBOUNDED
+        assert lexicographic_solve(lp, {"x": F(-1)}).status is Status.UNBOUNDED
 
     def test_empty_objective_feasibility(self):
         lp = lp_with(["x"], [({"x": 1}, F(1, 3))], {})
@@ -279,11 +292,7 @@ class TestStagedObjectives:
         rng = random.Random(4242)
         draws = optimal_with_fixings = differing = 0
         while draws < 3000:
-            lp, variables, _ = random_lp(rng)
-            for v in variables:
-                if rng.random() < 0.3:
-                    lp.fix(v, F(rng.randint(0, 4), 4))
-            secondary = {v: F(rng.randint(-2, 2)) for v in variables}
+            lp, _, secondary = random_fixed_lp(rng)
             feasible, differs = _compare_staged(lp, secondary)
             optimal_with_fixings += feasible and bool(lp.fixings)
             differing += differs
@@ -293,19 +302,127 @@ class TestStagedObjectives:
         assert differing <= draws // 100
 
     def test_existential_preferred_model_lps(self):
-        rng = random.Random(5151)
-        facts = [atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")]
         draws = with_secondary = differing = 0
-        while draws < 3000:
-            program = random_existential_program(rng)
-            if not is_weakly_acyclic_ve(program)[0]:
-                continue
-            tau = FuzzyDatabase({a: random_degree(rng) for a in facts})
-            instance = Instance(program, tau, rng.choice([F(1), F(4, 5)]))
-            lp, secondary = build_eoptk(instance, oblivious_chase(program, set(tau.entries)))
+        for lp, secondary in existential_lps(random.Random(5151), [F(1), F(4, 5)], 3000):
             feasible, differs = _compare_staged(lp, secondary)
             with_secondary += feasible and bool(secondary)
             differing += differs
             draws += 1
         assert with_secondary >= 1000
         assert differing <= draws // 100
+
+
+def random_fixed_lp(rng):
+    """random_lp with some variables fixed and a secondary on every variable;
+    the oracle rows carry the fixings as pairs of opposite rows."""
+    lp, variables, rows = random_lp(rng)
+    for v in variables:
+        if rng.random() < 0.3:
+            lp.fix(v, F(rng.randint(0, 4), 4))
+            rows += [({v: F(1)}, lp.fixings[v]), ({v: F(-1)}, -lp.fixings[v])]
+    return lp, rows, {v: F(rng.randint(-2, 2)) for v in variables}
+
+
+def redundant_lp(rng):
+    """random_fixed_lp with every oracle row as a constraint (so the box
+    faces and fixings repeat), scaled copies of some rows, and equality
+    pairs through one grid point of the box: redundant rows that leave
+    artificials basic at 0 after phase 1."""
+    lp, rows, secondary = random_fixed_lp(rng)
+    variables = lp.variables
+    point = {v: lp.fixings.get(v, F(rng.randint(0, 4), 4)) for v in variables}
+    for _ in range(rng.randint(1, 3)):
+        coeffs = {v: F(rng.randint(-2, 2)) for v in variables if rng.random() < 0.7}
+        coeffs = {v: c for v, c in coeffs.items() if c != 0} or {variables[0]: F(1)}
+        rhs = _value(coeffs, point)
+        rows += [(coeffs, rhs), ({v: -c for v, c in coeffs.items()}, -rhs)]
+    for coeffs, rhs in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+        scale = F(rng.randint(1, 3))
+        rows.append(({v: scale * c for v, c in coeffs.items()}, scale * rhs))
+    lp.constraints = []
+    for coeffs, rhs in rows:
+        lp.add_constraint(coeffs, rhs)
+    return lp, rows, secondary
+
+
+def existential_lps(rng, ks, count):
+    """build_eoptk LPs of weakly acyclic random existential programs."""
+    facts = [atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")]
+    while count:
+        program = random_existential_program(rng)
+        if not is_weakly_acyclic_ve(program)[0]:
+            continue
+        tau = FuzzyDatabase({a: random_degree(rng) for a in facts})
+        instance = Instance(program, tau, rng.choice(ks))
+        yield build_eoptk(instance, oblivious_chase(program, set(tau.entries)))
+        count -= 1
+
+
+def _enumerate_vertices(lp, rows):
+    """brute_force_lp over the free variables, with the fixings substituted."""
+    fixed = lp.fixings
+    free = [v for v in lp.variables if v not in fixed]
+    reduced = []
+    for coeffs, rhs in rows:
+        rhs -= _value({v: c for v, c in coeffs.items() if v in fixed}, fixed)
+        reduced.append(({v: c for v, c in coeffs.items() if v not in fixed}, rhs))
+    if any(not coeffs and rhs > 0 for coeffs, rhs in reduced):
+        return "infeasible", None
+    reduced = [(coeffs, rhs) for coeffs, rhs in reduced if coeffs]
+    status, value = brute_force_lp(free, reduced, {v: c for v, c in lp.objective.items() if v not in fixed})
+    if value is not None:
+        value += _value({v: c for v, c in lp.objective.items() if v in fixed}, fixed)
+    return status, value
+
+
+class TestReferenceSolver:
+    """The stage loop against the solver it replaced, which drove basic
+    artificials out after phase 1 and deactivated redundant rows."""
+
+    @staticmethod
+    def _compare(lp, secondary):
+        """Same status and stage values; returns whether the vertices differ."""
+        sol, ref = solve(lp, secondary), reference_solve(lp, secondary)
+        assert sol.status is ref.status
+        assert sol.objective_value == ref.objective_value
+        if not sol.optimal:
+            return False
+        assert _value(secondary, sol.assignment) == _value(secondary, ref.assignment)
+        return sol.assignment != ref.assignment
+
+    def _run(self, draw, seed):
+        """3,000 draws; every 20th has no secondary and is also checked
+        against vertex enumeration. Returns the number of differing vertices."""
+        rng = random.Random(seed)
+        differing = 0
+        for i in range(3000):
+            lp, rows, secondary = draw(rng)
+            if i % 20 == 0:
+                secondary = {}
+                sol = solve(lp)
+                assert (sol.status.value, sol.objective_value) == _enumerate_vertices(lp, rows)
+            differing += self._compare(lp, secondary)
+        return differing
+
+    def test_random_lps_with_fixings(self):
+        assert self._run(random_fixed_lp, 7373) <= 30
+
+    def test_redundant_rows_and_equalities(self, monkeypatch):
+        drive_outs = []
+
+        class Counted(helpers._Tableau):
+            def pivot(self, rid, col, z_row):
+                drive_outs.append(not z_row)  # the simplex only pivots on a nonempty z-row
+                return super().pivot(rid, col, z_row)
+
+            def drop_row(self, rid):
+                drive_outs.append(True)
+                super().drop_row(rid)
+
+        monkeypatch.setattr(helpers, "_Tableau", Counted)
+        assert self._run(redundant_lp, 7474) <= 30
+        assert sum(drive_outs) >= 300
+
+    def test_existential_preferred_model_lps(self):
+        draws = existential_lps(random.Random(7575), [F(1), F(4, 5), F(1, 2)], 3000)
+        assert sum(self._compare(lp, secondary) for lp, secondary in draws) <= 30
