@@ -4,7 +4,8 @@ Pipeline: chase the crisp instance once, then solve over what it
 returns. The chase result is the one source of the universe: its atoms
 (olim, sorted once per chase) are the LP's columns and the model's
 atoms, an atom is active exactly when it is null-free, and each ground
-rule's head sum comes from `_head_atoms`. Plain programs get their
+rule's head sum comes from `_head_atoms`, a lookup in the chase's hash
+index on the head's non-existential positions. Plain programs get their
 unique minimal model as the exact least fixpoint of
 nu(H) >= nu(body) - 1 + K, checked against the database's pinned
 degrees. Programs with existential rules become an exact LP whose head
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .chase import ChaseResult, _index_by_predicate, matches, oblivious_chase
+from .chase import ChaseResult, _Index, matches, oblivious_chase
 from .core import (
     ONE,
     ZERO,
@@ -37,6 +38,7 @@ from .core import (
     RationalLike,
     Rule,
     TruthAssignment,
+    Variable,
     as_degree,
     body_truth,
     luk_implies,
@@ -97,22 +99,25 @@ def ground_atoms(chase: ChaseResult, tau: FuzzyDatabase) -> list[Atom]:
     return chase.sorted_olim()
 
 
-def _head_atoms(rule: Rule, g: GroundRule, by_predicate: Mapping[str, list[Atom]]) -> list[Atom]:
+def _head_atoms(rule: Rule, g: GroundRule, index: _Index) -> list[Atom]:
     """The atoms whose degrees sum to the head value of g, grounded from `rule`.
 
     A plain rule's head is g.head alone. An existential rule's head is
-    every atom of `by_predicate` that matches g.head with the nulls at its
-    existential positions replaced (consistently) by anything.
+    every atom of `index` that matches g.head with the nulls at its
+    existential positions replaced (consistently) by anything: a hash
+    lookup on the other positions, then `matches` for repeated nulls.
     """
     if not rule.is_existential:
         return [g.head]
     nulls = set()
     for pattern_term, ground_term in zip(rule.head.args, g.head.args):
-        if getattr(pattern_term, "name", None) in rule.existential_vars:
+        if isinstance(pattern_term, Variable) and pattern_term.name in rule.existential_vars:
             if not isinstance(ground_term, LabelledNull):
                 raise AssertionError(f"existential position of {g.head} holds {ground_term}")
             nulls.add(ground_term)
-    return [a for a in by_predicate.get(g.head.predicate, ()) if matches(a, g.head, nulls)]
+    positions = tuple(i for i, t in enumerate(g.head.args) if t not in nulls)
+    candidates = index.lookup(g.head.predicate, positions, tuple(g.head.args[i] for i in positions))
+    return [a for a in candidates if matches(a, g.head, nulls)]
 
 
 def build_optk(instance: Instance, chase: ChaseResult) -> LinearProgram:
@@ -132,7 +137,8 @@ def build_eoptk(
 
     Rules grounded from existential rules sum, in place of the single head
     variable, all atoms of the universe matching the head pattern (nulls
-    replaceable by anything, consistently). Objective weights are 1 on
+    replaceable by anything, consistently), looked up in one `_Index` of
+    the universe, not scanned per rule. Objective weights are 1 on
     null-free atoms and 0 on null-carrying ones; the secondary form sums
     exactly the null-carrying atoms.
     """
@@ -147,10 +153,10 @@ def build_eoptk(
     for a, d in instance.database.entries.items():
         lp.fix(name[a], d)
     K = instance.K
-    by_predicate = _index_by_predicate(universe)
+    index = _Index(set(universe))
     for g in chase.gamma:
         coeffs: dict[str, Fraction] = {}
-        for h in _head_atoms(instance.program.rule_by_id(g.origin_rule_id), g, by_predicate):
+        for h in _head_atoms(instance.program.rule_by_id(g.origin_rule_id), g, index):
             coeffs[name[h]] = coeffs.get(name[h], ZERO) + ONE
         for b in g.body:
             coeffs[name[b]] = coeffs.get(name[b], ZERO) - ONE
@@ -383,10 +389,10 @@ def verify_model(
         as_degree(d, positive=True)
     _require_complete(chase)
     K = instance.K
-    by_predicate = _index_by_predicate(model.support)  # atoms off the support add 0
+    index = _Index(set(model.support))  # atoms off the support add 0
     rule_violations = []
     for g in chase.gamma:
-        heads = _head_atoms(instance.program.rule_by_id(g.origin_rule_id), g, by_predicate)
+        heads = _head_atoms(instance.program.rule_by_id(g.origin_rule_id), g, index)
         value = luk_implies(body_truth(model, g.body), min(ONE, sum(map(model, heads), ZERO)))
         if value < K:
             rule_violations.append((g, value))

@@ -5,11 +5,13 @@ anti-cycling rule. Floating point is deliberately avoided: the reasoning
 layer turns optima into yes/no decisions and needs exact arithmetic.
 
 Models are small structured objects: box-bounded variables, optional
-exact fixings, and >=-constraints. `solve` reads the model into one
-sparse tableau in one pass (fixings folded into the right-hand sides,
-the other variables shifted to start at zero) and minimizes on it, in
-turn, phase 1's artificials, the objective and optionally a secondary
-objective, each stage over the optima of the stages before it.
+exact fixings, and >=-constraints. `solve` reads the model in one pass:
+fixings fold into the right-hand sides, and a row left with one free
+variable folds into that variable's bounds. The other rows go into one
+sparse tableau, the variables shifted to start at their folded lower
+bounds, and `solve` minimizes on it, in turn, phase 1's artificials,
+the objective and optionally a secondary objective, each stage over
+the optima of the stages before it.
 """
 
 from __future__ import annotations
@@ -235,30 +237,47 @@ def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None)
 
     With `secondary`, the returned assignment minimizes it among the
     optima of lp's objective; `objective_value` is still the primary one,
-    and UNBOUNDED covers either objective. Phase 1 adds artificials only
-    for rows violated at the all-zero point. The returned assignment is
-    re-checked against every original constraint, bound, and fixing.
+    and UNBOUNDED covers either objective. Fixings are substituted, and a
+    row a*x >= r left with one free variable tightens x's lower bound to
+    r/a (a > 0) or its upper bound to r/a (a < 0) in place of a tableau
+    row; crossing bounds are INFEASIBLE. Phase 1 adds artificials only
+    for rows violated with every variable at its (folded) lower bound.
+    The returned assignment is re-checked against every original
+    constraint, bound, and fixing.
     """
     secondary = secondary or {}
     lp.validate(secondary)
     fixed = lp.fixings
-    tab = _Tableau()
-    var_col = {v: tab.new_column() for v in lp.variables if v not in fixed}
+    bounds = {v: lp.bounds[v] for v in lp.variables if v not in fixed}
+    rows: list[tuple[dict[str, Fraction], Fraction]] = []
     for c in lp.constraints:
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[str, Fraction] = {}
         rhs = c.rhs
         for v, a in c.coeffs.items():
             if v in fixed:
                 rhs -= a * fixed[v]
             elif a != 0:
-                coeffs[var_col[v]] = a
-                rhs -= a * lp.bounds[v][0]
-        if coeffs:
-            tab.add_ge(coeffs, rhs)
+                coeffs[v] = a
+        if len(coeffs) == 1:
+            ((v, a),) = coeffs.items()
+            lo, hi = bounds[v]
+            if a > 0:
+                bounds[v] = (max(lo, rhs / a), hi)
+            else:
+                bounds[v] = (lo, rhs / a if hi is None else min(hi, rhs / a))
+        elif coeffs:
+            rows.append((coeffs, rhs))
         elif rhs > 0:
             return Solution(Status.INFEASIBLE, {}, None)
+    if any(hi is not None and lo > hi for lo, hi in bounds.values()):
+        return Solution(Status.INFEASIBLE, {}, None)
+    tab = _Tableau()
+    var_col = {v: tab.new_column() for v in bounds}
+    for coeffs, rhs in rows:
+        rhs -= sum((a * bounds[v][0] for v, a in coeffs.items()), ZERO)
+        tab.add_ge({var_col[v]: a for v, a in coeffs.items()}, rhs)
     for v, col in var_col.items():
-        lo, hi = lp.bounds[v]
+        lo, hi = bounds[v]
         if hi is not None:
             tab.add_ge({col: Fraction(-1)}, lo - hi)
 
@@ -293,7 +312,7 @@ def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None)
             values[basic] = tab.rhs[rid]
     assignment = dict(fixed)
     for v, col in var_col.items():
-        assignment[v] = lp.bounds[v][0] + values[col]
+        assignment[v] = bounds[v][0] + values[col]
     objective_value = sum(
         (c * assignment[v] for v, c in lp.objective.items()), ZERO
     )

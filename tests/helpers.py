@@ -11,12 +11,13 @@ import random
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from mvdatalog.chase import ChaseResult, NullRegistry, _ground_rule, _hom_key, _hom_order
+from mvdatalog.chase import ChaseResult, NullRegistry, _ground_rule, _hom_key, _hom_order, matches
 from mvdatalog.lp import ONE, ZERO, LinearProgram, Solution, Status, _audit, solve
 from mvdatalog.core import (
     Atom,
     Constant,
     FuzzyDatabase,
+    GroundRule,
     Instance,
     Program,
     Rule,
@@ -218,6 +219,23 @@ def naive_oblivious_chase(program: Program, facts, step_limit=None) -> ChaseResu
     order = sorted(applied, key=lambda k: (k[0], _hom_order(k[1])))
     gamma = tuple(applied[k] for k in order)
     return ChaseResult(frozenset(atoms), gamma, registry, truncated, steps)
+
+
+def scan_head_atoms(rule: Rule, g: GroundRule, atoms) -> list[Atom]:
+    """Reference head sum of g: every atom of g.head's predicate that
+    `matches` g.head with the nulls at the rule's existential positions
+    free, found by scanning `atoms`."""
+    if not rule.is_existential:
+        return [g.head]
+    nulls = {
+        t
+        for p, t in zip(rule.head.args, g.head.args)
+        if isinstance(p, Variable) and p.name in rule.existential_vars
+    }
+    by_predicate: dict = {}
+    for a in atoms:
+        by_predicate.setdefault(a.predicate, []).append(a)
+    return [a for a in by_predicate.get(g.head.predicate, ()) if matches(a, g.head, nulls)]
 
 
 def _image(a: Atom, sub: dict) -> Atom:

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 from helpers import naive_oblivious_chase, random_existential_program, random_instance
 from mvdatalog import chase as chase_module
+from mvdatalog import engine as engine_module
 from mvdatalog.chase import enumerate_homomorphisms, matches, oblivious_chase
 from mvdatalog.core import (
     Atom,
     Constant,
+    Instance,
     LabelledNull,
     Program,
     Variable,
@@ -15,6 +17,8 @@ from mvdatalog.core import (
     make_rule,
     substitute,
 )
+from mvdatalog.engine import build_eoptk
+from mvdatalog.parser import parse
 from mvdatalog.termination import is_weakly_acyclic_ve
 
 F = Fraction
@@ -256,6 +260,32 @@ class TestRounds:
             return count
 
         assert examined(200) <= 2.2 * examined(100)
+
+    def test_key_person_head_matching_is_linear(self, monkeypatch):
+        """`matches` calls in build_eoptk grow linearly with the companies."""
+        match = engine_module.matches
+
+        def matched(companies):
+            lines = ["kp(Y, X) :- company(X).", "person(Y) :- kp(Y, X)."]
+            for i in range(companies):
+                lines.append(f"company(c{i}).")
+                lines += [f"0.{j + 3} :: kp(p{i}x{j}, c{i})." for j in range(i % 3)]
+            program, tau = parse("\n".join(lines))
+            chase = oblivious_chase(program, set(tau.entries))
+            count = 0
+
+            def counting(candidate, head_pattern, nulls):
+                nonlocal count
+                count += 1
+                return match(candidate, head_pattern, nulls)
+
+            monkeypatch.setattr(engine_module, "matches", counting)
+            build_eoptk(Instance(program, tau, F(1)), chase)
+            monkeypatch.undo()
+            assert count >= companies
+            return count
+
+        assert matched(200) <= 2.2 * matched(100)
 
 
 class TestNaiveOracle:

@@ -1,6 +1,7 @@
 import ast
 import os
 import random
+from collections import Counter
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,8 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import classical_closure, random_degree, random_existential_program, random_instance
-from mvdatalog.chase import oblivious_chase
+from helpers import (
+    classical_closure,
+    random_degree,
+    random_existential_program,
+    random_instance,
+    scan_head_atoms,
+)
+from mvdatalog import engine as engine_module
+from mvdatalog.chase import _Index, oblivious_chase
 from mvdatalog.core import (
     Atom,
     Constant,
@@ -17,8 +25,11 @@ from mvdatalog.core import (
     FuzzyDatabase,
     Instance,
     LabelledNull,
+    Program,
     TruthAssignment,
+    Variable,
     atom,
+    make_rule,
     rule_gap,
 )
 from mvdatalog.engine import (
@@ -28,6 +39,7 @@ from mvdatalog.engine import (
     NoObliviousBaseModel,
     TruncatedChase,
     Unsatisfiable,
+    _head_atoms,
     build_eoptk,
     build_optk,
     fixpoint_minimal_model,
@@ -39,6 +51,7 @@ from mvdatalog.engine import (
 )
 from mvdatalog.lp import Status, solve
 from mvdatalog.parser import parse
+from mvdatalog.termination import is_weakly_acyclic_ve
 
 F = Fraction
 
@@ -358,6 +371,83 @@ class TestVerifyModel:
         assert not report.tau_mismatches
         assert len(report.outside_base) == 3
         assert not report.ok
+
+
+class TestHeadIndex:
+    """`_head_atoms` finds through the chase's hash index exactly the atoms
+    that the scan in tests/helpers.py finds."""
+
+    @staticmethod
+    def _check(instance, chase, models, monkeypatch):
+        """Compare every ground rule's head atoms, and verify_model's report
+        on each model, with the scan; returns the existential heads."""
+        universe = chase.sorted_olim()
+        index = _Index(set(universe))
+        heads = []
+        for g in chase.gamma:
+            rule = instance.program.rule_by_id(g.origin_rule_id)
+            indexed = _head_atoms(rule, g, index)
+            assert Counter(indexed) == Counter(scan_head_atoms(rule, g, universe))
+            if rule.is_existential:
+                heads.append((g, set(indexed)))
+        reports = [verify_model(instance, chase, m) for m in models]
+        monkeypatch.setattr(engine_module, "_head_atoms", lambda r, g, ix: scan_head_atoms(r, g, ix.atoms))
+        assert reports == [verify_model(instance, chase, m) for m in models]
+        monkeypatch.undo()
+        return heads
+
+    def test_random_existential_chases(self, monkeypatch):
+        rng = random.Random(9119)
+        facts = [atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")]
+        draws = sums = satisfied = violated = 0
+        while draws < 3000:
+            program = random_existential_program(rng)
+            if not is_weakly_acyclic_ve(program)[0]:
+                continue
+            tau = FuzzyDatabase({a: random_degree(rng) for a in facts})
+            instance = Instance(program, tau, rng.choice([F(1), F(4, 5)]))
+            chase = chase_of(instance)
+            models = [TruthAssignment({a: random_degree(rng) for a in chase.olim if rng.random() < 0.6})]
+            try:
+                models.append(preferred_model(instance).assignment)
+            except NoObliviousBaseModel:
+                pass
+            heads = self._check(instance, chase, models, monkeypatch)
+            sums += sum(len(h) > 1 for _, h in heads)
+            satisfied += len(models) == 2
+            violated += not verify_model(instance, chase, models[0]).rules_satisfied
+            draws += 1
+        assert sums >= 500 and satisfied >= 1000 and violated >= 500
+
+    def _heads(self, text, monkeypatch):
+        instance = inst(text)
+        chase = chase_of(instance)
+        return self._check(instance, chase, [preferred_model(instance).assignment], monkeypatch)
+
+    def test_repeated_existential_variable(self, monkeypatch):
+        ((g, heads),) = self._heads("q(c).\n0.5 :: r(b, b).\n0.5 :: r(b, c).\nr(Y, Y) :- q(X).", monkeypatch)
+        assert g.head.args[0] == g.head.args[1]
+        assert heads == {g.head, atom("r", "b", "b")}
+
+    def test_constant_in_head(self, monkeypatch):
+        ((g, heads),) = self._heads("q(c).\n0.5 :: r(a, b).\n0.5 :: r(b, b).\nr(a, Y) :- q(X).", monkeypatch)
+        assert heads == {g.head, atom("r", "a", "b")}
+
+    def test_constant_named_like_the_existential_variable(self, monkeypatch):
+        # r(Y, Z) with the constant Y and the existential variable Y
+        rule = make_rule(0, [atom("q", "X")], Atom("r", (Constant("Y"), Variable("Y"))))
+        tau = FuzzyDatabase({atom("q", "a"): F(1), Atom("r", (Constant("Y"), Constant("b"))): F(1, 2)})
+        instance = Instance(Program.from_rules([rule], extra_atoms=list(tau.entries)), tau, F(1))
+        chase = chase_of(instance)
+        ((g, heads),) = self._check(instance, chase, [preferred_model(instance).assignment], monkeypatch)
+        assert heads == {g.head, Atom("r", (Constant("Y"), Constant("b")))}
+
+    def test_body_null_at_a_plain_position(self, monkeypatch):
+        text = "s(a).\n0.5 :: t(b, a).\np(X, Y) :- s(X).\nt(Y, Z) :- p(X, Y).\nt(Y, X) :- p(X, Y)."
+        _, (g, heads) = self._heads(text, monkeypatch)
+        null = g.head.args[0]
+        assert isinstance(null, LabelledNull) and g.head.args[1] != null
+        assert heads == {g.head, Atom("t", (null, Constant("a")))}
 
 
 class TestRandomizedProperties:

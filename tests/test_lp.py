@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from mvdatalog.lp import (
     lexicographic_solve,
     solve,
 )
+from mvdatalog.parser import parse
 from mvdatalog.termination import is_weakly_acyclic_ve
 
 F = Fraction
@@ -358,6 +360,51 @@ def existential_lps(rng, ks, count):
         count -= 1
 
 
+def singleton_lp(rng):
+    """A small LP of mostly single-variable rows, with both coefficient
+    signs and often several rows on one variable. One variable may have no
+    upper bound except a negative-coefficient row; a row pair may pin a
+    variable to one value (folded lo == hi); the folded bounds may cross
+    (infeasible). Up to two rows over several variables, some fixings and
+    a secondary ride along. The oracle rows list the box faces, every
+    constraint and the fixings as pairs of opposite rows."""
+    variables = [f"x{i}" for i in range(rng.randint(1, 4))]
+    uncapped = rng.choice(variables) if rng.random() < 0.4 else None
+    lp = LinearProgram()
+    rows = []
+    for v in variables:
+        lp.add_variable(v, F(0), None if v == uncapped else F(1))
+        rows.append(({v: F(1)}, F(0)))
+        if v != uncapped:
+            rows.append(({v: F(-1)}, F(-1)))
+    constraints = []
+    for _ in range(rng.randint(1, 5)):
+        a = F(rng.choice([-3, -2, -1, 1, 2, 3]))
+        at = F(rng.randint(-1, 3) if a > 0 else rng.randint(1, 5), 4)
+        constraints.append(({rng.choice(variables): a}, a * at))
+    if uncapped:
+        a = F(-rng.randint(1, 3))
+        constraints.append(({uncapped: a}, a * F(rng.randint(0, 6), 4)))
+    if rng.random() < 0.3:
+        v, at = rng.choice(variables), F(rng.randint(0, 4), 4)
+        constraints += [({v: F(2)}, 2 * at), ({v: F(-1)}, -at)]
+    for _ in range(rng.randint(0, 2)):
+        coeffs = {v: F(rng.randint(-3, 3)) for v in variables if rng.random() < 0.7}
+        coeffs = {v: c for v, c in coeffs.items() if c != 0}
+        if coeffs:
+            constraints.append((coeffs, F(rng.randint(-3, 3), rng.randint(1, 3))))
+    rng.shuffle(constraints)
+    for coeffs, rhs in constraints:
+        lp.add_constraint(coeffs, rhs)
+    rows += constraints
+    lp.objective = {v: c for v in variables if (c := F(rng.randint(0, 3)))}
+    for v in variables:
+        if rng.random() < 0.2:
+            lp.fix(v, F(rng.randint(0, 4), 4))
+            rows += [({v: F(1)}, lp.fixings[v]), ({v: F(-1)}, -lp.fixings[v])]
+    return lp, rows, {v: F(rng.randint(-2, 2)) for v in variables}
+
+
 def _enumerate_vertices(lp, rows):
     """brute_force_lp over the free variables, with the fixings substituted."""
     fixed = lp.fixings
@@ -426,3 +473,65 @@ class TestReferenceSolver:
     def test_existential_preferred_model_lps(self):
         draws = existential_lps(random.Random(7575), [F(1), F(4, 5), F(1, 2)], 3000)
         assert sum(self._compare(lp, secondary) for lp, secondary in draws) <= 30
+
+    def test_single_variable_rows(self):
+        rng = random.Random(7676)
+        statuses = Counter(solve(singleton_lp(rng)[0]).status for _ in range(300))
+        assert statuses[Status.OPTIMAL] >= 100 and statuses[Status.INFEASIBLE] >= 30
+        assert self._run(singleton_lp, 7676) <= 30
+
+
+KEY_PERSONS = """
+company(acme). company(bolt). company(cask).
+0.8 :: kp(amy, acme).
+0.3 :: kp(bob, bolt).
+0.4 :: kp(bea, bolt).
+kp(Y, X) :- company(X).
+person(Y) :- kp(Y, X).
+"""
+
+
+class TestBoundFolding:
+    """A row with one free variable, after fixings, becomes a bound."""
+
+    def test_key_person_lp_adds_no_single_variable_row(self, monkeypatch):
+        added = []
+
+        class Counted(lp_module._Tableau):
+            def add_ge(self, coeffs, rhs):
+                added.append(dict(coeffs))
+                super().add_ge(coeffs, rhs)
+
+        monkeypatch.setattr(lp_module, "_Tableau", Counted)
+        program, tau = parse(KEY_PERSONS)
+        lp, secondary = build_eoptk(Instance(program, tau, F(1)), oblivious_chase(program, set(tau.entries)))
+        free = [v for v in lp.variables if v not in lp.fixings]
+        width = Counter(sum(v not in lp.fixings for v in c.coeffs) for c in lp.constraints)
+        assert width[1] >= 5 and width[2] >= 1
+        assert lexicographic_solve(lp, secondary).optimal
+        # the rows over two or more free variables, then one box row per free variable
+        assert len(added) == len(lp.constraints) - width[0] - width[1] + len(free)
+
+    def test_uncapped_variable_capped_by_a_row(self):
+        # x has no upper bound but -2x >= -3
+        rows = [({"x": -2}, F(-3)), ({"x": 1, "y": 1}, F(2))]
+        lp = lp_with(["x", "y"], rows, {"y": 1}, bounds={"x": (F(0), None)})
+        sol = solve(lp)
+        assert sol.assignment == {"x": F(3, 2), "y": F(1, 2)} and sol.objective_value == F(1, 2)
+
+    def test_crossing_bounds_are_infeasible(self, monkeypatch):
+        class Unused(lp_module._Tableau):
+            def add_ge(self, coeffs, rhs):
+                raise AssertionError("crossing bounds need no phase 1")
+
+        monkeypatch.setattr(lp_module, "_Tableau", Unused)
+        # x >= 1/2 and x <= 1/4
+        rows = [({"x": 2}, F(1)), ({"x": -4}, F(-1)), ({"x": 1, "y": 1}, F(0))]
+        lp = lp_with(["x", "y"], rows, {"x": 1})
+        assert solve(lp).status is Status.INFEASIBLE
+
+    def test_pinned_variable(self):
+        # x >= 1/3 and x <= 1/3 fold to lo == hi
+        rows = [({"x": 3}, F(1)), ({"x": -1}, F(-1, 3)), ({"x": 1, "y": -1}, F(0))]
+        lp = lp_with(["x", "y"], rows, {"y": -1})
+        assert solve(lp).assignment == {"x": F(1, 3), "y": F(1, 3)}
