@@ -9,9 +9,10 @@ exact fixings, and >=-constraints. `solve` reads the model in one pass:
 fixings fold into the right-hand sides, and a row left with one free
 variable folds into that variable's bounds. The other rows go into one
 sparse tableau, the variables shifted to start at their folded lower
-bounds, and `solve` minimizes on it, in turn, phase 1's artificials,
-the objective and optionally a secondary objective, each stage over
-the optima of the stages before it.
+bounds and their upper bounds kept on the columns, not as rows (Dantzig's
+bounded-variable simplex, Econometrica 1955). `solve` minimizes on it, in
+turn, phase 1's artificials, the objective and optionally a secondary
+objective, each stage over the optima of the stages before it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from typing import Iterable, Mapping, Optional
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _exact(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class MalformedModel(ValueError):
@@ -60,15 +65,15 @@ class LinearProgram:
         if name in self.bounds:
             raise MalformedModel(f"variable {name!r} declared twice")
         self.variables.append(name)
-        self.bounds[name] = (Fraction(lo), None if hi is None else Fraction(hi))
+        self.bounds[name] = (_exact(lo), None if hi is None else _exact(hi))
         return name
 
     def fix(self, name: str, value: Fraction) -> None:
-        self.fixings[name] = Fraction(value)
+        self.fixings[name] = _exact(value)
 
     def add_constraint(self, coeffs: Mapping[str, Fraction], rhs: Fraction) -> None:
         self.constraints.append(
-            Constraint({v: Fraction(c) for v, c in coeffs.items() if c != 0}, Fraction(rhs))
+            Constraint({v: _exact(c) for v, c in coeffs.items() if c != 0}, _exact(rhs))
         )
 
     def validate(self, secondary: Iterable[str] = ()) -> None:
@@ -105,7 +110,9 @@ class Solution:
 
 
 class _Tableau:
-    """Sparse simplex tableau in equational form (all columns >= 0)."""
+    """Sparse simplex tableau in equational form, 0 <= x_j <= upper.get(j).
+    A `flipped` column stands for upper[j] - x_j, so every nonbasic column
+    reads 0: at its lower bound or, flipped, at its upper bound."""
 
     def __init__(self) -> None:
         self.rows: list[dict[int, Fraction]] = []
@@ -114,6 +121,8 @@ class _Tableau:
         self.col_rows: dict[int, set[int]] = {}
         self.ncols = 0
         self.artificials: list[int] = []
+        self.upper: dict[int, Fraction] = {}
+        self.flipped: set[int] = set()
 
     def new_column(self) -> int:
         col = self.ncols
@@ -180,16 +189,30 @@ class _Tableau:
             self.rhs[other] -= f * self.rhs[rid]
         self.basis[rid] = col
 
+    def complement(self, col: int, z_row: dict[int, Fraction]) -> None:
+        """Substitute upper[col] - x for column `col`; a basic column's row
+        is left with coefficient -1 on it, to be pivoted out next."""
+        u = self.upper[col]
+        for rid in self.col_rows[col]:
+            row = self.rows[rid]
+            self.rhs[rid] -= row[col] * u
+            row[col] = -row[col]
+        if col in z_row:
+            z_row[col] = -z_row[col]
+        self.flipped ^= {col}
+
     def drop_column(self, col: int) -> None:
         for rid in list(self.col_rows.get(col, ())):
             self.rows[rid].pop(col, None)
         self.col_rows.pop(col, None)
 
     def reduced_costs(self, cost: dict[int, Fraction]) -> dict[int, Fraction]:
-        """z-row = cost - cost_B * B^-1 A over the columns still present."""
-        z = {col: c for col, c in cost.items() if col in self.col_rows}
+        """z-row = cost - cost_B * B^-1 A over the columns still present,
+        the cost of a flipped column negated."""
+        signed = {col: -c if col in self.flipped else c for col, c in cost.items() if col in self.col_rows}
+        z = dict(signed)
         for rid, basic in enumerate(self.basis):
-            c_b = cost.get(basic, ZERO)
+            c_b = signed.get(basic, ZERO)
             if c_b == 0:
                 continue
             for col, v in self.rows[rid].items():
@@ -200,36 +223,47 @@ class _Tableau:
                     z[col] = nv
         return z
 
+    def values(self) -> dict[int, Fraction]:
+        """The current basic solution, flips undone; absent columns are 0."""
+        x = {col: self.upper[col] for col in self.flipped}
+        for rid, b in enumerate(self.basis):
+            x[b] = self.upper[b] - self.rhs[rid] if b in self.flipped else self.rhs[rid]
+        return x
+
     def value(self, cost: dict[int, Fraction]) -> Fraction:
-        """The current basic solution's cost (nonbasic columns are 0)."""
-        return sum((cost[b] * self.rhs[rid] for rid, b in enumerate(self.basis) if b in cost), ZERO)
+        """The current basic solution's cost."""
+        x = self.values()
+        return sum((c * x[col] for col, c in cost.items() if col in x), ZERO)
 
 
 def _simplex_loop(tab: _Tableau, z_row: dict[int, Fraction]) -> bool:
-    """Bland-rule pivoting; True when optimal, False when unbounded."""
+    """Bland-rule pivoting; True when optimal, False when unbounded. The
+    entering column's step ends where a basic column falls to 0 or reaches
+    its upper bound (then it leaves flipped), or at the entering column's
+    own bound (a flip, no pivot); ties go to the lowest leaving column."""
     while True:
-        entering = None
-        for col in sorted(z_row):
-            if z_row[col] < 0:
-                entering = col
-                break
+        entering = min((col for col, z in z_row.items() if z.numerator < 0), default=None)
         if entering is None:
             return True
-        leaving = None
-        best_ratio: Optional[Fraction] = None
-        for rid in sorted(tab.col_rows.get(entering, ())):
-            a = tab.rows[rid].get(entering, ZERO)
-            if a <= 0:
+        cap = tab.upper.get(entering)
+        best = None if cap is None else (cap, entering, -1)
+        for rid in tab.col_rows[entering]:
+            a, basic = tab.rows[rid][entering], tab.basis[rid]
+            if a.numerator > 0:
+                step = tab.rhs[rid] / a
+            elif basic in tab.upper:
+                step = (tab.rhs[rid] - tab.upper[basic]) / a
+            else:
                 continue
-            ratio = tab.rhs[rid] / a
-            if best_ratio is None or ratio < best_ratio or (
-                ratio == best_ratio and tab.basis[rid] < tab.basis[leaving]  # type: ignore[index]
-            ):
-                best_ratio = ratio
-                leaving = rid
-        if leaving is None:
+            if best is None or (step, basic) < best[:2]:
+                best = (step, basic, rid)
+        if best is None:
             return False
-        tab.pivot(leaving, entering, z_row)
+        _, leaving, rid = best
+        if leaving == entering or tab.rows[rid][entering].numerator < 0:
+            tab.complement(leaving, z_row)
+        if leaving != entering:
+            tab.pivot(rid, entering, z_row)
 
 
 def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None) -> Solution:
@@ -240,7 +274,8 @@ def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None)
     and UNBOUNDED covers either objective. Fixings are substituted, and a
     row a*x >= r left with one free variable tightens x's lower bound to
     r/a (a > 0) or its upper bound to r/a (a < 0) in place of a tableau
-    row; crossing bounds are INFEASIBLE. Phase 1 adds artificials only
+    row; crossing bounds are INFEASIBLE, and a variable whose folded
+    bounds meet is a constant with no column. Phase 1 adds artificials only
     for rows violated with every variable at its (folded) lower bound.
     The returned assignment is re-checked against every original
     constraint, bound, and fixing.
@@ -272,18 +307,15 @@ def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None)
     if any(hi is not None and lo > hi for lo, hi in bounds.values()):
         return Solution(Status.INFEASIBLE, {}, None)
     tab = _Tableau()
-    var_col = {v: tab.new_column() for v in bounds}
+    var_col = {v: tab.new_column() for v, (lo, hi) in bounds.items() if lo != hi}
+    tab.upper = {col: bounds[v][1] - bounds[v][0] for v, col in var_col.items() if bounds[v][1] is not None}
     for coeffs, rhs in rows:
         rhs -= sum((a * bounds[v][0] for v, a in coeffs.items()), ZERO)
-        tab.add_ge({var_col[v]: a for v, a in coeffs.items()}, rhs)
-    for v, col in var_col.items():
-        lo, hi = bounds[v]
-        if hi is not None:
-            tab.add_ge({col: Fraction(-1)}, lo - hi)
+        tab.add_ge({var_col[v]: a for v, a in coeffs.items() if v in var_col}, rhs)
 
     phase1 = {a: ONE for a in tab.artificials}
     primary = {var_col[v]: c for v, c in lp.objective.items() if v in var_col and c != 0}
-    staged = {var_col[v]: Fraction(c) for v, c in secondary.items() if v in var_col and c != 0}
+    staged = {var_col[v]: _exact(c) for v, c in secondary.items() if v in var_col and c != 0}
     z_row: dict[int, Fraction] = {}
     for cost in (phase1, primary, staged):
         if not cost:
@@ -291,8 +323,9 @@ def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None)
         # The last stage's cost is its value plus sum(z_j * x_j) over nonbasic
         # columns, all z_j >= 0: its optima are the points with x_j = 0 where
         # z_j > 0 (after phase 1 ends at 0, they have every artificial at 0).
+        # A dropped flipped column stays at its upper bound.
         for col, z in z_row.items():
-            if z > 0:
+            if z.numerator > 0:
                 tab.drop_column(col)
         if cost is staged:
             reached = tab.value(primary)
@@ -306,13 +339,10 @@ def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None)
     if staged and tab.value(primary) != reached:
         raise AssertionError("solver bug: stage two moved the primary objective")
 
-    values = {col: ZERO for col in var_col.values()}
-    for rid, basic in enumerate(tab.basis):
-        if basic in values:
-            values[basic] = tab.rhs[rid]
+    x = tab.values()
     assignment = dict(fixed)
-    for v, col in var_col.items():
-        assignment[v] = bounds[v][0] + values[col]
+    for v, (lo, _) in bounds.items():
+        assignment[v] = lo + x.get(var_col[v], ZERO) if v in var_col else lo
     objective_value = sum(
         (c * assignment[v] for v, c in lp.objective.items()), ZERO
     )

@@ -126,6 +126,34 @@ class TestMalformed:
         with pytest.raises(MalformedModel):
             lp.add_variable("x")
 
+    def test_inputs_become_exact_fractions(self):
+        lp = LinearProgram()
+        half = F(1, 2)
+        lp.add_variable("x", 0, "3/2")
+        lp.add_variable("y", half, None)
+        lp.fix("x", "1/4")
+        lp.add_constraint({"x": 2, "y": half, "z": 0}, "1/3")
+        assert lp.bounds == {"x": (F(0), F(3, 2)), "y": (F(1, 2), None)}
+        assert lp.fixings == {"x": F(1, 4)}
+        assert lp.constraints == [Constraint({"x": F(2), "y": F(1, 2)}, F(1, 3))]
+        values = [*lp.bounds["x"], lp.fixings["x"], *lp.constraints[0].coeffs.values(), lp.constraints[0].rhs]
+        assert all(type(v) is Fraction for v in values)
+        # a Fraction is kept as given, not copied
+        assert lp.bounds["y"][0] is half and lp.constraints[0].coeffs["y"] is half
+
+    def test_malformed_numbers_raise(self):
+        lp = LinearProgram()
+        with pytest.raises(ValueError):
+            lp.add_variable("x", "half")
+        with pytest.raises(TypeError):
+            lp.add_variable("y", F(0), [1])
+        with pytest.raises(TypeError):
+            lp.fix("x", None)
+        with pytest.raises(ValueError):
+            lp.add_constraint({"x": "two"}, F(0))
+        with pytest.raises(ZeroDivisionError):
+            lp.add_constraint({"x": F(1)}, "1/0")
+
 
 class TestBlandRule:
     def test_beale_cycling_example_terminates(self):
@@ -140,6 +168,61 @@ class TestBlandRule:
         sol = solve(lp)
         assert sol.status is Status.OPTIMAL
         assert sol.objective_value == F(-1, 20)
+
+    def test_bounded_beale_example_terminates(self, monkeypatch):
+        # Beale's example with every structural column capped (x3 by its own
+        # row) and x3 + x4 <= 1. On a degenerate vertex with x3 basic at its
+        # cap, one entering column's step is 0 both to a slack falling to 0
+        # and to x3 reaching its cap.
+        ties = []
+
+        class Watched(lp_module._Tableau):
+            def pivot(self, rid, col, z_row):
+                kinds = set()
+                for r in self.col_rows[col]:
+                    a, basic, rhs = self.rows[r][col], self.basis[r], self.rhs[r]
+                    if self.rows[r][basic] == -1:  # complemented just now, to leave at its cap
+                        kinds.add("cap" if rhs == 0 else "")
+                    elif a > 0 and rhs == 0:
+                        kinds.add("zero")
+                    elif a < 0 and self.upper.get(basic) == rhs:
+                        kinds.add("cap")
+                ties.append({"zero", "cap"} <= kinds)
+                super().pivot(rid, col, z_row)
+
+        monkeypatch.setattr(lp_module, "_Tableau", Watched)
+        variables = ["x1", "x2", "x3", "x4"]
+        bounds = {"x1": (F(0), F(1, 25)), "x2": (F(0), F(1, 25)), "x3": (F(0), None), "x4": (F(0), F(1, 25))}
+        rows = [
+            ({"x1": F(-1, 4), "x2": 60, "x3": F(1, 25), "x4": -9}, F(0)),
+            ({"x1": F(-1, 2), "x2": 90, "x3": F(1, 50), "x4": -3}, F(0)),
+            ({"x3": -1}, F(-1)),
+            ({"x3": -1, "x4": -1}, F(-1)),
+        ]
+        objective = {"x1": F(-3, 4), "x2": 150, "x3": F(-1, 50), "x4": 6}
+        sol = solve(lp_with(variables, rows, objective, bounds=bounds))
+        assert any(ties)
+        faces = [({v: F(1)}, lo) for v, (lo, _) in bounds.items()]
+        faces += [({v: F(-1)}, -hi) for v, (_, hi) in bounds.items() if hi is not None]
+        scaled = [({v: F(c) for v, c in coeffs.items()}, rhs) for coeffs, rhs in rows]
+        assert ("optimal", F(-1, 20)) == brute_force_lp(variables, scaled + faces, objective)
+        assert sol.status is Status.OPTIMAL and sol.objective_value == F(-1, 20)
+        assert sol.assignment == {"x1": F(1, 25), "x2": F(0), "x3": F(1), "x4": F(0)}
+
+    def test_uncapped_column_is_never_flipped(self, monkeypatch):
+        complemented = []
+
+        class Counted(lp_module._Tableau):
+            def complement(self, col, z_row):
+                complemented.append(col)
+                super().complement(col, z_row)
+
+        monkeypatch.setattr(lp_module, "_Tableau", Counted)
+        # x (column 0) has no cap but x + y <= 3/2 holds it; y (column 1) flips to 1
+        lp = lp_with(["x", "y"], [({"x": -1, "y": -1}, F(-3, 2))], {"x": -1, "y": -2}, bounds={"x": (F(0), None)})
+        sol = solve(lp)
+        assert sol.assignment == {"x": F(1, 2), "y": F(1)} and sol.objective_value == F(-5, 2)
+        assert complemented and 0 not in complemented
 
     def test_degenerate_ties(self):
         # y >= x and z >= x with x >= 1/2: minimization must lift all three
@@ -405,6 +488,49 @@ def singleton_lp(rng):
     return lp, rows, {v: F(rng.randint(-2, 2)) for v in variables}
 
 
+def bounded_lp(rng):
+    """A small LP whose upper bounds bind: caps in {1/2, 1, 2, None}, lower
+    bounds 0 or 1/4, objectives and secondaries mostly negative, and rows
+    through a corner with some variables at their caps, so that steps tie
+    at an upper bound. An uncapped variable is held by a row over two
+    variables, so it keeps an uncapped column. The oracle rows list the box
+    faces, every constraint and the fixings as pairs of opposite rows."""
+    variables = [f"x{i}" for i in range(rng.randint(2, 4))]
+    lp = LinearProgram()
+    rows, constraints, corner = [], [], {}
+    for v in variables:
+        lo, hi = rng.choice([F(0), F(0), F(1, 4)]), rng.choice([F(1, 2), F(1), F(2), None])
+        lp.add_variable(v, lo, hi)
+        rows.append(({v: F(1)}, lo))
+        if hi is None:
+            other = rng.choice([w for w in variables if w != v])
+            constraints.append(({v: F(-1), other: F(-rng.randint(1, 2))}, -F(rng.randint(2, 6), 2)))
+        else:
+            rows.append(({v: F(-1)}, -hi))
+        corner[v] = hi if hi is not None and rng.random() < 0.6 else lo
+    for _ in range(rng.randint(1, 2)):
+        coeffs = {v: c for v in variables if (c := F(rng.randint(-2, 2)))}
+        if coeffs:
+            rhs = _value(coeffs, corner)
+            constraints.append((coeffs, rhs))
+            if rng.random() < 0.3:
+                constraints.append(({v: -c for v, c in coeffs.items()}, -rhs))
+    for _ in range(rng.randint(0, 2)):
+        coeffs = {v: c for v in variables if rng.random() < 0.7 and (c := F(rng.randint(-3, 3)))}
+        if coeffs:
+            constraints.append((coeffs, F(rng.randint(-3, 3), rng.randint(1, 3))))
+    rows += constraints
+    for coeffs, rhs in constraints:
+        lp.add_constraint(coeffs, rhs)
+    lp.objective = {v: c for v in variables if (c := F(rng.randint(-3, 2)))}
+    for v in variables:
+        if rng.random() < 0.15:
+            lo, hi = lp.bounds[v]
+            lp.fix(v, lo + F(rng.randint(0, 4), 4) * ((hi if hi is not None else 1) - lo))
+            rows += [({v: F(1)}, lp.fixings[v]), ({v: F(-1)}, -lp.fixings[v])]
+    return lp, rows, {v: F(rng.randint(-3, 1)) for v in variables}
+
+
 def _enumerate_vertices(lp, rows):
     """brute_force_lp over the free variables, with the fixings substituted."""
     fixed = lp.fixings
@@ -474,6 +600,19 @@ class TestReferenceSolver:
         draws = existential_lps(random.Random(7575), [F(1), F(4, 5), F(1, 2)], 3000)
         assert sum(self._compare(lp, secondary) for lp, secondary in draws) <= 30
 
+    def test_binding_upper_bounds(self, monkeypatch):
+        steps = Counter()
+
+        class Counted(lp_module._Tableau):
+            def complement(self, col, z_row):
+                assert self.upper[col] > 0  # pinned variables get no column
+                steps["leave at upper" if col in self.basis else "flip"] += 1
+                super().complement(col, z_row)
+
+        monkeypatch.setattr(lp_module, "_Tableau", Counted)
+        assert self._run(bounded_lp, 7777) <= 30
+        assert steps["flip"] >= 300 and steps["leave at upper"] >= 300
+
     def test_single_variable_rows(self):
         rng = random.Random(7676)
         statuses = Counter(solve(singleton_lp(rng)[0]).status for _ in range(300))
@@ -505,12 +644,11 @@ class TestBoundFolding:
         monkeypatch.setattr(lp_module, "_Tableau", Counted)
         program, tau = parse(KEY_PERSONS)
         lp, secondary = build_eoptk(Instance(program, tau, F(1)), oblivious_chase(program, set(tau.entries)))
-        free = [v for v in lp.variables if v not in lp.fixings]
         width = Counter(sum(v not in lp.fixings for v in c.coeffs) for c in lp.constraints)
         assert width[1] >= 5 and width[2] >= 1
         assert lexicographic_solve(lp, secondary).optimal
-        # the rows over two or more free variables, then one box row per free variable
-        assert len(added) == len(lp.constraints) - width[0] - width[1] + len(free)
+        # only the rows over two or more free variables: the [0,1] boxes are column bounds
+        assert len(added) == len(lp.constraints) - width[0] - width[1]
 
     def test_uncapped_variable_capped_by_a_row(self):
         # x has no upper bound but -2x >= -3
@@ -530,8 +668,20 @@ class TestBoundFolding:
         lp = lp_with(["x", "y"], rows, {"x": 1})
         assert solve(lp).status is Status.INFEASIBLE
 
-    def test_pinned_variable(self):
+    def test_pinned_variable(self, monkeypatch):
+        built = []
+
+        class Counted(lp_module._Tableau):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(lp_module, "_Tableau", Counted)
         # x >= 1/3 and x <= 1/3 fold to lo == hi
         rows = [({"x": 3}, F(1)), ({"x": -1}, F(-1, 3)), ({"x": 1, "y": -1}, F(0))]
         lp = lp_with(["x", "y"], rows, {"y": -1})
         assert solve(lp).assignment == {"x": F(1, 3), "y": F(1, 3)}
+        # x is a constant with no column: y's capped column and the slack of
+        # x - y >= 0, which reads 1/3 - y >= 0
+        (tab,) = built
+        assert tab.ncols == 2 and tab.upper == {0: F(1)}
