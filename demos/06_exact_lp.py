@@ -5,11 +5,14 @@ The exact rational LP layer
 Preferred models of programs with existential rules bottom out in a
 small linear-programming module; plain programs are solved by a least
 fixpoint and use it only as the reference route (`--no-fast-path`) and
-in `mvdl ground`/`check`. It has exact fractions end to end and a
-simplex with Bland's rule on one tableau per model, which minimizes
-phase 1's artificials, the objective and, for deterministic
-tie-breaking, a secondary objective in turn, each over the optima of
-the stages before it. It is usable on its own.
+in `mvdl ground`/`check`. Models are named variables with `Fraction`
+data; the solver numbers them as integer columns, scales each row to
+ints, and runs a simplex with Bland's rule on one tableau per model,
+which minimizes phase 1's artificials, the objective and, for
+deterministic tie-breaking, a secondary objective in turn, each over the
+optima of the stages before it. Every value stays an exact rational, and
+the optimum is re-checked against every row in int arithmetic. It is
+usable on its own.
 """
 
 from fractions import Fraction

@@ -144,22 +144,25 @@ def build_eoptk(
     """
     _require_complete(chase)
     universe = chase.sorted_olim()
-    name = {a: str(a) for a in universe}
+    name: dict[Atom, str] = {}
     lp = LinearProgram()
     secondary: dict[str, Fraction] = {}
     for a in universe:
-        lp.add_variable(name[a], ZERO, ONE)
-        (secondary if a.has_nulls() else lp.objective)[name[a]] = ONE
+        name[a] = v = str(a)
+        lp.add_variable(v, ZERO, ONE)
+        (secondary if a.has_nulls() else lp.objective)[v] = ONE
     for a, d in instance.database.entries.items():
         lp.fix(name[a], d)
     K = instance.K
     index = _Index(set(universe))
     for g in chase.gamma:
-        coeffs: dict[str, Fraction] = {}
+        coeffs: dict[str, int] = {}
         for h in _head_atoms(instance.program.rule_by_id(g.origin_rule_id), g, index):
-            coeffs[name[h]] = coeffs.get(name[h], ZERO) + ONE
+            v = name[h]
+            coeffs[v] = coeffs.get(v, 0) + 1
         for b in g.body:
-            coeffs[name[b]] = coeffs.get(name[b], ZERO) - ONE
+            v = name[b]
+            coeffs[v] = coeffs.get(v, 0) - 1
         lp.add_constraint(coeffs, K - len(g.body))
     return lp, secondary
 

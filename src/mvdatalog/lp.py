@@ -1,33 +1,69 @@
 """Exact-rational linear programming.
 
-A self-contained simplex over `fractions.Fraction` with Bland's
-anti-cycling rule. Floating point is deliberately avoided: the reasoning
-layer turns optima into yes/no decisions and needs exact arithmetic.
+A self-contained simplex with Bland's anti-cycling rule over exact
+rationals: Python `int`s where a value is whole, `fractions.Fraction`
+elsewhere, and no floating point anywhere. The reasoning layer turns
+optima into yes/no decisions and needs exact arithmetic.
 
-Models are small structured objects: box-bounded variables, optional
-exact fixings, and >=-constraints. `solve` reads the model in one pass:
-fixings fold into the right-hand sides, and a row left with one free
-variable folds into that variable's bounds. The other rows go into one
-sparse tableau, the variables shifted to start at their folded lower
-bounds and their upper bounds kept on the columns, not as rows (Dantzig's
-bounded-variable simplex, Econometrica 1955). `solve` minimizes on it, in
-turn, phase 1's artificials, the objective and optionally a secondary
-objective, each stage over the optima of the stages before it.
+Models are small structured objects over named, `Fraction`-valued data:
+box-bounded variables, optional exact fixings, and >=-constraints.
+`solve` numbers the variables once, in declaration order, as integer
+columns, and scales each constraint by the lcm of its denominators to a
+row of `int`s. The model checks, the fold and the final audit run on
+those rows: fixings fold into the right-hand sides, and a row left with
+one free variable folds into that variable's bounds. The other rows go
+into one sparse tableau, the variables shifted to start at their folded
+lower bounds and their upper bounds kept on the columns, not as rows
+(Dantzig's bounded-variable simplex, Econometrica 1955). `solve`
+minimizes on it, in turn, phase 1's artificials, the objective and
+optionally a secondary objective, each stage over the optima of the
+stages before it. Bland's entering column is the top of a min-heap of
+the columns whose reduced cost is negative, kept up to date by the
+pivots, not a scan of the whole z-row. The optimum is re-checked against
+every original row, bound and fixing in `int` arithmetic, cross-multiplied
+over the assignment's common denominator.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from math import gcd, lcm
+from typing import Iterable, Mapping, Optional, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+Rational = Union[int, Fraction]
+
 
 def _exact(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
+
+
+def _less(a: Rational, b: Rational) -> bool:
+    """a < b, cross-multiplied in ints."""
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
+def _take(n: int, d: int, a: int, x: Rational) -> tuple[int, int]:
+    """n/d - a*x as a numerator over a denominator d grows into, in ints."""
+    xd = x.denominator
+    if d % xd:
+        grow = xd // gcd(d, xd)
+        n *= grow
+        d *= grow
+    return n - a * x.numerator * (d // xd), d
+
+
+def _quotient(n: Rational, d: Rational) -> Rational:
+    """n / d exactly; an int when both are ints and d divides n."""
+    if type(n) is int and type(d) is int:
+        q, r = divmod(n, d)
+        return Fraction(n, d) if r else q
+    return n / d
 
 
 class MalformedModel(ValueError):
@@ -72,30 +108,74 @@ class LinearProgram:
         self.fixings[name] = _exact(value)
 
     def add_constraint(self, coeffs: Mapping[str, Fraction], rhs: Fraction) -> None:
+        """Add sum(coeffs) >= rhs; a coefficient equal to 0, in any
+        spelling, is left out."""
         self.constraints.append(
-            Constraint({v: _exact(c) for v, c in coeffs.items() if c != 0}, _exact(rhs))
+            Constraint({v: a for v, c in coeffs.items() if (a := _exact(c))}, _exact(rhs))
         )
 
     def validate(self, secondary: Iterable[str] = ()) -> None:
-        declared = set(self.bounds)
-        if len(self.variables) != len(declared):
+        _Columns(self, secondary)
+
+
+class _Columns:
+    """A checked `LinearProgram` over integer columns: column j is
+    lp.variables[j], and each constraint is a row (coeffs, rhs, scale) of
+    ints, the original row times `scale`, the lcm of its denominators.
+    Raises MalformedModel on inconsistent data."""
+
+    def __init__(self, lp: LinearProgram, secondary: Iterable[str] = ()) -> None:
+        self.names = lp.variables
+        self.index = index = {v: j for j, v in enumerate(lp.variables)}
+        if len(index) != len(lp.variables) or index.keys() != lp.bounds.keys():
             raise MalformedModel("variable list and bounds disagree")
-        for lo, hi in self.bounds.values():
-            if hi is not None and lo > hi:
-                raise MalformedModel("lower bound above upper bound")
-        for name, value in self.fixings.items():
-            if name not in declared:
+        self.bounds = [lp.bounds[v] for v in lp.variables]
+        if any(hi is not None and _less(hi, lo) for lo, hi in self.bounds):
+            raise MalformedModel("lower bound above upper bound")
+        self.fixed: dict[int, Fraction] = {}
+        for name, value in lp.fixings.items():
+            if name not in index:
                 raise MalformedModel(f"fixing of undeclared variable {name!r}")
-            lo, hi = self.bounds[name]
-            if value < lo or (hi is not None and value > hi):
+            lo, hi = lp.bounds[name]
+            if _less(value, lo) or (hi is not None and _less(hi, value)):
                 raise MalformedModel(f"fixed value {value} of {name!r} outside bounds")
-        for c in self.constraints:
-            for v in c.coeffs:
-                if v not in declared:
-                    raise MalformedModel(f"constraint references undeclared variable {v!r}")
-        for v in (*self.objective, *secondary):
-            if v not in declared:
+            self.fixed[index[name]] = value
+        self.rows: list[tuple[dict[int, int], int, int]] = []
+        for c in lp.constraints:
+            scale = lcm(c.rhs.denominator, *[a.denominator for a in c.coeffs.values()])
+            try:
+                row = {index[v]: a.numerator * (scale // a.denominator) for v, a in c.coeffs.items()}
+            except KeyError as exc:
+                raise MalformedModel(f"constraint references undeclared variable {exc.args[0]!r}") from None
+            self.rows.append((row, c.rhs.numerator * (scale // c.rhs.denominator), scale))
+        for v in (*lp.objective, *secondary):
+            if v not in index:
                 raise MalformedModel(f"objective references undeclared variable {v!r}")
+
+
+def _audit(cols: _Columns, assignment: Mapping[str, Fraction]) -> tuple[list[int], int]:
+    """Exact feasibility re-check of a claimed-optimal assignment.
+
+    With d the common denominator of the assignment's values and p[j]
+    column j's value times d, every original row, bound and fixing is an
+    inequality between ints. Returns (p, d).
+    """
+    point = [_exact(assignment[v]) for v in cols.names]
+    d = lcm(*[x.denominator for x in point])
+    p = [x.numerator * (d // x.denominator) for x in point]
+    for j, (lo, hi) in enumerate(cols.bounds):
+        if p[j] * lo.denominator < lo.numerator * d or (
+            hi is not None and p[j] * hi.denominator > hi.numerator * d
+        ):
+            raise AssertionError(f"solver bug: {cols.names[j]} = {point[j]} violates bounds")
+    for j, value in cols.fixed.items():
+        if p[j] * value.denominator != value.numerator * d:
+            raise AssertionError(f"solver bug: fixing of {cols.names[j]} not honoured")
+    for row, rhs, scale in cols.rows:
+        short = rhs * d - sum(a * p[j] for j, a in row.items())
+        if short > 0:
+            raise AssertionError(f"solver bug: constraint violated by {Fraction(short, d * scale)}")
+    return p, d
 
 
 @dataclass(frozen=True)
@@ -109,19 +189,40 @@ class Solution:
         return self.status is Status.OPTIMAL
 
 
+class _ZRow(dict):
+    """Column -> nonzero reduced cost, with `heap`, a min-heap that holds
+    every column whose cost is negative. Entries are not removed when a
+    cost turns non-negative; `entering` discards them lazily."""
+
+    def __init__(self, costs: dict[int, Rational]) -> None:
+        super().__init__(costs)
+        self.heap = [col for col, z in costs.items() if z.numerator < 0]
+        heapq.heapify(self.heap)
+
+    def entering(self) -> Optional[int]:
+        """Bland's entering column: the lowest one of negative cost."""
+        heap = self.heap
+        while heap:
+            z = self.get(heap[0])
+            if z is not None and z.numerator < 0:
+                return heap[0]
+            heapq.heappop(heap)
+        return None
+
+
 class _Tableau:
     """Sparse simplex tableau in equational form, 0 <= x_j <= upper.get(j).
     A `flipped` column stands for upper[j] - x_j, so every nonbasic column
     reads 0: at its lower bound or, flipped, at its upper bound."""
 
     def __init__(self) -> None:
-        self.rows: list[dict[int, Fraction]] = []
-        self.rhs: list[Fraction] = []
+        self.rows: list[dict[int, Rational]] = []
+        self.rhs: list[Rational] = []
         self.basis: list[int] = []
         self.col_rows: dict[int, set[int]] = {}
         self.ncols = 0
         self.artificials: list[int] = []
-        self.upper: dict[int, Fraction] = {}
+        self.upper: dict[int, Rational] = {}
         self.flipped: set[int] = set()
 
     def new_column(self) -> int:
@@ -130,19 +231,19 @@ class _Tableau:
         self.col_rows[col] = set()
         return col
 
-    def add_ge(self, coeffs: dict[int, Fraction], rhs: Fraction) -> None:
+    def add_ge(self, coeffs: dict[int, Rational], rhs: Rational) -> None:
         """Add the row sum(coeffs) >= rhs with a basic slack, or, when the
         all-zero point violates it, a surplus and a basic artificial."""
         if rhs <= 0:
             basic = self.new_column()
             row = {c: -a for c, a in coeffs.items()}
-            row[basic] = ONE
+            row[basic] = 1
             rhs = -rhs
         else:
             row = coeffs
-            row[self.new_column()] = Fraction(-1)
+            row[self.new_column()] = -1
             basic = self.new_column()
-            row[basic] = ONE
+            row[basic] = 1
             self.artificials.append(basic)
         rid = len(self.rows)
         self.rows.append(row)
@@ -151,7 +252,7 @@ class _Tableau:
         for col in row:
             self.col_rows[col].add(rid)
 
-    def set_entry(self, rid: int, col: int, value: Fraction) -> None:
+    def set_entry(self, rid: int, col: int, value: Rational) -> None:
         row = self.rows[rid]
         if value == 0:
             if col in row:
@@ -162,22 +263,25 @@ class _Tableau:
                 self.col_rows[col].add(rid)
             row[col] = value
 
-    def pivot(self, rid: int, col: int, z_row: dict[int, Fraction]) -> None:
+    def pivot(self, rid: int, col: int, z_row: _ZRow) -> None:
         """Make `col` basic in row `rid`, updating the z-row too."""
         row = self.rows[rid]
         pivot = row[col]
         if pivot != 1:
             for c in list(row):
-                row[c] /= pivot
-            self.rhs[rid] /= pivot
-        factor = z_row.get(col, ZERO)
+                row[c] = _quotient(row[c], pivot)
+            self.rhs[rid] = _quotient(self.rhs[rid], pivot)
+        factor = z_row.get(col, 0)
         if factor != 0:
             for c, v in row.items():
-                nv = z_row.get(c, ZERO) - factor * v
+                old = z_row.get(c, 0)
+                nv = old - factor * v
                 if nv == 0:
                     z_row.pop(c, None)
                 else:
                     z_row[c] = nv
+                    if nv.numerator < 0 <= old.numerator:
+                        heapq.heappush(z_row.heap, c)
         for other in list(self.col_rows[col]):
             if other == rid:
                 continue
@@ -185,11 +289,11 @@ class _Tableau:
             if f is None or f == 0:
                 continue
             for c, v in row.items():
-                self.set_entry(other, c, self.rows[other].get(c, ZERO) - f * v)
+                self.set_entry(other, c, self.rows[other].get(c, 0) - f * v)
             self.rhs[other] -= f * self.rhs[rid]
         self.basis[rid] = col
 
-    def complement(self, col: int, z_row: dict[int, Fraction]) -> None:
+    def complement(self, col: int, z_row: _ZRow) -> None:
         """Substitute upper[col] - x for column `col`; a basic column's row
         is left with coefficient -1 on it, to be pivoted out next."""
         u = self.upper[col]
@@ -199,6 +303,8 @@ class _Tableau:
             row[col] = -row[col]
         if col in z_row:
             z_row[col] = -z_row[col]
+            if z_row[col].numerator < 0:
+                heapq.heappush(z_row.heap, col)
         self.flipped ^= {col}
 
     def drop_column(self, col: int) -> None:
@@ -206,43 +312,43 @@ class _Tableau:
             self.rows[rid].pop(col, None)
         self.col_rows.pop(col, None)
 
-    def reduced_costs(self, cost: dict[int, Fraction]) -> dict[int, Fraction]:
+    def reduced_costs(self, cost: dict[int, Rational]) -> _ZRow:
         """z-row = cost - cost_B * B^-1 A over the columns still present,
         the cost of a flipped column negated."""
         signed = {col: -c if col in self.flipped else c for col, c in cost.items() if col in self.col_rows}
         z = dict(signed)
         for rid, basic in enumerate(self.basis):
-            c_b = signed.get(basic, ZERO)
+            c_b = signed.get(basic, 0)
             if c_b == 0:
                 continue
             for col, v in self.rows[rid].items():
-                nv = z.get(col, ZERO) - c_b * v
+                nv = z.get(col, 0) - c_b * v
                 if nv == 0:
                     z.pop(col, None)
                 else:
                     z[col] = nv
-        return z
+        return _ZRow(z)
 
-    def values(self) -> dict[int, Fraction]:
+    def values(self) -> dict[int, Rational]:
         """The current basic solution, flips undone; absent columns are 0."""
         x = {col: self.upper[col] for col in self.flipped}
         for rid, b in enumerate(self.basis):
             x[b] = self.upper[b] - self.rhs[rid] if b in self.flipped else self.rhs[rid]
         return x
 
-    def value(self, cost: dict[int, Fraction]) -> Fraction:
+    def value(self, cost: dict[int, Rational]) -> Rational:
         """The current basic solution's cost."""
         x = self.values()
-        return sum((c * x[col] for col, c in cost.items() if col in x), ZERO)
+        return sum(c * x[col] for col, c in cost.items() if col in x)
 
 
-def _simplex_loop(tab: _Tableau, z_row: dict[int, Fraction]) -> bool:
+def _simplex_loop(tab: _Tableau, z_row: _ZRow) -> bool:
     """Bland-rule pivoting; True when optimal, False when unbounded. The
     entering column's step ends where a basic column falls to 0 or reaches
     its upper bound (then it leaves flipped), or at the entering column's
     own bound (a flip, no pivot); ties go to the lowest leaving column."""
     while True:
-        entering = min((col for col, z in z_row.items() if z.numerator < 0), default=None)
+        entering = z_row.entering()
         if entering is None:
             return True
         cap = tab.upper.get(entering)
@@ -250,9 +356,9 @@ def _simplex_loop(tab: _Tableau, z_row: dict[int, Fraction]) -> bool:
         for rid in tab.col_rows[entering]:
             a, basic = tab.rows[rid][entering], tab.basis[rid]
             if a.numerator > 0:
-                step = tab.rhs[rid] / a
+                step = _quotient(tab.rhs[rid], a)
             elif basic in tab.upper:
-                step = (tab.rhs[rid] - tab.upper[basic]) / a
+                step = _quotient(tab.rhs[rid] - tab.upper[basic], a)
             else:
                 continue
             if best is None or (step, basic) < best[:2]:
@@ -281,42 +387,62 @@ def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None)
     constraint, bound, and fixing.
     """
     secondary = secondary or {}
-    lp.validate(secondary)
-    fixed = lp.fixings
-    bounds = {v: lp.bounds[v] for v in lp.variables if v not in fixed}
-    rows: list[tuple[dict[str, Fraction], Fraction]] = []
-    for c in lp.constraints:
-        coeffs: dict[str, Fraction] = {}
-        rhs = c.rhs
-        for v, a in c.coeffs.items():
-            if v in fixed:
-                rhs -= a * fixed[v]
-            elif a != 0:
-                coeffs[v] = a
-        if len(coeffs) == 1:
-            ((v, a),) = coeffs.items()
-            lo, hi = bounds[v]
+    cols = _Columns(lp, secondary)
+    fixed = cols.fixed
+    lo = [b[0] for b in cols.bounds]
+    hi = [b[1] for b in cols.bounds]
+    rows: list[tuple[dict[int, int], int, int, int]] = []
+    for row, rhs, scale in cols.rows:
+        # substitute the fixings: sum over free columns of row[j] * x_j >= rhs / den
+        free: dict[int, int] = {}
+        den = 1
+        for j, a in row.items():
+            if j in fixed:
+                rhs, den = _take(rhs, den, a, fixed[j])
+            elif a:
+                free[j] = a
+        if len(free) == 1:
+            ((j, a),) = free.items()
+            bound = Fraction(rhs, den * a)
             if a > 0:
-                bounds[v] = (max(lo, rhs / a), hi)
-            else:
-                bounds[v] = (lo, rhs / a if hi is None else min(hi, rhs / a))
-        elif coeffs:
-            rows.append((coeffs, rhs))
+                if _less(lo[j], bound):
+                    lo[j] = bound
+            elif hi[j] is None or _less(bound, hi[j]):
+                hi[j] = bound
+        elif free:
+            rows.append((free, rhs, den, scale))
         elif rhs > 0:
             return Solution(Status.INFEASIBLE, {}, None)
-    if any(hi is not None and lo > hi for lo, hi in bounds.values()):
-        return Solution(Status.INFEASIBLE, {}, None)
+    free_cols = [j for j in range(len(lo)) if j not in fixed]
     tab = _Tableau()
-    var_col = {v: tab.new_column() for v, (lo, hi) in bounds.items() if lo != hi}
-    tab.upper = {col: bounds[v][1] - bounds[v][0] for v, col in var_col.items() if bounds[v][1] is not None}
-    for coeffs, rhs in rows:
-        rhs -= sum((a * bounds[v][0] for v, a in coeffs.items()), ZERO)
-        tab.add_ge({var_col[v]: a for v, a in coeffs.items() if v in var_col}, rhs)
+    var_col: dict[int, int] = {}
+    for j in free_cols:
+        if hi[j] is None:
+            var_col[j] = tab.new_column()
+            continue
+        width, den = _take(hi[j].numerator, hi[j].denominator, 1, lo[j])
+        if width < 0:  # crossing bounds
+            return Solution(Status.INFEASIBLE, {}, None)
+        if width:
+            var_col[j] = tab.new_column()
+            tab.upper[var_col[j]] = _quotient(width, den)
+    for free, rhs, den, scale in rows:
+        for j, a in free.items():  # shift x_j to start at lo[j]
+            rhs, den = _take(rhs, den, a, lo[j])
+        tab.add_ge(
+            {var_col[j]: _quotient(a, scale) for j, a in free.items() if j in var_col},
+            _quotient(rhs, den * scale),
+        )
 
-    phase1 = {a: ONE for a in tab.artificials}
-    primary = {var_col[v]: c for v, c in lp.objective.items() if v in var_col and c != 0}
-    staged = {var_col[v]: _exact(c) for v, c in secondary.items() if v in var_col and c != 0}
-    z_row: dict[int, Fraction] = {}
+    def columns(costs: Mapping[str, Fraction]) -> dict[int, Rational]:
+        # a whole cost becomes an int, as whole tableau entries are
+        pairs = ((cols.index[v], _exact(c)) for v, c in costs.items() if c)
+        return {var_col[j]: c.numerator if c.denominator == 1 else c for j, c in pairs if j in var_col}
+
+    phase1 = {a: 1 for a in tab.artificials}
+    primary = columns(lp.objective)
+    staged = columns(secondary)
+    z_row = _ZRow({})
     for cost in (phase1, primary, staged):
         if not cost:
             continue
@@ -340,29 +466,15 @@ def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None)
         raise AssertionError("solver bug: stage two moved the primary objective")
 
     x = tab.values()
-    assignment = dict(fixed)
-    for v, (lo, _) in bounds.items():
-        assignment[v] = lo + x.get(var_col[v], ZERO) if v in var_col else lo
-    objective_value = sum(
-        (c * assignment[v] for v, c in lp.objective.items()), ZERO
-    )
-    _audit(lp, assignment)
-    return Solution(Status.OPTIMAL, assignment, objective_value)
-
-
-def _audit(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
-    """Exact feasibility re-check of a claimed-optimal assignment."""
-    for v, (lo, hi) in lp.bounds.items():
-        x = assignment[v]
-        if x < lo or (hi is not None and x > hi):
-            raise AssertionError(f"solver bug: {v} = {x} violates bounds")
-    for v, value in lp.fixings.items():
-        if assignment[v] != value:
-            raise AssertionError(f"solver bug: fixing of {v} not honoured")
-    for c in lp.constraints:
-        lhs = sum((a * assignment[v] for v, a in c.coeffs.items()), ZERO)
-        if lhs < c.rhs:
-            raise AssertionError(f"solver bug: constraint violated by {c.rhs - lhs}")
+    assignment = {cols.names[j]: value for j, value in fixed.items()}
+    for j in free_cols:
+        shift = x.get(var_col.get(j), 0)  # 0 for a variable with no column
+        assignment[cols.names[j]] = _exact(lo[j] + shift if shift else lo[j])
+    p, d = _audit(cols, assignment)
+    weights = [(cols.index[v], _exact(c)) for v, c in lp.objective.items()]
+    scale = lcm(*[c.denominator for _, c in weights])
+    total = sum(c.numerator * (scale // c.denominator) * p[j] for j, c in weights)
+    return Solution(Status.OPTIMAL, assignment, Fraction(total, scale * d))
 
 
 def lexicographic_solve(lp: LinearProgram, secondary: Mapping[str, Fraction]) -> Solution:

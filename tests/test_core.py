@@ -1,3 +1,5 @@
+import copy as copy_module
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from mvdatalog.core import (
     Atom,
+    Constant,
     DomainError,
     FuzzyDatabase,
     GroundRule,
@@ -211,3 +214,20 @@ class TestInstanceImmutability:
     def test_atoms_are_map_keys(self):
         d = {atom("p", "a"): 1}
         assert d[atom("p", "a")] == 1
+
+    def test_cached_hash_equal_across_constructions(self):
+        a = atom("r", "a", "_:n1")
+        b = Atom("r", (Constant("a"), Constant("_:n1")))
+        c = Atom("r", (Constant("a"), LabelledNull(1)))
+        assert a == b and a is not b and hash(a) == hash(b) == hash(a)
+        assert hash(a) == hash(("r", a.args))  # the value the dataclass hash had
+        assert a != c and {a: 1, c: 2}[b] == 1
+        assert repr(a) == "Atom(predicate='r', args=(Constant(name='a'), Constant(name='_:n1')))"
+
+    def test_cached_hash_is_not_pickled(self):
+        fresh = pickle.dumps(atom("q", "a"))
+        hashed = atom("q", "a")
+        hash(hashed)
+        assert pickle.dumps(hashed) == fresh
+        for twin in (pickle.loads(fresh), copy_module.copy(hashed), copy_module.deepcopy(hashed)):
+            assert twin == hashed and hash(twin) == hash(hashed)

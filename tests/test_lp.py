@@ -7,6 +7,7 @@ import pytest
 import helpers
 from helpers import (
     brute_force_lp,
+    fraction_solve,
     random_degree,
     random_existential_program,
     reference_solve,
@@ -140,6 +141,16 @@ class TestMalformed:
         assert all(type(v) is Fraction for v in values)
         # a Fraction is kept as given, not copied
         assert lp.bounds["y"][0] is half and lp.constraints[0].coeffs["y"] is half
+
+    def test_zero_coefficient_dropped_in_any_spelling(self):
+        # a zero entry on an undeclared variable is no reference to it
+        for zero in (0, "0", "0/5", "0.00", F(0), F(0, 5)):
+            lp = LinearProgram()
+            lp.add_variable("x")
+            lp.add_constraint({"x": 1, "z": zero}, F(1, 2))
+            assert lp.constraints == [Constraint({"x": F(1)}, F(1, 2))]
+            lp.validate()
+            assert solve(lp).assignment == {"x": F(1, 2)}
 
     def test_malformed_numbers_raise(self):
         lp = LinearProgram()
@@ -531,6 +542,53 @@ def bounded_lp(rng):
     return lp, rows, {v: F(rng.randint(-3, 1)) for v in variables}
 
 
+MIXED_DENOMINATORS = (1, 3, 7, 12)
+
+
+def mixed_denominator_lp(rng):
+    """A small LP whose coefficients, right-hand sides, bounds and fixings
+    are built from denominators 3, 7 and 12 (a row over all three scales
+    by 84), with coefficients of both signs and some uncapped variables.
+    Every uncapped variable is held by a row with a negative coefficient
+    on it, so no objective is unbounded. The oracle rows list the box
+    faces, every constraint and the fixings as pairs of opposite rows."""
+
+    def q(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice(MIXED_DENOMINATORS))
+
+    variables = [f"x{i}" for i in range(rng.randint(2, 4))]
+    lp = LinearProgram()
+    rows, constraints, inner = [], [], {}
+    for v in variables:
+        lo = q(0, 3)
+        hi = None if rng.random() < 0.3 else lo + q(1, 7)
+        lp.add_variable(v, lo, hi)
+        rows.append(({v: F(1)}, lo))
+        if hi is not None:
+            rows.append(({v: F(-1)}, -hi))
+        inner[v] = lo + q(0, 4) * ((hi - lo) if hi is not None else 1) / 4
+    for v in variables:
+        if lp.bounds[v][1] is None:
+            other = rng.choice([w for w in variables if w != v])
+            coeffs = {v: -q(1, 7), other: -q(0, 7)}
+            constraints.append((coeffs, _value(coeffs, inner) - q(0, 12)))
+    # rows through or beside a point of the box: most keep it, some cut it off
+    for _ in range(rng.randint(1, 4)):
+        coeffs = {v: c for v in variables if rng.random() < 0.7 and (c := q(-7, 7))}
+        if coeffs:
+            constraints.append((coeffs, _value(coeffs, inner) + q(-6, 3)))
+    rows += constraints
+    for coeffs, rhs in constraints:
+        lp.add_constraint(coeffs, rhs)
+    lp.objective = {v: c for v in variables if (c := q(-3, 3))}
+    for v in variables:
+        if rng.random() < 0.2:
+            lo, hi = lp.bounds[v]
+            lp.fix(v, lo + q(0, 4) * ((hi - lo) if hi is not None else 1) / 4)
+            rows += [({v: F(1)}, lp.fixings[v]), ({v: F(-1)}, -lp.fixings[v])]
+    return lp, rows, {v: q(-3, 3) for v in variables}
+
+
 def _enumerate_vertices(lp, rows):
     """brute_force_lp over the free variables, with the fixings substituted."""
     fixed = lp.fixings
@@ -618,6 +676,108 @@ class TestReferenceSolver:
         statuses = Counter(solve(singleton_lp(rng)[0]).status for _ in range(300))
         assert statuses[Status.OPTIMAL] >= 100 and statuses[Status.INFEASIBLE] >= 30
         assert self._run(singleton_lp, 7676) <= 30
+
+    def test_mixed_denominators(self):
+        rng = random.Random(7878)
+        statuses = Counter(solve(mixed_denominator_lp(rng)[0]).status for _ in range(300))
+        assert statuses[Status.OPTIMAL] >= 100 and statuses[Status.INFEASIBLE] >= 30
+        assert self._run(mixed_denominator_lp, 7878) <= 30
+
+
+def _traced(monkeypatch, module, name):
+    """Replace module.name, a tableau class, by a subclass that logs every
+    pivot and complement; returns the log."""
+    log = []
+
+    class Traced(getattr(module, name)):
+        def pivot(self, rid, col, z_row):
+            log.append(("pivot", rid, col))
+            super().pivot(rid, col, z_row)
+
+        def complement(self, col, z_row):
+            log.append(("flip", col))
+            super().complement(col, z_row)
+
+    monkeypatch.setattr(module, name, Traced)
+    return log
+
+
+class TestFractionSolver:
+    """`solve` against the name-keyed Fraction solver it replaced: the
+    same Bland pivots, so the same Solution, assignment and all."""
+
+    def _run(self, monkeypatch, draws):
+        ours = _traced(monkeypatch, lp_module, "_Tableau")
+        theirs = _traced(monkeypatch, helpers, "_BoundedTableau")
+        statuses = Counter()
+        for lp, secondary in draws:
+            sol, ref = solve(lp, secondary), fraction_solve(lp, secondary)
+            assert sol == ref and list(sol.assignment) == list(ref.assignment)
+            assert all(type(v) is Fraction for v in (*sol.assignment.values(), sol.objective_value or F(0)))
+            assert ours == theirs
+            statuses[sol.status] += 1
+            ours.clear()
+            theirs.clear()
+        return statuses
+
+    @staticmethod
+    def _draws(draw, seed, count=1000):
+        rng = random.Random(seed)
+        for _ in range(count):
+            lp, _, secondary = draw(rng)
+            yield lp, secondary
+
+    def test_random_lps_with_fixings(self, monkeypatch):
+        assert self._run(monkeypatch, self._draws(random_fixed_lp, 8181))[Status.OPTIMAL] >= 300
+
+    def test_redundant_rows_and_equalities(self, monkeypatch):
+        assert self._run(monkeypatch, self._draws(redundant_lp, 8282))[Status.OPTIMAL] >= 300
+
+    def test_existential_preferred_model_lps(self, monkeypatch):
+        draws = existential_lps(random.Random(8383), [F(1), F(4, 5), F(1, 2)], 1000)
+        assert self._run(monkeypatch, draws)[Status.OPTIMAL] >= 500
+
+    def test_binding_upper_bounds(self, monkeypatch):
+        assert self._run(monkeypatch, self._draws(bounded_lp, 8484))[Status.OPTIMAL] >= 300
+
+    def test_single_variable_rows(self, monkeypatch):
+        statuses = self._run(monkeypatch, self._draws(singleton_lp, 8585))
+        assert statuses[Status.OPTIMAL] >= 300 and statuses[Status.INFEASIBLE] >= 100
+
+    def test_mixed_denominators(self, monkeypatch):
+        statuses = self._run(monkeypatch, self._draws(mixed_denominator_lp, 8686))
+        assert statuses[Status.OPTIMAL] >= 300 and statuses[Status.INFEASIBLE] >= 100
+
+
+class TestAudit:
+    """The integer audit rejects a point that misses a row, a bound or a
+    fixing by the smallest step the data allows."""
+
+    @staticmethod
+    def _columns():
+        # x/7 + y/12 - z/3 >= 7/36 scales by 252; z is fixed at 5/12
+        lp = lp_with(["x", "y", "z"], [({"x": F(1, 7), "y": F(1, 12), "z": F(-1, 3)}, F(7, 36))], {"x": 1})
+        lp.bounds["x"] = (F(0), F(3))
+        lp.bounds["y"] = (F(0), None)
+        lp.fix("z", F(5, 12))
+        return lp_module._Columns(lp)
+
+    def test_feasible_point_passes(self):
+        p, d = lp_module._audit(self._columns(), {"x": F(3), "y": F(0), "z": F(5, 12)})
+        assert d == 12 and p == [36, 0, 5]
+
+    def test_row_short_by_one_84th(self):
+        # 9/28 - 5/36 = 23/126, 1/84 below 7/36
+        with pytest.raises(AssertionError, match="constraint violated by 1/84"):
+            lp_module._audit(self._columns(), {"x": F(9, 4), "y": F(0), "z": F(5, 12)})
+
+    def test_bound_exceeded(self):
+        with pytest.raises(AssertionError, match="violates bounds"):
+            lp_module._audit(self._columns(), {"x": F(3) + F(1, 84), "y": F(0), "z": F(5, 12)})
+
+    def test_fixing_moved(self):
+        with pytest.raises(AssertionError, match="fixing of z not honoured"):
+            lp_module._audit(self._columns(), {"x": F(3), "y": F(0), "z": F(5, 12) - F(1, 84)})
 
 
 KEY_PERSONS = """
