@@ -6,18 +6,19 @@ Preferred models of programs with existential rules bottom out in a
 small linear-programming module; plain programs are solved by a least
 fixpoint and use it only as the reference route (`--no-fast-path`) and
 in `mvdl ground`/`check`. Models are named variables with `Fraction`
-data; the solver numbers them as integer columns, scales each row to
-ints, and runs a simplex with Bland's rule on one tableau per model,
-which minimizes phase 1's artificials, the objective and, for
-deterministic tie-breaking, a secondary objective in turn, each over the
-optima of the stages before it. Every value stays an exact rational, and
-the optimum is re-checked against every row in int arithmetic. It is
-usable on its own.
+data. `solve(lp, secondary)` is its one entry point: it numbers the
+variables as integer columns, scales each row to ints, and runs a
+simplex with Bland's rule on one tableau per model, which minimizes
+phase 1's artificials, the objective and, when `secondary` is given for
+deterministic tie-breaking, that form in turn, each over the optima of
+the stages before it. Every value stays an exact rational, and the
+optimum is re-checked against every row in int arithmetic. It is usable
+on its own.
 """
 
 from fractions import Fraction
 
-from mvdatalog.lp import LinearProgram, lexicographic_solve, solve
+from mvdatalog.lp import LinearProgram, solve
 
 F = Fraction
 
@@ -45,7 +46,8 @@ pinned.objective = {"x": F(1)}
 print(f"\npinned below a constraint: {solve(pinned).status.value}")
 
 # Staged objectives: several points minimize the primary objective; the
-# secondary form picks one of them deterministically. Each stage ends by
+# secondary form, solve's second argument, picks one of them
+# deterministically. Each stage ends by
 # dropping the columns with a strictly positive reduced cost, so the next
 # one moves over the previous stage's optima only.
 tie = LinearProgram()
@@ -53,5 +55,5 @@ tie.add_variable("a", F(0), F(1))
 tie.add_variable("b", F(0), F(1))
 tie.add_constraint({"a": F(1), "b": F(1)}, F(1))  # a + b >= 1
 tie.objective = {}  # primary: indifferent
-staged = lexicographic_solve(tie, {"a": F(1)})  # then: prefer small a
+staged = solve(tie, {"a": F(1)})  # then: prefer small a
 print(f"\ntie broken toward a=0: a={staged.assignment['a']}, b={staged.assignment['b']}")

@@ -199,7 +199,7 @@ def cmd_check(args) -> int:
         try:
             engine.model
             payload["satisfiable"] = True
-        except (Unsatisfiable, NoObliviousBaseModel):
+        except NoObliviousBaseModel:  # Unsatisfiable included
             payload["satisfiable"] = False
         except TruncatedChase:
             _emit(payload, args.format == "json")

@@ -29,7 +29,7 @@ class ArityError(ValueError):
 def as_degree(value: RationalLike, *, positive: bool = False) -> Fraction:
     """Coerce to an exact truth degree in [0, 1] ((0, 1] when positive=True)."""
     try:
-        degree = Fraction(value)
+        degree = value if type(value) is Fraction else Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational degree: {value!r}") from exc
     if degree < ZERO or degree > ONE:
@@ -257,12 +257,15 @@ class FuzzyDatabase:
     entries: dict[Atom, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        exact = True
         for a, d in self.entries.items():
             if not a.is_ground():
                 raise DomainError(f"database atom {a} is not ground")
             if a.has_nulls():
                 raise DomainError(f"database atom {a} contains a labelled null")
-            as_degree(d, positive=True)
+            exact &= as_degree(d, positive=True) is d
+        if not exact:  # keep the exact degrees, in a copy: the caller's dict stays as it is
+            object.__setattr__(self, "entries", {a: as_degree(d) for a, d in self.entries.items()})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Atom, RationalLike]]) -> "FuzzyDatabase":
@@ -331,7 +334,7 @@ class Instance:
     K: Fraction = ONE
 
     def __post_init__(self) -> None:
-        as_degree(self.K, positive=True)
+        object.__setattr__(self, "K", as_degree(self.K, positive=True))
         infer_signature(self.database.entries, self.program.signature)
 
 

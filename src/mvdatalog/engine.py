@@ -1,19 +1,21 @@
 """Model computation and fact entailment.
 
 Pipeline: chase the crisp instance once, then solve over what it
-returns. The chase result is the one source of the universe: its atoms
-(olim, sorted once per chase) are the LP's columns and the model's
-atoms, an atom is active exactly when it is null-free, and each ground
-rule's head sum comes from `_head_atoms`, a lookup in the chase's hash
-index on the head's non-existential positions. Plain programs get their
-unique minimal model as the exact least fixpoint of
+returns. `Engine.model` is the one place that picks the route, by the
+program class; `minimal_model`, `preferred_model` and `k_truth` all go
+through it. The chase result is the one source of the universe: its
+atoms (olim, sorted once per chase) are the LP's columns and the
+model's atoms, an atom is active exactly when it is null-free, and each
+ground rule's head sum comes from `_head_atoms`, a lookup in the
+chase's hash index on the head's non-existential positions. Plain
+programs get their unique minimal model as the exact least fixpoint of
 nu(H) >= nu(body) - 1 + K, checked against the database's pinned
 degrees. Programs with existential rules become an exact LP whose head
-rows sum every atom matching the head pattern; a weighted objective
-plus a lexicographic tie-break yields a deterministic preferred model.
-The same LP, built for a plain program, is the reference route behind
-`use_fast_path=False`. A Kleene-style iteration of the consequence
-operator doubles as an independent oracle for cross-checks.
+rows sum every atom matching the head pattern; one `lp.solve` call
+minimizes a weighted objective, then a tie-break, for a deterministic
+preferred model. The same LP, built for a plain program, is the
+reference route behind `use_fast_path=False`. A Kleene-style iteration
+of the consequence operator doubles as an independent oracle.
 """
 
 from __future__ import annotations
@@ -43,19 +45,19 @@ from .core import (
     body_truth,
     luk_implies,
 )
-from .lp import LinearProgram, Solution, Status, lexicographic_solve, solve
-
-
-class Unsatisfiable(Exception):
-    """The instance has no K-fuzzy model."""
+from .lp import LinearProgram, Status, solve
 
 
 class NoObliviousBaseModel(Exception):
     """No K-fuzzy model whose positive atoms lie inside the chase limit exists.
 
     Says nothing about models without an oblivious base; the instance may
-    still have those.
+    still have those, unless the error is an Unsatisfiable.
     """
+
+
+class Unsatisfiable(NoObliviousBaseModel):
+    """The instance has no K-fuzzy model, so none with an oblivious base."""
 
 
 class TruncatedChase(Exception):
@@ -208,53 +210,6 @@ def least_fixpoint(
     return nu
 
 
-def _chase_instance(instance: Instance, step_limit: Optional[int]) -> ChaseResult:
-    return oblivious_chase(instance.program, set(instance.database.entries), step_limit)
-
-
-def _assignment_from(
-    solution: Solution, lp: LinearProgram, chase: ChaseResult, no_model: Exception
-) -> TruthAssignment:
-    """The optimum's nonzero degrees over olim, whose atoms name lp's columns
-    in order; raise `no_model` if the LP is infeasible."""
-    if solution.status is Status.UNBOUNDED:
-        raise AssertionError("box-bounded LP cannot be unbounded")
-    if not solution.optimal:
-        raise no_model
-    support = {}
-    for a, name in zip(chase.sorted_olim(), lp.variables):
-        value = solution.assignment[name]
-        if value != ZERO:
-            support[a] = value
-    return TruthAssignment(support)
-
-
-def _solve_minimal(
-    instance: Instance, chase: ChaseResult, use_fast_path: bool
-) -> GroundModel:
-    tau = instance.database
-    if use_fast_path:
-        nu = least_fixpoint(chase.gamma, tau.entries, instance.K)
-        for a, d in tau.entries.items():
-            if nu[a] > d:
-                raise Unsatisfiable(
-                    f"derivations force {a} to {nu[a]} but the database pins it at {d}"
-                )
-        assignment = TruthAssignment(nu)
-    else:
-        no_model = Unsatisfiable(f"no {instance.K}-fuzzy model exists")
-        lp = build_optk(instance, chase)
-        assignment = _assignment_from(solve(lp), lp, chase, no_model)
-    # at K = 1 exactly the classical consequences of the fully-true facts
-    certain = frozenset(a for a, d in assignment.support.items() if d == ONE)
-    return GroundModel(
-        assignment=assignment,
-        kind=ModelKind.MINIMAL,
-        K=instance.K,
-        certain_atoms=certain if instance.K == ONE else frozenset(),
-    )
-
-
 def minimal_model(
     instance: Instance,
     *,
@@ -273,16 +228,6 @@ def minimal_model(
     return Engine(instance, step_limit=step_limit, use_fast_path=use_fast_path).model
 
 
-def _solve_preferred(instance: Instance, chase: ChaseResult) -> GroundModel:
-    lp, secondary = build_eoptk(instance, chase)
-    no_model = NoObliviousBaseModel(f"no {instance.K}-fuzzy model with an oblivious base exists")
-    return GroundModel(
-        assignment=_assignment_from(lexicographic_solve(lp, secondary), lp, chase, no_model),
-        kind=ModelKind.PREFERRED,
-        K=instance.K,
-    )
-
-
 def preferred_model(
     instance: Instance, *, step_limit: Optional[int] = None
 ) -> GroundModel:
@@ -290,19 +235,16 @@ def preferred_model(
 
     Preferred models need not be unique; among the weighted optima the
     representative with the least total truth on null-carrying atoms is
-    returned. Raises TruncatedChase when the chase limit cuts the run
-    short (the result would be unsound).
+    returned. A plain program gets its minimal model (kind MINIMAL), or
+    Unsatisfiable, a NoObliviousBaseModel, when it has none. Raises
+    TruncatedChase when the chase limit cuts the run short (the result
+    would be unsound).
     """
-    return _solve_preferred(instance, _chase_instance(instance, step_limit))
+    return Engine(instance, step_limit=step_limit).model
 
 
 def k_truth(
-    instance: Instance,
-    atom: Atom,
-    threshold: RationalLike,
-    *,
-    use_fast_path: bool = True,
-    step_limit: Optional[int] = None,
+    instance: Instance, atom: Atom, threshold: RationalLike, *, step_limit: Optional[int] = None
 ) -> QueryResult:
     """Is the atom true to at least `threshold` in every K-fuzzy model?
 
@@ -310,8 +252,7 @@ def k_truth(
     answer is relative to the deterministic preferred model and flagged
     as such.
     """
-    engine = Engine(instance, step_limit=step_limit, use_fast_path=use_fast_path)
-    return engine.query(atom, threshold)
+    return Engine(instance, step_limit=step_limit).query(atom, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +272,7 @@ def fixpoint_minimal_model(
     the fixpoint overshoots tau somewhere, IterationLimit if it fails to
     stabilize within the round budget.
     """
-    chase = _chase_instance(instance, step_limit)
+    chase = Engine(instance, step_limit=step_limit).chase
     _require_complete(chase)
     tau = instance.database
     K = instance.K
@@ -433,14 +374,47 @@ class Engine:
 
     @cached_property
     def chase(self) -> ChaseResult:
-        return _chase_instance(self.instance, self.step_limit)
+        return oblivious_chase(self.instance.program, set(self.instance.database.entries), self.step_limit)
 
     @cached_property
     def model(self) -> GroundModel:
-        _require_complete(self.chase)
+        """The one route to a model, chosen by the program class.
+
+        A plain program's minimal model is the least fixpoint checked
+        against tau's pins, or with use_fast_path=False the optimum of
+        the same LP; with none, Unsatisfiable. An existential program's
+        preferred model is the optimum of `build_eoptk`'s LP with its
+        tie-break; with none, NoObliviousBaseModel.
+        """
+        chase = self.chase
+        _require_complete(chase)
+        K = self.instance.K
+        if self.is_existential or not self.use_fast_path:
+            lp, secondary = build_eoptk(self.instance, chase)
+            solution = solve(lp, secondary)
+            if solution.status is Status.UNBOUNDED:
+                raise AssertionError("box-bounded LP cannot be unbounded")
+            if not solution.optimal:
+                if self.is_existential:
+                    raise NoObliviousBaseModel(f"no {K}-fuzzy model with an oblivious base exists")
+                raise Unsatisfiable(f"no {K}-fuzzy model exists")
+            # olim's atoms name lp's columns, in order
+            values = map(solution.assignment.__getitem__, lp.variables)
+            nu = {a: d for a, d in zip(chase.sorted_olim(), values) if d != ZERO}
+        else:
+            tau = self.instance.database.entries
+            nu = least_fixpoint(chase.gamma, tau, K)
+            for a, d in tau.items():
+                if nu[a] > d:
+                    raise Unsatisfiable(
+                        f"derivations force {a} to {nu[a]} but the database pins it at {d}"
+                    )
+        assignment = TruthAssignment(nu)
         if self.is_existential:
-            return _solve_preferred(self.instance, self.chase)
-        return _solve_minimal(self.instance, self.chase, self.use_fast_path)
+            return GroundModel(assignment, ModelKind.PREFERRED, K)
+        # at K = 1 exactly the classical consequences of the fully-true facts
+        certain = frozenset(a for a, d in nu.items() if d == ONE) if K == ONE else frozenset()
+        return GroundModel(assignment, ModelKind.MINIMAL, K, certain)
 
     def query(self, atom: Atom, threshold: RationalLike) -> QueryResult:
         c = as_degree(threshold)

@@ -475,12 +475,3 @@ def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None)
     scale = lcm(*[c.denominator for _, c in weights])
     total = sum(c.numerator * (scale // c.denominator) * p[j] for j, c in weights)
     return Solution(Status.OPTIMAL, assignment, Fraction(total, scale * d))
-
-
-def lexicographic_solve(lp: LinearProgram, secondary: Mapping[str, Fraction]) -> Solution:
-    """Optimize lp's objective, then minimize `secondary` among its optima.
-
-    The returned solution carries the primary objective value; its
-    assignment is the stage-two optimum.
-    """
-    return solve(lp, secondary)

@@ -139,6 +139,40 @@ class TestDegrees:
             as_degree(0, positive=True)
 
 
+class TestStoredDegrees:
+    """Instance and FuzzyDatabase keep the Fraction `as_degree` returns, not the raw value."""
+
+    P, Q, R = atom("p", "a"), atom("q", "a"), atom("r", "a")
+
+    def test_instance_k(self):
+        program = Program.from_rules([make_rule(0, [atom("p", "X")], atom("q", "X"))])
+        tau = FuzzyDatabase({self.P: F(4, 5)})
+        assert Instance(program, tau, "9/10").K == F(9, 10)
+        K = Instance(program, tau, 0.9).K
+        assert type(K) is Fraction and K == Fraction(0.9)
+        assert type(Instance(program, tau, 1).K) is Fraction
+
+    def test_database_degrees(self):
+        given = {self.P: 0.8, self.Q: "1/2", self.R: 1}
+        tau = FuzzyDatabase(given)
+        assert tau.entries == {self.P: Fraction(0.8), self.Q: F(1, 2), self.R: F(1)}
+        assert all(type(d) is Fraction for d in tau.entries.values())
+        assert type(given[self.P]) is float  # the caller's dict is left as it is
+
+    def test_exact_degrees_are_kept_without_a_copy(self):
+        given = {self.P: F(4, 5), self.Q: F(1)}
+        tau = FuzzyDatabase(given)
+        assert tau.entries is given and tau.entries[self.P] is given[self.P]
+
+    def test_fixpoint_over_float_inputs_stays_exact(self):
+        from mvdatalog.engine import minimal_model
+
+        program = Program.from_rules([make_rule(0, [atom("p", "X")], atom("q", "X"))])
+        model = minimal_model(Instance(program, FuzzyDatabase({self.P: 0.8}), "9/10"))
+        degree = model.assignment(self.Q)
+        assert type(degree) is Fraction and degree == Fraction(0.8) - 1 + F(9, 10)
+
+
 class TestTypes:
     def test_database_rejects_zero_degree(self):
         with pytest.raises(DomainError):

@@ -220,6 +220,75 @@ class TestPreferredModel:
         assert resolved.objective_value == active_sum
 
 
+class TestEntryPointsAgree:
+    """Every entry point answers through `Engine.model`: one model, kind and error class."""
+
+    @staticmethod
+    def _outcome(run):
+        try:
+            model = run()
+        except NoObliviousBaseModel as exc:  # Unsatisfiable included
+            return type(exc)
+        return model.assignment, model.kind
+
+    @staticmethod
+    def _answer(run, atom_, threshold):
+        try:
+            result = run(atom_, threshold)
+        except NoObliviousBaseModel as exc:
+            return type(exc)
+        assert result.atom == atom_ and result.threshold == threshold
+        assert result.entailed == (result.degree >= threshold)
+        return result.degree, result.model_relative
+
+    def _check(self, instance, rng):
+        engine = Engine(instance)
+        expected = self._outcome(lambda: engine.model)
+        runs = [lambda: preferred_model(instance)]
+        if not instance.program.has_existential_rules:
+            runs.append(lambda: minimal_model(instance))
+        for run in runs:
+            assert self._outcome(run) == expected
+        atoms = sorted(engine.chase.olim, key=Atom.sort_key)
+        a, c = rng.choice(atoms), random_degree(rng)
+        if isinstance(expected, type):
+            answer = expected
+        else:
+            answer = (expected[0](a), expected[1] is ModelKind.PREFERRED)
+        for query in (lambda b, t: k_truth(instance, b, t), engine.query):
+            assert self._answer(query, a, c) == answer
+        return expected
+
+    def test_random_plain_instances(self):
+        rng = random.Random(12012)
+        outcomes = Counter()
+        for _ in range(600):
+            expected = self._check(random_instance(rng, max_rules=8, max_facts=7), rng)
+            outcomes[expected if isinstance(expected, type) else expected[1]] += 1
+        assert set(outcomes) == {ModelKind.MINIMAL, Unsatisfiable}
+        assert min(outcomes.values()) >= 60
+
+    def test_random_existential_programs(self):
+        rng = random.Random(12013)
+        facts = [atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")]
+        outcomes = Counter()
+        while sum(outcomes.values()) < 1500:
+            program = random_existential_program(rng)
+            if not is_weakly_acyclic_ve(program)[0]:
+                continue
+            tau = FuzzyDatabase({a: random_degree(rng) for a in facts})
+            expected = self._check(Instance(program, tau, rng.choice([F(1), F(4, 5)])), rng)
+            outcomes[expected if isinstance(expected, type) else expected[1]] += 1
+        assert set(outcomes) == {ModelKind.MINIMAL, ModelKind.PREFERRED, Unsatisfiable, NoObliviousBaseModel}
+        assert min(outcomes.values()) >= 20
+
+    def test_unsatisfiable_plain_program_has_no_oblivious_base_model(self):
+        instance = inst("0.5 :: p(a).\np(a) :- q(a).\nq(a).")
+        with pytest.raises(Unsatisfiable) as raised:
+            preferred_model(instance)
+        assert isinstance(raised.value, NoObliviousBaseModel)
+
+
 class TestKTruth:
     def test_orca_half_entailed(self):
         result = k_truth(inst(ORCA), atom("orca", "i1"), F(1, 2))
@@ -692,7 +761,7 @@ class TestLeastFixpointRoute:
             "from mvdatalog.lp import Solution, Status\n"
             "from mvdatalog.parser import parse\n"
             "from mvdatalog.core import Instance\n"
-            "engine.solve = lambda lp: Solution(Status.UNBOUNDED, {}, None)\n"
+            "engine.solve = lambda lp, secondary=None: Solution(Status.UNBOUNDED, {}, None)\n"
             "program, database = parse('0.8 :: p(a).\\nq(X) :- p(X).')\n"
             "try:\n"
             "    engine.minimal_model(Instance(program, database), use_fast_path=False)\n"

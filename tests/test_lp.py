@@ -22,7 +22,6 @@ from mvdatalog.lp import (
     LinearProgram,
     MalformedModel,
     Status,
-    lexicographic_solve,
     solve,
 )
 from mvdatalog.parser import parse
@@ -79,7 +78,6 @@ class TestSolveBasics:
         # the primary is bounded, but over its optima x may grow without end
         lp = lp_with(["x", "y"], [({"y": 1}, F(1, 2))], {"y": 1}, bounds={"x": (F(0), None)})
         assert solve(lp, {"x": F(-1)}).status is Status.UNBOUNDED
-        assert lexicographic_solve(lp, {"x": F(-1)}).status is Status.UNBOUNDED
 
     def test_empty_objective_feasibility(self):
         lp = lp_with(["x"], [({"x": 1}, F(1, 3))], {})
@@ -114,7 +112,7 @@ class TestMalformed:
     def test_undeclared_variable_in_secondary(self):
         lp = lp_with(["x"], [({"x": 1}, F(0))], {"x": 1})
         with pytest.raises(MalformedModel):
-            lexicographic_solve(lp, {"ghost": F(1)})
+            solve(lp, {"ghost": F(1)})
 
     def test_undeclared_variable_in_constraint(self):
         lp = lp_with(["x"], [({"ghost": 1}, F(0))], {"x": 1})
@@ -270,7 +268,7 @@ class TestDeterminism:
 class TestLexicographic:
     def test_zero_primary(self):
         lp = lp_with(["x"], [({"x": 1}, F(1, 5))], {})
-        sol = lexicographic_solve(lp, {"x": F(1)})
+        sol = solve(lp, {"x": F(1)})
         assert sol.assignment["x"] == F(1, 5)
         assert sol.objective_value == 0
 
@@ -282,20 +280,20 @@ class TestLexicographic:
             {"company": 1, "kp_amy": 1},
             fixings={"company": F(1), "kp_amy": F(4, 5)},
         )
-        sol = lexicographic_solve(lp, {"kp_null": F(1)})
+        sol = solve(lp, {"kp_null": F(1)})
         assert sol.assignment["kp_null"] == F(1, 5)
         assert sol.objective_value == F(9, 5)
 
     def test_unique_primary_unchanged(self):
         lp = lp_with(["x", "y"], [({"x": 1}, F(1, 3)), ({"y": 1}, F(1, 4))], {"x": 1, "y": 1})
         plain = solve(lp)
-        lex = lexicographic_solve(lp, {"x": F(5)})
+        lex = solve(lp, {"x": F(5)})
         assert lex.assignment == plain.assignment
         assert lex.objective_value == plain.objective_value
 
     def test_infeasible_passthrough(self):
         lp = lp_with(["x"], [({"x": 1}, F(2))], {"x": 1})
-        sol = lexicographic_solve(lp, {"x": F(1)})
+        sol = solve(lp, {"x": F(1)})
         assert sol.status is Status.INFEASIBLE
 
 
@@ -353,7 +351,7 @@ def _compare_staged(lp, secondary):
 
     Returns whether the result is optimal and whether its vertex differs
     from the oracle's (both are then optimal for both stages)."""
-    staged = lexicographic_solve(lp, secondary)
+    staged = solve(lp, secondary)
     reference = two_solve_lexicographic(lp, secondary)
     assert staged.status is reference.status
     if not staged.optimal:
@@ -380,7 +378,7 @@ class TestStagedObjectives:
         lp = lp_with(["a", "b"], [({"a": 1, "b": 1}, F(1))], {})
         assert solve(lp).assignment == {"a": F(1), "b": F(0)}
         built.clear()
-        sol = lexicographic_solve(lp, {"a": F(1)})
+        sol = solve(lp, {"a": F(1)})
         assert sol.assignment == {"a": F(0), "b": F(1)}
         assert len(built) == 1
 
@@ -806,7 +804,7 @@ class TestBoundFolding:
         lp, secondary = build_eoptk(Instance(program, tau, F(1)), oblivious_chase(program, set(tau.entries)))
         width = Counter(sum(v not in lp.fixings for v in c.coeffs) for c in lp.constraints)
         assert width[1] >= 5 and width[2] >= 1
-        assert lexicographic_solve(lp, secondary).optimal
+        assert solve(lp, secondary).optimal
         # only the rows over two or more free variables: the [0,1] boxes are column bounds
         assert len(added) == len(lp.constraints) - width[0] - width[1]
 
