@@ -1,8 +1,14 @@
 """Command-line front end.
 
-Subcommands: solve, query, check, ground. Results go to stdout as
-deterministic JSON (or plain text with --format text); degrees are
-printed as reduced fractions, never floats.
+Subcommands: solve, query, check, ground. All four run one pipeline,
+`_open`: parse the files, relax them under --mode relaxed, apply the
+chase gate (an existential program is chased only when it is weakly
+acyclic or --max-chase-steps bounds it) and build the Engine. `check`
+reports a refused chase; the other commands exit 4 on it, `query`
+before it parses its atom.
+
+Results go to stdout as deterministic JSON (or plain text with
+--format text); degrees are printed as reduced fractions, never floats.
 
 Exit codes: 0 ok/entailed, 1 not entailed, 2 unsatisfiable, 3 usage,
 parse or input error, 4 chase limit reached/required, 5 no
@@ -35,7 +41,7 @@ from .engine import (
     build_eoptk,
 )
 from .parser import NonGroundQuery, ParseError, SafetyError, parse_degree, parse_ground_atom, parse_many
-from .termination import is_weakly_acyclic_ve
+from .termination import WitnessCycle, is_weakly_acyclic_ve
 
 EXIT_OK = 0
 EXIT_NOT_ENTAILED = 1
@@ -69,84 +75,70 @@ def _read_files(paths: list[str]) -> list[str]:
     return texts
 
 
-def _load(args) -> tuple[Instance, dict[str, str]]:
+def _open(args, *, report: bool = False) -> tuple[Optional[Engine], dict[str, str], Optional[WitnessCycle]]:
+    """Turn the parsed argv into an Engine behind the chase gate.
+
+    Returns the engine, the relaxed-mode renaming {original: primed} and
+    the witness cycle of a failed weak-acyclicity test (None when it
+    passed or was not run). The test runs when `report` asks for it or an
+    existential program has no --max-chase-steps. The chase is allowed
+    exactly when the test passed or a step limit is set; a refused chase
+    exits 4, or with `report` returns no engine.
+    """
     program, database = parse_many(_read_files(args.files))
-    instance = Instance(program, database, as_degree(parse_degree(args.K), positive=True))
+    instance = Instance(program, database, parse_degree(args.K))  # Instance validates K
     renaming: dict[str, str] = {}
     if args.mode == "relaxed":
         instance, renaming = relax_rewrite(instance)
-    return instance, renaming
-
-
-def _gate_chase(instance: Instance, args) -> None:
-    """Refuse to chase a possibly-nonterminating program without a limit."""
-    if not instance.program.has_existential_rules or args.max_chase_steps is not None:
-        return
-    acyclic, witness = is_weakly_acyclic_ve(instance.program)
-    if not acyclic:
-        raise CliError(
-            EXIT_CHASE_LIMIT,
-            "program is not weakly acyclic (variable expansion): "
-            f"cycle {witness}; supply --max-chase-steps to bound the chase",
-        )
-
-
-def _engine(instance: Instance, args) -> Engine:
-    return Engine(
-        instance,
-        step_limit=args.max_chase_steps,
-        use_fast_path=not args.no_fast_path,
+    witness = None  # a plain program passes: its variable expansion has no special edge
+    if report or (instance.program.has_existential_rules and args.max_chase_steps is None):
+        witness = is_weakly_acyclic_ve(instance.program)[1]
+    if witness is None or args.max_chase_steps is not None:
+        engine = Engine(instance, step_limit=args.max_chase_steps, use_fast_path=not args.no_fast_path)
+        return engine, renaming, witness
+    if report:
+        return None, renaming, witness
+    raise CliError(
+        EXIT_CHASE_LIMIT,
+        "program is not weakly acyclic (variable expansion): "
+        f"cycle {witness}; supply --max-chase-steps to bound the chase",
     )
 
 
-def _presented_model(model_support, instance, renaming) -> dict[Atom, Fraction]:
-    """Map relaxed-mode primed atoms back to their original predicate names."""
-    if not renaming:
-        return dict(model_support)
-    primed_to_orig = {v: k for k, v in renaming.items()}
-    out: dict[Atom, Fraction] = {}
-    for a, d in model_support.items():
-        if a.predicate in renaming:
-            # raw tau predicate: its relaxed truth lives on the primed atom
+def _presented(model, database, renaming: dict[str, str]) -> list[tuple[Atom, Fraction, str]]:
+    """The model's (atom, degree, source) rows under the user's predicate names, sorted.
+
+    In relaxed mode a raw database predicate is hidden: its relaxed truth
+    lives on the primed carrier atom, which is shown under the original
+    name and whose own degree decides the source.
+    """
+    original = {primed: name for name, primed in renaming.items()}
+    rows = []
+    for carrier, d in model.assignment.support.items():
+        if carrier.predicate in renaming:
             continue
-        if a.predicate in primed_to_orig:
-            out[Atom(primed_to_orig[a.predicate], a.args)] = d
+        a = Atom(original[carrier.predicate], carrier.args) if carrier.predicate in original else carrier
+        if database.degree(a) == d:
+            source = "given"
+        elif carrier in model.certain_atoms:
+            source = "certain"
         else:
-            out[a] = d
-    return out
-
-
-def _source_of(a: Atom, instance: Instance, model, renaming) -> str:
-    # `a` is a presented atom (original predicate names); in relaxed mode
-    # its value lives on the primed carrier atom.
-    carrier = Atom(renaming[a.predicate], a.args) if a.predicate in renaming else a
-    given = instance.database.degree(a)
-    if given is not None and given == model.assignment(carrier):
-        return "given"
-    if carrier in model.certain_atoms:
-        return "certain"
-    return "derived"
+            source = "derived"
+        rows.append((a, d, source))
+    return sorted(rows, key=lambda row: row[0].sort_key())
 
 
 def cmd_solve(args) -> int:
-    instance, renaming = _load(args)
-    _gate_chase(instance, args)
-    engine = _engine(instance, args)
+    engine, renaming, _ = _open(args)
     model = engine.model
-    presented = _presented_model(model.assignment.support, instance, renaming)
-    entries = []
-    for a in sorted(presented, key=Atom.sort_key):
-        entries.append(
-            {
-                "atom": str(a),
-                "degree": str(presented[a]),
-                "source": _source_of(a, instance, model, renaming),
-            }
-        )
+    entries = [
+        {"atom": str(a), "degree": str(d), "source": source}
+        for a, d, source in _presented(model, engine.instance.database, renaming)
+    ]
     payload = {
         "status": "ok",
         "kind": model.kind.value,
-        "K": str(instance.K),
+        "K": str(engine.instance.K),
         "model": entries,
         "stats": {
             "ground_rules": len(engine.chase.gamma),
@@ -160,13 +152,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_query(args) -> int:
-    instance, renaming = _load(args)
-    _gate_chase(instance, args)
+    engine, renaming, _ = _open(args)
     atom = parse_ground_atom(args.atom)
     threshold = as_degree(parse_degree(args.at_least))
-    if renaming and atom.predicate in renaming:
+    if atom.predicate in renaming:  # relaxed mode: the primed carrier holds the degree
         atom = Atom(renaming[atom.predicate], atom.args)
-    result = _engine(instance, args).query(atom, threshold)
+    result = engine.query(atom, threshold)
     payload = {
         "status": "ok",
         "atom": args.atom,
@@ -181,21 +172,19 @@ def cmd_query(args) -> int:
 
 
 def cmd_check(args) -> int:
-    instance, _ = _load(args)
-    acyclic, witness = is_weakly_acyclic_ve(instance.program)
+    engine, _, witness = _open(args, report=True)
     payload: dict = {
-        "weakly_acyclic": acyclic,
+        "weakly_acyclic": witness is None,
         "witness": str(witness) if witness else None,
         "satisfiable": None,
         "stats": None,
     }
-    chase_allowed = (
-        not instance.program.has_existential_rules
-        or acyclic
-        or args.max_chase_steps is not None
-    )
-    if chase_allowed:
-        engine = _engine(instance, args)
+    text = [
+        f"weakly acyclic (variable expansion): {'yes' if witness is None else 'no'}",
+    ]
+    if witness:
+        text.append(f"witness cycle: {witness}")
+    if engine is not None:
         try:
             engine.model
             payload["satisfiable"] = True
@@ -205,26 +194,18 @@ def cmd_check(args) -> int:
             _emit(payload, args.format == "json")
             raise
         # the LP has one variable per chase atom and one constraint per ground rule
-        chase = engine.chase
+        atoms, rules = len(engine.chase.olim), len(engine.chase.gamma)
         payload["stats"] = {
-            "olim": len(chase.olim),
-            "gamma": len(chase.gamma),
-            "lp_variables": len(chase.olim),
-            "lp_constraints": len(chase.gamma),
+            "olim": atoms,
+            "gamma": rules,
+            "lp_variables": atoms,
+            "lp_constraints": rules,
         }
-    text = [
-        f"weakly acyclic (variable expansion): {'yes' if acyclic else 'no'}",
-    ]
-    if witness:
-        text.append(f"witness cycle: {witness}")
-    if payload["stats"]:
-        s = payload["stats"]
         text.append(
-            f"chase atoms: {s['olim']}, ground rules: {s['gamma']}, "
-            f"lp: {s['lp_variables']} vars / {s['lp_constraints']} constraints"
+            f"chase atoms: {atoms}, ground rules: {rules}, "
+            f"lp: {atoms} vars / {rules} constraints"
         )
-    if payload["satisfiable"] is not None:
-        text.append(f"satisfiable at K={instance.K}: {'yes' if payload['satisfiable'] else 'no'}")
+        text.append(f"satisfiable at K={engine.instance.K}: {'yes' if payload['satisfiable'] else 'no'}")
     _emit(payload, args.format == "json", text)
     return EXIT_OK
 
@@ -262,10 +243,9 @@ def _lp_as_text(lp, secondary: Optional[dict] = None) -> list[str]:
 
 
 def cmd_ground(args) -> int:
-    instance, _ = _load(args)
-    _gate_chase(instance, args)
-    chase = _engine(instance, args).chase
-    lp, secondary = build_eoptk(instance, chase)  # raises TruncatedChase
+    engine, _, _ = _open(args)
+    chase = engine.chase
+    lp, secondary = build_eoptk(engine.instance, chase)  # raises TruncatedChase
     nulls = [
         {
             "rule": rid,
@@ -316,7 +296,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("files", nargs="+", help=".mvdl input files (merged in order)")
         p.add_argument("--K", default="1", help="satisfaction level, a rational in (0,1]")
         p.add_argument(
@@ -332,24 +314,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
             help="solve plain programs with the reference LP, not the least fixpoint; same answer",
         )
         p.add_argument("--format", choices=["json", "text"], default="json")
+        return p
 
-    p_solve = sub.add_parser("solve", help="compute the minimal / preferred model")
-    common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_query = sub.add_parser("query", help="decide fuzzy fact entailment")
-    common(p_query)
+    command("solve", cmd_solve, "compute the minimal / preferred model")
+    p_query = command("query", cmd_query, "decide fuzzy fact entailment")
     p_query.add_argument("atom", help="ground atom, e.g. 'orca(i1)'")
     p_query.add_argument("--at-least", default="1", metavar="C", help="threshold in [0,1]")
-    p_query.set_defaults(func=cmd_query)
-
-    p_check = sub.add_parser("check", help="weak acyclicity, satisfiability, statistics")
-    common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_ground = sub.add_parser("ground", help="dump chase output and the LP model")
-    common(p_ground)
-    p_ground.set_defaults(func=cmd_ground)
+    command("check", cmd_check, "weak acyclicity, satisfiability, statistics")
+    command("ground", cmd_ground, "dump chase output and the LP model")
     return parser
 
 

@@ -164,12 +164,13 @@ class Rule:
 
     Head variables that do not occur in the body are existentially
     quantified (the Datalog+- convention); plain rules have none.
+    `existential_vars` is derived from body and head on first use, so no
+    rule can carry a wrong set.
     """
 
     id: int
     body: tuple[Atom, ...]
     head: Atom
-    existential_vars: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if not self.body:
@@ -177,13 +178,10 @@ class Rule:
         for a in (*self.body, self.head):
             if a.has_nulls():
                 raise ValueError("labelled nulls cannot occur in a rule")
-        body_vars = set().union(*(a.variables() for a in self.body))
-        expected = self.head.variables() - body_vars
-        if set(self.existential_vars) != expected:
-            raise ValueError(
-                f"rule {self.id}: existential_vars {set(self.existential_vars)} "
-                f"!= head-only variables {expected}"
-            )
+
+    @cached_property
+    def existential_vars(self) -> frozenset[str]:
+        return frozenset(self.head.variables() - self.body_variables())
 
     @property
     def is_existential(self) -> bool:
@@ -197,10 +195,8 @@ class Rule:
 
 
 def make_rule(rule_id: int, body: Sequence[Atom], head: Atom) -> Rule:
-    """Build a rule, inferring existential variables from head-only variables."""
-    body = tuple(body)
-    body_vars = set().union(*(a.variables() for a in body)) if body else set()
-    return Rule(rule_id, body, head, frozenset(head.variables() - body_vars))
+    """Build a rule from any sequence of body atoms; head-only variables are existential."""
+    return Rule(rule_id, tuple(body), head)
 
 
 def infer_signature(atoms: Iterable[Atom], signature: Optional[dict[str, int]] = None) -> dict[str, int]:
@@ -304,7 +300,7 @@ class TruthAssignment:
 
     @classmethod
     def from_map(cls, mapping: Mapping[Atom, RationalLike]) -> "TruthAssignment":
-        return cls({a: as_degree(d) for a, d in mapping.items() if Fraction(d) != ZERO})
+        return cls({a: d for a, raw in mapping.items() if (d := as_degree(raw))})
 
     def __call__(self, a: Atom) -> Fraction:
         return self.support.get(a, ZERO)
@@ -380,10 +376,11 @@ def k_satisfies(nu: TruthAssignment, gamma: GroundRule, K: Fraction) -> bool:
 # Rewritings
 
 
-def _fresh_predicate(base: str, taken: set[str]) -> str:
-    candidate = base + "'"
+def fresh_predicate(base: str, mark: str, taken: set[str]) -> str:
+    """`base` followed by as many `mark`s as it takes to avoid every name in `taken`."""
+    candidate = base + mark
     while candidate in taken:
-        candidate += "'"
+        candidate += mark
     return candidate
 
 
@@ -400,7 +397,7 @@ def relax_rewrite(instance: Instance) -> tuple[Instance, dict[str, str]]:
     taken = set(instance.program.signature) | set(tau_preds)
     renaming: dict[str, str] = {}
     for p in tau_preds:
-        primed = _fresh_predicate(p, taken)
+        primed = fresh_predicate(p, "'", taken)
         taken.add(primed)
         renaming[p] = primed
 

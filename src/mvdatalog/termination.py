@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Atom, Program, Rule, Variable, make_rule
+from .core import Atom, Program, Rule, Variable, fresh_predicate, make_rule
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,6 @@ class WitnessCycle:
         return ", ".join(parts)
 
 
-def _fresh_starred(base: str, taken: set[str]) -> str:
-    candidate = base + "*"
-    while candidate in taken:
-        candidate += "*"
-    return candidate
-
-
 def variable_expansion(program: Program) -> Program:
     """Rewrite each existential rule to thread all body variables.
 
@@ -76,7 +69,7 @@ def variable_expansion(program: Program) -> Program:
         if not r.is_existential:
             rules.append(make_rule(len(rules), r.body, r.head))
             continue
-        starred = _fresh_starred(r.head.predicate, taken)
+        starred = fresh_predicate(r.head.predicate, "*", taken)
         taken.add(starred)
         body_only = sorted(r.body_variables() - r.head.variables())
         star_args = r.head.args + tuple(Variable(v) for v in body_only)

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from helpers import naive_oblivious_chase, random_existential_program, random_instance
 from mvdatalog import chase as chase_module
 from mvdatalog import engine as engine_module
@@ -82,6 +84,11 @@ class TestObliviousChase:
             }
             known = inst.program.constants() | inst.database.constants()
             assert adom <= known
+
+    def test_non_ground_fact_rejected(self):
+        prog = _program(([atom("p", "X")], atom("q", "X")))
+        with pytest.raises(ValueError, match="not ground"):
+            oblivious_chase(prog, {atom("p", "X")})
 
     def test_truncation_flagged(self):
         prog = _program(([atom("p", "X")], atom("p", "Y")))

@@ -87,6 +87,11 @@ class TestSolve:
         assert model["s(a)"] == "1"
         assert model["r(a)"] == "1"
 
+    def test_relaxed_mode_sources_read_off_the_primed_atom(self, files):
+        proc = run_cli("solve", files["unsat"], "--mode", "relaxed", "--format", "text")
+        assert proc.returncode == 0
+        assert proc.stdout == "r(a) = 1  (given)\ns(a) = 1  (certain)\n"
+
     def test_preferred_model_for_existentials(self, files):
         proc = run_cli("solve", files["kp"])
         assert proc.returncode == 0
@@ -203,6 +208,11 @@ class TestQuery:
         proc = run_cli("query", files["orca"], "orca(X)", "--at-least", "0.5")
         assert proc.returncode == 3
 
+    def test_chase_gate_precedes_atom_parsing(self, files):
+        proc = run_cli("query", files["selfloop"], "p(X)")
+        assert proc.returncode == 4
+        assert "weakly acyclic" in proc.stderr
+
     def test_unsat_exit_2(self, files):
         proc = run_cli("query", files["unsat"], "s(a)", "--at-least", "0.5")
         assert proc.returncode == 2
@@ -301,6 +311,11 @@ class TestGround:
         proc = run_cli("ground", str(empty))
         payload = json.loads(proc.stdout)
         assert payload["gamma"] == []
+
+    def test_non_weakly_acyclic_requires_limit_exit_4(self, files):
+        proc = run_cli("ground", files["selfloop"])
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "weakly acyclic" in proc.stderr
 
     def test_lp_text_dump(self, files):
         proc = run_cli("ground", files["orca"], "--format", "text")

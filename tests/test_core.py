@@ -129,7 +129,7 @@ class TestDegrees:
     def test_decimal_exact(self):
         assert as_degree("0.8") == F(4, 5)
 
-    @pytest.mark.parametrize("bad", ["-1/2", "3/2", "2"])
+    @pytest.mark.parametrize("bad", ["-1/2", "3/2", "2", "abc", "1/0"])
     def test_out_of_range(self, bad):
         with pytest.raises(DomainError):
             as_degree(bad)
@@ -190,6 +190,24 @@ class TestTypes:
     def test_assignment_total_with_default_zero(self):
         nu = ta({atom("p", "a"): F(1, 2)})
         assert nu(atom("p", "b")) == 0
+
+    @pytest.mark.parametrize("bad", ["1/0", "abc", "3/2"])
+    def test_assignment_rejects_bad_degrees(self, bad):
+        with pytest.raises(DomainError):
+            ta({atom("p", "a"): bad})
+
+    def test_assignment_drops_zeros_in_any_spelling(self):
+        nu = ta({atom("p", "a"): "0/3", atom("q", "a"): 0, atom("r", "a"): "1/2"})
+        assert nu.support == {atom("r", "a"): F(1, 2)}
+
+    def test_database_rejects_non_ground_atoms(self):
+        with pytest.raises(DomainError, match="not ground"):
+            FuzzyDatabase({atom("p", "X"): F(1, 2)})
+
+    def test_program_rejects_duplicate_rule_ids(self):
+        rules = [make_rule(0, [atom("p", "X")], atom("q", "X")), make_rule(0, [atom("q", "X")], atom("r", "X"))]
+        with pytest.raises(ValueError, match="unique"):
+            Program.from_rules(rules)
 
     def test_rule_rejects_empty_body(self):
         with pytest.raises(ValueError):

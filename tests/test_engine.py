@@ -680,6 +680,10 @@ class TestEngineWrapper:
         assert r1.entailed and not r2.entailed
         assert engine.model.kind is ModelKind.MINIMAL
 
+    def test_non_ground_query_rejected(self):
+        with pytest.raises(ValueError, match="must be ground"):
+            Engine(inst(ORCA)).query(atom("orca", "X"), F(1, 2))
+
     def test_existential_dispatch(self):
         engine = Engine(inst(KEY_PERSON))
         assert engine.is_existential

@@ -119,6 +119,21 @@ class TestMalformed:
         with pytest.raises(MalformedModel):
             solve(lp)
 
+    @pytest.mark.parametrize(
+        "break_lp, message",
+        [
+            (lambda lp: lp.variables.append("y"), "variable list and bounds disagree"),
+            (lambda lp: lp.bounds.update(x=(F(1), F(1, 2))), "lower bound above upper bound"),
+            (lambda lp: lp.fixings.update(ghost=F(0)), "fixing of undeclared variable 'ghost'"),
+        ],
+        ids=["unbounded-variable", "empty-box", "undeclared-fixing"],
+    )
+    def test_inconsistent_columns(self, break_lp, message):
+        lp = lp_with(["x"], [({"x": 1}, F(0))], {"x": 1})
+        break_lp(lp)
+        with pytest.raises(MalformedModel, match=message):
+            solve(lp)
+
     def test_duplicate_variable(self):
         lp = LinearProgram()
         lp.add_variable("x")

@@ -184,6 +184,7 @@ class TestErrorPositions:
             (["p(a).\nq(b)"], (ParseError, 2, 5, "")),  # end of input
             (["p(,)."], (ParseError, 1, 3, ",")),
             (["p(a).\n  q(X)."], (ParseError, 2, 3, "q(X)")),
+            (["p(a).\n0.5/2 :: q(a).\n"], (ParseError, 2, 1, "0.5")),  # fraction degrees are integer/integer
             (
                 ["0.5 :: p(a).\n\n0.6 :: p(a).\n"],
                 (DomainError, "conflicting degrees 1/2 and 3/5 for fact p(a) (line 3)"),
