@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: solve, query, check, ground. All four run one pipeline,
-`_open`: parse the files, relax them under --mode relaxed, apply the
-chase gate (an existential program is chased only when it is weakly
-acyclic or --max-chase-steps bounds it) and build the Engine. `check`
+`_open`: parse the files, apply the chase gate (an existential program
+is chased only when it is weakly acyclic or --max-chase-steps bounds
+it), relax them under --mode relaxed and build the Engine. `check`
 reports a refused chase; the other commands exit 4 on it, `query`
 before it parses its atom.
 
@@ -61,7 +61,7 @@ def _emit(payload: dict, as_json: bool, text_lines: Optional[list[str]] = None) 
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in text_lines or [json.dumps(payload, sort_keys=True)]:
+        for line in [json.dumps(payload, sort_keys=True)] if text_lines is None else text_lines:
             print(line)
 
 
@@ -80,19 +80,20 @@ def _open(args, *, report: bool = False) -> tuple[Optional[Engine], dict[str, st
 
     Returns the engine, the relaxed-mode renaming {original: primed} and
     the witness cycle of a failed weak-acyclicity test (None when it
-    passed or was not run). The test runs when `report` asks for it or an
-    existential program has no --max-chase-steps. The chase is allowed
-    exactly when the test passed or a step limit is set; a refused chase
-    exits 4, or with `report` returns no engine.
+    passed or was not run). The test runs, on the program as written
+    (relaxing adds no cycle), when `report` asks for it or an existential
+    program has no --max-chase-steps. The chase is allowed exactly when
+    the test passed or a step limit is set; a refused chase exits 4, or
+    with `report` returns no engine.
     """
     program, database = parse_many(_read_files(args.files))
     instance = Instance(program, database, parse_degree(args.K))  # Instance validates K
+    witness = None  # a plain program passes: its variable expansion has no special edge
+    if report or (program.has_existential_rules and args.max_chase_steps is None):
+        witness = is_weakly_acyclic_ve(program)[1]
     renaming: dict[str, str] = {}
     if args.mode == "relaxed":
         instance, renaming = relax_rewrite(instance)
-    witness = None  # a plain program passes: its variable expansion has no special edge
-    if report or (instance.program.has_existential_rules and args.max_chase_steps is None):
-        witness = is_weakly_acyclic_ve(instance.program)[1]
     if witness is None or args.max_chase_steps is not None:
         engine = Engine(instance, step_limit=args.max_chase_steps, use_fast_path=not args.no_fast_path)
         return engine, renaming, witness

@@ -10,12 +10,13 @@ ground rule's head sum comes from `_head_atoms`, a lookup in the
 chase's hash index on the head's non-existential positions. Plain
 programs get their unique minimal model as the exact least fixpoint of
 nu(H) >= nu(body) - 1 + K, checked against the database's pinned
-degrees. Programs with existential rules become an exact LP whose head
-rows sum every atom matching the head pattern; one `lp.solve` call
-minimizes a weighted objective, then a tie-break, for a deterministic
-preferred model. The same LP, built for a plain program, is the
-reference route behind `use_fast_path=False`. A Kleene-style iteration
-of the consequence operator doubles as an independent oracle.
+degrees. Programs with existential rules become an exact LP over
+olim's positions, whose head rows sum every atom matching the head
+pattern; one `lp.solve` call minimizes a weighted objective, then a
+tie-break, and the preferred model is read back by position. The same
+LP, built for a plain program, is the reference route behind
+`use_fast_path=False`. A Kleene-style iteration of the consequence
+operator doubles as an independent oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .core import (
     body_truth,
     luk_implies,
 )
-from .lp import LinearProgram, Status, solve
+from .lp import ColumnProgram, LinearProgram, Status, solve
 
 
 class NoObliviousBaseModel(Exception):
@@ -132,41 +133,39 @@ def build_optk(instance: Instance, chase: ChaseResult) -> LinearProgram:
     return build_eoptk(instance, chase)[0]
 
 
-def build_eoptk(
-    instance: Instance, chase: ChaseResult
-) -> tuple[LinearProgram, dict[str, Fraction]]:
-    """The existential LP plus its tie-breaking secondary objective.
+def build_eoptk(instance: Instance, chase: ChaseResult) -> tuple[LinearProgram, dict[str, Fraction]]:
+    """`eoptk_columns`'s LP and tie-break with each column named by its
+    atom, str(atom): the readable form that `mvdl ground` prints."""
+    return eoptk_columns(instance, chase).labelled()
 
-    Rules grounded from existential rules sum, in place of the single head
-    variable, all atoms of the universe matching the head pattern (nulls
-    replaceable by anything, consistently), looked up in one `_Index` of
-    the universe, not scanned per rule. Objective weights are 1 on
-    null-free atoms and 0 on null-carrying ones; the secondary form sums
-    exactly the null-carrying atoms.
-    """
+
+def eoptk_columns(instance: Instance, chase: ChaseResult) -> ColumnProgram:
+    """The existential LP and its tie-break over columns in [0, 1], column j
+    the j-th atom of chase.sorted_olim(). Each ground rule is a row of ints
+    scaled by K's denominator; one from an existential rule sums, in place
+    of its head, the atoms of an `_Index` of the universe that match the
+    head pattern (nulls replaced consistently by anything). The objective
+    sums the null-free atoms, the tie-break the null-carrying ones."""
     _require_complete(chase)
     universe = chase.sorted_olim()
-    name: dict[Atom, str] = {}
-    lp = LinearProgram()
-    secondary: dict[str, Fraction] = {}
-    for a in universe:
-        name[a] = v = str(a)
-        lp.add_variable(v, ZERO, ONE)
-        (secondary if a.has_nulls() else lp.objective)[v] = ONE
-    for a, d in instance.database.entries.items():
-        lp.fix(name[a], d)
-    K = instance.K
+    column = {a: j for j, a in enumerate(universe)}
+    costs: tuple[dict[int, int], dict[int, int]] = ({}, {})  # objective, secondary
+    for j, a in enumerate(universe):
+        costs[a.has_nulls()][j] = 1
+    K, scale = instance.K.as_integer_ratio()  # K - l scaled is K - l * scale
     index = _Index(set(universe))
+    rows = []
     for g in chase.gamma:
-        coeffs: dict[str, int] = {}
+        coeffs: dict[int, int] = {}
         for h in _head_atoms(instance.program.rule_by_id(g.origin_rule_id), g, index):
-            v = name[h]
-            coeffs[v] = coeffs.get(v, 0) + 1
+            j = column[h]
+            coeffs[j] = coeffs.get(j, 0) + scale
         for b in g.body:
-            v = name[b]
-            coeffs[v] = coeffs.get(v, 0) - 1
-        lp.add_constraint(coeffs, K - len(g.body))
-    return lp, secondary
+            j = column[b]
+            coeffs[j] = coeffs.get(j, 0) - scale
+        rows.append(({j: a for j, a in coeffs.items() if a}, K - len(g.body) * scale, scale))
+    fixed = {column[a]: d for a, d in instance.database.entries.items()}
+    return ColumnProgram([(ZERO, ONE)] * len(universe), fixed, rows, *costs, universe)
 
 
 def least_fixpoint(
@@ -390,17 +389,14 @@ class Engine:
         _require_complete(chase)
         K = self.instance.K
         if self.is_existential or not self.use_fast_path:
-            lp, secondary = build_eoptk(self.instance, chase)
-            solution = solve(lp, secondary)
+            solution = solve(cols := eoptk_columns(self.instance, chase))
             if solution.status is Status.UNBOUNDED:
                 raise AssertionError("box-bounded LP cannot be unbounded")
             if not solution.optimal:
                 if self.is_existential:
                     raise NoObliviousBaseModel(f"no {K}-fuzzy model with an oblivious base exists")
                 raise Unsatisfiable(f"no {K}-fuzzy model exists")
-            # olim's atoms name lp's columns, in order
-            values = map(solution.assignment.__getitem__, lp.variables)
-            nu = {a: d for a, d in zip(chase.sorted_olim(), values) if d != ZERO}
+            nu = {a: d for j, a in enumerate(cols.names) if (d := solution.assignment[j])}  # by position
         else:
             tau = self.instance.database.entries
             nu = least_fixpoint(chase.gamma, tau, K)

@@ -5,23 +5,23 @@ rationals: Python `int`s where a value is whole, `fractions.Fraction`
 elsewhere, and no floating point anywhere. The reasoning layer turns
 optima into yes/no decisions and needs exact arithmetic.
 
-Models are small structured objects over named, `Fraction`-valued data:
-box-bounded variables, optional exact fixings, and >=-constraints.
-`solve` numbers the variables once, in declaration order, as integer
-columns, and scales each constraint by the lcm of its denominators to a
-row of `int`s. The model checks, the fold and the final audit run on
-those rows: fixings fold into the right-hand sides, and a row left with
-one free variable folds into that variable's bounds. The other rows go
-into one sparse tableau, the variables shifted to start at their folded
-lower bounds and their upper bounds kept on the columns, not as rows
-(Dantzig's bounded-variable simplex, Econometrica 1955). `solve`
-minimizes on it, in turn, phase 1's artificials, the objective and
-optionally a secondary objective, each stage over the optima of the
+`solve` runs on a `ColumnProgram`: integer columns with bounds and
+optional exact fixings, rows of `int`s (each >=-constraint scaled by the
+lcm of its denominators), an objective and a secondary objective. The
+engine builds its LP in this form; a `LinearProgram`, the same data over
+named `Fraction`s, is numbered into it by `_Columns` in declaration
+order, and its answer is named again. The model checks, the fold and the
+final audit run on the int rows: fixings fold into the right-hand sides,
+and a row left with one free variable folds into that variable's bounds.
+The other rows go into one sparse tableau, the variables shifted to
+start at their folded lower bounds and their upper bounds kept on the
+columns, not as rows (Dantzig's bounded-variable simplex, Econometrica
+1955). `solve` minimizes on it, in turn, phase 1's artificials, the
+objective and the secondary objective, each stage over the optima of the
 stages before it. Bland's entering column is the top of a min-heap of
 the columns whose reduced cost is negative, kept up to date by the
-pivots, not a scan of the whole z-row. The optimum is re-checked against
-every original row, bound and fixing in `int` arithmetic, cross-multiplied
-over the assignment's common denominator.
+pivots. The optimum is re-checked against every original row, bound and
+fixing in `int` arithmetic, over the point's common denominator.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -115,52 +115,76 @@ class LinearProgram:
         )
 
     def validate(self, secondary: Iterable[str] = ()) -> None:
-        _Columns(self, secondary)
+        _Columns(self, dict.fromkeys(secondary, ONE)).check()
 
 
-class _Columns:
-    """A checked `LinearProgram` over integer columns: column j is
-    lp.variables[j], and each constraint is a row (coeffs, rhs, scale) of
-    ints, the original row times `scale`, the lcm of its denominators.
-    Raises MalformedModel on inconsistent data."""
+@dataclass
+class ColumnProgram:
+    """An LP over integer columns 0..n-1, n = len(bounds): column j lies
+    in bounds[j] = (lo, hi or None), is pinned at fixed[j] when set and is
+    labelled names[j]. A row (coeffs, rhs, scale) of ints is a constraint
+    times `scale`; costs map columns to ints or Fractions. `check` raises
+    MalformedModel on inconsistent data."""
 
-    def __init__(self, lp: LinearProgram, secondary: Iterable[str] = ()) -> None:
-        self.names = lp.variables
-        self.index = index = {v: j for j, v in enumerate(lp.variables)}
-        if len(index) != len(lp.variables) or index.keys() != lp.bounds.keys():
-            raise MalformedModel("variable list and bounds disagree")
-        self.bounds = [lp.bounds[v] for v in lp.variables]
+    bounds: list[tuple[Fraction, Optional[Fraction]]]
+    fixed: dict[int, Fraction]
+    rows: list[tuple[dict[int, int], int, int]]
+    objective: dict[int, Rational]
+    secondary: dict[int, Rational]
+    names: Sequence
+
+    def check(self) -> None:
+        n = len(self.bounds)
+        for used in (self.fixed, *(row for row, _, _ in self.rows), self.objective, self.secondary):
+            if used and (min(used) < 0 or max(used) >= n):
+                raise MalformedModel(f"reference to a column outside 0..{n - 1}")
         if any(hi is not None and _less(hi, lo) for lo, hi in self.bounds):
             raise MalformedModel("lower bound above upper bound")
-        self.fixed: dict[int, Fraction] = {}
-        for name, value in lp.fixings.items():
-            if name not in index:
-                raise MalformedModel(f"fixing of undeclared variable {name!r}")
-            lo, hi = lp.bounds[name]
+        for j, value in self.fixed.items():
+            lo, hi = self.bounds[j]
             if _less(value, lo) or (hi is not None and _less(hi, value)):
-                raise MalformedModel(f"fixed value {value} of {name!r} outside bounds")
-            self.fixed[index[name]] = value
-        self.rows: list[tuple[dict[int, int], int, int]] = []
-        for c in lp.constraints:
-            scale = lcm(c.rhs.denominator, *[a.denominator for a in c.coeffs.values()])
-            try:
-                row = {index[v]: a.numerator * (scale // a.denominator) for v, a in c.coeffs.items()}
-            except KeyError as exc:
-                raise MalformedModel(f"constraint references undeclared variable {exc.args[0]!r}") from None
-            self.rows.append((row, c.rhs.numerator * (scale // c.rhs.denominator), scale))
-        for v in (*lp.objective, *secondary):
-            if v not in index:
-                raise MalformedModel(f"objective references undeclared variable {v!r}")
+                raise MalformedModel(f"fixed value {value} of {self.names[j]!r} outside bounds")
+
+    def labelled(self) -> tuple[LinearProgram, dict[str, Fraction]]:
+        """The same LP and secondary objective over names: column j is str(names[j])."""
+        names = [str(v) for v in self.names]
+        fixings, objective, secondary = ({names[j]: _exact(c) for j, c in m.items()} for m in (
+            self.fixed, self.objective, self.secondary))
+        rows = [Constraint({names[j]: Fraction(a, s) for j, a in row.items()}, Fraction(rhs, s))
+                for row, rhs, s in self.rows]
+        return LinearProgram(names, dict(zip(names, self.bounds)), fixings, rows, objective), secondary
 
 
-def _audit(cols: _Columns, assignment: Mapping[str, Fraction]) -> tuple[list[int], int]:
-    """Exact feasibility re-check of a claimed-optimal assignment.
+def _Columns(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None) -> ColumnProgram:
+    """`lp` over integer columns, column j = lp.variables[j], each row
+    scaled by the lcm of its denominators; zero costs are left out."""
+    index = {v: j for j, v in enumerate(lp.variables)}
+    if len(index) != len(lp.variables) or index.keys() != lp.bounds.keys():
+        raise MalformedModel("variable list and bounds disagree")
+    for use, names in (("fixing of", lp.fixings), ("objective references", [*lp.objective, *(secondary or ())])):
+        for ghost in (v for v in names if v not in index):
+            raise MalformedModel(f"{use} undeclared variable {ghost!r}")
+    rows = []
+    for c in lp.constraints:
+        scale = lcm(c.rhs.denominator, *[a.denominator for a in c.coeffs.values()])
+        try:
+            row = {index[v]: a.numerator * (scale // a.denominator) for v, a in c.coeffs.items()}
+        except KeyError as exc:
+            raise MalformedModel(f"constraint references undeclared variable {exc.args[0]!r}") from None
+        rows.append((row, c.rhs.numerator * (scale // c.rhs.denominator), scale))
+    costs = [{index[v]: _exact(c) for v, c in cost.items() if c} for cost in (lp.objective, secondary or {})]
+    fixed = {index[v]: value for v, value in lp.fixings.items()}
+    return ColumnProgram([lp.bounds[v] for v in lp.variables], fixed, rows, *costs, lp.variables)
 
-    With d the common denominator of the assignment's values and p[j]
+
+def _audit(cols: ColumnProgram, values: Mapping[int, Rational]) -> tuple[list[int], int]:
+    """Exact feasibility re-check of a claimed-optimal point, by column.
+
+    With d the common denominator of the point's values and p[j]
     column j's value times d, every original row, bound and fixing is an
     inequality between ints. Returns (p, d).
     """
-    point = [_exact(assignment[v]) for v in cols.names]
+    point = [_exact(values[j]) for j in range(len(cols.bounds))]
     d = lcm(*[x.denominator for x in point])
     p = [x.numerator * (d // x.denominator) for x in point]
     for j, (lo, hi) in enumerate(cols.bounds):
@@ -181,7 +205,7 @@ def _audit(cols: _Columns, assignment: Mapping[str, Fraction]) -> tuple[list[int
 @dataclass(frozen=True)
 class Solution:
     status: Status
-    assignment: dict[str, Fraction]
+    assignment: dict  # by name, or by column for a ColumnProgram
     objective_value: Optional[Fraction]
 
     @property
@@ -372,22 +396,25 @@ def _simplex_loop(tab: _Tableau, z_row: _ZRow) -> bool:
             tab.pivot(rid, entering, z_row)
 
 
-def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None) -> Solution:
+def solve(lp: Union[LinearProgram, ColumnProgram], secondary: Optional[Mapping[str, Fraction]] = None) -> Solution:
     """Exact optimum of `lp`, or INFEASIBLE / UNBOUNDED.
 
     With `secondary`, the returned assignment minimizes it among the
     optima of lp's objective; `objective_value` is still the primary one,
-    and UNBOUNDED covers either objective. Fixings are substituted, and a
-    row a*x >= r left with one free variable tightens x's lower bound to
-    r/a (a > 0) or its upper bound to r/a (a < 0) in place of a tableau
-    row; crossing bounds are INFEASIBLE, and a variable whose folded
-    bounds meet is a constant with no column. Phase 1 adds artificials only
-    for rows violated with every variable at its (folded) lower bound.
-    The returned assignment is re-checked against every original
-    constraint, bound, and fixing.
+    and UNBOUNDED covers either objective; a ColumnProgram carries its own
+    secondary, and its assignment is keyed by column. Fixings are
+    substituted, and a row a*x >= r left with one free variable tightens
+    x's lower bound to r/a (a > 0) or its upper bound to r/a (a < 0) in
+    place of a tableau row; crossing bounds are INFEASIBLE, and a variable
+    whose folded bounds meet is a constant with no column. Phase 1 adds
+    artificials only for rows violated with every variable at its (folded)
+    lower bound. The assignment is re-checked against every original row,
+    bound and fixing.
     """
-    secondary = secondary or {}
-    cols = _Columns(lp, secondary)
+    cols = lp if isinstance(lp, ColumnProgram) else _Columns(lp, secondary)
+    if cols is lp and secondary is not None:
+        raise TypeError("a ColumnProgram carries its own secondary objective")
+    cols.check()
     fixed = cols.fixed
     lo = [b[0] for b in cols.bounds]
     hi = [b[1] for b in cols.bounds]
@@ -434,14 +461,9 @@ def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None)
             _quotient(rhs, den * scale),
         )
 
-    def columns(costs: Mapping[str, Fraction]) -> dict[int, Rational]:
-        # a whole cost becomes an int, as whole tableau entries are
-        pairs = ((cols.index[v], _exact(c)) for v, c in costs.items() if c)
-        return {var_col[j]: c.numerator if c.denominator == 1 else c for j, c in pairs if j in var_col}
-
     phase1 = {a: 1 for a in tab.artificials}
-    primary = columns(lp.objective)
-    staged = columns(secondary)
+    primary = {var_col[j]: c for j, c in cols.objective.items() if j in var_col}
+    staged = {var_col[j]: c for j, c in cols.secondary.items() if j in var_col}
     z_row = _ZRow({})
     for cost in (phase1, primary, staged):
         if not cost:
@@ -466,12 +488,13 @@ def solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]] = None)
         raise AssertionError("solver bug: stage two moved the primary objective")
 
     x = tab.values()
-    assignment = {cols.names[j]: value for j, value in fixed.items()}
+    assignment = dict(fixed)
     for j in free_cols:
         shift = x.get(var_col.get(j), 0)  # 0 for a variable with no column
-        assignment[cols.names[j]] = _exact(lo[j] + shift if shift else lo[j])
+        assignment[j] = _exact(lo[j] + shift if shift else lo[j])
     p, d = _audit(cols, assignment)
-    weights = [(cols.index[v], _exact(c)) for v, c in lp.objective.items()]
-    scale = lcm(*[c.denominator for _, c in weights])
-    total = sum(c.numerator * (scale // c.denominator) * p[j] for j, c in weights)
+    scale = lcm(*[c.denominator for c in cols.objective.values()])
+    total = sum(c.numerator * (scale // c.denominator) * p[j] for j, c in cols.objective.items())
+    if cols is not lp:
+        assignment = {cols.names[j]: value for j, value in assignment.items()}
     return Solution(Status.OPTIMAL, assignment, Fraction(total, scale * d))

@@ -38,6 +38,17 @@ p(a).
 p(Y) :- p(X).
 """
 
+RELAXED_CYCLE = """\
+0.5 :: e(a, b).
+e(Y, Z) :- e(X, Y).
+q(X) :- e(X, Y).
+"""
+
+# the witness under the user's predicate names, in either mode
+RELAXED_CYCLE_WITNESS = "e[1] => e*[2], e*[2] -> e[2], e[2] -> e*[1], e*[1] -> e[1]"
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def run_cli(*argv):
     env = dict(os.environ)
@@ -60,6 +71,7 @@ def files(tmp_path):
         "nulls": NULLS,
         "unsat": INCONSISTENT,
         "selfloop": SELF_FEEDING,
+        "relaxcycle": RELAXED_CYCLE,
     }.items():
         path = tmp_path / f"{name}.mvdl"
         path.write_text(text, encoding="utf-8")
@@ -180,6 +192,19 @@ class TestSolve:
         assert proc.returncode == 0
         assert "orca(i1) = 1/2" in proc.stdout
 
+    def test_empty_model_prints_no_text_lines(self, tmp_path):
+        empty = tmp_path / "empty.mvdl"
+        empty.write_text("", encoding="utf-8")
+        proc = run_cli("solve", str(empty), "--format", "text")
+        assert proc.returncode == 0 and proc.stdout == "" and proc.stderr == ""
+        assert json.loads(run_cli("solve", str(empty)).stdout)["model"] == []
+
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    def test_refused_chase_names_the_users_predicates(self, files, mode):
+        proc = run_cli("solve", files["relaxcycle"], "--mode", mode)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert f"cycle {RELAXED_CYCLE_WITNESS};" in proc.stderr
+
     def test_multiple_files_merge(self, files, tmp_path):
         extra = tmp_path / "extra.mvdl"
         extra.write_text("0.9 :: polar(i2).\n0.8 :: label(i2, whale).", encoding="utf-8")
@@ -239,6 +264,15 @@ class TestCheck:
         assert payload["satisfiable"] is True
         assert payload["stats"]["gamma"] == 1
 
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    def test_witness_names_the_users_predicates(self, files, mode):
+        proc = run_cli("check", files["relaxcycle"], "--mode", mode, "--format", "text")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[:2] == [
+            "weakly acyclic (variable expansion): no",
+            f"witness cycle: {RELAXED_CYCLE_WITNESS}",
+        ]
+
     def test_datalog_stats(self, files):
         proc = run_cli("check", files["orca"])
         payload = json.loads(proc.stdout)
@@ -260,14 +294,14 @@ class TestCheck:
         from mvdatalog import cli, engine
 
         calls = []
-        real = engine.build_eoptk
+        real = engine.eoptk_columns
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(engine, "build_eoptk", counted)
-        monkeypatch.setattr(cli, "build_eoptk", counted)
+        # build_eoptk labels the column builder's output, so this counts both routes
+        monkeypatch.setattr(engine, "eoptk_columns", counted)
         assert cli.main(["check", files[name]]) == 0
         assert len(calls) == builds
         assert json.loads(capsys.readouterr().out)["satisfiable"] is True
@@ -316,6 +350,23 @@ class TestGround:
         proc = run_cli("ground", files["selfloop"])
         assert proc.returncode == 4 and proc.stdout == ""
         assert "weakly acyclic" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "name, options, golden",
+        [
+            ("kp", [], "kp.ground.json"),
+            ("kp", ["--format", "text"], "kp.ground.txt"),
+            ("nulls", [], "nulls.ground.json"),
+            ("nulls", ["--format", "text"], "nulls.ground.txt"),
+            ("nulls", ["--K", "1/2"], "nulls-K1_2.ground.json"),
+            ("nulls", ["--K", "1/2", "--format", "text"], "nulls-K1_2.ground.txt"),
+        ],
+    )
+    def test_dump_is_byte_for_byte(self, files, name, options, golden):
+        # variables, bounds, fixings, objective, secondary, coefficients and right-hand sides
+        proc = run_cli("ground", files[name], *options)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_lp_text_dump(self, files):
         proc = run_cli("ground", files["orca"], "--format", "text")

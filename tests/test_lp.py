@@ -10,14 +10,16 @@ from helpers import (
     fraction_solve,
     random_degree,
     random_existential_program,
+    random_instance,
     reference_solve,
     two_solve_lexicographic,
 )
 from mvdatalog import lp as lp_module
 from mvdatalog.chase import oblivious_chase
 from mvdatalog.core import FuzzyDatabase, Instance, atom
-from mvdatalog.engine import build_eoptk
+from mvdatalog.engine import Engine, NoObliviousBaseModel, build_eoptk, eoptk_columns
 from mvdatalog.lp import (
+    ColumnProgram,
     Constraint,
     LinearProgram,
     MalformedModel,
@@ -133,6 +135,45 @@ class TestMalformed:
         break_lp(lp)
         with pytest.raises(MalformedModel, match=message):
             solve(lp)
+
+    @staticmethod
+    def _column_program(**changes):
+        # 2x + 2y >= 1 over [0, 1]^2, scaled by 2 from x + y >= 1/2; x is fixed at 1/4
+        data = dict(bounds=[(F(0), F(1))] * 2, fixed={0: F(1, 4)}, rows=[({0: 2, 1: 2}, 1, 2)])
+        data.update(objective={1: 1}, secondary={}, names=["x", "y"])
+        data.update(changes)
+        return ColumnProgram(**data)
+
+    def test_column_program_and_its_labelled_form(self):
+        program = self._column_program()
+        assert solve(program) == lp_module.Solution(Status.OPTIMAL, {0: F(1, 4), 1: F(1, 4)}, F(1, 4))
+        lp, secondary = program.labelled()
+        assert lp.constraints == [Constraint({"x": F(1), "y": F(1)}, F(1, 2))] and secondary == {}
+        assert solve(lp, secondary).assignment == {"x": F(1, 4), "y": F(1, 4)}
+        assert lp_module._Columns(lp, secondary) == program
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"rows": [({0: 2, 2: 2}, 1, 2)]},
+            {"rows": [({-1: 2, 1: 2}, 1, 2)]},
+            {"fixed": {2: F(0)}},
+            {"objective": {2: 1}},
+            {"secondary": {-1: 1}},
+        ],
+        ids=["row-past-the-end", "negative-row-column", "fixing", "objective", "secondary"],
+    )
+    def test_column_out_of_range(self, changes):
+        with pytest.raises(MalformedModel, match=r"reference to a column outside 0\.\.1"):
+            solve(self._column_program(**changes))
+
+    def test_column_fixing_outside_bounds(self):
+        with pytest.raises(MalformedModel, match="fixed value 3/2 of 'x' outside bounds"):
+            solve(self._column_program(fixed={0: F(3, 2)}))
+
+    def test_column_program_takes_no_second_secondary(self):
+        with pytest.raises(TypeError):
+            solve(self._column_program(), {1: F(1)})
 
     def test_duplicate_variable(self):
         lp = LinearProgram()
@@ -454,17 +495,22 @@ def redundant_lp(rng):
     return lp, rows, secondary
 
 
-def existential_lps(rng, ks, count):
-    """build_eoptk LPs of weakly acyclic random existential programs."""
+def existential_instances(rng, ks, count):
+    """Weakly acyclic random existential programs over four uncertain facts."""
     facts = [atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")]
     while count:
         program = random_existential_program(rng)
         if not is_weakly_acyclic_ve(program)[0]:
             continue
         tau = FuzzyDatabase({a: random_degree(rng) for a in facts})
-        instance = Instance(program, tau, rng.choice(ks))
-        yield build_eoptk(instance, oblivious_chase(program, set(tau.entries)))
+        yield Instance(program, tau, rng.choice(ks))
         count -= 1
+
+
+def existential_lps(rng, ks, count):
+    """build_eoptk LPs of weakly acyclic random existential programs."""
+    for instance in existential_instances(rng, ks, count):
+        yield build_eoptk(instance, oblivious_chase(instance.program, set(instance.database.entries)))
 
 
 def singleton_lp(rng):
@@ -762,6 +808,52 @@ class TestFractionSolver:
         assert statuses[Status.OPTIMAL] >= 300 and statuses[Status.INFEASIBLE] >= 100
 
 
+class TestColumnRoute:
+    """`Engine.model` solves the column LP of `eoptk_columns`; naming its
+    columns changes nothing. It has the status, the degrees and the Bland
+    pivots of `solve(build_eoptk(...))` read back by name, and of the
+    name-keyed Fraction solver."""
+
+    def _run(self, monkeypatch, instances):
+        ours = _traced(monkeypatch, lp_module, "_Tableau")
+        theirs = _traced(monkeypatch, helpers, "_BoundedTableau")
+        statuses = Counter()
+        for instance in instances:
+            engine = Engine(instance, use_fast_path=False)
+            try:
+                model, status = engine.model.assignment, Status.OPTIMAL
+            except NoObliviousBaseModel:  # Unsatisfiable included
+                model, status = None, Status.INFEASIBLE
+            by_column = list(ours)
+            ours.clear()
+            columns = eoptk_columns(instance, engine.chase)
+            lp, secondary = build_eoptk(instance, engine.chase)
+            named = lp_module._Columns(lp, secondary)
+            assert (named.bounds, named.fixed, named.rows) == (columns.bounds, columns.fixed, columns.rows)
+            assert (named.objective, named.secondary) == (columns.objective, columns.secondary)
+            assert named.names == [str(a) for a in columns.names]
+            sol, ref = solve(lp, secondary), fraction_solve(lp, secondary)
+            assert sol.status is ref.status is status
+            assert ours == theirs == by_column
+            if model is not None:
+                for a in columns.names:
+                    assert model(a) == sol.assignment[str(a)] == ref.assignment[str(a)]
+            statuses[status] += 1
+            ours.clear()
+            theirs.clear()
+        return statuses
+
+    def test_existential_programs(self, monkeypatch):
+        instances = existential_instances(random.Random(9191), [F(1), F(4, 5), F(1, 2)], 2000)
+        statuses = self._run(monkeypatch, instances)
+        assert statuses[Status.OPTIMAL] >= 1000 and statuses[Status.INFEASIBLE] >= 60
+
+    def test_plain_programs(self, monkeypatch):
+        rng = random.Random(9292)
+        statuses = self._run(monkeypatch, (random_instance(rng) for _ in range(1000)))
+        assert statuses[Status.OPTIMAL] >= 500 and statuses[Status.INFEASIBLE] >= 200
+
+
 class TestAudit:
     """The integer audit rejects a point that misses a row, a bound or a
     fixing by the smallest step the data allows."""
@@ -776,21 +868,21 @@ class TestAudit:
         return lp_module._Columns(lp)
 
     def test_feasible_point_passes(self):
-        p, d = lp_module._audit(self._columns(), {"x": F(3), "y": F(0), "z": F(5, 12)})
+        p, d = lp_module._audit(self._columns(), [F(3), F(0), F(5, 12)])
         assert d == 12 and p == [36, 0, 5]
 
     def test_row_short_by_one_84th(self):
         # 9/28 - 5/36 = 23/126, 1/84 below 7/36
         with pytest.raises(AssertionError, match="constraint violated by 1/84"):
-            lp_module._audit(self._columns(), {"x": F(9, 4), "y": F(0), "z": F(5, 12)})
+            lp_module._audit(self._columns(), [F(9, 4), F(0), F(5, 12)])
 
     def test_bound_exceeded(self):
         with pytest.raises(AssertionError, match="violates bounds"):
-            lp_module._audit(self._columns(), {"x": F(3) + F(1, 84), "y": F(0), "z": F(5, 12)})
+            lp_module._audit(self._columns(), [F(3) + F(1, 84), F(0), F(5, 12)])
 
     def test_fixing_moved(self):
         with pytest.raises(AssertionError, match="fixing of z not honoured"):
-            lp_module._audit(self._columns(), {"x": F(3), "y": F(0), "z": F(5, 12) - F(1, 84)})
+            lp_module._audit(self._columns(), [F(3), F(0), F(5, 12) - F(1, 84)])
 
 
 KEY_PERSONS = """

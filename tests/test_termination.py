@@ -1,8 +1,8 @@
 import random
 
-from helpers import naive_weakly_acyclic, random_existential_program
+from helpers import all_ground_atoms, naive_weakly_acyclic, random_degree, random_existential_program
 from mvdatalog.chase import oblivious_chase
-from mvdatalog.core import Program, atom, make_rule
+from mvdatalog.core import FuzzyDatabase, Instance, Program, atom, make_rule, relax_rewrite
 from mvdatalog.termination import (
     PositionVertex,
     build_dependency_graph,
@@ -147,6 +147,23 @@ class TestWeakAcyclicity:
                 assert dst == src
             assert steps[-1][1] == steps[0][0]
         assert 0 < rejected < 3000
+
+    def test_relaxing_keeps_the_verdict(self):
+        # `mvdl --mode relaxed` tests the program as written: relax_rewrite
+        # renames tau's predicates and adds bridges out of positions that
+        # nothing feeds, so the relaxed program has no other cycle
+        rng = random.Random(6)
+        verdicts = set()
+        for i in range(2000):
+            program = random_existential_program(rng, max_rules=2 + i % 7)
+            facts = rng.sample(all_ground_atoms(), rng.randint(1, 4))
+            instance = Instance(program, FuzzyDatabase({a: random_degree(rng) for a in facts}))
+            relaxed, renaming = relax_rewrite(instance)
+            assert renaming
+            verdict = is_weakly_acyclic_ve(program)[0]
+            assert is_weakly_acyclic_ve(relaxed.program)[0] == verdict, program.rules
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestSoundnessAtDeskScale:
