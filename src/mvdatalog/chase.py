@@ -8,7 +8,9 @@ argument positions) over the round's snapshot. Every pair found is new
 and is applied once, in rule-id and then homomorphism order; the chase
 stops at the first round that adds no atom. Existential rules draw their
 labelled nulls from a registry keyed by (rule id, body homomorphism) so
-reruns are stable.
+reruns are stable. Each ground atom is one object: a ground rule's body
+holds the atoms its join matched and its head the atom already held, so
+later lookups by these atoms hit on identity.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .core import (
@@ -49,9 +52,9 @@ class NullRegistry:
         self._assigned: dict[tuple, tuple[LabelledNull, ...]] = {}
         self._counter = itertools.count(1)
 
-    def nulls_for(self, rule: Rule, hom: Mapping[str, Term]) -> dict[str, LabelledNull]:
-        """Fetch (or mint) the null tuple witnessing `rule`'s existential head vars."""
-        key = (rule.id, _hom_key(hom))
+    def nulls_for(self, rule: Rule, hom_key: tuple) -> dict[str, LabelledNull]:
+        """Fetch (or mint) the nulls of `rule`'s existential head vars for the hom keyed `hom_key`."""
+        key = (rule.id, hom_key)
         variables = tuple(sorted(rule.existential_vars))
         if key not in self._assigned:
             self._assigned[key] = tuple(LabelledNull(next(self._counter)) for _ in variables)
@@ -145,13 +148,14 @@ class _Index:
     new atoms. A fresh `_Index` takes all its atoms as the delta.
     """
 
-    def __init__(self, atoms: set[Atom]):
-        self.atoms = self.delta = atoms
-        self.delta_by_predicate = _index_by_predicate(atoms)
+    def __init__(self, atoms: Iterable[Atom]):
+        # each atom maps to itself, so a lookup by an equal atom returns the held one
+        self.atoms = self.delta = {a: a for a in atoms}
+        self.delta_by_predicate = _index_by_predicate(self.atoms)
         self.tables: dict[tuple[str, tuple[int, ...]], dict[tuple, list[Atom]]] = {}
         self.plans: dict[tuple[int, int], list[tuple]] = {}
 
-    def add(self, new_atoms: set[Atom]) -> None:
+    def add(self, new_atoms: dict[Atom, Atom]) -> None:
         """Make `new_atoms` part of the atom set and the next round's delta."""
         self.delta, self.delta_by_predicate = new_atoms, _index_by_predicate(new_atoms)
         self.atoms |= new_atoms
@@ -173,12 +177,13 @@ class _Index:
         return len(self.lookup(predicate, (), ())) > len(self.delta_by_predicate.get(predicate, ()))
 
 
-def _join(rule: Rule, index: _Index) -> list[Homomorphism]:
+def _join(rule: Rule, index: _Index) -> list[tuple[tuple, tuple, Homomorphism, tuple[Atom, ...]]]:
     """The rule's body homomorphisms into the atom set that map at least
-    one body atom into the delta, sorted by `_hom_order`. Depth-first on
-    an explicit stack, so body length is not bounded by recursion depth."""
+    one body atom into the delta, as (`_hom_order`, `_hom_key`, hom, the
+    matched body atoms in body order), sorted by `_hom_order`. Depth-first
+    on an explicit stack, so body length is not bounded by recursion depth."""
     atoms, delta = index.atoms, index.delta
-    results: list[Homomorphism] = []
+    results = []
     for d, first in enumerate(rule.body):
         firsts = index.delta_by_predicate.get(first.predicate)
         if not firsts or not all(index.has_old(b.predicate) for b in rule.body[:d]):
@@ -186,26 +191,28 @@ def _join(rule: Rule, index: _Index) -> list[Homomorphism]:
         steps = index.plans.get((rule.id, d))
         if steps is None:
             steps = index.plans[rule.id, d] = _plan(rule, d)
-        stack = [(0, hom) for hom in (_match_atom(first, c, {}) for c in firsts) if hom is not None]
+        # matched atoms in plan order: body[d], then the others in body order
+        stack = [(0, hom, (c,)) for c in firsts if (hom := _match_atom(first, c, {})) is not None]
         while stack:
-            i, hom = stack.pop()
+            i, hom, matched = stack.pop()
             if i == len(steps):
-                results.append(hom)
+                key = _hom_key(hom)
+                results.append((_hom_order(key), key, hom, matched[1:d + 1] + matched[:1] + matched[d + 1:]))
                 continue
             pattern, old, positions, terms = steps[i]
             values = tuple(hom[t.name] if isinstance(t, Variable) else t for t in terms)
             if len(positions) == len(pattern.args):
                 # fully bound pattern: a membership test replaces the lookup
-                image = Atom(pattern.predicate, values)
-                if image in atoms and not (old and image in delta):
-                    stack.append((i + 1, hom))
+                image = atoms.get(Atom(pattern.predicate, values))
+                if image is not None and not (old and image in delta):
+                    stack.append((i + 1, hom, matched + (image,)))
                 continue
             for candidate in index.lookup(pattern.predicate, positions, values):
                 if not (old and candidate in delta):
                     extended = _match_atom(pattern, candidate, hom)
                     if extended is not None:
-                        stack.append((i + 1, extended))
-    results.sort(key=lambda h: _hom_order(_hom_key(h)))
+                        stack.append((i + 1, extended, matched + (candidate,)))
+    results.sort(key=itemgetter(0))
     return results
 
 
@@ -216,7 +223,7 @@ def enumerate_homomorphisms(rule: Rule, atoms: Iterable[Atom]) -> list[Homomorph
     name, then by the image terms. This is the chase's join with every
     atom in the delta.
     """
-    return _join(rule, _Index(set(atoms)))
+    return [hom for _, _, hom, _ in _join(rule, _Index(atoms))]
 
 
 def matches(candidate: Atom, head_pattern: Atom, nulls: set[LabelledNull]) -> bool:
@@ -240,15 +247,17 @@ def matches(candidate: Atom, head_pattern: Atom, nulls: set[LabelledNull]) -> bo
     return True
 
 
-def _ground_rule(rule: Rule, hom: Homomorphism, registry: NullRegistry) -> GroundRule:
-    body = tuple(substitute(a, hom) for a in rule.body)
+def _ground_head(rule: Rule, hom: Homomorphism, hom_key: tuple, registry: NullRegistry) -> Atom:
     if rule.existential_vars:
-        full = dict(hom)
-        full.update(registry.nulls_for(rule, hom))
-        head = substitute(rule.head, full)
-    else:
-        head = substitute(rule.head, hom)
-    return GroundRule(rule.id, body, head)
+        hom = {**hom, **registry.nulls_for(rule, hom_key)}
+    return substitute(rule.head, hom)
+
+
+def _ground_rule(rule: Rule, hom: Homomorphism, registry: NullRegistry) -> GroundRule:
+    """The ground rule of (rule, hom) over freshly substituted atoms; the
+    chase builds the same rule from the atoms it already holds."""
+    body = tuple(substitute(a, hom) for a in rule.body)
+    return GroundRule(rule.id, body, _ground_head(rule, hom, _hom_key(hom), registry))
 
 
 def oblivious_chase(
@@ -267,40 +276,39 @@ def oblivious_chase(
     On natural termination every (rule, homomorphism) pair whose body maps
     into olim was applied, so `gamma` has exactly one ground rule per pair.
     When the step limit is exceeded the result is flagged truncated and
-    `gamma` holds only the rules of the applications performed.
+    `gamma` holds only the rules of the applications performed. olim and
+    `gamma` share their atoms: one object per ground atom.
     """
-    atoms: set[Atom] = set(facts)
+    index = _Index(facts)  # round 0's delta is every fact
+    atoms = index.atoms
     for a in atoms:
         if not a.is_ground():
             raise ValueError(f"chase input atom {a} is not ground")
     registry = NullRegistry()
-    applied: dict[tuple, GroundRule] = {}
+    applied: list[tuple[int, tuple, GroundRule]] = []  # (rule id, hom order, ground rule)
     rules = sorted(program.rules, key=lambda r: r.id)
     steps = 0
     truncated = False
 
-    index = _Index(atoms)  # round 0's delta is every fact
     while not truncated:
-        new_atoms: set[Atom] = set()
+        new_atoms: dict[Atom, Atom] = {}
         for rule in rules:
             if truncated:
                 break
             if index.delta_by_predicate.keys().isdisjoint(b.predicate for b in rule.body):
                 continue
-            for hom in _join(rule, index):
+            for order, key, hom, body in _join(rule, index):
                 if step_limit is not None and steps >= step_limit:
                     truncated = True
                     break
                 steps += 1
-                grounded = _ground_rule(rule, hom, registry)
-                applied[(rule.id, _hom_key(hom))] = grounded
-                if grounded.head not in atoms:
-                    new_atoms.add(grounded.head)
+                head = _ground_head(rule, hom, key, registry)
+                head = atoms.get(head) or new_atoms.setdefault(head, head)
+                applied.append((rule.id, order, GroundRule(rule.id, body, head)))
         if not new_atoms:
             # every pair into this unchanged atom set has been applied
             break
         index.add(new_atoms)
 
-    order = sorted(applied, key=lambda k: (k[0], _hom_order(k[1])))
-    gamma = tuple(applied[k] for k in order)
-    return ChaseResult(frozenset(atoms), gamma, registry, truncated, steps)
+    applied.sort(key=itemgetter(0, 1))
+    return ChaseResult(frozenset(atoms), tuple(g for _, _, g in applied), registry, truncated, steps)

@@ -31,6 +31,7 @@ from .core import (
     DomainError,
     Instance,
     as_degree,
+    infer_signature,
     relax_rewrite,
 )
 from .engine import (
@@ -157,6 +158,7 @@ def cmd_query(args) -> int:
     atom = parse_ground_atom(args.atom)
     threshold = as_degree(parse_degree(args.at_least))
     if atom.predicate in renaming:  # relaxed mode: the primed carrier holds the degree
+        infer_signature([atom], engine.instance.program.signature)  # an ArityError names the user's predicate
         atom = Atom(renaming[atom.predicate], atom.args)
     result = engine.query(atom, threshold)
     payload = {

@@ -9,14 +9,14 @@ model's atoms, an atom is active exactly when it is null-free, and each
 ground rule's head sum comes from `_head_atoms`, a lookup in the
 chase's hash index on the head's non-existential positions. Plain
 programs get their unique minimal model as the exact least fixpoint of
-nu(H) >= nu(body) - 1 + K, checked against the database's pinned
-degrees. Programs with existential rules become an exact LP over
-olim's positions, whose head rows sum every atom matching the head
-pattern; one `lp.solve` call minimizes a weighted objective, then a
-tie-break, and the preferred model is read back by position. The same
-LP, built for a plain program, is the reference route behind
-`use_fast_path=False`. A Kleene-style iteration of the consequence
-operator doubles as an independent oracle.
+nu(H) >= nu(body) - 1 + K, run on ints over the degrees' common
+denominator and checked against the database's pinned degrees. Programs
+with existential rules become an exact LP over olim's positions, whose
+head rows sum every atom matching the head pattern; one `lp.solve` call
+minimizes a weighted objective, then a tie-break, and the preferred
+model is read back by position. The same LP, built for a plain program,
+is the reference route behind `use_fast_path=False`. A Kleene-style
+iteration of the consequence operator doubles as an independent oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .chase import ChaseResult, _Index, matches, oblivious_chase
@@ -44,6 +45,7 @@ from .core import (
     Variable,
     as_degree,
     body_truth,
+    infer_signature,
     luk_implies,
 )
 from .lp import ColumnProgram, LinearProgram, Status, solve
@@ -168,6 +170,9 @@ def eoptk_columns(instance: Instance, chase: ChaseResult) -> ColumnProgram:
     return ColumnProgram([(ZERO, ONE)] * len(universe), fixed, rows, *costs, universe)
 
 
+_LCM_CAP_BITS = 256  # well below where the read-back gcds outgrow Fraction arithmetic (1,400-3,200 bits on a path)
+
+
 def least_fixpoint(
     gamma: Sequence[GroundRule], seeds: Mapping[Atom, Fraction], K: Fraction
 ) -> dict[Atom, Fraction]:
@@ -178,8 +183,18 @@ def least_fixpoint(
     atom with the largest tentative degree is final when it leaves the
     heap. Each ground rule fires once, when the last of its distinct body
     atoms settles. Seeds are lower bounds, not pins; only positive
-    degrees are returned.
+    degrees are returned. Every degree is a multiple of 1/L, L the lcm of
+    the denominators of K and the seeds, so the heap and the rule values
+    are ints scaled by L, each read back once as Fraction(v, L); past
+    `_LCM_CAP_BITS` bits of L the same loop runs on the Fractions (L = 1).
     """
+    L = K.denominator
+    for d in seeds.values():
+        L = lcm(L, d.denominator) if L.bit_length() <= _LCM_CAP_BITS else L
+    scaled = L.bit_length() <= _LCM_CAP_BITS
+    L = L if scaled else 1
+    nu = {a: d.numerator * (L // d.denominator) for a, d in seeds.items()} if scaled else dict(seeds)
+    k = K.numerator * (L // K.denominator) if scaled else K
     waiting: dict[Atom, list[int]] = {}
     unsettled: list[int] = []
     for i, g in enumerate(gamma):
@@ -187,7 +202,6 @@ def least_fixpoint(
         unsettled.append(len(body))
         for b in body:
             waiting.setdefault(b, []).append(i)
-    nu = dict(seeds)
     tick = itertools.count()
     heap = [(-d, next(tick), a) for a, d in nu.items()]
     heapq.heapify(heap)
@@ -202,11 +216,11 @@ def least_fixpoint(
             if unsettled[i]:
                 continue
             g = gamma[i]
-            value = sum((nu[b] for b in g.body), ZERO) - len(g.body) + K
-            if value > nu.get(g.head, ZERO):
+            value = sum(nu[b] for b in g.body) - len(g.body) * L + k
+            if value > nu.get(g.head, 0):
                 nu[g.head] = value
                 heapq.heappush(heap, (-value, next(tick), g.head))
-    return nu
+    return {a: Fraction(v, L) for a, v in nu.items()} if scaled else nu
 
 
 def minimal_model(
@@ -416,5 +430,6 @@ class Engine:
         c = as_degree(threshold)
         if not atom.is_ground():
             raise ValueError(f"query atom must be ground: {atom}")
+        infer_signature([*self.instance.database.entries, atom], self.instance.program.signature)  # ArityError
         degree = self.model.assignment(atom)
         return QueryResult(atom, c, degree >= c, degree, self.is_existential)

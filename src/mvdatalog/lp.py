@@ -138,11 +138,15 @@ class ColumnProgram:
         for used in (self.fixed, *(row for row, _, _ in self.rows), self.objective, self.secondary):
             if used and (min(used) < 0 or max(used) >= n):
                 raise MalformedModel(f"reference to a column outside 0..{n - 1}")
-        if any(hi is not None and _less(hi, lo) for lo, hi in self.bounds):
-            raise MalformedModel("lower bound above upper bound")
+        ratios = {}  # the ends of each distinct bound tuple (usually one, shared) as int ratios
+        for key, (lo, hi) in {id(pair): pair for pair in self.bounds}.items():
+            if hi is not None and _less(hi, lo):
+                raise MalformedModel("lower bound above upper bound")
+            ratios[key] = (lo.as_integer_ratio(), None if hi is None else hi.as_integer_ratio())
         for j, value in self.fixed.items():
-            lo, hi = self.bounds[j]
-            if _less(value, lo) or (hi is not None and _less(hi, value)):
+            (ln, ld), high = ratios[id(self.bounds[j])]
+            num, den = value.as_integer_ratio()
+            if num * ld < ln * den or (high is not None and high[0] * den < num * high[1]):
                 raise MalformedModel(f"fixed value {value} of {self.names[j]!r} outside bounds")
 
     def labelled(self) -> tuple[LinearProgram, dict[str, Fraction]]:

@@ -326,6 +326,48 @@ class TestNaiveOracle:
         assert 0 < truncated < 1500
 
 
+class TestSharedAtoms:
+    """olim and Gamma hold one object per ground atom: every body and head
+    atom of a ground rule is the olim member itself, and every fact is the
+    object the caller passed in."""
+
+    @staticmethod
+    def _assert_shared(program, facts, step_limit):
+        result = oblivious_chase(program, facts, step_limit)
+        held = {a: a for a in result.olim}
+        assert all(held[a] is a for a in facts)
+        for g in result.gamma:
+            for a in (*g.body, g.head):
+                assert held[a] is a, f"{a} in {g} is a copy"
+        return result
+
+    def test_random_plain_programs(self):
+        rng = random.Random(43)
+        for _ in range(400):
+            inst = random_instance(rng)
+            facts = set(inst.database.entries)
+            for step_limit in (None, 1, 3, 7):
+                self._assert_shared(inst.program, facts, step_limit)
+
+    def test_random_existential_programs(self):
+        rng = random.Random(47)
+        facts = {atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")}
+        unlimited = truncated = 0
+        for _ in range(400):
+            program = random_existential_program(rng)
+            if is_weakly_acyclic_ve(program)[0]:
+                unlimited += 1
+                assert not self._assert_shared(program, facts, None).truncated
+            truncated += self._assert_shared(program, facts, rng.randint(5, 100)).truncated
+        assert unlimited >= 100 and 0 < truncated < 400
+
+    def test_head_derived_twice_in_one_round_is_one_object(self):
+        prog = _program(([atom("a", "X")], atom("c", "X")), ([atom("b", "X")], atom("c", "X")))
+        result = oblivious_chase(prog, {atom("a", "k"), atom("b", "k")})
+        first, second = result.gamma
+        assert first.head is second.head
+
+
 class TestNullRegistry:
     def test_null_freshness(self):
         prog = _program(

@@ -233,6 +233,14 @@ class TestQuery:
         proc = run_cli("query", files["orca"], "orca(X)", "--at-least", "0.5")
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    @pytest.mark.parametrize("query", ["polar(i1, i1)", "orca(i1, i2)", "label(i1)"])
+    def test_arity_mismatch_exit_3(self, files, query, mode):
+        proc = run_cli("query", files["orca"], query, "--mode", mode)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert f"predicate '{query.split('(')[0]}' used with arities" in proc.stderr
+
     def test_chase_gate_precedes_atom_parsing(self, files):
         proc = run_cli("query", files["selfloop"], "p(X)")
         assert proc.returncode == 4

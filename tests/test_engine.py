@@ -5,6 +5,7 @@ from collections import Counter
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from helpers import (
 from mvdatalog import engine as engine_module
 from mvdatalog.chase import _Index, oblivious_chase
 from mvdatalog.core import (
+    ArityError,
     Atom,
     Constant,
     DomainError,
@@ -694,6 +696,20 @@ class TestEngineWrapper:
         with pytest.raises(TruncatedChase):
             engine.model
 
+    @pytest.mark.parametrize("query", [atom("orca", "i1", "i2"), atom("polar", "i1", "i1"), atom("orca")])
+    def test_query_arity_mismatch_raises(self, query):
+        with pytest.raises(ArityError, match="used with arities"):
+            Engine(inst(ORCA)).query(query, F(1, 2))
+
+    def test_query_arity_checked_against_the_database(self):
+        # `seen` occurs in the database only, not in the program's signature
+        program = Program.from_rules([make_rule(0, [atom("p", "X")], atom("q", "X"))])
+        engine = Engine(Instance(program, FuzzyDatabase({atom("seen", "a"): F(1, 2)})))
+        with pytest.raises(ArityError):
+            engine.query(atom("seen", "a", "b"), F(1, 2))
+        assert engine.query(atom("seen", "a"), F(1, 2)).entailed
+        assert engine.query(atom("unknown", "a", "b"), F(0)).degree == 0
+
 
 class TestLeastFixpointRoute:
     """The default least-fixpoint route against the LP route and the Kleene oracle."""
@@ -778,6 +794,69 @@ class TestLeastFixpointRoute:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "AssertionError"
+
+
+class TestIntegerFixpoint:
+    """`least_fixpoint` runs on ints scaled by L, the lcm of the denominators
+    of K and the seeds, and on Fractions once L passes `_LCM_CAP_BITS`; both
+    sides match the LP route and the Kleene oracle."""
+
+    @staticmethod
+    def _L(instance):
+        return lcm(instance.K.denominator, *(d.denominator for d in instance.database.entries.values()))
+
+    @staticmethod
+    def _agreed(instance):
+        fast, slow, kleene = TestLeastFixpointRoute._routes(instance)
+        assert fast == slow
+        assert (fast and fast[0]) == kleene
+        return fast
+
+    def test_random_draws_on_both_sides_of_the_cap(self, monkeypatch):
+        rng = random.Random(15013)
+        unsatisfiable = certain = 0
+        for _ in range(500):
+            instance = random_instance(rng, max_rules=8, max_facts=7)
+            assert self._L(instance).bit_length() <= engine_module._LCM_CAP_BITS
+            ints = self._agreed(instance)
+            monkeypatch.setattr(engine_module, "_LCM_CAP_BITS", 0)  # every L is past the cap
+            fractions = self._agreed(instance)
+            monkeypatch.undo()
+            assert ints == fractions
+            unsatisfiable += ints is None
+            certain += bool(ints and ints[1])
+        assert unsatisfiable >= 100 and certain >= 40
+
+    @staticmethod
+    def _prime_chain(edges, K, pin=None):
+        """A path whose first three edges are certain and whose others have
+        distinct prime denominators, with reach(c0) and optionally a pin at its end."""
+        primes = [p for p in range(101, 10**4) if all(p % q for q in range(2, int(p**0.5) + 1))]
+        lines = ["reach(c0).", "reach(Y) :- edge(X, Y), reach(X)."]
+        for i in range(edges):
+            degree = F(1) if i < 3 else F(primes[i] - 1, primes[i])
+            lines.append(f"{degree} :: edge(c{i}, c{i + 1}).")
+        if pin is not None:
+            lines.append(f"{pin} :: reach(c{edges}).")
+        return inst("\n".join(lines), K)
+
+    @pytest.mark.parametrize("K", [F(1), F(999, 1000)])
+    def test_many_prime_denominators_run_on_fractions(self, K):
+        instance = self._prime_chain(80, K)
+        assert self._L(instance).bit_length() > engine_module._LCM_CAP_BITS
+        assignment, certain = self._agreed(instance)
+        reached = [F(1)]
+        for i in range(80):
+            reached.append(reached[-1] + instance.database.degree(atom("edge", f"c{i}", f"c{i + 1}")) - 2 + K)
+        assert [assignment(atom("reach", f"c{i}")) for i in range(81)] == reached
+        expected = {atom("reach", f"c{i}") for i in range(4)} | {a for a, d in instance.database.entries.items() if d == 1}
+        assert certain == (expected if K == 1 else set())
+
+    @pytest.mark.parametrize("pin, satisfiable", [(F(1), True), (F(1, 7919), False)])
+    def test_pinned_end_past_the_cap(self, pin, satisfiable):
+        instance = self._prime_chain(80, F(1), pin)
+        assert self._L(instance).bit_length() > engine_module._LCM_CAP_BITS
+        assert (self._agreed(instance) is not None) == satisfiable
 
 
 def test_package_has_no_assert_statements():
