@@ -253,13 +253,6 @@ def _ground_head(rule: Rule, hom: Homomorphism, hom_key: tuple, registry: NullRe
     return substitute(rule.head, hom)
 
 
-def _ground_rule(rule: Rule, hom: Homomorphism, registry: NullRegistry) -> GroundRule:
-    """The ground rule of (rule, hom) over freshly substituted atoms; the
-    chase builds the same rule from the atoms it already holds."""
-    body = tuple(substitute(a, hom) for a in rule.body)
-    return GroundRule(rule.id, body, _ground_head(rule, hom, _hom_key(hom), registry))
-
-
 def oblivious_chase(
     program: Program,
     facts: Iterable[Atom],

@@ -58,9 +58,28 @@ class CliError(Exception):
         self.code = code
 
 
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value, newline: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for str-keyed payloads, byte for byte.
+    json.dumps runs its pure-Python encoder whenever `indent` is set; this
+    writes the layout itself and leaves each leaf to json's C encoders."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = [  # a str value, the common case, is encoded without a call
+            f"{_encode_string(k)}: {_encode_string(v) if type(v) is str else _dumps(v, inner)}"
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list) and value:
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + newline + "]"
+    return _encode_string(value) if type(value) is str else json.dumps(value)
+
+
 def _emit(payload: dict, as_json: bool, text_lines: Optional[list[str]] = None) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for line in [json.dumps(payload, sort_keys=True)] if text_lines is None else text_lines:
             print(line)
@@ -158,7 +177,7 @@ def cmd_query(args) -> int:
     atom = parse_ground_atom(args.atom)
     threshold = as_degree(parse_degree(args.at_least))
     if atom.predicate in renaming:  # relaxed mode: the primed carrier holds the degree
-        infer_signature([atom], engine.instance.program.signature)  # an ArityError names the user's predicate
+        infer_signature([atom], engine.instance.signature)  # an ArityError names the user's predicate
         atom = Atom(renaming[atom.predicate], atom.args)
     result = engine.query(atom, threshold)
     payload = {

@@ -32,9 +32,10 @@ def as_degree(value: RationalLike, *, positive: bool = False) -> Fraction:
         degree = value if type(value) is Fraction else Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational degree: {value!r}") from exc
-    if degree < ZERO or degree > ONE:
+    numerator = degree.numerator  # exact int comparisons: the denominator is positive
+    if numerator < 0 or numerator > degree.denominator:
         raise DomainError(f"degree {degree} outside [0, 1]")
-    if positive and degree == ZERO:
+    if positive and numerator == 0:
         raise DomainError("degree must be strictly positive")
     return degree
 
@@ -97,10 +98,10 @@ class Atom:
         return len(self.args)
 
     def is_ground(self) -> bool:
-        return not any(isinstance(t, Variable) for t in self.args)
+        return Variable not in map(type, self.args)
 
     def has_nulls(self) -> bool:
-        return any(isinstance(t, LabelledNull) for t in self.args)
+        return LabelledNull in map(type, self.args)
 
     def variables(self) -> set[str]:
         return {t.name for t in self.args if isinstance(t, Variable)}
@@ -109,7 +110,7 @@ class Atom:
         return {t.name for t in self.args if isinstance(t, Constant)}
 
     def sort_key(self) -> tuple:
-        return (self.predicate, len(self.args), tuple(term_sort_key(t) for t in self.args))
+        return (self.predicate, len(self.args), tuple(map(term_sort_key, self.args)))
 
     def __hash__(self) -> int:
         # cached: the generated hash would re-hash every term on each set or
@@ -328,10 +329,11 @@ class Instance:
     program: Program
     database: FuzzyDatabase
     K: Fraction = ONE
+    signature: dict[str, int] = field(init=False, repr=False, compare=False)  # program's and database's
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "K", as_degree(self.K, positive=True))
-        infer_signature(self.database.entries, self.program.signature)
+        object.__setattr__(self, "signature", infer_signature(self.database.entries, self.program.signature))
 
 
 # ---------------------------------------------------------------------------

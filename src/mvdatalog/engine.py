@@ -430,6 +430,6 @@ class Engine:
         c = as_degree(threshold)
         if not atom.is_ground():
             raise ValueError(f"query atom must be ground: {atom}")
-        infer_signature([*self.instance.database.entries, atom], self.instance.program.signature)  # ArityError
+        infer_signature([atom], self.instance.signature)  # ArityError
         degree = self.model.assignment(atom)
         return QueryResult(atom, c, degree >= c, degree, self.is_existential)

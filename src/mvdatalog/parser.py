@@ -9,8 +9,13 @@ Grammar (line comments start with `%`):
     term   :=  ident | VARIABLE | NUMBER
 
 Identifiers starting lowercase are constants/predicates, starting
-uppercase are variables. Head variables absent from the body are
+uppercase are variables. NUMBER is ASCII digits with an optional
+decimal part (`[0-9]+(.[0-9]+)?`), so other Unicode digits are
+unexpected characters. Head variables absent from the body are
 existentially quantified unless strict mode is on.
+
+The tokenizer is one `findall` into plain strings; a token's kind is
+read off its text, and its position is recovered only for an error.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from typing import Callable, Iterable, Iterator, NoReturn, Optional, TypeVar
 
 from .core import (
     ONE,
-    ZERO,
     Atom,
     Constant,
     DomainError,
@@ -56,68 +60,60 @@ class NonGroundQuery(ValueError):
     """A query atom contains variables."""
 
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<SKIP>\s+|%[^\n]*)
-    | (?P<NUMBER>\d+(?:\.\d+)?)
-    | (?P<IDENT>[a-z][A-Za-z0-9_']*)
-    | (?P<VAR>[A-Z_][A-Za-z0-9_]*)
-    | (?P<IMPLIEDBY>:-)
-    | (?P<DEGSEP>::)
-    | (?P<LPAREN>\()
-    | (?P<RPAREN>\))
-    | (?P<COMMA>,)
-    | (?P<DOT>\.)
-    | (?P<SLASH>/)
-    | (?P<OTHER>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# One findall yields the token texts: the group is empty for whitespace
+# and comments, and `.` takes any character the grammar has no token for.
+_TOKEN_RE = re.compile(r"\s+|%[^\n]*|([0-9]+(?:\.[0-9]+)?|[a-z][A-Za-z0-9_']*|[A-Z_][A-Za-z0-9_]*|:-|::|.)")
+
+# A token's kind by its first character, else by its whole text; the empty text is EOF.
+_KINDS = {
+    **dict.fromkeys("0123456789", "NUMBER"),
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "IDENT"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_", "VAR"),
+    ":-": "IMPLIEDBY", "::": "DEGSEP", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "/": "SLASH",
+    "": "EOF",
+}
 
 T = TypeVar("T")
 
 
 class _Parser:
-    """Tokens are (kind, text, offset) tuples; line and column are worked
-    out from the offset only when an error reports them."""
+    """Recursive descent over the token texts, ending in EOF's empty text,
+    and their kinds in a parallel list. An error alone finds its token's
+    offset. Each distinct degree or term literal is built once."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind == "OTHER":
-                self.fail("unexpected character", (kind, m.group(), m.start()))
-            if kind != "SKIP":
-                self.tokens.append((kind, m.group(), m.start()))
-        self.tokens.append(("EOF", "", len(text)))
+        self.tokens = [*filter(None, _TOKEN_RE.findall(text)), ""]
+        kinds = {token: _KINDS.get(token[:1]) or _KINDS.get(token, "OTHER") for token in set(self.tokens)}
+        self.kinds = list(map(kinds.__getitem__, self.tokens))
         self.pos = 0
+        self.degrees, self.terms = {}, {}  # literal -> the Fraction or Term built for it
+        if "OTHER" in kinds.values():
+            self.fail("unexpected character", self.kinds.index("OTHER"))
 
-    def line_column(self, offset: int) -> tuple[int, int]:
+    def line_column(self, index: int) -> tuple[int, int]:
+        offset = [*(m.start() for m in _TOKEN_RE.finditer(self.text) if m.lastindex), len(self.text)][index]
         line_start = self.text.rfind("\n", 0, offset) + 1
         return self.text.count("\n", 0, offset) + 1, offset - line_start + 1
 
-    def fail(self, message: str, token: Optional[tuple[str, str, int]] = None) -> NoReturn:
-        _, text, offset = token or self.tokens[self.pos]
-        raise ParseError(message, *self.line_column(offset), text)
+    def fail(self, message: str, index: Optional[int] = None, shown: Optional[str] = None) -> NoReturn:
+        """Raise at token `index`, by default the current one, showing its text unless `shown` is given."""
+        index = self.pos if index is None else index
+        raise ParseError(message, *self.line_column(index), self.tokens[index] if shown is None else shown)
 
-    def peek(self) -> str:
-        return self.tokens[self.pos][0]
-
-    def next(self) -> tuple[str, str, int]:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        if self.peek() != kind:
+    def expect(self, kind: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
             self.fail(f"expected {kind}")
-        return self.next()
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def statements(self) -> Iterator[tuple[Atom, Optional[list[Atom]], Fraction, int]]:
-        """Yield (head, body, degree, offset) per statement; a fact's body is None."""
-        while self.peek() != "EOF":
-            kind, _, offset = self.tokens[self.pos]
+        """Yield (head, body, degree, first token index) per statement; a fact's body is None."""
+        kinds = self.kinds
+        while kinds[self.pos] != "EOF":
+            start = self.pos
+            kind = kinds[start]
             degree, body = ONE, None
             if kind == "NUMBER":
                 degree = self.degree()
@@ -125,58 +121,67 @@ class _Parser:
             elif kind != "IDENT":
                 self.fail("expected a fact or rule")
             head = self.atom()
-            if kind == "IDENT" and self.peek() == "IMPLIEDBY":
-                self.next()
+            if kind == "IDENT" and kinds[self.pos] == "IMPLIEDBY":
+                self.pos += 1
                 body = self.comma_separated(self.atom)
             self.expect("DOT")
-            yield head, body, degree, offset
+            yield head, body, degree, start
 
     def comma_separated(self, item: Callable[[], T]) -> list[T]:
         items = [item()]
-        while self.peek() == "COMMA":
-            self.next()
+        while self.kinds[self.pos] == "COMMA":
+            self.pos += 1
             items.append(item())
         return items
 
     def degree(self) -> Fraction:
-        first = self.expect("NUMBER")
-        if self.peek() != "SLASH":
-            # Fraction parses decimal strings exactly (no float intermediate).
-            return self.number(Fraction, first)
-        self.next()
-        second = self.expect("NUMBER")
-        if "." in first[1] or "." in second[1]:
-            self.fail("fraction degrees must be integer/integer", first)
-        denominator = self.number(int, second)
-        if denominator == 0:
-            self.fail("zero denominator", second)
-        return Fraction(self.number(int, first), denominator)
+        first = self.pos
+        numerator = self.expect("NUMBER")
+        if self.kinds[self.pos] != "SLASH":
+            degree = self.degrees.get(numerator)
+            if degree is None:
+                # Fraction parses decimal strings exactly (no float intermediate).
+                degree = self.degrees[numerator] = self.number(Fraction, first)
+            return degree
+        self.pos += 1
+        second = self.pos
+        key = (numerator, self.expect("NUMBER"))
+        degree = self.degrees.get(key)
+        if degree is None:
+            if "." in key[0] or "." in key[1]:
+                self.fail("fraction degrees must be integer/integer", first)
+            denominator = self.number(int, second)
+            if denominator == 0:
+                self.fail("zero denominator", second)
+            degree = self.degrees[key] = Fraction(self.number(int, first), denominator)
+        return degree
 
-    def number(self, convert: Callable[[str], T], token: tuple[str, str, int]) -> T:
+    def number(self, convert: Callable[[str], T], index: int) -> T:
         try:
-            return convert(token[1])
+            return convert(self.tokens[index])
         except ValueError:
             # Python refuses to convert integer strings beyond sys.get_int_max_str_digits()
-            self.fail("too many digits in degree", token)
+            self.fail("too many digits in degree", index)
 
     def atom(self) -> Atom:
-        name = self.expect("IDENT")[1]
-        if self.peek() != "LPAREN":
+        name = self.expect("IDENT")
+        if self.kinds[self.pos] != "LPAREN":
             return Atom(name)
-        self.next()
+        self.pos += 1
         args = self.comma_separated(self.term)
         self.expect("RPAREN")
         return Atom(name, tuple(args))
 
     def term(self) -> Term:
-        kind, text, _ = self.tokens[self.pos]
-        if kind == "VAR":
-            self.next()
-            return Variable(text)
-        if kind != "IDENT" and kind != "NUMBER":
-            self.fail("expected a term")
-        self.next()
-        return Constant(text)
+        text = self.tokens[self.pos]
+        term = self.terms.get(text)
+        if term is None:
+            kind = self.kinds[self.pos]
+            if kind != "VAR" and kind != "IDENT" and kind != "NUMBER":
+                self.fail("expected a term")
+            term = self.terms[text] = Variable(text) if kind == "VAR" else Constant(text)
+        self.pos += 1
+        return term
 
 
 def parse(text: str, *, strict: bool = False) -> tuple[Program, FuzzyDatabase]:
@@ -194,26 +199,26 @@ def parse_many(texts: Iterable[str], *, strict: bool = False) -> tuple[Program, 
     facts: dict[Atom, Fraction] = {}
     rules: list[Rule] = []
     for parser, statements in parsed:
-        for head, body, degree, offset in statements:
+        for head, body, degree, start in statements:
             if body is not None:
                 rule = make_rule(len(rules), body, head)
                 if strict and rule.existential_vars:
                     raise SafetyError(
                         f"head variables {sorted(rule.existential_vars)} do not occur in the body "
-                        f"(line {parser.line_column(offset)[0]}): {head}"
+                        f"(line {parser.line_column(start)[0]}): {head}"
                     )
                 rules.append(rule)
                 continue
             if not head.is_ground():
-                parser.fail("facts must be ground", ("", str(head), offset))
+                parser.fail("facts must be ground", start, str(head))
             # FuzzyDatabase validates every degree; a bad one fails here, in statement order
-            if not ZERO < degree <= ONE:
+            if not 0 < degree.numerator <= degree.denominator:
                 as_degree(degree, positive=True)
             known = facts.get(head)
             if known is not None and known != degree:
                 raise DomainError(
                     f"conflicting degrees {known} and {degree} for fact {head} "
-                    f"(line {parser.line_column(offset)[0]})"
+                    f"(line {parser.line_column(start)[0]})"
                 )
             facts[head] = degree
     # Program.from_rules rejects a predicate used with two arities.
@@ -224,9 +229,9 @@ def parse_ground_atom(text: str) -> Atom:
     """Parse a single ground atom, e.g. a query argument."""
     parser = _Parser(text)
     a = parser.atom()
-    if parser.peek() == "DOT":
-        parser.next()
-    if parser.peek() != "EOF":
+    if parser.kinds[parser.pos] == "DOT":
+        parser.pos += 1
+    if parser.kinds[parser.pos] != "EOF":
         parser.fail("trailing input after atom")
     if not a.is_ground():
         raise NonGroundQuery(f"query atom must be ground: {a}")

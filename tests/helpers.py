@@ -8,22 +8,27 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from mvdatalog.chase import ChaseResult, NullRegistry, _ground_rule, _hom_key, _hom_order, matches
+from mvdatalog.chase import ChaseResult, NullRegistry, _ground_head, _hom_key, _hom_order, matches
 from mvdatalog.lp import ONE, ZERO, LinearProgram, MalformedModel, Solution, Status, solve
 from mvdatalog.core import (
     Atom,
     Constant,
+    DomainError,
     FuzzyDatabase,
     GroundRule,
     Instance,
     Program,
     Rule,
     Variable,
+    as_degree,
     make_rule,
+    substitute,
 )
+from mvdatalog.parser import NonGroundQuery, ParseError, SafetyError
 
 CONSTANTS = ["a", "b"]
 PREDICATES = [("p", 1), ("q", 1), ("r", 2), ("s", 1)]
@@ -180,6 +185,13 @@ def naive_homomorphisms(rule: Rule, atoms: set[Atom]) -> list[dict]:
     extend(0, {})
     results.sort(key=lambda h: _hom_order(_hom_key(h)))
     return results
+
+
+def _ground_rule(rule: Rule, hom: dict, registry: NullRegistry) -> GroundRule:
+    """The ground rule of (rule, hom) over freshly substituted atoms; the
+    chase builds the same rule from the atoms it already holds."""
+    body = tuple(substitute(a, hom) for a in rule.body)
+    return GroundRule(rule.id, body, _ground_head(rule, hom, _hom_key(hom), registry))
 
 
 def naive_oblivious_chase(program: Program, facts, step_limit=None) -> ChaseResult:
@@ -842,3 +854,167 @@ def fraction_audit(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
         lhs = sum((a * assignment[v] for v, a in c.coeffs.items()), ZERO)
         if lhs < c.rhs:
             raise AssertionError(f"solver bug: constraint violated by {c.rhs - lhs}")
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: one regex match, kind and offset per token, and a plain
+# descent over (kind, text, offset) tuples. NUMBER is ASCII digits, as in
+# the grammar.
+
+_NAIVE_TOKEN_RE = re.compile(
+    r"""
+      (?P<SKIP>\s+|%[^\n]*)
+    | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
+    | (?P<IDENT>[a-z][A-Za-z0-9_']*)
+    | (?P<VAR>[A-Z_][A-Za-z0-9_]*)
+    | (?P<IMPLIEDBY>:-)
+    | (?P<DEGSEP>::)
+    | (?P<LPAREN>\()
+    | (?P<RPAREN>\))
+    | (?P<COMMA>,)
+    | (?P<DOT>\.)
+    | (?P<SLASH>/)
+    | (?P<OTHER>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class NaiveParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in _NAIVE_TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "OTHER":
+                self.fail("unexpected character", (kind, m.group(), m.start()))
+            if kind != "SKIP":
+                self.tokens.append((kind, m.group(), m.start()))
+        self.tokens.append(("EOF", "", len(text)))
+        self.pos = 0
+
+    def line(self, offset: int) -> int:
+        return self.text.count("\n", 0, offset) + 1
+
+    def fail(self, message: str, token=None):
+        _, text, offset = token or self.tokens[self.pos]
+        column = offset - (self.text.rfind("\n", 0, offset) + 1) + 1
+        raise ParseError(message, self.line(offset), column, text)
+
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def next(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expect(self, kind: str):
+        if self.peek() != kind:
+            self.fail(f"expected {kind}")
+        return self.next()
+
+    def statements(self) -> list:
+        out = []
+        while self.peek() != "EOF":
+            kind, _, offset = self.tokens[self.pos]
+            degree, body = Fraction(1), None
+            if kind == "NUMBER":
+                degree = self.degree()
+                self.expect("DEGSEP")
+            elif kind != "IDENT":
+                self.fail("expected a fact or rule")
+            head = self.atom()
+            if kind == "IDENT" and self.peek() == "IMPLIEDBY":
+                self.next()
+                body = [self.atom()]
+                while self.peek() == "COMMA":
+                    self.next()
+                    body.append(self.atom())
+            self.expect("DOT")
+            out.append((head, body, degree, offset))
+        return out
+
+    def degree(self) -> Fraction:
+        first = self.expect("NUMBER")
+        if self.peek() != "SLASH":
+            return self.number(Fraction, first)
+        self.next()
+        second = self.expect("NUMBER")
+        if "." in first[1] or "." in second[1]:
+            self.fail("fraction degrees must be integer/integer", first)
+        denominator = self.number(int, second)
+        if denominator == 0:
+            self.fail("zero denominator", second)
+        return Fraction(self.number(int, first), denominator)
+
+    def number(self, convert, token):
+        try:
+            return convert(token[1])
+        except ValueError:
+            self.fail("too many digits in degree", token)
+
+    def atom(self) -> Atom:
+        name = self.expect("IDENT")[1]
+        if self.peek() != "LPAREN":
+            return Atom(name)
+        self.next()
+        args = [self.term()]
+        while self.peek() == "COMMA":
+            self.next()
+            args.append(self.term())
+        self.expect("RPAREN")
+        return Atom(name, tuple(args))
+
+    def term(self):
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "VAR" and kind != "IDENT" and kind != "NUMBER":
+            self.fail("expected a term")
+        self.next()
+        return Variable(text) if kind == "VAR" else Constant(text)
+
+
+def naive_parse_many(texts, *, strict: bool = False) -> tuple[Program, FuzzyDatabase]:
+    """Reference `parse_many`: every text is tokenized and parsed before any
+    statement is checked; then rules and facts merge in statement order."""
+    parsed = [(p, p.statements()) for p in map(NaiveParser, texts)]
+    facts: dict[Atom, Fraction] = {}
+    rules: list[Rule] = []
+    for parser, statements in parsed:
+        for head, body, degree, offset in statements:
+            if body is not None:
+                rule = make_rule(len(rules), body, head)
+                if strict and rule.existential_vars:
+                    raise SafetyError(
+                        f"head variables {sorted(rule.existential_vars)} do not occur in the body "
+                        f"(line {parser.line(offset)}): {head}"
+                    )
+                rules.append(rule)
+                continue
+            if not head.is_ground():
+                parser.fail("facts must be ground", ("", str(head), offset))
+            as_degree(degree, positive=True)
+            if head in facts and facts[head] != degree:
+                raise DomainError(
+                    f"conflicting degrees {facts[head]} and {degree} for fact {head} (line {parser.line(offset)})"
+                )
+            facts[head] = degree
+    return Program.from_rules(rules, extra_atoms=list(facts)), FuzzyDatabase(facts)
+
+
+def naive_parse_ground_atom(text: str) -> Atom:
+    parser = NaiveParser(text)
+    a = parser.atom()
+    if parser.peek() == "DOT":
+        parser.next()
+    if parser.peek() != "EOF":
+        parser.fail("trailing input after atom")
+    if not a.is_ground():
+        raise NonGroundQuery(f"query atom must be ground: {a}")
+    return a
+
+
+def naive_parse_degree(text: str) -> Fraction:
+    parser = NaiveParser(text)
+    degree = parser.degree()
+    parser.expect("EOF")
+    return degree

@@ -5,6 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mvdatalog.cli import _dumps
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -433,6 +437,14 @@ class TestDegreeOptions:
         assert proc.returncode == code
         assert json.loads(proc.stdout)["threshold"] == threshold
 
+    @pytest.mark.parametrize("argv", [("solve", "--K"), ("query", "orca(i1)", "--at-least")], ids=["K", "at-least"])
+    def test_non_ascii_digits_exit_3(self, files, argv):
+        # Arabic-Indic 0.5: NUMBER is ASCII digits only
+        proc = run_cli(argv[0], files["orca"], *argv[1:], "\u0660.\u0665")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "error: unexpected character (line 1, column 1 near '\u0660')\n"
+
     def test_decimal_k(self, files):
         proc = run_cli("solve", files["orca"], "--K", "0.8")
         model = {e["atom"]: e["degree"] for e in json.loads(proc.stdout)["model"]}
@@ -472,3 +484,30 @@ class TestLongRuleBody:
         else:
             model = {e["atom"]: e["degree"] for e in payload["model"]}
             assert model["q(a)"] == "1" and len(model) == n + 1
+
+
+# Strings over every code point, lone surrogates included, and the ones json must escape.
+_STRINGS = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\n\r\t\b\f", "caf\u00e9", "\u2028", "\U0001f600", "\ud800", "/"]
+)
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _STRINGS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_STRINGS, children, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """`_dumps` writes what `json.dumps(indent=2, sort_keys=True)` writes."""
+
+    @given(_PAYLOADS)
+    @example({"model": [], "stats": {}, "witness": None, "ok": True, "n": -3, "": [[{}], [0]]})
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, payload):
+        assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("name", ["orca", "kp", "nulls", "unsat"])
+    def test_cli_output_is_json_dumps(self, files, name):
+        for command in ("solve", "check", "ground"):
+            proc = run_cli(command, files[name])
+            assert proc.stdout == json.dumps(json.loads(proc.stdout), indent=2, sort_keys=True) + "\n", command

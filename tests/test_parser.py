@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance
+from helpers import naive_parse_degree, naive_parse_ground_atom, naive_parse_many, random_instance
 from mvdatalog import core, parser
 from mvdatalog.core import ArityError, Atom, DomainError, FuzzyDatabase, atom
 from mvdatalog.parser import (
@@ -17,6 +17,7 @@ from mvdatalog.parser import (
     format_instance,
     parse,
     parse_ground_atom,
+    parse_degree,
     parse_many,
 )
 
@@ -133,6 +134,25 @@ class TestErrors:
             parse(text)
         found = (err.value.message, err.value.line, err.value.column, err.value.token)
         assert found == ("too many digits in degree", 1, column, text[column - 1 : text.index(" ")])
+
+    @pytest.mark.parametrize(
+        "text, column, token",
+        [
+            ("\u0660.\u0665 :: p(a).", 1, "\u0660"),  # Arabic-Indic 0.5 as a degree
+            ("p(\u0663).", 3, "\u0663"),  # Arabic-Indic 3 as a term
+            ("p(a).\nq(1\u00b2).", 4, "\u00b2"),  # a superscript two, which str.isdigit accepts
+        ],
+        ids=["degree", "term", "superscript"],
+    )
+    def test_number_is_ascii_digits(self, text, column, token):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        found = (err.value.message, err.value.column, err.value.token)
+        assert found == ("unexpected character", column, token)
+
+    def test_degree_argument_is_ascii_digits(self):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_degree("\u0660.\u0665")
 
 
 class TestDegreeValidation:
@@ -302,3 +322,66 @@ class TestFuzz:
             parse_ground_atom(text)
         except (ParseError, NonGroundQuery):
             pass
+
+
+def _outcome(run, *args, **kwargs):
+    """What a parse returns, or the type and fields of the input error it raises."""
+    try:
+        return run(*args, **kwargs)
+    except ParseError as exc:
+        return ParseError, exc.message, exc.line, exc.column, exc.token
+    except (DomainError, ArityError, SafetyError, NonGroundQuery) as exc:
+        return type(exc), str(exc)
+
+
+_SEPARATORS = st.sampled_from([" ", "\n", "\n\n", "\t", " % note: p(a).\n", "\n%\n"])
+_DEGREES = st.sampled_from(
+    ["", "1 :: ", "0.5 :: ", "9/10 :: ", "1/3::", "0.25 ::", "007/8 :: ", "2 :: ", "0 :: ", "1/0 :: ", "1.5/2 :: "]
+)
+_PREDICATES = st.sampled_from(["p", "q", "e", "r2", "k'", "s_t"])
+_TERMS = st.sampled_from(["a", "b", "n1", "42", "0.5", "X", "Y", "_", "_Z1", "W2"])
+
+
+@st.composite
+def _atoms(draw) -> str:
+    name = draw(_PREDICATES)
+    args = draw(st.lists(_TERMS, max_size=3))
+    return f"{name}({', '.join(args)})" if args else name
+
+
+@st.composite
+def _statements(draw) -> str:
+    head = draw(_atoms())
+    if draw(st.booleans()):
+        return f"{draw(_DEGREES)}{head}."
+    return f"{head} :- {', '.join(draw(st.lists(_atoms(), min_size=1, max_size=3)))}."
+
+
+@st.composite
+def _mvdl_texts(draw) -> str:
+    """Statements in the grammar, some spliced with pieces inside or outside it."""
+    text = "".join(s + draw(_SEPARATORS) for s in draw(st.lists(_statements(), max_size=6)))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 3)))
+        piece = draw(_PIECES | st.sampled_from(["\u0663", "\u00b2", "\u0660.\u0665", "\u00a0", "\r\n"]))
+        text = text[:i] + piece + text[j:]
+    return text
+
+
+class TestAgainstNaiveParser:
+    """The parser against the reference tokenizer and descent in helpers.py."""
+
+    @given(st.lists(_mvdl_texts(), min_size=1, max_size=2), st.booleans())
+    @example(["0.5 :: p(a).\n", "0.6 :: p(a)."], False)
+    @example(["p(a).\n% end"], False)
+    @example(["p(a)\n  "], False)
+    @settings(max_examples=400, deadline=None)
+    def test_parse_many(self, texts, strict):
+        assert _outcome(parse_many, texts, strict=strict) == _outcome(naive_parse_many, texts, strict=strict)
+
+    @given(st.lists(_PIECES, max_size=8).map("".join))
+    @settings(max_examples=200, deadline=None)
+    def test_parse_ground_atom_and_degree(self, text):
+        assert _outcome(parse_ground_atom, text) == _outcome(naive_parse_ground_atom, text)
+        assert _outcome(parse_degree, text) == _outcome(naive_parse_degree, text)
