@@ -1,16 +1,15 @@
 """Oblivious chase over the crisp instance.
 
-Saturation is round-based and semi-naive: round 0 joins the rules with
-the input facts, and each later round only with homomorphisms that map
-some body atom into the atoms the previous round added (the delta),
-matching the other body atoms in hash indexes on (predicate, bound
-argument positions) over the round's snapshot. Every pair found is new
-and is applied once, in rule-id and then homomorphism order; the chase
-stops at the first round that adds no atom. Existential rules draw their
-labelled nulls from a registry keyed by (rule id, body homomorphism) so
-reruns are stable. Each ground atom is one object: a ground rule's body
-holds the atoms its join matched and its head the atom already held, so
-later lookups by these atoms hit on identity.
+Saturation is round-based and semi-naive: round 0 joins the rules with the
+input facts, each later round only with homomorphisms that map some body
+atom into the atoms the previous round added (the delta). Each joined rule
+is compiled once per chase into slot plans: a homomorphism is the tuple of
+its body variables' images in name order, found by matching body[d] in the
+delta, then probing a hash index for each other body atom on the positions
+a constant or an earlier atom fixes. Every pair found is new and applied
+once, in rule-id and homomorphism order, until a round adds no atom. Heads
+come from a template, nulls from a registry keyed by (rule id,
+homomorphism). olim and the ground rules share one object per ground atom.
 """
 
 from __future__ import annotations
@@ -19,30 +18,19 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
-from .core import (
-    Atom,
-    GroundRule,
-    LabelledNull,
-    Program,
-    Rule,
-    Term,
-    Variable,
-    substitute,
-    term_sort_key,
-)
+from .core import Atom, GroundRule, LabelledNull, Program, Rule, Term, Variable, term_sort_key
 
-Homomorphism = dict[str, Term]
+Relation = tuple[str, int]  # (predicate, arity)
 
 
-def _hom_key(hom: Mapping[str, Term]) -> tuple:
-    return tuple(sorted(hom.items()))
-
-
-def _hom_order(hom_key: tuple) -> tuple:
-    """Sort key of a homomorphism: its image terms in variable-name order."""
-    return tuple(term_sort_key(t) for _, t in hom_key)
+def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """seq -> the tuple of seq's items at `indices`; an itemgetter from two on."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices) if indices else lambda seq: ()
 
 
 class NullRegistry:
@@ -52,13 +40,12 @@ class NullRegistry:
         self._assigned: dict[tuple, tuple[LabelledNull, ...]] = {}
         self._counter = itertools.count(1)
 
-    def nulls_for(self, rule: Rule, hom_key: tuple) -> dict[str, LabelledNull]:
-        """Fetch (or mint) the nulls of `rule`'s existential head vars for the hom keyed `hom_key`."""
+    def nulls_for(self, rule: Rule, hom_key: tuple) -> tuple[LabelledNull, ...]:
+        """The nulls of `rule`'s existential vars in name order for the hom keyed `hom_key`."""
         key = (rule.id, hom_key)
-        variables = tuple(sorted(rule.existential_vars))
         if key not in self._assigned:
-            self._assigned[key] = tuple(LabelledNull(next(self._counter)) for _ in variables)
-        return dict(zip(variables, self._assigned[key]))
+            self._assigned[key] = tuple(LabelledNull(next(self._counter)) for _ in rule.existential_vars)
+        return self._assigned[key]
 
     def entries(self) -> list[tuple[int, tuple, tuple[LabelledNull, ...]]]:
         return [(rid, hom_key, nulls) for (rid, hom_key), nulls in self._assigned.items()]
@@ -94,183 +81,188 @@ class ChaseResult:
         return self._sorted_olim
 
 
-def _index_by_predicate(atoms: Iterable[Atom]) -> dict[str, list[Atom]]:
-    index: dict[str, list[Atom]] = {}
+def _by_relation(atoms: Iterable[Atom]) -> dict[Relation, list[Atom]]:
+    index: dict[Relation, list[Atom]] = {}
     for a in atoms:
-        index.setdefault(a.predicate, []).append(a)
+        index.setdefault((a.predicate, len(a.args)), []).append(a)
     return index
 
 
-def _match_atom(pattern: Atom, candidate: Atom, hom: Homomorphism) -> Optional[Homomorphism]:
-    """Extend `hom` so that pattern maps onto candidate, or None."""
-    if pattern.predicate != candidate.predicate or pattern.arity != candidate.arity:
-        return None
-    out = hom
-    copied = False
-    for p, c in zip(pattern.args, candidate.args):
-        if isinstance(p, Variable):
-            bound = out.get(p.name)
-            if bound is None:
-                if not copied:
-                    out = dict(out)
-                    copied = True
-                out[p.name] = c
-            elif bound != c:
-                return None
-        elif p != c:
-            return None
-    return out
+class _CompiledRule:
+    """A rule compiled for the join: `names` (its body variables in name
+    order) are a homomorphism's slots, `relations` its body atoms' (predicate,
+    arity). `head` holds the predicate, a getter of the args from the slots,
+    nulls and head constants, those constants, and whether there are nulls."""
 
+    __slots__ = ("rule", "relations", "names", "plans", "head")
 
-def _plan(rule: Rule, d: int) -> list[tuple]:
-    """The join plan for body position d: a step (pattern, old, bound
-    positions, their terms) per body atom other than body[d].
+    def __init__(self, rule: Rule):
+        self.rule, self.plans = rule, [None] * len(rule.body)
+        self.plan(0)  # which numbers the slots and lists the relations
+        existential = rule.existential_vars
+        pool = self.names + sorted(existential) if existential else self.names
+        template, constants = [], []
+        for t in rule.head.args:
+            if type(t) is Variable:
+                template.append(pool.index(t.name))
+            else:
+                template.append(len(pool) + len(constants))
+                constants.append(t)
+        self.head = (rule.head.predicate, _getter(template), tuple(constants), bool(existential))
 
-    Body atom d is matched in the delta first, the atoms before it outside
-    the delta (`old`) and the atoms after it anywhere, so a homomorphism
-    with several body atoms in the delta is found once, under the first.
-    """
-    bound = rule.body[d].variables()
-    steps = []
-    for j, pattern in enumerate(rule.body):
-        if j != d:
-            args = pattern.args
-            positions = tuple(i for i, t in enumerate(args) if not isinstance(t, Variable) or t.name in bound)
-            steps.append((pattern, j < d, positions, tuple(args[i] for i in positions)))
-            bound = bound | pattern.variables()
-    return steps
+    def plan(self, d: int) -> tuple:
+        """The join of body[d] in the delta with the other atoms, derived once.
+
+        Registers hold the matched atoms' args in plan order. A plan is
+        body[d]'s probe positions, their constants and its repeat checks; a
+        step (relation, probe positions, constants, key getter over the
+        registers followed by the constants, old, repeat checks) per other
+        atom in body order, `old` (outside the delta) before d, so that a
+        homomorphism is found at its first delta atom; the slots' getter, or
+        None when the registers are the slots."""
+        body = self.rule.body
+        registers: dict[str, int] = {}  # variable name -> register
+        size = 0
+        relations, steps = [], []
+        for j in (d, *range(d), *range(d + 1, len(body))) if d else range(len(body)):
+            args = body[j].args
+            probe, keys, constants, repeats = [], [], [], []
+            for p, t in enumerate(args):
+                if type(t) is not Variable:
+                    probe.append(p)
+                    keys.append(size + len(constants))
+                    constants.append(t)
+                elif t.name not in registers:
+                    registers[t.name] = size + p
+                elif registers[t.name] < size:
+                    probe.append(p)
+                    keys.append(registers[t.name])
+                else:
+                    repeats.append((p, registers[t.name] - size))
+            relations.append((body[j].predicate, len(args)))
+            if j == d:  # nothing is bound yet: test the constants on each delta atom
+                first = (probe, constants, repeats)
+            else:
+                steps.append((relations[-1], tuple(probe), tuple(constants), _getter(keys), j < d, repeats))
+            size += len(args)
+        if not d:
+            self.names, self.relations = sorted(registers), relations
+        order = list(map(registers.__getitem__, self.names))
+        plan = self.plans[d] = (first, steps, None if order == list(range(size)) else _getter(order))
+        return plan
 
 
 class _Index:
-    """A round's atom set and delta, with hash indexes keyed on (predicate,
-    bound argument positions). An index is built by one scan of the atom
-    set when a join first asks for it and then extended with each round's
-    new atoms. A fresh `_Index` takes all its atoms as the delta.
-    """
+    """A round's atom set and delta, listed by relation, with hash indexes on
+    some argument positions, built on a join's first probe and extended each
+    round. A fresh `_Index` takes all its atoms as the delta. `rules` holds
+    the rules compiled for its joins, `examined` the candidates they took:
+    the delta atoms each plan scans and the atoms each probe returns."""
 
     def __init__(self, atoms: Iterable[Atom]):
         # each atom maps to itself, so a lookup by an equal atom returns the held one
         self.atoms = self.delta = {a: a for a in atoms}
-        self.delta_by_predicate = _index_by_predicate(self.atoms)
-        self.tables: dict[tuple[str, tuple[int, ...]], dict[tuple, list[Atom]]] = {}
-        self.plans: dict[tuple[int, int], list[tuple]] = {}
+        self.by_relation = self.delta_by_relation = _by_relation(self.atoms)
+        self.tables: dict[tuple[Relation, tuple[int, ...]], tuple[dict[tuple, list[Atom]], Callable]] = {}
+        self.rules: dict[int, _CompiledRule] = {}
+        self.examined = 0
 
     def add(self, new_atoms: dict[Atom, Atom]) -> None:
         """Make `new_atoms` part of the atom set and the next round's delta."""
-        self.delta, self.delta_by_predicate = new_atoms, _index_by_predicate(new_atoms)
+        self.delta, self.delta_by_relation = new_atoms, _by_relation(new_atoms)
         self.atoms |= new_atoms
-        for (predicate, positions), table in self.tables.items():
-            for a in self.delta_by_predicate.get(predicate, ()):
-                table.setdefault(tuple(a.args[i] for i in positions), []).append(a)
+        for relation, atoms in self.delta_by_relation.items():
+            self.by_relation.setdefault(relation, []).extend(atoms)
+        for (relation, _), (table, key) in self.tables.items():
+            for a in self.delta_by_relation.get(relation, ()):
+                table.setdefault(key(a.args), []).append(a)
 
-    def lookup(self, predicate: str, positions: tuple[int, ...], values: tuple) -> list[Atom]:
-        table = self.tables.get((predicate, positions))
-        if table is None:
-            table = self.tables[predicate, positions] = {}
-            for a in self.atoms:
-                if a.predicate == predicate:
-                    table.setdefault(tuple(a.args[i] for i in positions), []).append(a)
-        return table.get(values, [])
+    def table(self, relation: Relation, positions: tuple[int, ...]) -> dict[tuple, list[Atom]]:
+        """The atoms of `relation` keyed by the tuple of their args at `positions`."""
+        entry = self.tables.get((relation, positions))
+        if entry is None:
+            table: dict[tuple, list[Atom]] = {}
+            key = _getter(positions)
+            for a in self.by_relation.get(relation, ()):
+                table.setdefault(key(a.args), []).append(a)
+            entry = self.tables[relation, positions] = (table, key)
+        return entry[0]
 
-    def has_old(self, predicate: str) -> bool:
-        """True iff some atom of `predicate` lies outside the delta."""
-        return len(self.lookup(predicate, (), ())) > len(self.delta_by_predicate.get(predicate, ()))
+    def has_old(self, relation: Relation) -> bool:
+        """True iff some atom of `relation` lies outside the delta."""
+        return len(self.by_relation.get(relation, ())) > len(self.delta_by_relation.get(relation, ()))
 
 
-def _join(rule: Rule, index: _Index) -> list[tuple[tuple, tuple, Homomorphism, tuple[Atom, ...]]]:
-    """The rule's body homomorphisms into the atom set that map at least
-    one body atom into the delta, as (`_hom_order`, `_hom_key`, hom, the
-    matched body atoms in body order), sorted by `_hom_order`. Depth-first
-    on an explicit stack, so body length is not bounded by recursion depth."""
-    atoms, delta = index.atoms, index.delta
-    results = []
-    for d, first in enumerate(rule.body):
-        firsts = index.delta_by_predicate.get(first.predicate)
-        if not firsts or not all(index.has_old(b.predicate) for b in rule.body[:d]):
+def _join(rule: Rule, index: _Index) -> list[tuple[tuple, tuple, tuple[Atom, ...]]]:
+    """The rule's body homomorphisms into the atom set that map a body atom
+    into the delta, as (sort key, slots, the matched atoms in body order),
+    sorted by the key, the slots' term sort keys. Plans extend partial
+    homomorphisms an atom at a time: no recursion bounds the body length."""
+    compiled = index.rules.get(rule.id) or index.rules.setdefault(rule.id, _CompiledRule(rule))
+    delta, results, examined = index.delta, [], 0
+    for d, relation in enumerate(compiled.relations):
+        firsts = index.delta_by_relation.get(relation)
+        if not firsts or d and not all(map(index.has_old, compiled.relations[:d])):
             continue
-        steps = index.plans.get((rule.id, d))
-        if steps is None:
-            steps = index.plans[rule.id, d] = _plan(rule, d)
-        # matched atoms in plan order: body[d], then the others in body order
-        stack = [(0, hom, (c,)) for c in firsts if (hom := _match_atom(first, c, {})) is not None]
-        while stack:
-            i, hom, matched = stack.pop()
-            if i == len(steps):
-                key = _hom_key(hom)
-                results.append((_hom_order(key), key, hom, matched[1:d + 1] + matched[:1] + matched[d + 1:]))
-                continue
-            pattern, old, positions, terms = steps[i]
-            values = tuple(hom[t.name] if isinstance(t, Variable) else t for t in terms)
-            if len(positions) == len(pattern.args):
-                # fully bound pattern: a membership test replaces the lookup
-                image = atoms.get(Atom(pattern.predicate, values))
-                if image is not None and not (old and image in delta):
-                    stack.append((i + 1, hom, matched + (image,)))
-                continue
-            for candidate in index.lookup(pattern.predicate, positions, values):
-                if not (old and candidate in delta):
-                    extended = _match_atom(pattern, candidate, hom)
-                    if extended is not None:
-                        stack.append((i + 1, extended, matched + (candidate,)))
+        (probe, constants, repeats), steps, slots = compiled.plans[d] or compiled.plan(d)
+        examined += len(firsts)
+        if probe or repeats:  # constants and repeated variables of body[d]
+            firsts = [c for c in firsts if list(map(c.args.__getitem__, probe)) == constants
+                      and all(c.args[p] == c.args[q] for p, q in repeats)]
+        partials = [(c.args, (c,)) for c in firsts]
+        for relation, positions, constants, key, old, repeats in steps:
+            table = index.table(relation, positions) if partials else {}
+            extended = []
+            for registers, matched in partials:
+                candidates = table.get(key(registers + constants), ())
+                examined += len(candidates)
+                for c in candidates:
+                    args = c.args
+                    if not (old and c in delta or repeats and not all(args[p] == args[q] for p, q in repeats)):
+                        extended.append((registers + args, matched + (c,)))
+            partials = extended
+        for registers, matched in partials:
+            values = slots(registers) if slots else registers
+            if d:  # back to body order
+                matched = matched[1:d + 1] + matched[:1] + matched[d + 1:]
+            results.append((tuple(map(term_sort_key, values)), values, matched))
+    index.examined += examined
     results.sort(key=itemgetter(0))
     return results
 
 
-def enumerate_homomorphisms(rule: Rule, atoms: Iterable[Atom]) -> list[Homomorphism]:
-    """All substitutions of the rule's body variables into `atoms`.
-
-    Deterministic: the result is sorted lexicographically by variable
-    name, then by the image terms. This is the chase's join with every
-    atom in the delta.
-    """
-    return [hom for _, _, hom, _ in _join(rule, _Index(atoms))]
+def enumerate_homomorphisms(rule: Rule, atoms: Iterable[Atom]) -> list[dict[str, Term]]:
+    """All substitutions of the rule's body variables into `atoms`, sorted
+    by their images in variable-name order: the chase's join with every atom
+    in the delta."""
+    index = _Index(atoms)
+    joined = _join(rule, index)
+    return [dict(zip(index.rules[rule.id].names, values)) for _, values, _ in joined]
 
 
 def matches(candidate: Atom, head_pattern: Atom, nulls: set[LabelledNull]) -> bool:
-    """True iff substituting the pattern's nulls (consistently) yields `candidate`.
-
-    Positions outside `nulls` must agree exactly; repeated occurrences of
-    one null must map to a single term.
-    """
+    """True iff substituting the pattern's nulls (consistently: one term per
+    null) yields `candidate`; positions outside `nulls` must agree exactly."""
     if candidate.predicate != head_pattern.predicate or candidate.arity != head_pattern.arity:
         return False
     binding: dict[LabelledNull, Term] = {}
     for p, c in zip(head_pattern.args, candidate.args):
-        if isinstance(p, LabelledNull) and p in nulls:
-            bound = binding.get(p)
-            if bound is None:
-                binding[p] = c
-            elif bound != c:
-                return False
-        elif p != c:
+        mismatch = binding.setdefault(p, c) != c if p in nulls else p != c
+        if mismatch:
             return False
     return True
 
 
-def _ground_head(rule: Rule, hom: Homomorphism, hom_key: tuple, registry: NullRegistry) -> Atom:
-    if rule.existential_vars:
-        hom = {**hom, **registry.nulls_for(rule, hom_key)}
-    return substitute(rule.head, hom)
-
-
-def oblivious_chase(
-    program: Program,
-    facts: Iterable[Atom],
-    step_limit: Optional[int] = None,
-) -> ChaseResult:
+def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optional[int] = None) -> ChaseResult:
     """Chase `facts` with the (crisp) program, applying each pair once.
 
-    A rule none of whose body predicates gained atoms in the previous
-    round is not joined; null numbering, `steps` and the truncation point
-    are those of a chase that re-enumerates every pair each round.
-
-    `gamma` holds the ground rule of every applied pair, ordered by rule
-    id and then by homomorphism as `enumerate_homomorphisms` orders them.
-    On natural termination every (rule, homomorphism) pair whose body maps
-    into olim was applied, so `gamma` has exactly one ground rule per pair.
-    When the step limit is exceeded the result is flagged truncated and
-    `gamma` holds only the rules of the applications performed. olim and
-    `gamma` share their atoms: one object per ground atom.
+    A rule none of whose body relations gained atoms in the previous round
+    is not joined; null numbering, `steps` and the truncation point are those
+    of a chase that re-enumerates every pair each round. `gamma` holds the
+    ground rule of every applied pair, ordered by rule id and then as
+    `enumerate_homomorphisms` orders homomorphisms: one per pair whose body
+    maps into olim, or, flagged truncated past the step limit, one per
+    application performed. olim and `gamma` share one object per ground atom.
     """
     index = _Index(facts)  # round 0's delta is every fact
     atoms = index.atoms
@@ -279,23 +271,27 @@ def oblivious_chase(
             raise ValueError(f"chase input atom {a} is not ground")
     registry = NullRegistry()
     applied: list[tuple[int, tuple, GroundRule]] = []  # (rule id, hom order, ground rule)
-    rules = sorted(program.rules, key=lambda r: r.id)
-    steps = 0
-    truncated = False
+    rules = [(r, {(b.predicate, len(b.args)) for b in r.body}) for r in sorted(program.rules, key=lambda r: r.id)]
+    steps, truncated = 0, False
 
     while not truncated:
         new_atoms: dict[Atom, Atom] = {}
-        for rule in rules:
+        for rule, reads in rules:
             if truncated:
                 break
-            if index.delta_by_predicate.keys().isdisjoint(b.predicate for b in rule.body):
+            if index.delta_by_relation.keys().isdisjoint(reads):
                 continue
-            for order, key, hom, body in _join(rule, index):
+            joined = _join(rule, index)
+            compiled = index.rules[rule.id]
+            predicate, head_args, head_constants, existential = compiled.head
+            for order, values, body in joined:
                 if step_limit is not None and steps >= step_limit:
                     truncated = True
                     break
                 steps += 1
-                head = _ground_head(rule, hom, key, registry)
+                if existential:
+                    values += registry.nulls_for(rule, tuple(zip(compiled.names, values)))
+                head = Atom(predicate, head_args(values + head_constants))
                 head = atoms.get(head) or new_atoms.setdefault(head, head)
                 applied.append((rule.id, order, GroundRule(rule.id, body, head)))
         if not new_atoms:

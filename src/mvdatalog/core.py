@@ -147,14 +147,6 @@ def atom(predicate: str, *args: Union[Term, str]) -> Atom:
     return Atom(predicate, tuple(converted))
 
 
-def substitute(a: Atom, mapping: Mapping[str, Term]) -> Atom:
-    """Replace variables of `a` by their images; unmapped variables stay."""
-    return Atom(
-        a.predicate,
-        tuple(mapping.get(t.name, t) if isinstance(t, Variable) else t for t in a.args),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Rules, programs, databases
 
@@ -183,6 +175,14 @@ class Rule:
     @cached_property
     def existential_vars(self) -> frozenset[str]:
         return frozenset(self.head.variables() - self.body_variables())
+
+    @cached_property
+    def head_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The head's positions that hold a constant or body variable, and those that hold an existential one."""
+        split: tuple[list[int], list[int]] = ([], [])
+        for i, t in enumerate(self.head.args):
+            split[isinstance(t, Variable) and t.name in self.existential_vars].append(i)
+        return tuple(split[0]), tuple(split[1])
 
     @property
     def is_existential(self) -> bool:

@@ -7,16 +7,17 @@ through it. The chase result is the one source of the universe: its
 atoms (olim, sorted once per chase) are the LP's columns and the
 model's atoms, an atom is active exactly when it is null-free, and each
 ground rule's head sum comes from `_head_atoms`, a lookup in the
-chase's hash index on the head's non-existential positions. Plain
-programs get their unique minimal model as the exact least fixpoint of
-nu(H) >= nu(body) - 1 + K, run on ints over the degrees' common
-denominator and checked against the database's pinned degrees. Programs
-with existential rules become an exact LP over olim's positions, whose
-head rows sum every atom matching the head pattern; one `lp.solve` call
-minimizes a weighted objective, then a tie-break, and the preferred
-model is read back by position. The same LP, built for a plain program,
-is the reference route behind `use_fast_path=False`. A Kleene-style
-iteration of the consequence operator doubles as an independent oracle.
+chase's hash index on the head's non-existential positions (found once
+per rule). Plain programs get their unique minimal model as the exact
+least fixpoint of nu(H) >= nu(body) - 1 + K, run on ints over the
+degrees' common denominator and checked against the database's pinned
+degrees. Programs with existential rules become an exact LP over olim's
+positions, whose head rows sum every atom matching the head pattern; one
+`lp.solve` call minimizes a weighted objective, then a tie-break, and
+the preferred model is read back by position. The same LP, built for a
+plain program, is the reference route behind `use_fast_path=False`. A
+Kleene-style iteration of the consequence operator doubles as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .core import (
     RationalLike,
     Rule,
     TruthAssignment,
-    Variable,
     as_degree,
     body_truth,
     infer_signature,
@@ -110,19 +110,19 @@ def _head_atoms(rule: Rule, g: GroundRule, index: _Index) -> list[Atom]:
     A plain rule's head is g.head alone. An existential rule's head is
     every atom of `index` that matches g.head with the nulls at its
     existential positions replaced (consistently) by anything: a hash
-    lookup on the other positions, then `matches` for repeated nulls.
+    lookup on the other positions, exact unless a null repeats in the head,
+    when `matches` checks the repeats. The list may be the index's own.
     """
-    if not rule.is_existential:
+    kept, existential = rule.head_positions
+    if not existential:
         return [g.head]
-    nulls = set()
-    for pattern_term, ground_term in zip(rule.head.args, g.head.args):
-        if isinstance(pattern_term, Variable) and pattern_term.name in rule.existential_vars:
-            if not isinstance(ground_term, LabelledNull):
-                raise AssertionError(f"existential position of {g.head} holds {ground_term}")
-            nulls.add(ground_term)
-    positions = tuple(i for i, t in enumerate(g.head.args) if t not in nulls)
-    candidates = index.lookup(g.head.predicate, positions, tuple(g.head.args[i] for i in positions))
-    return [a for a in candidates if matches(a, g.head, nulls)]
+    args = g.head.args
+    for i in existential:
+        if not isinstance(args[i], LabelledNull):
+            raise AssertionError(f"existential position of {g.head} holds {args[i]}")
+    candidates = index.table((g.head.predicate, len(args)), kept).get(tuple(map(args.__getitem__, kept)), [])
+    nulls = set(map(args.__getitem__, existential))
+    return candidates if len(nulls) == len(existential) else [a for a in candidates if matches(a, g.head, nulls)]
 
 
 def build_optk(instance: Instance, chase: ChaseResult) -> LinearProgram:

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from mvdatalog.chase import ChaseResult, NullRegistry, _ground_head, _hom_key, _hom_order, matches
+from mvdatalog.chase import ChaseResult, NullRegistry, matches
 from mvdatalog.lp import ONE, ZERO, LinearProgram, MalformedModel, Solution, Status, solve
 from mvdatalog.core import (
     Atom,
@@ -26,7 +26,7 @@ from mvdatalog.core import (
     Variable,
     as_degree,
     make_rule,
-    substitute,
+    term_sort_key,
 )
 from mvdatalog.parser import NonGroundQuery, ParseError, SafetyError
 
@@ -92,8 +92,8 @@ def random_instance(
         rule = rng.choice(rules)
         sub = {v: Constant("a") for v in rule.body_variables() | rule.head.variables()}
         for b in rule.body:
-            entries[_image(b, sub)] = Fraction(1)
-        head = _image(rule.head, sub)
+            entries[substitute(b, sub)] = Fraction(1)
+        head = substitute(rule.head, sub)
         entries[head] = Fraction(1, rng.randint(4, 8))
     program = Program.from_rules(rules, extra_atoms=list(entries))
     K = Fraction(1) if force_k_one else rng.choice(K_POOL)
@@ -105,6 +105,42 @@ def random_existential_program(rng: random.Random, max_rules: int = 4) -> Progra
     for i in range(rng.randint(1, max_rules)):
         rules.append(random_rule(rng, i, existential=rng.random() < 0.5))
     return Program.from_rules(rules)
+
+
+WIDE_PREDICATES = [("p", 1), ("q", 1), ("r", 2), ("s", 2), ("t", 3), ("z", 0)]
+
+
+def random_wide_program(rng: random.Random, existential: bool = False) -> tuple[Program, set[Atom]]:
+    """A program of 1-4 rules with 1-3 body atoms over the variables X, Y
+    and W, a ternary and a nullary predicate, constants in bodies and heads
+    (c occurs in no fact) and variables repeated inside an atom; with
+    `existential`, heads also draw the head-only variables Z (twice as
+    often, so it repeats, as in r(Z, Z) :- p(X)) and V. Returns the
+    program and 1-8 facts over a and b."""
+    rules = []
+    for i in range(rng.randint(1, 4)):
+        body = []
+        for _ in range(rng.randint(1, 3)):
+            pred, arity = rng.choice(WIDE_PREDICATES)
+            args = tuple(
+                Variable(rng.choice("XYW")) if rng.random() < 0.75 else Constant(rng.choice("abc"))
+                for _ in range(arity)
+            )
+            body.append(Atom(pred, args))
+        pool = sorted(set().union(*(a.variables() for a in body))) + (["Z", "Z", "V"] if existential else [])
+        pred, arity = rng.choice(WIDE_PREDICATES)
+        head = tuple(
+            Variable(rng.choice(pool)) if pool and rng.random() < 0.8 else Constant(rng.choice("abc"))
+            for _ in range(arity)
+        )
+        rules.append(make_rule(i, body, Atom(pred, head)))
+    ground = [
+        Atom(pred, tuple(map(Constant, combo)))
+        for pred, arity in WIDE_PREDICATES
+        for combo in itertools.product("ab", repeat=arity)
+    ]
+    facts = set(rng.sample(ground, rng.randint(1, 8)))
+    return Program.from_rules(rules, extra_atoms=list(facts)), facts
 
 
 def classical_closure(program: Program, facts: set[Atom]) -> set[Atom]:
@@ -122,8 +158,8 @@ def classical_closure(program: Program, facts: set[Atom]) -> set[Atom]:
             variables = sorted(rule.body_variables())
             for combo in itertools.product(sorted(domain, key=str), repeat=len(variables)):
                 sub = dict(zip(variables, combo))
-                if all(_image(b, sub) in known for b in rule.body):
-                    head = _image(rule.head, sub)
+                if all(substitute(b, sub) in known for b in rule.body):
+                    head = substitute(rule.head, sub)
                     if head not in known:
                         known.add(head)
                         changed = True
@@ -152,6 +188,16 @@ def naive_weakly_acyclic(graph) -> bool:
     return not any(src in reach[dst] or src == dst for src, dst in graph.special_edges)
 
 
+def _hom_key(hom: dict) -> tuple:
+    """A homomorphism's (name, term) pairs in name order: the registry's key."""
+    return tuple(sorted(hom.items()))
+
+
+def _hom_order(hom_key: tuple) -> tuple:
+    """A homomorphism's sort key: its images' term sort keys in name order."""
+    return tuple(term_sort_key(t) for _, t in hom_key)
+
+
 def naive_homomorphisms(rule: Rule, atoms: set[Atom]) -> list[dict]:
     """Reference enumeration: every body atom scans every atom of its predicate."""
     by_predicate: dict = {}
@@ -164,7 +210,7 @@ def naive_homomorphisms(rule: Rule, atoms: set[Atom]) -> list[dict]:
             results.append(hom)
             return
         pattern = rule.body[i]
-        image = _image(pattern, hom)
+        image = substitute(pattern, hom)
         if image.is_ground():
             if image in atoms:
                 extend(i + 1, hom)
@@ -191,7 +237,10 @@ def _ground_rule(rule: Rule, hom: dict, registry: NullRegistry) -> GroundRule:
     """The ground rule of (rule, hom) over freshly substituted atoms; the
     chase builds the same rule from the atoms it already holds."""
     body = tuple(substitute(a, hom) for a in rule.body)
-    return GroundRule(rule.id, body, _ground_head(rule, hom, _hom_key(hom), registry))
+    if rule.existential_vars:
+        nulls = registry.nulls_for(rule, _hom_key(hom))
+        hom = {**hom, **dict(zip(sorted(rule.existential_vars), nulls))}
+    return GroundRule(rule.id, body, substitute(rule.head, hom))
 
 
 def naive_oblivious_chase(program: Program, facts, step_limit=None) -> ChaseResult:
@@ -250,7 +299,8 @@ def scan_head_atoms(rule: Rule, g: GroundRule, atoms) -> list[Atom]:
     return [a for a in by_predicate.get(g.head.predicate, ()) if matches(a, g.head, nulls)]
 
 
-def _image(a: Atom, sub: dict) -> Atom:
+def substitute(a: Atom, sub: dict) -> Atom:
+    """`a` with its variables replaced by their images in `sub`; unmapped ones stay."""
     return Atom(a.predicate, tuple(sub.get(t.name, t) if isinstance(t, Variable) else t for t in a.args))
 
 

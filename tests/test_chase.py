@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import naive_oblivious_chase, random_existential_program, random_instance
+from helpers import (
+    naive_oblivious_chase,
+    random_existential_program,
+    random_instance,
+    random_wide_program,
+    substitute,
+)
 from mvdatalog import chase as chase_module
 from mvdatalog import engine as engine_module
 from mvdatalog.chase import enumerate_homomorphisms, matches, oblivious_chase
@@ -17,7 +23,6 @@ from mvdatalog.core import (
     Variable,
     atom,
     make_rule,
-    substitute,
 )
 from mvdatalog.engine import build_eoptk
 from mvdatalog.parser import parse
@@ -89,6 +94,14 @@ class TestObliviousChase:
         prog = _program(([atom("p", "X")], atom("q", "X")))
         with pytest.raises(ValueError, match="not ground"):
             oblivious_chase(prog, {atom("p", "X")})
+
+    def test_atoms_of_another_arity_are_not_matched(self):
+        # r(c) shares r's name, not its arity: probing r(X, Y) on position 1 must skip it
+        prog = _program(([atom("p", "Y"), atom("r", "X", "Y")], atom("q", "Y")))
+        facts = {atom("p", "b"), atom("r", "a", "b"), atom("r", "c")}
+        result = oblivious_chase(prog, facts)
+        assert result.olim == frozenset(facts | {atom("q", "b")})
+        assert result.gamma == naive_oblivious_chase(prog, facts).gamma
 
     def test_truncation_flagged(self):
         prog = _program(([atom("p", "X")], atom("p", "Y")))
@@ -248,29 +261,31 @@ class TestRounds:
 
     def test_chain_work_is_linear(self, monkeypatch):
         """Candidate atoms examined on a path grow linearly with its length."""
-        match = chase_module._match_atom
+        join = chase_module._join
 
         def examined(edges):
-            count = 0
+            indexes = []
 
-            def counting(pattern, candidate, hom):
-                nonlocal count
-                count += 1
-                return match(pattern, candidate, hom)
+            def capturing(rule, index):
+                indexes.append(index)
+                return join(rule, index)
 
             prog = _program(([atom("edge", "X", "Y"), atom("reach", "X")], atom("reach", "Y")))
             facts = {atom("reach", "c0")} | {atom("edge", f"c{i}", f"c{i + 1}") for i in range(edges)}
-            monkeypatch.setattr(chase_module, "_match_atom", counting)
+            monkeypatch.setattr(chase_module, "_join", capturing)
             result = oblivious_chase(prog, facts)
             monkeypatch.undo()
             assert len(result.olim) == 2 * edges + 1
+            (count,) = {index.examined for index in indexes}  # one index per chase
+            assert count > 0
             return count
 
         assert examined(200) <= 2.2 * examined(100)
 
     def test_key_person_head_matching_is_linear(self, monkeypatch):
-        """`matches` calls in build_eoptk grow linearly with the companies."""
-        match = engine_module.matches
+        """Head atoms found and `matches` calls in build_eoptk grow linearly
+        with the companies."""
+        head_atoms, match = engine_module._head_atoms, engine_module.matches
 
         def matched(companies):
             lines = ["kp(Y, X) :- company(X).", "person(Y) :- kp(Y, X)."]
@@ -281,12 +296,19 @@ class TestRounds:
             chase = oblivious_chase(program, set(tau.entries))
             count = 0
 
-            def counting(candidate, head_pattern, nulls):
+            def counting_heads(rule, g, index):
+                nonlocal count
+                heads = head_atoms(rule, g, index)
+                count += len(heads)
+                return heads
+
+            def counting_matches(candidate, head_pattern, nulls):
                 nonlocal count
                 count += 1
                 return match(candidate, head_pattern, nulls)
 
-            monkeypatch.setattr(engine_module, "matches", counting)
+            monkeypatch.setattr(engine_module, "_head_atoms", counting_heads)
+            monkeypatch.setattr(engine_module, "matches", counting_matches)
             build_eoptk(Instance(program, tau, F(1)), chase)
             monkeypatch.undo()
             assert count >= companies
@@ -324,6 +346,33 @@ class TestNaiveOracle:
             for _ in range(1500)
         )
         assert 0 < truncated < 1500
+
+    def test_random_wide_programs(self):
+        """Programs beyond the generators above: up to three body atoms,
+        ternary and nullary predicates, constants in bodies and heads,
+        variables repeated inside an atom and existential heads that
+        repeat a variable. Existential ones run at bounded limits only."""
+        rng = random.Random(53)
+        seen = dict.fromkeys(["three atoms", "ternary", "nullary", "body constant", "head constant",
+                              "repeat in atom", "repeated existential", "truncated", "complete"], 0)
+        for n in range(1000):
+            existential = n % 2 == 1
+            program, facts = random_wide_program(rng, existential)
+            for step_limit in (1, 3, 7, 25) if existential else (None, 1, 3, 7, 25):
+                seen["truncated" if self._assert_same(program, facts, step_limit) else "complete"] += 1
+            for rule in program.rules:
+                atoms = (*rule.body, rule.head)
+                seen["three atoms"] += len(rule.body) == 3
+                seen["ternary"] += any(a.arity == 3 for a in atoms)
+                seen["nullary"] += any(a.arity == 0 for a in atoms)
+                seen["body constant"] += any(a.constants() for a in rule.body)
+                seen["head constant"] += bool(rule.head.constants())
+                seen["repeat in atom"] += any(
+                    len(a.variables()) < sum(isinstance(t, Variable) for t in a.args) for a in rule.body
+                )
+                existential_args = [t for t in rule.head.args if isinstance(t, Variable) and t.name in rule.existential_vars]
+                seen["repeated existential"] += len(set(existential_args)) < len(existential_args)
+        assert min(seen.values()) >= 100, seen
 
 
 class TestSharedAtoms:
