@@ -15,7 +15,7 @@ homomorphism). olim and the ground rules share one object per ground atom.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
@@ -63,7 +63,9 @@ class ChaseResult:
 
     olim is the engine's one atom universe, sorted once by `sorted_olim`.
     Its constants all come from the program or the facts, so an atom lies
-    over the active domain exactly when it is null-free.
+    over the active domain exactly when it is null-free. `index` is the
+    chase's own `_Index` over olim, for head lookups after the chase; a
+    result built without one gets a fresh index.
     """
 
     olim: frozenset[Atom]
@@ -71,6 +73,11 @@ class ChaseResult:
     registry: NullRegistry
     truncated: bool
     steps: int
+    index: Optional[_Index] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.index is None:
+            object.__setattr__(self, "index", _Index(self.olim))
 
     @cached_property
     def _sorted_olim(self) -> list[Atom]:
@@ -300,4 +307,4 @@ def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optiona
         index.add(new_atoms)
 
     applied.sort(key=itemgetter(0, 1))
-    return ChaseResult(frozenset(atoms), tuple(g for _, _, g in applied), registry, truncated, steps)
+    return ChaseResult(frozenset(atoms), tuple(g for _, _, g in applied), registry, truncated, steps, index)

@@ -333,7 +333,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--no-fast-path",
             action="store_true",
-            help="solve plain programs with the reference LP, not the least fixpoint; same answer",
+            help="solve every program with the full reference LP, not the least fixpoint and the core LP; "
+            "same model for plain programs, an equally preferred one for existential ones",
         )
         p.add_argument("--format", choices=["json", "text"], default="json")
         return p

@@ -265,6 +265,15 @@ class FuzzyDatabase:
             object.__setattr__(self, "entries", {a: as_degree(d) for a, d in self.entries.items()})
 
     @classmethod
+    def from_validated(cls, entries: dict[Atom, Fraction]) -> "FuzzyDatabase":
+        """A database over entries that the caller has checked as
+        `__post_init__` would: ground, null-free atoms with `Fraction`
+        degrees in (0, 1]. The parser's facts are; nothing is re-checked."""
+        database = object.__new__(cls)
+        object.__setattr__(database, "entries", entries)
+        return database
+
+    @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Atom, RationalLike]]) -> "FuzzyDatabase":
         entries: dict[Atom, Fraction] = {}
         for a, raw in pairs:

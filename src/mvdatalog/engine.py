@@ -1,23 +1,26 @@
 """Model computation and fact entailment.
 
 Pipeline: chase the crisp instance once, then solve over what it
-returns. `Engine.model` is the one place that picks the route, by the
-program class; `minimal_model`, `preferred_model` and `k_truth` all go
-through it. The chase result is the one source of the universe: its
-atoms (olim, sorted once per chase) are the LP's columns and the
-model's atoms, an atom is active exactly when it is null-free, and each
-ground rule's head sum comes from `_head_atoms`, a lookup in the
-chase's hash index on the head's non-existential positions (found once
-per rule). Plain programs get their unique minimal model as the exact
-least fixpoint of nu(H) >= nu(body) - 1 + K, run on ints over the
-degrees' common denominator and checked against the database's pinned
-degrees. Programs with existential rules become an exact LP over olim's
-positions, whose head rows sum every atom matching the head pattern; one
-`lp.solve` call minimizes a weighted objective, then a tie-break, and
-the preferred model is read back by position. The same LP, built for a
-plain program, is the reference route behind `use_fast_path=False`. A
-Kleene-style iteration of the consequence operator doubles as an
-independent oracle.
+returns. `Engine.model` is the one place that picks the route;
+`minimal_model`, `preferred_model` and `k_truth` all go through it. The
+chase result is the one source of the universe: its atoms (olim, sorted
+once per chase) are the LP's columns and the model's atoms, an atom is
+active exactly when it is null-free, and each ground rule's head sum
+comes from `_head_atoms`, a lookup in the chase's own hash index on the
+head's non-existential positions (found once per rule). A ground rule
+whose head sum holds at most one atom that tau does not pin is Horn:
+the exact least fixpoint of nu(H) >= nu(body) - 1 + K, less the pinned
+heads' degrees, decides it, on ints over the degrees' common
+denominator, checked against tau's pins. Only D, the free heads of the
+other rules closed under the rules they feed, goes to an exact LP: one
+`lp.solve` of the rows that mention D, every other atom fixed at its
+fixpoint degree, minimizes the null-free atoms' total, then the
+null-carrying ones' as a tie-break. A plain program has D empty and
+builds no LP; the same holds for an existential one whose known
+witnesses are all pinned. The full LP over olim (`eoptk_columns`) is the
+reference route behind `use_fast_path=False` and what `mvdl ground`
+prints. A Kleene-style iteration of the consequence operator doubles as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .chase import ChaseResult, _Index, matches, oblivious_chase
 from .core import (
@@ -143,40 +146,105 @@ def build_eoptk(instance: Instance, chase: ChaseResult) -> tuple[LinearProgram, 
 
 def eoptk_columns(instance: Instance, chase: ChaseResult) -> ColumnProgram:
     """The existential LP and its tie-break over columns in [0, 1], column j
-    the j-th atom of chase.sorted_olim(). Each ground rule is a row of ints
-    scaled by K's denominator; one from an existential rule sums, in place
-    of its head, the atoms of an `_Index` of the universe that match the
-    head pattern (nulls replaced consistently by anything). The objective
-    sums the null-free atoms, the tie-break the null-carrying ones."""
+    the j-th atom of chase.sorted_olim(): `column_program` of every ground
+    rule, its head the atoms of the chase's index that match the head
+    pattern (nulls replaced consistently by anything), tau's atoms fixed."""
     _require_complete(chase)
-    universe = chase.sorted_olim()
+    index, rule_by_id = chase.index, instance.program.rule_by_id
+    rows = ((_head_atoms(rule_by_id(g.origin_rule_id), g, index), g.body) for g in chase.gamma)
+    return column_program(chase.sorted_olim(), rows, instance.database.entries, instance.K)
+
+
+def column_program(
+    universe: Sequence[Atom],
+    rows: Iterable[tuple[Sequence[Atom], Sequence[Atom]]],
+    fixed: Mapping[Atom, Fraction],
+    K: Fraction,
+) -> ColumnProgram:
+    """The LP over `universe`'s atoms as columns in [0, 1], `fixed`'s pinned:
+    a row (heads, body) is sum(heads) - sum(body) >= K - len(body), in ints
+    scaled by K's denominator. The objective sums the null-free atoms, the
+    tie-break the null-carrying ones."""
     column = {a: j for j, a in enumerate(universe)}
     costs: tuple[dict[int, int], dict[int, int]] = ({}, {})  # objective, secondary
     for j, a in enumerate(universe):
         costs[a.has_nulls()][j] = 1
-    K, scale = instance.K.as_integer_ratio()  # K - l scaled is K - l * scale
-    index = _Index(set(universe))
-    rows = []
-    for g in chase.gamma:
+    K, scale = K.as_integer_ratio()  # K - l scaled is K - l * scale
+    lp_rows = []
+    for heads, body in rows:
         coeffs: dict[int, int] = {}
-        for h in _head_atoms(instance.program.rule_by_id(g.origin_rule_id), g, index):
+        for h in heads:
             j = column[h]
             coeffs[j] = coeffs.get(j, 0) + scale
-        for b in g.body:
+        for b in body:
             j = column[b]
             coeffs[j] = coeffs.get(j, 0) - scale
-        rows.append(({j: a for j, a in coeffs.items() if a}, K - len(g.body) * scale, scale))
-    fixed = {column[a]: d for a, d in instance.database.entries.items()}
-    return ColumnProgram([(ZERO, ONE)] * len(universe), fixed, rows, *costs, universe)
+        lp_rows.append(({j: a for j, a in coeffs.items() if a}, K - len(body) * scale, scale))
+    pins = {column[a]: d for a, d in fixed.items()}
+    return ColumnProgram([(ZERO, ONE)] * len(universe), pins, lp_rows, *costs, universe)
+
+
+def horn_split(
+    instance: Instance, chase: ChaseResult
+) -> tuple[list[GroundRule], dict[int, list[Atom]], list[tuple[list[Atom], tuple[Atom, ...]]], set[Atom]]:
+    """Split Gamma at D, the atoms that only the LP can decide.
+
+    A ground rule's free heads are its `_head_atoms` that tau does not pin;
+    with at most one it is Horn. D is the free heads of the other rules,
+    closed under Gamma: a rule with a body atom in D puts its free heads
+    in D. Returns the ground rules that mention no atom of D, all Horn, whose
+    free head (if any) is g.head, with the other, pinned heads of the
+    existential ones, keyed by position in that list; the (heads, body)
+    rows of the others; and D.
+    """
+    tau = instance.database.entries
+    index, rule_by_id = chase.index, instance.program.rule_by_id
+    rows = []
+    core: set[Atom] = set()
+    for g in chase.gamma:
+        heads = _head_atoms(rule_by_id(g.origin_rule_id), g, index)
+        free = [h for h in heads if h not in tau]
+        if len(free) > 1:
+            core.update(free)
+        rows.append((g, heads, free))
+    if core:
+        feeds: dict[Atom, list[list[Atom]]] = {}  # body atom -> free heads of its rules
+        for g, _, free in rows:
+            for b in g.body:
+                feeds.setdefault(b, []).append(free)
+        stack = list(core)
+        while stack:
+            for free in feeds.get(stack.pop(), ()):
+                for h in free:
+                    if h not in core:
+                        core.add(h)
+                        stack.append(h)
+    horn: list[GroundRule] = []
+    pinned: dict[int, list[Atom]] = {}
+    rest = []
+    for g, heads, free in rows:
+        if core and not (core.isdisjoint(free) and core.isdisjoint(g.body)):
+            rest.append((heads, g.body))
+            continue
+        if len(heads) > 1:  # an existential rule's g.head holds nulls: free, and its one free head
+            pinned[len(horn)] = [h for h in heads if h in tau]
+        horn.append(g)
+    return horn, pinned, rest, core
 
 
 _LCM_CAP_BITS = 256  # well below where the read-back gcds outgrow Fraction arithmetic (1,400-3,200 bits on a path)
 
 
 def least_fixpoint(
-    gamma: Sequence[GroundRule], seeds: Mapping[Atom, Fraction], K: Fraction
+    gamma: Sequence[GroundRule],
+    seeds: Mapping[Atom, Fraction],
+    K: Fraction,
+    pinned_heads: Mapping[int, Sequence[Atom]],
 ) -> dict[Atom, Fraction]:
-    """The least nu >= seeds with nu(H) >= nu(body) - 1 + K for every ground rule.
+    """The least nu >= seeds with nu(H) >= nu(body) - 1 + K - offset for
+    every ground rule of `gamma`, H its head and the offset of the i-th
+    rule the seed degrees of its `pinned_heads[i]` (0 when absent): the
+    other atoms of an existential head sum, held at their pins.
 
     Knuth's generalisation of Dijkstra's algorithm: a rule's value is
     monotone in its body and never above its weakest body atom, so the
@@ -185,8 +253,9 @@ def least_fixpoint(
     atoms settles. Seeds are lower bounds, not pins; only positive
     degrees are returned. Every degree is a multiple of 1/L, L the lcm of
     the denominators of K and the seeds, so the heap and the rule values
-    are ints scaled by L, each read back once as Fraction(v, L); past
-    `_LCM_CAP_BITS` bits of L the same loop runs on the Fractions (L = 1).
+    are ints scaled by L, each distinct one read back once as
+    Fraction(v, L); past `_LCM_CAP_BITS` bits of L the same loop runs on
+    the Fractions (L = 1).
     """
     L = K.denominator
     for d in seeds.values():
@@ -197,30 +266,34 @@ def least_fixpoint(
     k = K.numerator * (L // K.denominator) if scaled else K
     waiting: dict[Atom, list[int]] = {}
     unsettled: list[int] = []
+    bias = []  # a rule's value less its body sum
     for i, g in enumerate(gamma):
-        body = set(g.body)
-        unsettled.append(len(body))
-        for b in body:
+        body = g.body
+        distinct = set(body) if len(body) > 1 else body
+        unsettled.append(len(distinct))
+        bias.append(k - len(body) * L)
+        for b in distinct:
             waiting.setdefault(b, []).append(i)
+    for i, heads in pinned_heads.items():
+        bias[i] -= sum(map(nu.__getitem__, heads))
     tick = itertools.count()
     heap = [(-d, next(tick), a) for a, d in nu.items()]
     heapq.heapify(heap)
-    settled: set[Atom] = set()
     while heap:
-        a = heapq.heappop(heap)[2]
-        if a in settled:
-            continue
-        settled.add(a)
-        for i in waiting.get(a, ()):
+        # an atom settles at its first pop; popping its list makes later pops no-ops
+        for i in waiting.pop(heapq.heappop(heap)[2], ()):
             unsettled[i] -= 1
             if unsettled[i]:
                 continue
             g = gamma[i]
-            value = sum(nu[b] for b in g.body) - len(g.body) * L + k
+            value = bias[i] + sum(map(nu.__getitem__, g.body))
             if value > nu.get(g.head, 0):
                 nu[g.head] = value
                 heapq.heappush(heap, (-value, next(tick), g.head))
-    return {a: Fraction(v, L) for a, v in nu.items()} if scaled else nu
+    if not scaled:
+        return nu
+    degrees: dict[int, Fraction] = {}
+    return {a: degrees.get(v) or degrees.setdefault(v, Fraction(v, L)) for a, v in nu.items()}
 
 
 def minimal_model(
@@ -363,6 +436,18 @@ def verify_model(
     return VerificationReport(tuple(rule_violations), tuple(tau_mismatches), outside)
 
 
+def _optimum(cols: ColumnProgram, fail: type[NoObliviousBaseModel], K: Fraction) -> dict[Atom, Fraction]:
+    """The positive degrees of `solve(cols)`'s optimum, by column name; raise
+    `fail` when it is infeasible."""
+    solution = solve(cols)
+    if solution.status is Status.UNBOUNDED:
+        raise AssertionError("box-bounded LP cannot be unbounded")
+    if not solution.optimal:
+        base = "" if fail is Unsatisfiable else " with an oblivious base"
+        raise fail(f"no {K}-fuzzy model{base} exists")
+    return {a: d for j, a in enumerate(cols.names) if (d := solution.assignment[j])}  # by position
+
+
 # ---------------------------------------------------------------------------
 # Convenience wrapper with caching
 
@@ -393,32 +478,37 @@ class Engine:
     def model(self) -> GroundModel:
         """The one route to a model, chosen by the program class.
 
-        A plain program's minimal model is the least fixpoint checked
-        against tau's pins, or with use_fast_path=False the optimum of
-        the same LP; with none, Unsatisfiable. An existential program's
-        preferred model is the optimum of `build_eoptk`'s LP with its
-        tie-break; with none, NoObliviousBaseModel.
+        The least fixpoint, checked against tau's pins, runs on every
+        ground rule that `horn_split` leaves outside D (all of them for a
+        plain program, which skips the split); when D is not empty, one
+        `lp.solve` of the rows that mention D, every other atom fixed at
+        its fixpoint degree, decides D's atoms: the minimal model of a
+        plain program, a preferred model of an existential one. With
+        use_fast_path=False the full `eoptk_columns` LP decides every
+        atom. With no model, Unsatisfiable for a plain program,
+        NoObliviousBaseModel for an existential one.
         """
         chase = self.chase
         _require_complete(chase)
-        K = self.instance.K
-        if self.is_existential or not self.use_fast_path:
-            solution = solve(cols := eoptk_columns(self.instance, chase))
-            if solution.status is Status.UNBOUNDED:
-                raise AssertionError("box-bounded LP cannot be unbounded")
-            if not solution.optimal:
-                if self.is_existential:
-                    raise NoObliviousBaseModel(f"no {K}-fuzzy model with an oblivious base exists")
-                raise Unsatisfiable(f"no {K}-fuzzy model exists")
-            nu = {a: d for j, a in enumerate(cols.names) if (d := solution.assignment[j])}  # by position
+        instance, K = self.instance, self.instance.K
+        fail = NoObliviousBaseModel if self.is_existential else Unsatisfiable
+        if not self.use_fast_path:
+            nu = _optimum(eoptk_columns(instance, chase), fail, K)
         else:
-            tau = self.instance.database.entries
-            nu = least_fixpoint(chase.gamma, tau, K)
+            tau = instance.database.entries
+            if self.is_existential:
+                horn, pinned, rest, core = horn_split(instance, chase)
+            else:  # every ground rule is Horn, D is empty
+                horn, pinned, rest, core = chase.gamma, {}, [], set()
+            nu = least_fixpoint(horn, tau, K, pinned)
             for a, d in tau.items():
                 if nu[a] > d:
-                    raise Unsatisfiable(
-                        f"derivations force {a} to {nu[a]} but the database pins it at {d}"
-                    )
+                    raise fail(f"derivations force {a} to {nu[a]} but the database pins it at {d}")
+            if core:
+                used = core.union(*(heads for heads, _ in rest), *(body for _, body in rest))
+                universe = sorted(used, key=Atom.sort_key)
+                fixed = {a: nu.get(a, ZERO) for a in universe if a not in core}
+                nu.update(_optimum(column_program(universe, rest, fixed, K), fail, K))
         assignment = TruthAssignment(nu)
         if self.is_existential:
             return GroundModel(assignment, ModelKind.PREFERRED, K)

@@ -211,9 +211,9 @@ def parse_many(texts: Iterable[str], *, strict: bool = False) -> tuple[Program, 
                 continue
             if not head.is_ground():
                 parser.fail("facts must be ground", start, str(head))
-            # FuzzyDatabase validates every degree; a bad one fails here, in statement order
-            if not 0 < degree.numerator <= degree.denominator:
-                as_degree(degree, positive=True)
+            # checked here, in statement order, and not again by FuzzyDatabase:
+            # a parsed term is never a labelled null, a parsed degree a Fraction
+            as_degree(degree, positive=True)
             known = facts.get(head)
             if known is not None and known != degree:
                 raise DomainError(
@@ -222,7 +222,7 @@ def parse_many(texts: Iterable[str], *, strict: bool = False) -> tuple[Program, 
                 )
             facts[head] = degree
     # Program.from_rules rejects a predicate used with two arities.
-    return Program.from_rules(rules, extra_atoms=list(facts)), FuzzyDatabase(facts)
+    return Program.from_rules(rules, extra_atoms=list(facts)), FuzzyDatabase.from_validated(facts)
 
 
 def parse_ground_atom(text: str) -> Atom:

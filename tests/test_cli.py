@@ -301,21 +301,31 @@ class TestCheck:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["satisfiable"] is False
 
-    @pytest.mark.parametrize("name, builds", [("kp", 1), ("orca", 0)])
-    def test_existential_lp_built_at_most_once(self, files, monkeypatch, capsys, name, builds):
+    @staticmethod
+    def _lp_builds(monkeypatch, argv):
         from mvdatalog import cli, engine
 
         calls = []
-        real = engine.eoptk_columns
+        real = engine.column_program
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        # build_eoptk labels the column builder's output, so this counts both routes
-        monkeypatch.setattr(engine, "eoptk_columns", counted)
-        assert cli.main(["check", files[name]]) == 0
-        assert len(calls) == builds
+        # eoptk_columns and the core LP both build through column_program
+        monkeypatch.setattr(engine, "column_program", counted)
+        assert cli.main(argv) == 0
+        return len(calls)
+
+    @pytest.mark.parametrize("name, builds", [("kp", 0), ("orca", 0)])
+    def test_existential_lp_built_at_most_once(self, files, monkeypatch, capsys, name, builds):
+        # every ground rule of kp is Horn once its pinned head is an offset: no LP
+        assert self._lp_builds(monkeypatch, ["check", files[name]]) == builds
+        assert json.loads(capsys.readouterr().out)["satisfiable"] is True
+
+    def test_core_lp_built_once(self, files, monkeypatch, capsys):
+        # relaxed, kp's known key person is no longer pinned: its rule has two free heads
+        assert self._lp_builds(monkeypatch, ["check", files["kp"], "--mode", "relaxed"]) == 1
         assert json.loads(capsys.readouterr().out)["satisfiable"] is True
 
     @pytest.mark.parametrize("name", ["orca", "kp", "nulls", "unsat"])

@@ -32,6 +32,7 @@ from mvdatalog.core import (
     Variable,
     atom,
     make_rule,
+    relax_rewrite,
     rule_gap,
 )
 from mvdatalog.engine import (
@@ -868,3 +869,66 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name} uses assert at lines {lines}"
+
+
+class TestHornSplit:
+    """The default route (least fixpoint on the Horn ground rules, the LP on
+    the core D alone) against the full reference LP of use_fast_path=False."""
+
+    @staticmethod
+    def _outcome(engine):
+        try:
+            model = engine.model.assignment
+        except NoObliviousBaseModel as exc:  # Unsatisfiable included
+            return type(exc)
+        values = ([d for a, d in model.support.items() if not a.has_nulls()],
+                  [d for a, d in model.support.items() if a.has_nulls()])
+        return model, tuple(sum(v, F(0)) for v in values)
+
+    def _compare(self, instance):
+        """Check that both routes agree; returns D and the default route's
+        model, None when there is none."""
+        fast, full = Engine(instance), Engine(instance, use_fast_path=False)
+        core = engine_module.horn_split(instance, fast.chase)[3]
+        ours, reference = self._outcome(fast), self._outcome(full)
+        if isinstance(reference, type):
+            assert ours is reference
+            return core, None
+        assert not isinstance(ours, type) and ours[1] == reference[1]  # primary, secondary
+        for a in fast.chase.olim - core:
+            assert ours[0](a) == reference[0](a)
+        assert verify_model(instance, fast.chase, ours[0]).ok
+        return core, ours[0]
+
+    def test_random_existential_programs(self):
+        rng = random.Random(18001)
+        facts = [atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")]
+        outcomes = Counter()
+        while sum(outcomes.values()) < 1500:
+            program = random_existential_program(rng)
+            if not program.has_existential_rules or not is_weakly_acyclic_ve(program)[0]:
+                continue
+            tau = FuzzyDatabase({a: random_degree(rng) for a in facts})
+            core, model = self._compare(Instance(program, tau, rng.choice([F(1), F(4, 5), F(1, 2)])))
+            outcomes[bool(core), model is not None] += 1
+        assert outcomes[False, True] + outcomes[False, False] >= 200  # D empty: no LP
+        assert outcomes[True, True] + outcomes[True, False] >= 200
+        assert min(outcomes.values()) >= 10, outcomes
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_key_persons_past_the_cap(self, relaxed):
+        # each company's known key person has a distinct prime denominator
+        primes = [p for p in range(101, 2000) if all(p % q for q in range(2, int(p**0.5) + 1))][:60]
+        lines = ["kp(Y, X) :- company(X).", "person(Y) :- kp(Y, X)."]
+        for i, p in enumerate(primes):
+            lines += [f"company(c{i}).", f"{p - 1}/{p} :: kp(k{i}, c{i})."]
+        instance, kp = inst("\n".join(lines)), "kp"
+        if relaxed:  # kp(k_i, c_i) becomes a lower bound: each existential rule has two free heads
+            instance, renaming = relax_rewrite(instance)
+            kp = renaming[kp]
+        L = lcm(*(d.denominator for d in instance.database.entries.values()))
+        assert L.bit_length() > engine_module._LCM_CAP_BITS
+        core, model = self._compare(instance)
+        assert bool(core) == relaxed
+        nulls = {a.args[1]: d for a, d in model.support.items() if a.has_nulls() and a.predicate == kp}
+        assert nulls == {Constant(f"c{i}"): F(1, p) for i, p in enumerate(primes)}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import naive_parse_degree, naive_parse_ground_atom, naive_parse_many, random_instance
 from mvdatalog import core, parser
-from mvdatalog.core import ArityError, Atom, DomainError, FuzzyDatabase, atom
+from mvdatalog.core import ArityError, Atom, DomainError, FuzzyDatabase, LabelledNull, atom
 from mvdatalog.parser import (
     NonGroundQuery,
     ParseError,
@@ -180,6 +180,24 @@ class TestDegreeValidation:
     def test_first_bad_degree_wins_over_later_statements(self, text, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             parse(text)
+
+    @pytest.mark.parametrize(
+        "fact, degree, message",
+        [
+            (atom("p", "X"), F(1, 2), "not ground"),
+            (Atom("p", (LabelledNull(1),)), F(1, 2), "labelled null"),
+            (atom("p", "a"), F(3, 2), "outside"),
+            (atom("p", "a"), F(0), "strictly positive"),
+            (atom("p", "a"), "1/0", "not a rational degree"),
+        ],
+        ids=["non-ground", "null", "above-one", "zero", "malformed"],
+    )
+    def test_databases_not_from_the_parser_are_validated(self, fact, degree, message):
+        # only parse_many skips FuzzyDatabase's checks, having made them itself
+        with pytest.raises(DomainError, match=message):
+            FuzzyDatabase({fact: degree})
+        with pytest.raises(DomainError, match=message):
+            FuzzyDatabase.from_pairs([(fact, degree)])
 
     def test_public_database_still_rejects_bad_degrees(self):
         with pytest.raises(DomainError, match="outside"):
