@@ -2,11 +2,13 @@
 The exact rational LP layer
 ===========================
 
-Preferred models of programs with existential rules bottom out in a
-small linear-programming module; plain programs are solved by a least
-fixpoint and use it only as the reference route (`--no-fast-path`) and
-in `mvdl ground`/`check`. Models are named variables with `Fraction`
-data. `solve(lp, secondary)` is its one entry point: it numbers the
+The engine decides every Horn ground rule, existential ones included,
+by a least fixpoint. Only the non-Horn core of an existential program
+(rules whose head sum holds two or more atoms the database does not
+pin, and the rules they feed) reaches this small linear-programming
+module. The full LP over every chase atom is what `mvdl ground` prints
+and what `--no-fast-path` solves as the reference route. Models are
+named variables with `Fraction` data. `solve(lp, secondary)` is its one entry point: it numbers the
 variables as integer columns, scales each row to ints, and runs a
 simplex with Bland's rule on one tableau per model, which minimizes
 phase 1's artificials, the objective and, when `secondary` is given for

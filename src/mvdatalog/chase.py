@@ -63,9 +63,8 @@ class ChaseResult:
 
     olim is the engine's one atom universe, sorted once by `sorted_olim`.
     Its constants all come from the program or the facts, so an atom lies
-    over the active domain exactly when it is null-free. `index` is the
-    chase's own `_Index` over olim, for head lookups after the chase; a
-    result built without one gets a fresh index.
+    over the active domain exactly when it is null-free. `index` is an
+    `_Index` over olim (the chase's own), for head lookups after the chase.
     """
 
     olim: frozenset[Atom]
@@ -73,11 +72,7 @@ class ChaseResult:
     registry: NullRegistry
     truncated: bool
     steps: int
-    index: Optional[_Index] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.index is None:
-            object.__setattr__(self, "index", _Index(self.olim))
+    index: _Index = field(compare=False, repr=False)
 
     @cached_property
     def _sorted_olim(self) -> list[Atom]:

@@ -39,7 +39,7 @@ from .engine import (
     NoObliviousBaseModel,
     TruncatedChase,
     Unsatisfiable,
-    build_eoptk,
+    eoptk_columns,
 )
 from .parser import NonGroundQuery, ParseError, SafetyError, parse_degree, parse_ground_atom, parse_many
 from .termination import WitnessCycle, is_weakly_acyclic_ve
@@ -77,11 +77,11 @@ def _dumps(value, newline: str = "\n") -> str:
     return _encode_string(value) if type(value) is str else json.dumps(value)
 
 
-def _emit(payload: dict, as_json: bool, text_lines: Optional[list[str]] = None) -> None:
+def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
     if as_json:
         print(_dumps(payload))
     else:
-        for line in [json.dumps(payload, sort_keys=True)] if text_lines is None else text_lines:
+        for line in text_lines:
             print(line)
 
 
@@ -213,26 +213,17 @@ def cmd_check(args) -> int:
         except NoObliviousBaseModel:  # Unsatisfiable included
             payload["satisfiable"] = False
         except TruncatedChase:
-            _emit(payload, args.format == "json")
+            _emit(payload, args.format == "json", text)
             raise
-        # the LP has one variable per chase atom and one constraint per ground rule
         atoms, rules = len(engine.chase.olim), len(engine.chase.gamma)
-        payload["stats"] = {
-            "olim": atoms,
-            "gamma": rules,
-            "lp_variables": atoms,
-            "lp_constraints": rules,
-        }
-        text.append(
-            f"chase atoms: {atoms}, ground rules: {rules}, "
-            f"lp: {atoms} vars / {rules} constraints"
-        )
+        payload["stats"] = {"olim": atoms, "gamma": rules}
+        text.append(f"chase atoms: {atoms}, ground rules: {rules}")
         text.append(f"satisfiable at K={engine.instance.K}: {'yes' if payload['satisfiable'] else 'no'}")
     _emit(payload, args.format == "json", text)
     return EXIT_OK
 
 
-def _lp_as_json(lp, secondary: Optional[dict] = None) -> dict:
+def _lp_as_json(lp, secondary: dict) -> dict:
     return {
         "variables": list(lp.variables),
         "fixings": {v: str(d) for v, d in sorted(lp.fixings.items())},
@@ -248,7 +239,7 @@ def _lp_as_json(lp, secondary: Optional[dict] = None) -> dict:
     }
 
 
-def _lp_as_text(lp, secondary: Optional[dict] = None) -> list[str]:
+def _lp_as_text(lp, secondary: dict) -> list[str]:
     lines = ["minimize"]
     lines.append("  " + " + ".join(f"{c} {v}" for v, c in sorted(lp.objective.items())))
     if secondary:
@@ -267,7 +258,7 @@ def _lp_as_text(lp, secondary: Optional[dict] = None) -> list[str]:
 def cmd_ground(args) -> int:
     engine, _, _ = _open(args)
     chase = engine.chase
-    lp, secondary = build_eoptk(engine.instance, chase)  # raises TruncatedChase
+    lp, secondary = eoptk_columns(engine.instance, chase).labelled()  # raises TruncatedChase
     nulls = [
         {
             "rule": rid,
@@ -327,7 +318,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "--mode",
             choices=["strict", "relaxed"],
             default="strict",
-            help="relaxed rewrites the program so models only need nu >= tau",
+            help="relaxed rewrites the program so models only need nu >= tau - (1 - K)",
         )
         p.add_argument("--max-chase-steps", type=_step_count, default=None, metavar="N")
         p.add_argument(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -105,9 +105,6 @@ class Atom:
 
     def variables(self) -> set[str]:
         return {t.name for t in self.args if isinstance(t, Variable)}
-
-    def constants(self) -> set[str]:
-        return {t.name for t in self.args if isinstance(t, Constant)}
 
     def sort_key(self) -> tuple:
         return (self.predicate, len(self.args), tuple(map(term_sort_key, self.args)))
@@ -239,13 +236,6 @@ class Program:
     def has_existential_rules(self) -> bool:
         return any(r.is_existential for r in self.rules)
 
-    def constants(self) -> set[str]:
-        out: set[str] = set()
-        for r in self.rules:
-            for a in (*r.body, r.head):
-                out |= a.constants()
-        return out
-
 
 @dataclass(frozen=True)
 class FuzzyDatabase:
@@ -273,24 +263,8 @@ class FuzzyDatabase:
         object.__setattr__(database, "entries", entries)
         return database
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Atom, RationalLike]]) -> "FuzzyDatabase":
-        entries: dict[Atom, Fraction] = {}
-        for a, raw in pairs:
-            d = as_degree(raw, positive=True)
-            if a in entries and entries[a] != d:
-                raise DomainError(f"conflicting degrees {entries[a]} and {d} for fact {a}")
-            entries[a] = d
-        return cls(entries)
-
     def degree(self, a: Atom) -> Optional[Fraction]:
         return self.entries.get(a)
-
-    def constants(self) -> set[str]:
-        out: set[str] = set()
-        for a in self.entries:
-            out |= a.constants()
-        return out
 
     def __contains__(self, a: Atom) -> bool:
         return a in self.entries
@@ -301,16 +275,10 @@ class FuzzyDatabase:
 
 @dataclass(frozen=True)
 class TruthAssignment:
-    """A total valuation with finite support: atoms off-support have degree 0.
-
-    The constructor trusts `support`; `from_map` validates each degree.
-    """
+    """A total valuation with finite support: atoms off-support have
+    degree 0. The constructor trusts `support`'s degrees."""
 
     support: dict[Atom, Fraction] = field(default_factory=dict)
-
-    @classmethod
-    def from_map(cls, mapping: Mapping[Atom, RationalLike]) -> "TruthAssignment":
-        return cls({a: d for a, raw in mapping.items() if (d := as_degree(raw))})
 
     def __call__(self, a: Atom) -> Fraction:
         return self.support.get(a, ZERO)
@@ -349,18 +317,6 @@ class Instance:
 # Lukasiewicz connectives
 
 
-def luk_and(a: Fraction, b: Fraction) -> Fraction:
-    return max(ZERO, a + b - ONE)
-
-
-def luk_or(a: Fraction, b: Fraction) -> Fraction:
-    return min(ONE, a + b)
-
-
-def luk_not(a: Fraction) -> Fraction:
-    return ONE - a
-
-
 def luk_implies(a: Fraction, b: Fraction) -> Fraction:
     return min(ONE, ONE - a + b)
 
@@ -396,11 +352,13 @@ def fresh_predicate(base: str, mark: str, taken: set[str]) -> str:
 
 
 def relax_rewrite(instance: Instance) -> tuple[Instance, dict[str, str]]:
-    """Rewrite so that models only need nu(G) >= tau(G) on defined atoms.
+    """Rewrite so that tau bounds models from below instead of pinning them.
 
     For every predicate R occurring in tau, a bridge rule R(x) -> R'(x) is
     added and all other occurrences of R in the program are replaced by R'.
-    Returns the rewritten instance and the renaming {original: primed}.
+    The bridge need only be K-satisfied, so nu(R'(a)) >= tau(R(a)) - (1 - K):
+    tau's own degree only at K = 1. Returns the rewritten instance and the
+    renaming {original: primed}.
     """
     tau_preds = sorted({a.predicate for a in instance.database.entries})
     if not tau_preds:

@@ -132,16 +132,11 @@ def build_optk(instance: Instance, chase: ChaseResult) -> LinearProgram:
     """The base LP: minimize the total truth subject to every ground rule.
 
     Each ground rule G_1,...,G_l -> H contributes
-    sum(1 - x_i) + x_head >= K, i.e. x_head - sum(x_i) >= K - l. Without
-    existential rules this is exactly the LP of `build_eoptk`.
+    sum(1 - x_i) + x_head >= K, i.e. x_head - sum(x_i) >= K - l: the LP
+    of `eoptk_columns` without its tie-break, each column named by its
+    atom, str(atom), as `mvdl ground` prints it.
     """
-    return build_eoptk(instance, chase)[0]
-
-
-def build_eoptk(instance: Instance, chase: ChaseResult) -> tuple[LinearProgram, dict[str, Fraction]]:
-    """`eoptk_columns`'s LP and tie-break with each column named by its
-    atom, str(atom): the readable form that `mvdl ground` prints."""
-    return eoptk_columns(instance, chase).labelled()
+    return eoptk_columns(instance, chase).labelled()[0]
 
 
 def eoptk_columns(instance: Instance, chase: ChaseResult) -> ColumnProgram:

@@ -31,7 +31,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -113,9 +113,6 @@ class LinearProgram:
         self.constraints.append(
             Constraint({v: a for v, c in coeffs.items() if (a := _exact(c))}, _exact(rhs))
         )
-
-    def validate(self, secondary: Iterable[str] = ()) -> None:
-        _Columns(self, dict.fromkeys(secondary, ONE)).check()
 
 
 @dataclass

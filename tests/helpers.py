@@ -10,10 +10,10 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
-from mvdatalog.chase import ChaseResult, NullRegistry, matches
-from mvdatalog.lp import ONE, ZERO, LinearProgram, MalformedModel, Solution, Status, solve
+from mvdatalog.chase import ChaseResult, NullRegistry, _Index, matches
+from mvdatalog.lp import ONE, ZERO, LinearProgram, MalformedModel, Solution, Status, _Columns, solve
 from mvdatalog.core import (
     Atom,
     Constant,
@@ -23,6 +23,7 @@ from mvdatalog.core import (
     Instance,
     Program,
     Rule,
+    TruthAssignment,
     Variable,
     as_degree,
     make_rule,
@@ -33,6 +34,43 @@ from mvdatalog.parser import NonGroundQuery, ParseError, SafetyError
 CONSTANTS = ["a", "b"]
 PREDICATES = [("p", 1), ("q", 1), ("r", 2), ("s", 1)]
 K_POOL = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(2, 3), Fraction(9, 10)]
+
+
+def luk_and(a: Fraction, b: Fraction) -> Fraction:
+    return max(ZERO, a + b - ONE)
+
+
+def luk_or(a: Fraction, b: Fraction) -> Fraction:
+    return min(ONE, a + b)
+
+
+def luk_not(a: Fraction) -> Fraction:
+    return ONE - a
+
+
+def constants(atoms: Iterable[Atom]) -> set[str]:
+    """The names of the constants in `atoms`."""
+    return {t.name for a in atoms for t in a.args if isinstance(t, Constant)}
+
+
+def program_constants(program: Program) -> set[str]:
+    return constants(a for r in program.rules for a in (*r.body, r.head))
+
+
+def database_from_pairs(pairs) -> FuzzyDatabase:
+    """A database of (atom, degree) pairs; a fact given twice with two degrees is a DomainError."""
+    entries: dict[Atom, Fraction] = {}
+    for a, raw in pairs:
+        d = as_degree(raw, positive=True)
+        if a in entries and entries[a] != d:
+            raise DomainError(f"conflicting degrees {entries[a]} and {d} for fact {a}")
+        entries[a] = d
+    return FuzzyDatabase(entries)
+
+
+def assignment_from_map(mapping) -> TruthAssignment:
+    """A truth assignment with each degree validated; zeros leave the support."""
+    return TruthAssignment({a: d for a, raw in mapping.items() if (d := as_degree(raw))})
 
 
 def all_ground_atoms() -> list[Atom]:
@@ -279,7 +317,8 @@ def naive_oblivious_chase(program: Program, facts, step_limit=None) -> ChaseResu
 
     order = sorted(applied, key=lambda k: (k[0], _hom_order(k[1])))
     gamma = tuple(applied[k] for k in order)
-    return ChaseResult(frozenset(atoms), gamma, registry, truncated, steps)
+    olim = frozenset(atoms)
+    return ChaseResult(olim, gamma, registry, truncated, steps, _Index(olim))
 
 
 def scan_head_atoms(rule: Rule, g: GroundRule, atoms) -> list[Atom]:
@@ -539,7 +578,7 @@ def reference_solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction
     constraint, bound, and fixing.
     """
     secondary = secondary or {}
-    lp.validate(secondary)
+    _Columns(lp, dict.fromkeys(secondary, ONE)).check()
     fixed = lp.fixings
     tab = _Tableau()
     var_col = {v: tab.new_column() for v in lp.variables if v not in fixed}
@@ -869,7 +908,7 @@ def fraction_solve(lp: LinearProgram, secondary: Optional[Mapping[str, Fraction]
 
 
 def fraction_validate(lp: LinearProgram, secondary=()) -> None:
-    """The model checks of `LinearProgram.validate`, name by name."""
+    """The model checks of `_Columns(lp, ...).check()`, name by name."""
     declared = set(lp.bounds)
     if len(lp.variables) != len(declared):
         raise MalformedModel("variable list and bounds disagree")

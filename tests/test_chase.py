@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    constants,
     naive_oblivious_chase,
+    program_constants,
     random_existential_program,
     random_instance,
     random_wide_program,
@@ -24,7 +26,7 @@ from mvdatalog.core import (
     atom,
     make_rule,
 )
-from mvdatalog.engine import build_eoptk
+from mvdatalog.engine import eoptk_columns
 from mvdatalog.parser import parse
 from mvdatalog.termination import is_weakly_acyclic_ve
 
@@ -87,7 +89,7 @@ class TestObliviousChase:
                 for t in a.args
                 if isinstance(t, Constant)
             }
-            known = inst.program.constants() | inst.database.constants()
+            known = program_constants(inst.program) | constants(inst.database.entries)
             assert adom <= known
 
     def test_non_ground_fact_rejected(self):
@@ -283,7 +285,7 @@ class TestRounds:
         assert examined(200) <= 2.2 * examined(100)
 
     def test_key_person_head_matching_is_linear(self, monkeypatch):
-        """Head atoms found and `matches` calls in build_eoptk grow linearly
+        """Head atoms found and `matches` calls in eoptk_columns grow linearly
         with the companies."""
         head_atoms, match = engine_module._head_atoms, engine_module.matches
 
@@ -309,7 +311,7 @@ class TestRounds:
 
             monkeypatch.setattr(engine_module, "_head_atoms", counting_heads)
             monkeypatch.setattr(engine_module, "matches", counting_matches)
-            build_eoptk(Instance(program, tau, F(1)), chase)
+            eoptk_columns(Instance(program, tau, F(1)), chase)
             monkeypatch.undo()
             assert count >= companies
             return count
@@ -365,8 +367,8 @@ class TestNaiveOracle:
                 seen["three atoms"] += len(rule.body) == 3
                 seen["ternary"] += any(a.arity == 3 for a in atoms)
                 seen["nullary"] += any(a.arity == 0 for a in atoms)
-                seen["body constant"] += any(a.constants() for a in rule.body)
-                seen["head constant"] += bool(rule.head.constants())
+                seen["body constant"] += bool(constants(rule.body))
+                seen["head constant"] += bool(constants([rule.head]))
                 seen["repeat in atom"] += any(
                     len(a.variables()) < sum(isinstance(t, Variable) for t in a.args) for a in rule.body
                 )

@@ -37,6 +37,11 @@ INCONSISTENT = """\
 s(X) :- r(X).
 """
 
+TWO = """\
+0.8 :: p(a).
+q(X) :- p(X).
+"""
+
 SELF_FEEDING = """\
 p(a).
 p(Y) :- p(X).
@@ -74,6 +79,7 @@ def files(tmp_path):
         "kp": KEY_PERSON,
         "nulls": NULLS,
         "unsat": INCONSISTENT,
+        "two": TWO,
         "selfloop": SELF_FEEDING,
         "relaxcycle": RELAXED_CYCLE,
     }.items():
@@ -107,6 +113,12 @@ class TestSolve:
         proc = run_cli("solve", files["unsat"], "--mode", "relaxed", "--format", "text")
         assert proc.returncode == 0
         assert proc.stdout == "r(a) = 1  (given)\ns(a) = 1  (certain)\n"
+
+    def test_relaxed_degree_may_fall_below_the_database_at_k_below_1(self, files):
+        # the bridge p(a) -> p'(a) need only be K-satisfied: p'(a) >= 4/5 - (1 - 9/10)
+        proc = run_cli("solve", files["two"], "--K", "0.9", "--mode", "relaxed", "--format", "text")
+        assert proc.returncode == 0
+        assert proc.stdout == "p(a) = 7/10  (derived)\nq(a) = 3/5  (derived)\n"
 
     def test_preferred_model_for_existentials(self, files):
         proc = run_cli("solve", files["kp"])
@@ -289,12 +301,7 @@ class TestCheck:
         proc = run_cli("check", files["orca"])
         payload = json.loads(proc.stdout)
         assert payload["weakly_acyclic"] is True
-        assert payload["stats"] == {
-            "olim": 3,
-            "gamma": 1,
-            "lp_variables": 3,
-            "lp_constraints": 1,
-        }
+        assert payload["stats"] == {"olim": 3, "gamma": 1}
 
     def test_unsat_reported_but_exit_0(self, files):
         proc = run_cli("check", files["unsat"])
@@ -332,8 +339,8 @@ class TestCheck:
     def test_lp_size_is_that_of_the_ground_lp(self, files, name):
         stats = json.loads(run_cli("check", files[name]).stdout)["stats"]
         lp = json.loads(run_cli("ground", files[name]).stdout)["lp"]
-        assert stats["lp_variables"] == len(lp["variables"])
-        assert stats["lp_constraints"] == len(lp["constraints"])
+        assert stats["olim"] == len(lp["variables"])
+        assert stats["gamma"] == len(lp["constraints"])
 
     def test_truncated_chase_prints_payload_then_exit_4(self, files):
         proc = run_cli("check", files["selfloop"], "--max-chase-steps", "5")
@@ -341,6 +348,15 @@ class TestCheck:
         payload = json.loads(proc.stdout)
         assert payload["weakly_acyclic"] is False
         assert payload["stats"] is None and payload["satisfiable"] is None
+        assert proc.stderr == "error: chase stopped after 5 steps\n"
+
+    def test_truncated_chase_prints_text_then_exit_4(self, files):
+        proc = run_cli("check", files["selfloop"], "--max-chase-steps", "5", "--format", "text")
+        assert proc.returncode == 4
+        assert proc.stdout.splitlines() == [
+            "weakly acyclic (variable expansion): no",
+            "witness cycle: p[1] => p*[1], p*[1] -> p[1]",
+        ]
         assert proc.stderr == "error: chase stopped after 5 steps\n"
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import assignment_from_map, database_from_pairs, luk_and, luk_not, luk_or
 from mvdatalog.core import (
     Atom,
     Constant,
@@ -15,14 +16,10 @@ from mvdatalog.core import (
     Instance,
     LabelledNull,
     Program,
-    TruthAssignment,
     as_degree,
     atom,
     body_truth,
     k_satisfies,
-    luk_and,
-    luk_not,
-    luk_or,
     make_rule,
     relax_rewrite,
     rule_gap,
@@ -30,10 +27,7 @@ from mvdatalog.core import (
 
 F = Fraction
 degrees = st.fractions(min_value=0, max_value=1)
-
-
-def ta(mapping):
-    return TruthAssignment.from_map(mapping)
+ta = assignment_from_map
 
 
 LABEL = atom("label", "i1", "whale")
@@ -185,7 +179,7 @@ class TestTypes:
     def test_database_conflict(self):
         pairs = [(atom("p", "a"), F(1, 2)), (atom("p", "a"), F(1, 3))]
         with pytest.raises(DomainError):
-            FuzzyDatabase.from_pairs(pairs)
+            database_from_pairs(pairs)
 
     def test_assignment_total_with_default_zero(self):
         nu = ta({atom("p", "a"): F(1, 2)})

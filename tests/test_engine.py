@@ -12,6 +12,8 @@ import pytest
 
 from helpers import (
     classical_closure,
+    constants,
+    program_constants,
     random_degree,
     random_existential_program,
     random_instance,
@@ -43,8 +45,8 @@ from mvdatalog.engine import (
     TruncatedChase,
     Unsatisfiable,
     _head_atoms,
-    build_eoptk,
     build_optk,
+    eoptk_columns,
     fixpoint_minimal_model,
     ground_atoms,
     k_truth,
@@ -133,7 +135,7 @@ class TestBuildOptk:
 class TestBuildEoptk:
     def test_key_person_matching_sum(self):
         instance = inst(KEY_PERSON)
-        lp, secondary = build_eoptk(instance, chase_of(instance))
+        lp, secondary = eoptk_columns(instance, chase_of(instance)).labelled()
         (c,) = lp.constraints
         assert c.coeffs == {
             "company(acme)": F(-1),
@@ -147,7 +149,7 @@ class TestBuildEoptk:
     def test_no_existentials_degenerates_to_optk(self):
         instance = inst(ORCA)
         chase = chase_of(instance)
-        lp, secondary = build_eoptk(instance, chase)
+        lp, secondary = eoptk_columns(instance, chase).labelled()
         base = build_optk(instance, chase)
         assert lp.constraints == base.constraints
         assert lp.objective == base.objective
@@ -155,7 +157,7 @@ class TestBuildEoptk:
 
     def test_nulls_example_infeasible(self):
         instance = inst(NULLS)
-        lp, _ = build_eoptk(instance, chase_of(instance))
+        lp, _ = eoptk_columns(instance, chase_of(instance)).labelled()
         assert solve(lp).status is Status.INFEASIBLE
 
 
@@ -214,7 +216,7 @@ class TestPreferredModel:
         report = verify_model(instance, chase, model.assignment)
         assert report.ok  # K-satisfies gamma, agrees with tau, support in OLim
         # no feasible point has a smaller active-atom sum: fresh re-solve
-        lp, _ = build_eoptk(instance, chase)
+        lp, _ = eoptk_columns(instance, chase).labelled()
         resolved = solve(lp)
         active_sum = sum(
             (model.assignment(a) for a in model.assignment.support if not a.has_nulls()),
@@ -367,8 +369,8 @@ class TestOneUniverse:
                 verify_model(instance, chase, TruthAssignment({universe[-1]: F(3, 2)}))
             if chase.truncated:
                 continue
-            lp, secondary = build_eoptk(instance, chase)
-            adom = instance.program.constants() | tau.constants()
+            lp, secondary = eoptk_columns(instance, chase).labelled()
+            adom = program_constants(instance.program) | constants(tau.entries)
             active = {str(a) for a in universe if all(isinstance(t, Constant) and t.name in adom for t in a.args)}
             null_free = {str(a) for a in universe if not a.has_nulls()}
             assert set(lp.objective) == active == null_free

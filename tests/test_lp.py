@@ -17,7 +17,7 @@ from helpers import (
 from mvdatalog import lp as lp_module
 from mvdatalog.chase import oblivious_chase
 from mvdatalog.core import FuzzyDatabase, Instance, atom
-from mvdatalog.engine import Engine, NoObliviousBaseModel, build_eoptk, eoptk_columns
+from mvdatalog.engine import Engine, NoObliviousBaseModel, eoptk_columns
 from mvdatalog.lp import (
     ColumnProgram,
     Constraint,
@@ -203,7 +203,7 @@ class TestMalformed:
             lp.add_variable("x")
             lp.add_constraint({"x": 1, "z": zero}, F(1, 2))
             assert lp.constraints == [Constraint({"x": F(1)}, F(1, 2))]
-            lp.validate()
+            lp_module._Columns(lp).check()
             assert solve(lp).assignment == {"x": F(1, 2)}
 
     def test_malformed_numbers_raise(self):
@@ -508,9 +508,10 @@ def existential_instances(rng, ks, count):
 
 
 def existential_lps(rng, ks, count):
-    """build_eoptk LPs of weakly acyclic random existential programs."""
+    """Labelled `eoptk_columns` LPs of weakly acyclic random existential programs."""
     for instance in existential_instances(rng, ks, count):
-        yield build_eoptk(instance, oblivious_chase(instance.program, set(instance.database.entries)))
+        chase = oblivious_chase(instance.program, set(instance.database.entries))
+        yield eoptk_columns(instance, chase).labelled()
 
 
 def singleton_lp(rng):
@@ -811,8 +812,8 @@ class TestFractionSolver:
 class TestColumnRoute:
     """`Engine.model` solves the column LP of `eoptk_columns`; naming its
     columns changes nothing. It has the status, the degrees and the Bland
-    pivots of `solve(build_eoptk(...))` read back by name, and of the
-    name-keyed Fraction solver."""
+    pivots of `solve` on its `.labelled()` form read back by name, and of
+    the name-keyed Fraction solver."""
 
     def _run(self, monkeypatch, instances):
         ours = _traced(monkeypatch, lp_module, "_Tableau")
@@ -827,7 +828,7 @@ class TestColumnRoute:
             by_column = list(ours)
             ours.clear()
             columns = eoptk_columns(instance, engine.chase)
-            lp, secondary = build_eoptk(instance, engine.chase)
+            lp, secondary = columns.labelled()
             named = lp_module._Columns(lp, secondary)
             assert (named.bounds, named.fixed, named.rows) == (columns.bounds, columns.fixed, columns.rows)
             assert (named.objective, named.secondary) == (columns.objective, columns.secondary)
@@ -908,7 +909,8 @@ class TestBoundFolding:
 
         monkeypatch.setattr(lp_module, "_Tableau", Counted)
         program, tau = parse(KEY_PERSONS)
-        lp, secondary = build_eoptk(Instance(program, tau, F(1)), oblivious_chase(program, set(tau.entries)))
+        chase = oblivious_chase(program, set(tau.entries))
+        lp, secondary = eoptk_columns(Instance(program, tau, F(1)), chase).labelled()
         width = Counter(sum(v not in lp.fixings for v in c.coeffs) for c in lp.constraints)
         assert width[1] >= 5 and width[2] >= 1
         assert solve(lp, secondary).optimal

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_parse_degree, naive_parse_ground_atom, naive_parse_many, random_instance
+from helpers import database_from_pairs, naive_parse_degree, naive_parse_ground_atom, naive_parse_many, random_instance
 from mvdatalog import core, parser
 from mvdatalog.core import ArityError, Atom, DomainError, FuzzyDatabase, LabelledNull, atom
 from mvdatalog.parser import (
@@ -197,7 +197,7 @@ class TestDegreeValidation:
         with pytest.raises(DomainError, match=message):
             FuzzyDatabase({fact: degree})
         with pytest.raises(DomainError, match=message):
-            FuzzyDatabase.from_pairs([(fact, degree)])
+            database_from_pairs([(fact, degree)])
 
     def test_public_database_still_rejects_bad_degrees(self):
         with pytest.raises(DomainError, match="outside"):
