@@ -25,13 +25,14 @@ from .core import (
     relax_rewrite,
     rule_gap,
 )
-from .chase import ChaseResult, enumerate_homomorphisms, matches, oblivious_chase
+from .chase import ChaseResult, enumerate_homomorphisms, oblivious_chase
 from .engine import (
     Engine,
     GroundModel,
     NoObliviousBaseModel,
     QueryResult,
     TruncatedChase,
+    UnboundedChase,
     Unsatisfiable,
     fixpoint_minimal_model,
     k_truth,
@@ -62,6 +63,7 @@ __all__ = [
     "Rule",
     "TruncatedChase",
     "TruthAssignment",
+    "UnboundedChase",
     "Unsatisfiable",
     "Variable",
     "as_degree",
@@ -74,7 +76,6 @@ __all__ = [
     "k_satisfies",
     "k_truth",
     "make_rule",
-    "matches",
     "minimal_model",
     "oblivious_chase",
     "parse",

@@ -2,14 +2,16 @@
 
 Saturation is round-based and semi-naive: round 0 joins the rules with the
 input facts, each later round only with homomorphisms that map some body
-atom into the atoms the previous round added (the delta). Each joined rule
-is compiled once per chase into slot plans: a homomorphism is the tuple of
-its body variables' images in name order, found by matching body[d] in the
-delta, then probing a hash index for each other body atom on the positions
-a constant or an earlier atom fixes. Every pair found is new and applied
-once, in rule-id and homomorphism order, until a round adds no atom. Heads
-come from a template, nulls from a registry keyed by (rule id,
-homomorphism). olim and the ground rules share one object per ground atom.
+atom into the atoms the previous round added (the delta). Each rule is
+compiled once per chase, with a slot plan per body position built when a
+join first reaches it: a homomorphism is the tuple of its body variables'
+images in name order, found by matching body[d] in the delta, then probing
+a hash index for each other body atom on the positions a constant or an
+earlier atom fixes. Every pair found is new and applied once, in rule-id
+and homomorphism order, until a round adds no atom. Heads come from a
+template, nulls from a registry keyed by (rule id, homomorphism). olim and
+the ground rules share one object per ground atom. The compiled rule also
+decides a ground rule's head sum (`head_atoms`) after the chase.
 """
 
 from __future__ import annotations
@@ -91,29 +93,39 @@ def _by_relation(atoms: Iterable[Atom]) -> dict[Relation, list[Atom]]:
 
 
 class _CompiledRule:
-    """A rule compiled for the join: `names` (its body variables in name
-    order) are a homomorphism's slots, `relations` its body atoms' (predicate,
-    arity). `head` holds the predicate, a getter of the args from the slots,
-    nulls and head constants, those constants, and whether there are nulls."""
+    """A rule compiled for the join and its head sums: `names` (its body
+    variables in name order) are a homomorphism's slots, `relations` its
+    body atoms' (predicate, arity). `head` holds the predicate, a getter of
+    the args from the slots, nulls and head constants, those constants, and
+    whether there are nulls; `lookup` the head positions of constants and
+    body variables, those of existential variables, and the pairs of
+    positions that one existential variable fills."""
 
-    __slots__ = ("rule", "relations", "names", "plans", "head")
+    __slots__ = ("rule", "relations", "names", "plans", "head", "lookup")
 
     def __init__(self, rule: Rule):
         self.rule, self.plans = rule, [None] * len(rule.body)
-        self.plan(0)  # which numbers the slots and lists the relations
+        self.names = sorted(rule.body_variables())
+        self.relations = [(b.predicate, len(b.args)) for b in rule.body]
         existential = rule.existential_vars
-        pool = self.names + sorted(existential) if existential else self.names
-        template, constants = [], []
-        for t in rule.head.args:
+        pool = self.names + sorted(existential)
+        template, constants, kept, nulls, repeats = [], [], [], [], []
+        for p, t in enumerate(rule.head.args):
             if type(t) is Variable:
-                template.append(pool.index(t.name))
+                i = pool.index(t.name)
             else:
-                template.append(len(pool) + len(constants))
+                i = len(pool) + len(constants)
                 constants.append(t)
+            existential_position = len(self.names) <= i < len(pool)
+            (nulls if existential_position else kept).append(p)
+            if existential_position and i in template:  # filled before, first at template.index(i)
+                repeats.append((p, template.index(i)))
+            template.append(i)
         self.head = (rule.head.predicate, _getter(template), tuple(constants), bool(existential))
+        self.lookup = (tuple(kept), nulls, repeats)
 
     def plan(self, d: int) -> tuple:
-        """The join of body[d] in the delta with the other atoms, derived once.
+        """The join of body[d] in the delta with the other atoms, built on first use.
 
         Registers hold the matched atoms' args in plan order. A plan is
         body[d]'s probe positions, their constants and its repeat checks; a
@@ -125,8 +137,8 @@ class _CompiledRule:
         body = self.rule.body
         registers: dict[str, int] = {}  # variable name -> register
         size = 0
-        relations, steps = [], []
-        for j in (d, *range(d), *range(d + 1, len(body))) if d else range(len(body)):
+        steps = []
+        for j in (d, *range(d), *range(d + 1, len(body))):
             args = body[j].args
             probe, keys, constants, repeats = [], [], [], []
             for p, t in enumerate(args):
@@ -141,14 +153,11 @@ class _CompiledRule:
                     keys.append(registers[t.name])
                 else:
                     repeats.append((p, registers[t.name] - size))
-            relations.append((body[j].predicate, len(args)))
             if j == d:  # nothing is bound yet: test the constants on each delta atom
                 first = (probe, constants, repeats)
             else:
-                steps.append((relations[-1], tuple(probe), tuple(constants), _getter(keys), j < d, repeats))
+                steps.append((self.relations[j], tuple(probe), tuple(constants), _getter(keys), j < d, repeats))
             size += len(args)
-        if not d:
-            self.names, self.relations = sorted(registers), relations
         order = list(map(registers.__getitem__, self.names))
         plan = self.plans[d] = (first, steps, None if order == list(range(size)) else _getter(order))
         return plan
@@ -190,6 +199,10 @@ class _Index:
             entry = self.tables[relation, positions] = (table, key)
         return entry[0]
 
+    def compiled(self, rule: Rule) -> _CompiledRule:
+        """`rule` compiled for this index's joins and head lookups, once."""
+        return self.rules.get(rule.id) or self.rules.setdefault(rule.id, _CompiledRule(rule))
+
     def has_old(self, relation: Relation) -> bool:
         """True iff some atom of `relation` lies outside the delta."""
         return len(self.by_relation.get(relation, ())) > len(self.delta_by_relation.get(relation, ()))
@@ -200,7 +213,7 @@ def _join(rule: Rule, index: _Index) -> list[tuple[tuple, tuple, tuple[Atom, ...
     into the delta, as (sort key, slots, the matched atoms in body order),
     sorted by the key, the slots' term sort keys. Plans extend partial
     homomorphisms an atom at a time: no recursion bounds the body length."""
-    compiled = index.rules.get(rule.id) or index.rules.setdefault(rule.id, _CompiledRule(rule))
+    compiled = index.compiled(rule)
     delta, results, examined = index.delta, [], 0
     for d, relation in enumerate(compiled.relations):
         firsts = index.delta_by_relation.get(relation)
@@ -242,17 +255,22 @@ def enumerate_homomorphisms(rule: Rule, atoms: Iterable[Atom]) -> list[dict[str,
     return [dict(zip(index.rules[rule.id].names, values)) for _, values, _ in joined]
 
 
-def matches(candidate: Atom, head_pattern: Atom, nulls: set[LabelledNull]) -> bool:
-    """True iff substituting the pattern's nulls (consistently: one term per
-    null) yields `candidate`; positions outside `nulls` must agree exactly."""
-    if candidate.predicate != head_pattern.predicate or candidate.arity != head_pattern.arity:
-        return False
-    binding: dict[LabelledNull, Term] = {}
-    for p, c in zip(head_pattern.args, candidate.args):
-        mismatch = binding.setdefault(p, c) != c if p in nulls else p != c
-        if mismatch:
-            return False
-    return True
+def head_atoms(rule: Rule, g: GroundRule, index: _Index) -> list[Atom]:
+    """The atoms whose degrees sum to the head value of g, grounded from `rule`:
+    g.head for a plain rule; for an existential one, every atom of `index`
+    that agrees with g.head where the rule's head holds a constant or a body
+    variable, and with itself where an existential variable repeats (a hash
+    lookup on the compiled positions, then the join's repeat check). The
+    list may be the index's own."""
+    kept, nulls, repeats = index.compiled(rule).lookup
+    if not nulls:
+        return [g.head]
+    args = g.head.args
+    for p in nulls:
+        if type(args[p]) is not LabelledNull:
+            raise AssertionError(f"existential position of {g.head} holds {args[p]}")
+    candidates = index.table((g.head.predicate, len(args)), kept).get(tuple(map(args.__getitem__, kept)), [])
+    return [a for a in candidates if all(a.args[p] == a.args[q] for p, q in repeats)] if repeats else candidates
 
 
 def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optional[int] = None) -> ChaseResult:
@@ -273,18 +291,18 @@ def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optiona
             raise ValueError(f"chase input atom {a} is not ground")
     registry = NullRegistry()
     applied: list[tuple[int, tuple, GroundRule]] = []  # (rule id, hom order, ground rule)
-    rules = [(r, {(b.predicate, len(b.args)) for b in r.body}) for r in sorted(program.rules, key=lambda r: r.id)]
+    rules = [index.compiled(r) for r in sorted(program.rules, key=lambda r: r.id)]
     steps, truncated = 0, False
 
     while not truncated:
         new_atoms: dict[Atom, Atom] = {}
-        for rule, reads in rules:
+        for compiled in rules:
             if truncated:
                 break
-            if index.delta_by_relation.keys().isdisjoint(reads):
+            if index.delta_by_relation.keys().isdisjoint(compiled.relations):
                 continue
+            rule = compiled.rule
             joined = _join(rule, index)
-            compiled = index.rules[rule.id]
             predicate, head_args, head_constants, existential = compiled.head
             for order, values, body in joined:
                 if step_limit is not None and steps >= step_limit:

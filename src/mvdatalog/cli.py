@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: solve, query, check, ground. All four run one pipeline,
-`_open`: parse the files, apply the chase gate (an existential program
-is chased only when it is weakly acyclic or --max-chase-steps bounds
-it), relax them under --mode relaxed and build the Engine. `check`
-reports a refused chase; the other commands exit 4 on it, `query`
-before it parses its atom.
+`_open`: parse the files, relax them under --mode relaxed and build the
+Engine, whose chase gate chases an existential program only when it is
+weakly acyclic or --max-chase-steps bounds it. `check` tests the program
+itself and reports a refused chase; the other commands exit 4 on it,
+`query` before it parses its atom.
 
 Results go to stdout as deterministic JSON (or plain text with
 --format text); degrees are printed as reduced fractions, never floats.
@@ -38,6 +38,7 @@ from .engine import (
     Engine,
     NoObliviousBaseModel,
     TruncatedChase,
+    UnboundedChase,
     Unsatisfiable,
     eoptk_columns,
 )
@@ -98,32 +99,29 @@ def _read_files(paths: list[str]) -> list[str]:
 def _open(args, *, report: bool = False) -> tuple[Optional[Engine], dict[str, str], Optional[WitnessCycle]]:
     """Turn the parsed argv into an Engine behind the chase gate.
 
-    Returns the engine, the relaxed-mode renaming {original: primed} and
-    the witness cycle of a failed weak-acyclicity test (None when it
-    passed or was not run). The test runs, on the program as written
-    (relaxing adds no cycle), when `report` asks for it or an existential
-    program has no --max-chase-steps. The chase is allowed exactly when
-    the test passed or a step limit is set; a refused chase exits 4, or
-    with `report` returns no engine.
+    Returns the engine, the relaxed-mode renaming {original: primed} and,
+    with `report`, the witness cycle of a failed weak-acyclicity test on
+    the program as written (relaxing adds no cycle), and no engine if the
+    chase is refused. Without `report` the engine chases here, and a
+    refused chase exits 4 with the witness on the program as written.
     """
     program, database = parse_many(_read_files(args.files))
     instance = Instance(program, database, parse_degree(args.K))  # Instance validates K
-    witness = None  # a plain program passes: its variable expansion has no special edge
-    if report or (program.has_existential_rules and args.max_chase_steps is None):
-        witness = is_weakly_acyclic_ve(program)[1]
+    witness = is_weakly_acyclic_ve(program)[1] if report else None
     renaming: dict[str, str] = {}
     if args.mode == "relaxed":
         instance, renaming = relax_rewrite(instance)
-    if witness is None or args.max_chase_steps is not None:
-        engine = Engine(instance, step_limit=args.max_chase_steps, use_fast_path=not args.no_fast_path)
-        return engine, renaming, witness
-    if report:
+    if witness is not None and args.max_chase_steps is None:
         return None, renaming, witness
-    raise CliError(
-        EXIT_CHASE_LIMIT,
-        "program is not weakly acyclic (variable expansion): "
-        f"cycle {witness}; supply --max-chase-steps to bound the chase",
-    )
+    engine = Engine(instance, step_limit=args.max_chase_steps, use_fast_path=not args.no_fast_path)
+    if not report:
+        try:
+            engine.chase
+        except UnboundedChase:  # name the cycle on the program as written
+            cycle = is_weakly_acyclic_ve(program)[1]
+            message = f"program is not weakly acyclic (variable expansion): cycle {cycle}; "
+            raise CliError(EXIT_CHASE_LIMIT, message + "supply --max-chase-steps to bound the chase") from None
+    return engine, renaming, witness
 
 
 def _presented(model, database, renaming: dict[str, str]) -> list[tuple[Atom, Fraction, str]]:

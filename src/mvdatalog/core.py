@@ -173,14 +173,6 @@ class Rule:
     def existential_vars(self) -> frozenset[str]:
         return frozenset(self.head.variables() - self.body_variables())
 
-    @cached_property
-    def head_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The head's positions that hold a constant or body variable, and those that hold an existential one."""
-        split: tuple[list[int], list[int]] = ([], [])
-        for i, t in enumerate(self.head.args):
-            split[isinstance(t, Variable) and t.name in self.existential_vars].append(i)
-        return tuple(split[0]), tuple(split[1])
-
     @property
     def is_existential(self) -> bool:
         return bool(self.existential_vars)

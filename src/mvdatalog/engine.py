@@ -1,26 +1,25 @@
 """Model computation and fact entailment.
 
-Pipeline: chase the crisp instance once, then solve over what it
-returns. `Engine.model` is the one place that picks the route;
-`minimal_model`, `preferred_model` and `k_truth` all go through it. The
-chase result is the one source of the universe: its atoms (olim, sorted
-once per chase) are the LP's columns and the model's atoms, an atom is
-active exactly when it is null-free, and each ground rule's head sum
-comes from `_head_atoms`, a lookup in the chase's own hash index on the
-head's non-existential positions (found once per rule). A ground rule
-whose head sum holds at most one atom that tau does not pin is Horn:
-the exact least fixpoint of nu(H) >= nu(body) - 1 + K, less the pinned
-heads' degrees, decides it, on ints over the degrees' common
-denominator, checked against tau's pins. Only D, the free heads of the
-other rules closed under the rules they feed, goes to an exact LP: one
-`lp.solve` of the rows that mention D, every other atom fixed at its
-fixpoint degree, minimizes the null-free atoms' total, then the
-null-carrying ones' as a tie-break. A plain program has D empty and
-builds no LP; the same holds for an existential one whose known
-witnesses are all pinned. The full LP over olim (`eoptk_columns`) is the
-reference route behind `use_fast_path=False` and what `mvdl ground`
-prints. A Kleene-style iteration of the consequence operator doubles as
-an independent oracle.
+Pipeline: chase the crisp instance once (`Engine.chase` refuses an
+existential program that is not weakly acyclic unless a step limit
+bounds it), then solve over what it returns. `Engine.model` is the one
+place that picks the route. The chase result is the one source of the
+universe: its atoms (olim, sorted once per chase) are the LP's columns
+and the model's atoms, an atom is active exactly when it is null-free,
+and the chase's compiled rules decide each ground rule's head sum
+(`head_atoms`, a lookup in the chase's index). A ground rule whose head
+sum holds at most one atom that tau does not pin is Horn: the exact
+least fixpoint of nu(H) >= nu(body) - 1 + K, less the pinned heads'
+degrees, decides it, on ints over the degrees' common denominator,
+checked against tau's pins. Only D, the free heads of the other rules
+closed under the rules they feed, goes to an exact LP: one `lp.solve` of
+the rows that mention D, every other atom fixed at its fixpoint degree,
+minimizes the null-free atoms' total, then the null-carrying ones' as a
+tie-break. A plain program has D empty and builds no LP; the same holds
+for an existential one whose known witnesses are all pinned. The full
+LP over olim (`eoptk_columns`) is the reference route behind
+`use_fast_path=False` and what `mvdl ground` prints. A Kleene-style
+iteration of the consequence operator doubles as an independent oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .chase import ChaseResult, _Index, matches, oblivious_chase
+from .chase import ChaseResult, _Index, head_atoms, oblivious_chase
 from .core import (
     ONE,
     ZERO,
@@ -42,9 +41,7 @@ from .core import (
     FuzzyDatabase,
     GroundRule,
     Instance,
-    LabelledNull,
     RationalLike,
-    Rule,
     TruthAssignment,
     as_degree,
     body_truth,
@@ -52,6 +49,7 @@ from .core import (
     luk_implies,
 )
 from .lp import ColumnProgram, LinearProgram, Status, solve
+from .termination import is_weakly_acyclic_ve
 
 
 class NoObliviousBaseModel(Exception):
@@ -68,6 +66,10 @@ class Unsatisfiable(NoObliviousBaseModel):
 
 class TruncatedChase(Exception):
     """The chase hit its step limit; any model computed from it would be unsound."""
+
+
+class UnboundedChase(TruncatedChase):
+    """An existential program failed the weak-acyclicity test, and no step limit bounds its chase."""
 
 
 class IterationLimit(Exception):
@@ -107,27 +109,6 @@ def ground_atoms(chase: ChaseResult, tau: FuzzyDatabase) -> list[Atom]:
     return chase.sorted_olim()
 
 
-def _head_atoms(rule: Rule, g: GroundRule, index: _Index) -> list[Atom]:
-    """The atoms whose degrees sum to the head value of g, grounded from `rule`.
-
-    A plain rule's head is g.head alone. An existential rule's head is
-    every atom of `index` that matches g.head with the nulls at its
-    existential positions replaced (consistently) by anything: a hash
-    lookup on the other positions, exact unless a null repeats in the head,
-    when `matches` checks the repeats. The list may be the index's own.
-    """
-    kept, existential = rule.head_positions
-    if not existential:
-        return [g.head]
-    args = g.head.args
-    for i in existential:
-        if not isinstance(args[i], LabelledNull):
-            raise AssertionError(f"existential position of {g.head} holds {args[i]}")
-    candidates = index.table((g.head.predicate, len(args)), kept).get(tuple(map(args.__getitem__, kept)), [])
-    nulls = set(map(args.__getitem__, existential))
-    return candidates if len(nulls) == len(existential) else [a for a in candidates if matches(a, g.head, nulls)]
-
-
 def build_optk(instance: Instance, chase: ChaseResult) -> LinearProgram:
     """The base LP: minimize the total truth subject to every ground rule.
 
@@ -146,7 +127,7 @@ def eoptk_columns(instance: Instance, chase: ChaseResult) -> ColumnProgram:
     pattern (nulls replaced consistently by anything), tau's atoms fixed."""
     _require_complete(chase)
     index, rule_by_id = chase.index, instance.program.rule_by_id
-    rows = ((_head_atoms(rule_by_id(g.origin_rule_id), g, index), g.body) for g in chase.gamma)
+    rows = ((head_atoms(rule_by_id(g.origin_rule_id), g, index), g.body) for g in chase.gamma)
     return column_program(chase.sorted_olim(), rows, instance.database.entries, instance.K)
 
 
@@ -184,7 +165,7 @@ def horn_split(
 ) -> tuple[list[GroundRule], dict[int, list[Atom]], list[tuple[list[Atom], tuple[Atom, ...]]], set[Atom]]:
     """Split Gamma at D, the atoms that only the LP can decide.
 
-    A ground rule's free heads are its `_head_atoms` that tau does not pin;
+    A ground rule's free heads are its `head_atoms` that tau does not pin;
     with at most one it is Horn. D is the free heads of the other rules,
     closed under Gamma: a rule with a body atom in D puts its free heads
     in D. Returns the ground rules that mention no atom of D, all Horn, whose
@@ -197,7 +178,7 @@ def horn_split(
     rows = []
     core: set[Atom] = set()
     for g in chase.gamma:
-        heads = _head_atoms(rule_by_id(g.origin_rule_id), g, index)
+        heads = head_atoms(rule_by_id(g.origin_rule_id), g, index)
         free = [h for h in heads if h not in tau]
         if len(free) > 1:
             core.update(free)
@@ -406,9 +387,9 @@ def verify_model(
 
     Raises DomainError when a degree of `model` lies outside (0, 1], then
     TruncatedChase when the chase stopped at its step limit.
-    Each ground rule's head value is the sum, truncated at 1, over its
-    `_head_atoms`; for an existential rule that is strong existential
-    semantics, a sum over all atoms matching the head pattern.
+    Each ground rule's head value is the sum, truncated at 1, over the
+    chase's `head_atoms` in the model's support: for an existential rule,
+    strong existential semantics, every atom matching the head pattern.
     """
     for d in model.support.values():
         as_degree(d, positive=True)
@@ -417,7 +398,7 @@ def verify_model(
     index = _Index(set(model.support))  # atoms off the support add 0
     rule_violations = []
     for g in chase.gamma:
-        heads = _head_atoms(instance.program.rule_by_id(g.origin_rule_id), g, index)
+        heads = head_atoms(instance.program.rule_by_id(g.origin_rule_id), g, index)
         value = luk_implies(body_truth(model, g.body), min(ONE, sum(map(model, heads), ZERO)))
         if value < K:
             rule_violations.append((g, value))
@@ -467,7 +448,10 @@ class Engine:
 
     @cached_property
     def chase(self) -> ChaseResult:
-        return oblivious_chase(self.instance.program, set(self.instance.database.entries), self.step_limit)
+        program = self.instance.program
+        if self.step_limit is None and program.has_existential_rules and (cycle := is_weakly_acyclic_ve(program)[1]):
+            raise UnboundedChase(f"program is not weakly acyclic: cycle {cycle}; set a step_limit")
+        return oblivious_chase(program, set(self.instance.database.entries), self.step_limit)
 
     @cached_property
     def model(self) -> GroundModel:

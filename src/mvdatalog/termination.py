@@ -93,7 +93,7 @@ def build_dependency_graph(program: Program) -> DependencyGraph:
             for i, t in enumerate(a.args):
                 if isinstance(t, Variable):
                     body_positions.setdefault(t.name, []).append(PositionVertex(a.predicate, i + 1))
-        head_positions: dict[str, list[PositionVertex]] = {}
+        head_vertices: dict[str, list[PositionVertex]] = {}
         existential_positions: list[PositionVertex] = []
         for j, t in enumerate(r.head.args):
             if isinstance(t, Variable):
@@ -101,9 +101,9 @@ def build_dependency_graph(program: Program) -> DependencyGraph:
                 if t.name in r.existential_vars:
                     existential_positions.append(v)
                 else:
-                    head_positions.setdefault(t.name, []).append(v)
+                    head_vertices.setdefault(t.name, []).append(v)
         for var, sources in body_positions.items():
-            targets = head_positions.get(var)
+            targets = head_vertices.get(var)
             if not targets:
                 continue
             for src in sources:

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from mvdatalog.chase import ChaseResult, NullRegistry, _Index, matches
+from mvdatalog.chase import ChaseResult, NullRegistry, _Index
 from mvdatalog.lp import ONE, ZERO, LinearProgram, MalformedModel, Solution, Status, _Columns, solve
 from mvdatalog.core import (
     Atom,
@@ -21,8 +21,10 @@ from mvdatalog.core import (
     FuzzyDatabase,
     GroundRule,
     Instance,
+    LabelledNull,
     Program,
     Rule,
+    Term,
     TruthAssignment,
     Variable,
     as_degree,
@@ -319,6 +321,19 @@ def naive_oblivious_chase(program: Program, facts, step_limit=None) -> ChaseResu
     gamma = tuple(applied[k] for k in order)
     olim = frozenset(atoms)
     return ChaseResult(olim, gamma, registry, truncated, steps, _Index(olim))
+
+
+def matches(candidate: Atom, head_pattern: Atom, nulls: set[LabelledNull]) -> bool:
+    """True iff substituting the pattern's nulls (consistently: one term per
+    null) yields `candidate`; positions outside `nulls` must agree exactly."""
+    if candidate.predicate != head_pattern.predicate or candidate.arity != head_pattern.arity:
+        return False
+    binding: dict[LabelledNull, Term] = {}
+    for p, c in zip(head_pattern.args, candidate.args):
+        mismatch = binding.setdefault(p, c) != c if p in nulls else p != c
+        if mismatch:
+            return False
+    return True
 
 
 def scan_head_atoms(rule: Rule, g: GroundRule, atoms) -> list[Atom]:

@@ -47,6 +47,13 @@ p(a).
 p(Y) :- p(X).
 """
 
+NULLARY = """\
+p.
+q :- p.
+0.5 :: r.
+s :- r, q.
+"""
+
 RELAXED_CYCLE = """\
 0.5 :: e(a, b).
 e(Y, Z) :- e(X, Y).
@@ -82,6 +89,7 @@ def files(tmp_path):
         "two": TWO,
         "selfloop": SELF_FEEDING,
         "relaxcycle": RELAXED_CYCLE,
+        "nullary": NULLARY,
     }.items():
         path = tmp_path / f"{name}.mvdl"
         path.write_text(text, encoding="utf-8")
@@ -119,6 +127,11 @@ class TestSolve:
         proc = run_cli("solve", files["two"], "--K", "0.9", "--mode", "relaxed", "--format", "text")
         assert proc.returncode == 0
         assert proc.stdout == "p(a) = 7/10  (derived)\nq(a) = 3/5  (derived)\n"
+
+    def test_nullary_atoms_print_bare(self, files):
+        proc = run_cli("solve", files["nullary"], "--format", "text")
+        assert proc.returncode == 0
+        assert proc.stdout == "p = 1  (given)\nq = 1  (certain)\nr = 1/2  (given)\ns = 1/2  (derived)\n"
 
     def test_preferred_model_for_existentials(self, files):
         proc = run_cli("solve", files["kp"])
@@ -261,6 +274,11 @@ class TestQuery:
         proc = run_cli("query", files["selfloop"], "p(X)")
         assert proc.returncode == 4
         assert "weakly acyclic" in proc.stderr
+
+    def test_nullary_atom(self, files):
+        proc = run_cli("query", files["nullary"], "s", "--at-least", "0.5")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["degree"] == "1/2"
 
     def test_unsat_exit_2(self, files):
         proc = run_cli("query", files["unsat"], "s(a)", "--at-least", "0.5")

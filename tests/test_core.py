@@ -16,6 +16,7 @@ from mvdatalog.core import (
     Instance,
     LabelledNull,
     Program,
+    Variable,
     as_degree,
     atom,
     body_truth,
@@ -206,6 +207,21 @@ class TestTypes:
     def test_rule_rejects_empty_body(self):
         with pytest.raises(ValueError):
             make_rule(0, [], atom("p", "a"))
+
+    @pytest.mark.parametrize("in_head", [False, True])
+    def test_rule_rejects_labelled_nulls(self, in_head):
+        null_atom = Atom("p", (Constant("a"), LabelledNull(1)))
+        body, head = ([atom("q", "X")], null_atom) if in_head else ([null_atom], atom("q", "a"))
+        with pytest.raises(ValueError, match="labelled nulls cannot occur in a rule"):
+            make_rule(0, body, head)
+
+    def test_nullary_atom_prints_its_predicate(self):
+        assert str(atom("p")) == "p" and str(atom("p", "a")) == "p(a)"
+
+    def test_atom_keeps_term_arguments(self):
+        # an uppercase string becomes a variable, a Constant stays one whatever its name
+        assert atom("p", Constant("X"), "X", "x", LabelledNull(2)).args == (
+            Constant("X"), Variable("X"), Constant("x"), LabelledNull(2))
 
     def test_rule_infers_existentials(self):
         r = make_rule(0, [atom("company", "X")], atom("kp", "Y", "X"))

@@ -1,9 +1,12 @@
 import ast
+import heapq
 import os
 import random
 from collections import Counter
 import subprocess
 import sys
+import time
+import types
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -20,7 +23,7 @@ from helpers import (
     scan_head_atoms,
 )
 from mvdatalog import engine as engine_module
-from mvdatalog.chase import _Index, oblivious_chase
+from mvdatalog.chase import _Index, head_atoms, oblivious_chase
 from mvdatalog.core import (
     ArityError,
     Atom,
@@ -43,8 +46,8 @@ from mvdatalog.engine import (
     ModelKind,
     NoObliviousBaseModel,
     TruncatedChase,
+    UnboundedChase,
     Unsatisfiable,
-    _head_atoms,
     build_optk,
     eoptk_columns,
     fixpoint_minimal_model,
@@ -448,7 +451,7 @@ class TestVerifyModel:
 
 
 class TestHeadIndex:
-    """`_head_atoms` finds through the chase's hash index exactly the atoms
+    """`chase.head_atoms` finds through the chase's hash index exactly the atoms
     that the scan in tests/helpers.py finds."""
 
     @staticmethod
@@ -460,12 +463,12 @@ class TestHeadIndex:
         heads = []
         for g in chase.gamma:
             rule = instance.program.rule_by_id(g.origin_rule_id)
-            indexed = _head_atoms(rule, g, index)
+            indexed = head_atoms(rule, g, index)
             assert Counter(indexed) == Counter(scan_head_atoms(rule, g, universe))
             if rule.is_existential:
                 heads.append((g, set(indexed)))
         reports = [verify_model(instance, chase, m) for m in models]
-        monkeypatch.setattr(engine_module, "_head_atoms", lambda r, g, ix: scan_head_atoms(r, g, ix.atoms))
+        monkeypatch.setattr(engine_module, "head_atoms", lambda r, g, ix: scan_head_atoms(r, g, ix.atoms))
         assert reports == [verify_model(instance, chase, m) for m in models]
         monkeypatch.undo()
         return heads
@@ -698,6 +701,21 @@ class TestEngineWrapper:
         engine = Engine(inst("p(a).\np(Y) :- p(X)."), step_limit=3)
         with pytest.raises(TruncatedChase):
             engine.model
+
+    def test_unbounded_chase_refused_before_chasing(self, monkeypatch):
+        # the chase of p(a). p(Y) :- p(X). never ends, and the program is not weakly acyclic
+        def no_chase(program, facts, step_limit):
+            raise AssertionError(f"chased with step_limit={step_limit}")
+
+        monkeypatch.setattr(engine_module, "oblivious_chase", no_chase)
+        start = time.perf_counter()
+        with pytest.raises(UnboundedChase, match=r"not weakly acyclic: cycle p\[1\] => p\*\[1\]"):
+            Engine(inst("p(a).\np(Y) :- p(X).")).model
+        assert time.perf_counter() - start < 0.5
+        monkeypatch.undo()
+        with pytest.raises(TruncatedChase) as truncated:
+            Engine(inst("p(a).\np(Y) :- p(X)."), step_limit=3).model
+        assert type(truncated.value) is TruncatedChase
 
     @pytest.mark.parametrize("query", [atom("orca", "i1", "i2"), atom("polar", "i1", "i1"), atom("orca")])
     def test_query_arity_mismatch_raises(self, query):
@@ -934,3 +952,73 @@ class TestHornSplit:
         assert bool(core) == relaxed
         nulls = {a.args[1]: d for a, d in model.support.items() if a.has_nulls() and a.predicate == kp}
         assert nulls == {Constant(f"c{i}"): F(1, p) for i, p in enumerate(primes)}
+
+
+class TestFixpointWorkBound:
+    """`least_fixpoint` fires each ground rule once, when the last of its
+    body atoms settles, so it pushes at most one heap entry per ground rule
+    it is given, at every size of four program families."""
+
+    @staticmethod
+    def chain(n):
+        lines = ["reach(c0).", "reach(Y) :- reach(X), edge(X, Y)."]
+        lines += [f"0.999 :: edge(c{i}, c{i + 1})." for i in range(n)]
+        return inst("\n".join(lines), F(999, 1000))
+
+    @staticmethod
+    def grid(side):
+        # uneven degrees: a node's two derivations differ, so later ones may improve it
+        lines = ["reach(v0_0).", "reach(Y) :- reach(X), edge(X, Y)."]
+        for i in range(side):
+            for j in range(side):
+                if j + 1 < side:
+                    lines.append(f"{F(100 - (7 * i + 3 * j) % 5, 100)} :: edge(v{i}_{j}, v{i}_{j + 1}).")
+                if i + 1 < side:
+                    lines.append(f"{F(100 - (3 * i + 5 * j) % 7, 100)} :: edge(v{i}_{j}, v{i + 1}_{j}).")
+        return inst("\n".join(lines))
+
+    @staticmethod
+    def transitive_closure(n):
+        lines = ["tc(X, Y) :- e(X, Y).", "tc(X, Z) :- tc(X, Y), tc(Y, Z)."]
+        lines += [f"{F(100 - i % 3, 100)} :: e(c{i}, c{i + 1})." for i in range(n)]
+        return inst("\n".join(lines))
+
+    @staticmethod
+    def keyperson(companies):
+        lines = ["kp(Y, X) :- company(X).", "person(Y) :- kp(Y, X)."]
+        for i in range(companies):
+            lines.append(f"company(c{i}).")
+            lines += [f"0.{j + 3} :: kp(p{i}x{j}, c{i})." for j in range(i % 3)]
+        return inst("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "family, sizes",
+        [("chain", (100, 200, 400, 800)), ("grid", (4, 8, 16, 32)),
+         ("transitive_closure", (5, 10, 20, 40)), ("keyperson", (25, 50, 100, 200))],
+    )
+    def test_one_push_per_ground_rule_at_most(self, family, sizes, monkeypatch):
+        least_fixpoint, horn_split = engine_module.least_fixpoint, engine_module.horn_split
+        pushes, rules, splits = [], [], []
+
+        def counting_push(heap, item):
+            pushes[-1] += 1
+            heapq.heappush(heap, item)
+
+        def recording(gamma, *rest):
+            rules.append(len(gamma))
+            return least_fixpoint(gamma, *rest)
+
+        def splitting(*args):
+            splits.append(family)
+            return horn_split(*args)
+
+        monkeypatch.setattr(engine_module, "heapq", types.SimpleNamespace(
+            heapify=heapq.heapify, heappop=heapq.heappop, heappush=counting_push))
+        monkeypatch.setattr(engine_module, "least_fixpoint", recording)
+        monkeypatch.setattr(engine_module, "horn_split", splitting)
+        for n in sizes:
+            pushes.append(0)
+            Engine(getattr(self, family)(n)).model
+        assert len(rules) == len(sizes) and min(pushes) > 0
+        assert all(p <= r for p, r in zip(pushes, rules)), list(zip(pushes, rules))
+        assert len(splits) == (len(sizes) if family == "keyperson" else 0)  # only keyperson is existential
