@@ -22,7 +22,6 @@ from .core import (
     body_truth,
     k_satisfies,
     make_rule,
-    relax_rewrite,
     rule_gap,
 )
 from .chase import ChaseResult, enumerate_homomorphisms, oblivious_chase
@@ -82,7 +81,6 @@ __all__ = [
     "parse_ground_atom",
     "parse_many",
     "preferred_model",
-    "relax_rewrite",
     "rule_gap",
     "variable_expansion",
     "verify_model",

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: solve, query, check, ground. All four run one pipeline,
-`_open`: parse the files, relax them under --mode relaxed and build the
-Engine, whose chase gate chases an existential program only when it is
-weakly acyclic or --max-chase-steps bounds it. `check` tests the program
-itself and reports a refused chase; the other commands exit 4 on it,
+`_open`: parse the files and build the Engine, relaxed under --mode
+relaxed (tau's degrees become lower bounds; the program is unchanged).
+Its chase gate chases an existential program only when it is weakly
+acyclic or --max-chase-steps bounds it. `check` reports a refused chase
+with the engine's witness cycle; the other commands exit 4 on it,
 `query` before it parses its atom.
 
 Results go to stdout as deterministic JSON (or plain text with
@@ -25,15 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn, Optional
 
-from .core import (
-    ArityError,
-    Atom,
-    DomainError,
-    Instance,
-    as_degree,
-    infer_signature,
-    relax_rewrite,
-)
+from .core import ArityError, Atom, DomainError, Instance, as_degree
 from .engine import (
     Engine,
     NoObliviousBaseModel,
@@ -43,7 +36,6 @@ from .engine import (
     eoptk_columns,
 )
 from .parser import NonGroundQuery, ParseError, SafetyError, parse_degree, parse_ground_atom, parse_many
-from .termination import WitnessCycle, is_weakly_acyclic_ve
 
 EXIT_OK = 0
 EXIT_NOT_ENTAILED = 1
@@ -96,50 +88,25 @@ def _read_files(paths: list[str]) -> list[str]:
     return texts
 
 
-def _open(args, *, report: bool = False) -> tuple[Optional[Engine], dict[str, str], Optional[WitnessCycle]]:
-    """Turn the parsed argv into an Engine behind the chase gate.
-
-    Returns the engine, the relaxed-mode renaming {original: primed} and,
-    with `report`, the witness cycle of a failed weak-acyclicity test on
-    the program as written (relaxing adds no cycle), and no engine if the
-    chase is refused. Without `report` the engine chases here, and a
-    refused chase exits 4 with the witness on the program as written.
-    """
+def _open(args) -> Engine:
+    """Turn the parsed argv into an Engine; its chase runs on first use."""
     program, database = parse_many(_read_files(args.files))
     instance = Instance(program, database, parse_degree(args.K))  # Instance validates K
-    witness = is_weakly_acyclic_ve(program)[1] if report else None
-    renaming: dict[str, str] = {}
-    if args.mode == "relaxed":
-        instance, renaming = relax_rewrite(instance)
-    if witness is not None and args.max_chase_steps is None:
-        return None, renaming, witness
-    engine = Engine(instance, step_limit=args.max_chase_steps, use_fast_path=not args.no_fast_path)
-    if not report:
-        try:
-            engine.chase
-        except UnboundedChase:  # name the cycle on the program as written
-            cycle = is_weakly_acyclic_ve(program)[1]
-            message = f"program is not weakly acyclic (variable expansion): cycle {cycle}; "
-            raise CliError(EXIT_CHASE_LIMIT, message + "supply --max-chase-steps to bound the chase") from None
-    return engine, renaming, witness
+    return Engine(
+        instance,
+        step_limit=args.max_chase_steps,
+        use_fast_path=not args.no_fast_path,
+        relaxed=args.mode == "relaxed",
+    )
 
 
-def _presented(model, database, renaming: dict[str, str]) -> list[tuple[Atom, Fraction, str]]:
-    """The model's (atom, degree, source) rows under the user's predicate names, sorted.
-
-    In relaxed mode a raw database predicate is hidden: its relaxed truth
-    lives on the primed carrier atom, which is shown under the original
-    name and whose own degree decides the source.
-    """
-    original = {primed: name for name, primed in renaming.items()}
+def _presented(model, database) -> list[tuple[Atom, Fraction, str]]:
+    """The model's (atom, degree, source) rows, sorted."""
     rows = []
-    for carrier, d in model.assignment.support.items():
-        if carrier.predicate in renaming:
-            continue
-        a = Atom(original[carrier.predicate], carrier.args) if carrier.predicate in original else carrier
+    for a, d in model.assignment.support.items():
         if database.degree(a) == d:
             source = "given"
-        elif carrier in model.certain_atoms:
+        elif a in model.certain_atoms:
             source = "certain"
         else:
             source = "derived"
@@ -148,11 +115,11 @@ def _presented(model, database, renaming: dict[str, str]) -> list[tuple[Atom, Fr
 
 
 def cmd_solve(args) -> int:
-    engine, renaming, _ = _open(args)
+    engine = _open(args)
     model = engine.model
     entries = [
         {"atom": str(a), "degree": str(d), "source": source}
-        for a, d, source in _presented(model, engine.instance.database, renaming)
+        for a, d, source in _presented(model, engine.instance.database)
     ]
     payload = {
         "status": "ok",
@@ -171,12 +138,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_query(args) -> int:
-    engine, renaming, _ = _open(args)
+    engine = _open(args)
+    engine.chase  # the chase gate precedes parsing the atom
     atom = parse_ground_atom(args.atom)
     threshold = as_degree(parse_degree(args.at_least))
-    if atom.predicate in renaming:  # relaxed mode: the primed carrier holds the degree
-        infer_signature([atom], engine.instance.signature)  # an ArityError names the user's predicate
-        atom = Atom(renaming[atom.predicate], atom.args)
     result = engine.query(atom, threshold)
     payload = {
         "status": "ok",
@@ -192,7 +157,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_check(args) -> int:
-    engine, _, witness = _open(args, report=True)
+    engine = _open(args)
+    witness = engine.witness
     payload: dict = {
         "weakly_acyclic": witness is None,
         "witness": str(witness) if witness else None,
@@ -204,15 +170,17 @@ def cmd_check(args) -> int:
     ]
     if witness:
         text.append(f"witness cycle: {witness}")
-    if engine is not None:
-        try:
-            engine.model
-            payload["satisfiable"] = True
-        except NoObliviousBaseModel:  # Unsatisfiable included
-            payload["satisfiable"] = False
-        except TruncatedChase:
-            _emit(payload, args.format == "json", text)
-            raise
+    try:
+        engine.model
+        payload["satisfiable"] = True
+    except UnboundedChase:  # refused: the witness is the report
+        pass
+    except NoObliviousBaseModel:  # Unsatisfiable included
+        payload["satisfiable"] = False
+    except TruncatedChase:
+        _emit(payload, args.format == "json", text)
+        raise
+    if payload["satisfiable"] is not None:
         atoms, rules = len(engine.chase.olim), len(engine.chase.gamma)
         payload["stats"] = {"olim": atoms, "gamma": rules}
         text.append(f"chase atoms: {atoms}, ground rules: {rules}")
@@ -221,8 +189,16 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _lower_bounds(lp) -> list[tuple[str, Fraction]]:
+    """The columns bounded below and not fixed: under --mode relaxed, tau's
+    atoms; none in strict mode, where tau's atoms are fixed."""
+    return sorted((v, lo) for v, (lo, _) in lp.bounds.items() if lo)
+
+
 def _lp_as_json(lp, secondary: dict) -> dict:
+    lower = _lower_bounds(lp)
     return {
+        **({"lower_bounds": {v: str(lo) for v, lo in lower}} if lower else {}),
         "variables": list(lp.variables),
         "fixings": {v: str(d) for v, d in sorted(lp.fixings.items())},
         "objective": {v: str(c) for v, c in sorted(lp.objective.items())},
@@ -247,6 +223,8 @@ def _lp_as_text(lp, secondary: dict) -> list[str]:
     for constraint in lp.constraints:
         terms = " + ".join(f"{c} {v}" for v, c in sorted(constraint.coeffs.items()))
         lines.append(f"  {terms} >= {constraint.rhs}")
+    for v, lo in _lower_bounds(lp):
+        lines.append(f"  {v} >= {lo}")
     for v, d in sorted(lp.fixings.items()):
         lines.append(f"  {v} = {d}")
     lines.append("  0 <= x <= 1 for all variables")
@@ -254,9 +232,9 @@ def _lp_as_text(lp, secondary: dict) -> list[str]:
 
 
 def cmd_ground(args) -> int:
-    engine, _, _ = _open(args)
+    engine = _open(args)
     chase = engine.chase
-    lp, secondary = eoptk_columns(engine.instance, chase).labelled()  # raises TruncatedChase
+    lp, secondary = eoptk_columns(engine.instance, chase, engine.seeds, engine.pins).labelled()  # raises TruncatedChase
     nulls = [
         {
             "rule": rid,
@@ -316,7 +294,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "--mode",
             choices=["strict", "relaxed"],
             default="strict",
-            help="relaxed rewrites the program so models only need nu >= tau - (1 - K)",
+            help="relaxed makes tau's degrees lower bounds, not pins: models only need nu >= tau - (1 - K)",
         )
         p.add_argument("--max-chase-steps", type=_step_count, default=None, metavar="N")
         p.add_argument(
@@ -347,6 +325,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NoObliviousBaseModel:
         _emit({"status": "no-oblivious-base-model"}, args.format == "json", ["no obliviously-based model"])
         return EXIT_NO_OBLIVIOUS_BASE
+    except UnboundedChase as exc:
+        message = f"program is not weakly acyclic (variable expansion): cycle {exc.cycle}; "
+        print(f"error: {message}supply --max-chase-steps to bound the chase", file=sys.stderr)
+        return EXIT_CHASE_LIMIT
     except TruncatedChase as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHASE_LIMIT

@@ -330,48 +330,3 @@ def k_satisfies(nu: TruthAssignment, gamma: GroundRule, K: Fraction) -> bool:
     """True iff the implication value min(1, 1 - nu(body) + nu(head)) reaches K."""
     return rule_gap(nu, gamma, K) >= ZERO
 
-
-# ---------------------------------------------------------------------------
-# Rewritings
-
-
-def fresh_predicate(base: str, mark: str, taken: set[str]) -> str:
-    """`base` followed by as many `mark`s as it takes to avoid every name in `taken`."""
-    candidate = base + mark
-    while candidate in taken:
-        candidate += mark
-    return candidate
-
-
-def relax_rewrite(instance: Instance) -> tuple[Instance, dict[str, str]]:
-    """Rewrite so that tau bounds models from below instead of pinning them.
-
-    For every predicate R occurring in tau, a bridge rule R(x) -> R'(x) is
-    added and all other occurrences of R in the program are replaced by R'.
-    The bridge need only be K-satisfied, so nu(R'(a)) >= tau(R(a)) - (1 - K):
-    tau's own degree only at K = 1. Returns the rewritten instance and the
-    renaming {original: primed}.
-    """
-    tau_preds = sorted({a.predicate for a in instance.database.entries})
-    if not tau_preds:
-        return instance, {}
-    taken = set(instance.program.signature) | set(tau_preds)
-    renaming: dict[str, str] = {}
-    for p in tau_preds:
-        primed = fresh_predicate(p, "'", taken)
-        taken.add(primed)
-        renaming[p] = primed
-
-    def prime(a: Atom) -> Atom:
-        return Atom(renaming.get(a.predicate, a.predicate), a.args)
-
-    sig = dict(instance.program.signature)
-    sig.update({a.predicate: a.arity for a in instance.database.entries})
-    rules: list[Rule] = []
-    for p in tau_preds:
-        args = tuple(Variable(f"X{i + 1}") for i in range(sig[p]))
-        rules.append(make_rule(len(rules), [Atom(p, args)], Atom(renaming[p], args)))
-    for r in instance.program.rules:
-        rules.append(make_rule(len(rules), [prime(a) for a in r.body], prime(r.head)))
-    program = Program.from_rules(rules, extra_atoms=list(instance.database.entries))
-    return Instance(program, instance.database, instance.K), renaming

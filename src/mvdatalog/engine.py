@@ -7,14 +7,18 @@ place that picks the route. The chase result is the one source of the
 universe: its atoms (olim, sorted once per chase) are the LP's columns
 and the model's atoms, an atom is active exactly when it is null-free,
 and the chase's compiled rules decide each ground rule's head sum
-(`head_atoms`, a lookup in the chase's index). A ground rule whose head
-sum holds at most one atom that tau does not pin is Horn: the exact
+(`head_atoms`, a lookup in the chase's index). The database enters the
+solve twice: as pins, the degrees a model must equal, and as seeds, the
+lower bounds it must reach. In strict mode both are tau; in relaxed mode
+nothing is pinned and each seed is tau's degree less 1 - K. A ground
+rule whose head sum holds at most one unpinned atom is Horn: the exact
 least fixpoint of nu(H) >= nu(body) - 1 + K, less the pinned heads'
-degrees, decides it, on ints over the degrees' common denominator,
-checked against tau's pins. Only D, the free heads of the other rules
-closed under the rules they feed, goes to an exact LP: one `lp.solve` of
-the rows that mention D, every other atom fixed at its fixpoint degree,
-minimizes the null-free atoms' total, then the null-carrying ones' as a
+degrees, from the seeds decides it, on ints over the degrees' common
+denominator, checked against the pins. Only D, the free heads of the
+other rules closed under the rules they feed, goes to an exact LP: one
+`lp.solve` of the rows that mention D, every other atom fixed at its
+fixpoint degree and D's atoms bounded below by their seeds, minimizes
+the null-free atoms' total, then the null-carrying ones' as a
 tie-break. A plain program has D empty and builds no LP; the same holds
 for an existential one whose known witnesses are all pinned. The full
 LP over olim (`eoptk_columns`) is the reference route behind
@@ -49,7 +53,7 @@ from .core import (
     luk_implies,
 )
 from .lp import ColumnProgram, LinearProgram, Status, solve
-from .termination import is_weakly_acyclic_ve
+from .termination import WitnessCycle, is_weakly_acyclic_ve
 
 
 class NoObliviousBaseModel(Exception):
@@ -70,6 +74,10 @@ class TruncatedChase(Exception):
 
 class UnboundedChase(TruncatedChase):
     """An existential program failed the weak-acyclicity test, and no step limit bounds its chase."""
+
+    def __init__(self, cycle: WitnessCycle) -> None:
+        super().__init__(f"program is not weakly acyclic: cycle {cycle}; set a step_limit")
+        self.cycle = cycle
 
 
 class IterationLimit(Exception):
@@ -120,28 +128,43 @@ def build_optk(instance: Instance, chase: ChaseResult) -> LinearProgram:
     return eoptk_columns(instance, chase).labelled()[0]
 
 
-def eoptk_columns(instance: Instance, chase: ChaseResult) -> ColumnProgram:
+def eoptk_columns(
+    instance: Instance,
+    chase: ChaseResult,
+    seeds: Optional[Mapping[Atom, Fraction]] = None,
+    pins: Optional[Mapping[Atom, Fraction]] = None,
+) -> ColumnProgram:
     """The existential LP and its tie-break over columns in [0, 1], column j
     the j-th atom of chase.sorted_olim(): `column_program` of every ground
     rule, its head the atoms of the chase's index that match the head
-    pattern (nulls replaced consistently by anything), tau's atoms fixed."""
+    pattern (nulls replaced consistently by anything), `pins` fixed and
+    `seeds` as lower bounds; both default to tau."""
     _require_complete(chase)
     index, rule_by_id = chase.index, instance.program.rule_by_id
     rows = ((head_atoms(rule_by_id(g.origin_rule_id), g, index), g.body) for g in chase.gamma)
-    return column_program(chase.sorted_olim(), rows, instance.database.entries, instance.K)
+    tau = instance.database.entries
+    return column_program(
+        chase.sorted_olim(), rows, tau if pins is None else pins, tau if seeds is None else seeds, instance.K
+    )
 
 
 def column_program(
     universe: Sequence[Atom],
     rows: Iterable[tuple[Sequence[Atom], Sequence[Atom]]],
-    fixed: Mapping[Atom, Fraction],
+    pins: Mapping[Atom, Fraction],
+    seeds: Mapping[Atom, Fraction],
     K: Fraction,
 ) -> ColumnProgram:
-    """The LP over `universe`'s atoms as columns in [0, 1], `fixed`'s pinned:
-    a row (heads, body) is sum(heads) - sum(body) >= K - len(body), in ints
-    scaled by K's denominator. The objective sums the null-free atoms, the
-    tie-break the null-carrying ones."""
+    """The LP over `universe`'s atoms as columns in [0, 1], `pins`' fixed
+    and each other one in `seeds` bounded below by its seed: a row (heads,
+    body) is sum(heads) - sum(body) >= K - len(body), in ints scaled by K's
+    denominator. The objective sums the null-free atoms, the tie-break the
+    null-carrying ones."""
     column = {a: j for j, a in enumerate(universe)}
+    bounds = [(ZERO, ONE)] * len(universe)
+    for a, d in seeds.items():
+        if a not in pins and (j := column.get(a)) is not None:
+            bounds[j] = (d, ONE)
     costs: tuple[dict[int, int], dict[int, int]] = ({}, {})  # objective, secondary
     for j, a in enumerate(universe):
         costs[a.has_nulls()][j] = 1
@@ -156,16 +179,16 @@ def column_program(
             j = column[b]
             coeffs[j] = coeffs.get(j, 0) - scale
         lp_rows.append(({j: a for j, a in coeffs.items() if a}, K - len(body) * scale, scale))
-    pins = {column[a]: d for a, d in fixed.items()}
-    return ColumnProgram([(ZERO, ONE)] * len(universe), pins, lp_rows, *costs, universe)
+    fixed = {column[a]: d for a, d in pins.items()}
+    return ColumnProgram(bounds, fixed, lp_rows, *costs, universe)
 
 
 def horn_split(
-    instance: Instance, chase: ChaseResult
+    instance: Instance, chase: ChaseResult, pins: Mapping[Atom, Fraction]
 ) -> tuple[list[GroundRule], dict[int, list[Atom]], list[tuple[list[Atom], tuple[Atom, ...]]], set[Atom]]:
     """Split Gamma at D, the atoms that only the LP can decide.
 
-    A ground rule's free heads are its `head_atoms` that tau does not pin;
+    A ground rule's free heads are its `head_atoms` outside `pins`;
     with at most one it is Horn. D is the free heads of the other rules,
     closed under Gamma: a rule with a body atom in D puts its free heads
     in D. Returns the ground rules that mention no atom of D, all Horn, whose
@@ -173,13 +196,12 @@ def horn_split(
     existential ones, keyed by position in that list; the (heads, body)
     rows of the others; and D.
     """
-    tau = instance.database.entries
     index, rule_by_id = chase.index, instance.program.rule_by_id
     rows = []
     core: set[Atom] = set()
     for g in chase.gamma:
         heads = head_atoms(rule_by_id(g.origin_rule_id), g, index)
-        free = [h for h in heads if h not in tau]
+        free = [h for h in heads if h not in pins]
         if len(free) > 1:
             core.update(free)
         rows.append((g, heads, free))
@@ -203,7 +225,7 @@ def horn_split(
             rest.append((heads, g.body))
             continue
         if len(heads) > 1:  # an existential rule's g.head holds nulls: free, and its one free head
-            pinned[len(horn)] = [h for h in heads if h in tau]
+            pinned[len(horn)] = [h for h in heads if h in pins]
         horn.append(g)
     return horn, pinned, rest, core
 
@@ -429,7 +451,14 @@ def _optimum(cols: ColumnProgram, fail: type[NoObliviousBaseModel], K: Fraction)
 
 
 class Engine:
-    """One instance, one chase, cached models; safe for repeated queries."""
+    """One instance, one chase, cached models; safe for repeated queries.
+
+    With `relaxed`, tau bounds models from below instead of pinning them: a
+    model need only K-satisfy tau(a) -> a for each of tau's atoms, so it
+    reaches tau(a) - (1 - K) there (tau's own degree only at K = 1). The
+    program and its chase are the same in both modes; only the pins and
+    seeds that the solve reads differ.
+    """
 
     def __init__(
         self,
@@ -437,32 +466,42 @@ class Engine:
         *,
         step_limit: Optional[int] = None,
         use_fast_path: bool = True,
+        relaxed: bool = False,
     ) -> None:
         self.instance = instance
         self.step_limit = step_limit
         self.use_fast_path = use_fast_path
+        tau, slack = instance.database.entries, ONE - instance.K
+        self.pins: Mapping[Atom, Fraction] = {} if relaxed else tau  # degrees a model must equal
+        # degrees a model must reach; a bound at or below 0 is none, and is left out
+        self.seeds: Mapping[Atom, Fraction] = {a: d - slack for a, d in tau.items() if d > slack} if relaxed else tau
 
     @property
     def is_existential(self) -> bool:
         return self.instance.program.has_existential_rules
 
     @cached_property
+    def witness(self) -> Optional[WitnessCycle]:
+        """The weak-acyclicity test's witness cycle, None when the program
+        passes; the test runs once per engine."""
+        return is_weakly_acyclic_ve(self.instance.program)[1]
+
+    @cached_property
     def chase(self) -> ChaseResult:
-        program = self.instance.program
-        if self.step_limit is None and program.has_existential_rules and (cycle := is_weakly_acyclic_ve(program)[1]):
-            raise UnboundedChase(f"program is not weakly acyclic: cycle {cycle}; set a step_limit")
-        return oblivious_chase(program, set(self.instance.database.entries), self.step_limit)
+        if self.step_limit is None and self.is_existential and self.witness:
+            raise UnboundedChase(self.witness)
+        return oblivious_chase(self.instance.program, set(self.instance.database.entries), self.step_limit)
 
     @cached_property
     def model(self) -> GroundModel:
         """The one route to a model, chosen by the program class.
 
-        The least fixpoint, checked against tau's pins, runs on every
-        ground rule that `horn_split` leaves outside D (all of them for a
-        plain program, which skips the split); when D is not empty, one
-        `lp.solve` of the rows that mention D, every other atom fixed at
-        its fixpoint degree, decides D's atoms: the minimal model of a
-        plain program, a preferred model of an existential one. With
+        The least fixpoint from the seeds, checked against the pins, runs
+        on every ground rule that `horn_split` leaves outside D (all of
+        them for a plain program, which skips the split); when D is not
+        empty, one `lp.solve` of the rows that mention D, every other atom
+        fixed at its fixpoint degree, decides D's atoms: the minimal model
+        of a plain program, a preferred model of an existential one. With
         use_fast_path=False the full `eoptk_columns` LP decides every
         atom. With no model, Unsatisfiable for a plain program,
         NoObliviousBaseModel for an existential one.
@@ -470,24 +509,24 @@ class Engine:
         chase = self.chase
         _require_complete(chase)
         instance, K = self.instance, self.instance.K
+        pins, seeds = self.pins, self.seeds
         fail = NoObliviousBaseModel if self.is_existential else Unsatisfiable
         if not self.use_fast_path:
-            nu = _optimum(eoptk_columns(instance, chase), fail, K)
+            nu = _optimum(eoptk_columns(instance, chase, seeds, pins), fail, K)
         else:
-            tau = instance.database.entries
             if self.is_existential:
-                horn, pinned, rest, core = horn_split(instance, chase)
+                horn, pinned, rest, core = horn_split(instance, chase, pins)
             else:  # every ground rule is Horn, D is empty
                 horn, pinned, rest, core = chase.gamma, {}, [], set()
-            nu = least_fixpoint(horn, tau, K, pinned)
-            for a, d in tau.items():
+            nu = least_fixpoint(horn, seeds, K, pinned)
+            for a, d in pins.items():
                 if nu[a] > d:
                     raise fail(f"derivations force {a} to {nu[a]} but the database pins it at {d}")
             if core:
                 used = core.union(*(heads for heads, _ in rest), *(body for _, body in rest))
                 universe = sorted(used, key=Atom.sort_key)
                 fixed = {a: nu.get(a, ZERO) for a in universe if a not in core}
-                nu.update(_optimum(column_program(universe, rest, fixed, K), fail, K))
+                nu.update(_optimum(column_program(universe, rest, fixed, seeds, K), fail, K))
         assignment = TruthAssignment(nu)
         if self.is_existential:
             return GroundModel(assignment, ModelKind.PREFERRED, K)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Atom, Program, Rule, Variable, fresh_predicate, make_rule
+from .core import Atom, Program, Rule, Variable, make_rule
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,9 @@ def variable_expansion(program: Program) -> Program:
         if not r.is_existential:
             rules.append(make_rule(len(rules), r.body, r.head))
             continue
-        starred = fresh_predicate(r.head.predicate, "*", taken)
+        starred = r.head.predicate + "*"
+        while starred in taken:
+            starred += "*"
         taken.add(starred)
         body_only = sorted(r.body_variables() - r.head.variables())
         star_args = r.head.args + tuple(Variable(v) for v in body_only)

@@ -31,6 +31,7 @@ from mvdatalog.core import (
     make_rule,
     term_sort_key,
 )
+from mvdatalog.engine import Engine
 from mvdatalog.parser import NonGroundQuery, ParseError, SafetyError
 
 CONSTANTS = ["a", "b"]
@@ -181,6 +182,57 @@ def random_wide_program(rng: random.Random, existential: bool = False) -> tuple[
     ]
     facts = set(rng.sample(ground, rng.randint(1, 8)))
     return Program.from_rules(rules, extra_atoms=list(facts)), facts
+
+
+def relax_rewrite(instance: Instance) -> tuple[Instance, dict[str, str]]:
+    """Relaxed mode as a program rewrite: tau bounds models from below
+    instead of pinning them.
+
+    For every predicate R occurring in tau, a bridge rule R(x) -> R'(x) is
+    added and all other occurrences of R in the program are replaced by R'.
+    The bridge need only be K-satisfied, so nu(R'(a)) >= tau(R(a)) - (1 - K):
+    tau's own degree only at K = 1. Returns the rewritten instance and the
+    renaming {original: primed}.
+    """
+    tau_preds = sorted({a.predicate for a in instance.database.entries})
+    if not tau_preds:
+        return instance, {}
+    taken = set(instance.program.signature) | set(tau_preds)
+    renaming: dict[str, str] = {}
+    for p in tau_preds:
+        primed = p + "'"
+        while primed in taken:
+            primed += "'"
+        taken.add(primed)
+        renaming[p] = primed
+
+    def prime(a: Atom) -> Atom:
+        return Atom(renaming.get(a.predicate, a.predicate), a.args)
+
+    sig = dict(instance.program.signature)
+    sig.update({a.predicate: a.arity for a in instance.database.entries})
+    rules: list[Rule] = []
+    for p in tau_preds:
+        args = tuple(Variable(f"X{i + 1}") for i in range(sig[p]))
+        rules.append(make_rule(len(rules), [Atom(p, args)], Atom(renaming[p], args)))
+    for r in instance.program.rules:
+        rules.append(make_rule(len(rules), [prime(a) for a in r.body], prime(r.head)))
+    program = Program.from_rules(rules, extra_atoms=list(instance.database.entries))
+    return Instance(program, instance.database, instance.K), renaming
+
+
+def rewritten_relaxed_model(instance: Instance, **options) -> dict[Atom, Fraction]:
+    """The relaxed model by the rewrite: `Engine(relax_rewrite(instance),
+    **options).model` under the user's names, each primed carrier shown as
+    its original atom and the raw database atoms dropped."""
+    relaxed, renaming = relax_rewrite(instance)
+    original = {primed: name for name, primed in renaming.items()}
+    support = Engine(relaxed, **options).model.assignment.support
+    return {
+        Atom(original.get(a.predicate, a.predicate), a.args): d
+        for a, d in support.items()
+        if a.predicate not in renaming
+    }
 
 
 def classical_closure(program: Program, facts: set[Atom]) -> set[Atom]:

@@ -123,10 +123,18 @@ class TestSolve:
         assert proc.stdout == "r(a) = 1  (given)\ns(a) = 1  (certain)\n"
 
     def test_relaxed_degree_may_fall_below_the_database_at_k_below_1(self, files):
-        # the bridge p(a) -> p'(a) need only be K-satisfied: p'(a) >= 4/5 - (1 - 9/10)
+        # p(a)'s lower bound is 4/5 - (1 - 9/10)
         proc = run_cli("solve", files["two"], "--K", "0.9", "--mode", "relaxed", "--format", "text")
         assert proc.returncode == 0
         assert proc.stdout == "p(a) = 7/10  (derived)\nq(a) = 3/5  (derived)\n"
+
+    def test_relaxed_bound_below_zero_leaves_the_atom_out(self, tmp_path):
+        # 1/20 - (1 - 9/10) < 0: p(a) is absent, not printed with degree 0
+        path = tmp_path / "faint.mvdl"
+        path.write_text("0.05 :: p(a).\n", encoding="utf-8")
+        proc = run_cli("solve", str(path), "--K", "0.9", "--mode", "relaxed")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["model"] == []
 
     def test_nullary_atoms_print_bare(self, files):
         proc = run_cli("solve", files["nullary"], "--format", "text")
@@ -315,6 +323,31 @@ class TestCheck:
             f"witness cycle: {RELAXED_CYCLE_WITNESS}",
         ]
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["check", "kp"], 0),
+            (["check", "kp", "--mode", "relaxed"], 0),
+            (["check", "relaxcycle"], 0),
+            (["solve", "relaxcycle"], 4),
+            (["solve", "relaxcycle", "--mode", "relaxed"], 4),
+        ],
+    )
+    def test_weak_acyclicity_tested_once(self, files, monkeypatch, capsys, argv, code):
+        from mvdatalog import cli, engine
+
+        calls = []
+        real = engine.is_weakly_acyclic_ve
+
+        def counted(program):
+            calls.append(program)
+            return real(program)
+
+        monkeypatch.setattr(engine, "is_weakly_acyclic_ve", counted)
+        assert cli.main([argv[0], files[argv[1]], *argv[2:]]) == code
+        capsys.readouterr()
+        assert len(calls) == 1
+
     def test_datalog_stats(self, files):
         proc = run_cli("check", files["orca"])
         payload = json.loads(proc.stdout)
@@ -416,6 +449,8 @@ class TestGround:
             ("nulls", ["--format", "text"], "nulls.ground.txt"),
             ("nulls", ["--K", "1/2"], "nulls-K1_2.ground.json"),
             ("nulls", ["--K", "1/2", "--format", "text"], "nulls-K1_2.ground.txt"),
+            ("kp", ["--mode", "relaxed"], "kp-relaxed.ground.json"),
+            ("kp", ["--mode", "relaxed", "--format", "text"], "kp-relaxed.ground.txt"),
         ],
     )
     def test_dump_is_byte_for_byte(self, files, name, options, golden):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import assignment_from_map, database_from_pairs, luk_and, luk_not, luk_or
+from helpers import assignment_from_map, database_from_pairs, luk_and, luk_not, luk_or, relax_rewrite
 from mvdatalog.core import (
     Atom,
     Constant,
@@ -22,7 +22,6 @@ from mvdatalog.core import (
     body_truth,
     k_satisfies,
     make_rule,
-    relax_rewrite,
     rule_gap,
 )
 
@@ -234,6 +233,8 @@ class TestTypes:
 
 
 class TestRelaxRewrite:
+    """The rewrite that the relaxed-mode differential test uses as its oracle."""
+
     def test_bridges_and_replacement(self):
         prog = Program.from_rules([make_rule(0, [atom("r", "X")], atom("s", "X"))])
         tau = FuzzyDatabase({atom("r", "a"): F(1), atom("s", "a"): F(1, 2)})

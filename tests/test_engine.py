@@ -20,6 +20,7 @@ from helpers import (
     random_degree,
     random_existential_program,
     random_instance,
+    rewritten_relaxed_model,
     scan_head_atoms,
 )
 from mvdatalog import engine as engine_module
@@ -37,7 +38,6 @@ from mvdatalog.core import (
     Variable,
     atom,
     make_rule,
-    relax_rewrite,
     rule_gap,
 )
 from mvdatalog.engine import (
@@ -717,6 +717,21 @@ class TestEngineWrapper:
             Engine(inst("p(a).\np(Y) :- p(X)."), step_limit=3).model
         assert type(truncated.value) is TruncatedChase
 
+    def test_weak_acyclicity_tested_once_per_engine(self, monkeypatch):
+        calls = []
+
+        def counted(program):
+            calls.append(program)
+            return is_weakly_acyclic_ve(program)
+
+        monkeypatch.setattr(engine_module, "is_weakly_acyclic_ve", counted)
+        engine = Engine(inst("p(a).\np(Y) :- p(X)."))
+        for _ in range(3):  # a cached_property that raises caches nothing
+            with pytest.raises(UnboundedChase) as refused:
+                engine.model
+        assert len(calls) == 1
+        assert refused.value.cycle is engine.witness
+
     @pytest.mark.parametrize("query", [atom("orca", "i1", "i2"), atom("polar", "i1", "i1"), atom("orca")])
     def test_query_arity_mismatch_raises(self, query):
         with pytest.raises(ArityError, match="used with arities"):
@@ -905,11 +920,11 @@ class TestHornSplit:
                   [d for a, d in model.support.items() if a.has_nulls()])
         return model, tuple(sum(v, F(0)) for v in values)
 
-    def _compare(self, instance):
+    def _compare(self, instance, relaxed=False):
         """Check that both routes agree; returns D and the default route's
         model, None when there is none."""
-        fast, full = Engine(instance), Engine(instance, use_fast_path=False)
-        core = engine_module.horn_split(instance, fast.chase)[3]
+        fast, full = Engine(instance, relaxed=relaxed), Engine(instance, use_fast_path=False, relaxed=relaxed)
+        core = engine_module.horn_split(instance, fast.chase, fast.pins)[3]
         ours, reference = self._outcome(fast), self._outcome(full)
         if isinstance(reference, type):
             assert ours is reference
@@ -917,7 +932,9 @@ class TestHornSplit:
         assert not isinstance(ours, type) and ours[1] == reference[1]  # primary, secondary
         for a in fast.chase.olim - core:
             assert ours[0](a) == reference[0](a)
-        assert verify_model(instance, fast.chase, ours[0]).ok
+        report = verify_model(instance, fast.chase, ours[0])
+        assert report.rules_satisfied and not report.outside_base
+        assert relaxed or report.ok  # relaxed, tau is a lower bound, not a pin
         return core, ours[0]
 
     def test_random_existential_programs(self):
@@ -942,16 +959,47 @@ class TestHornSplit:
         lines = ["kp(Y, X) :- company(X).", "person(Y) :- kp(Y, X)."]
         for i, p in enumerate(primes):
             lines += [f"company(c{i}).", f"{p - 1}/{p} :: kp(k{i}, c{i})."]
-        instance, kp = inst("\n".join(lines)), "kp"
-        if relaxed:  # kp(k_i, c_i) becomes a lower bound: each existential rule has two free heads
-            instance, renaming = relax_rewrite(instance)
-            kp = renaming[kp]
+        instance = inst("\n".join(lines))
         L = lcm(*(d.denominator for d in instance.database.entries.values()))
         assert L.bit_length() > engine_module._LCM_CAP_BITS
-        core, model = self._compare(instance)
+        # relaxed, kp(k_i, c_i) is a lower bound: each existential rule has two free heads
+        core, model = self._compare(instance, relaxed)
         assert bool(core) == relaxed
-        nulls = {a.args[1]: d for a, d in model.support.items() if a.has_nulls() and a.predicate == kp}
+        nulls = {a.args[1]: d for a, d in model.support.items() if a.has_nulls() and a.predicate == "kp"}
         assert nulls == {Constant(f"c{i}"): F(1, p) for i, p in enumerate(primes)}
+
+
+class TestRelaxedMode:
+    """`Engine(relaxed=True)`, the strict chase solved with tau's degrees
+    less 1 - K as lower bounds, against the `relax_rewrite` oracle: the
+    rewritten program solved strictly, under the user's names."""
+
+    def test_against_the_rewrite(self):
+        # equal assignments, nulls included: no draw here needs the looser
+        # check of equal objective and tie-break that a non-unique preferred
+        # model would allow
+        rng = random.Random(2101)
+        outcomes = Counter()
+        while sum(outcomes.values()) < 1500:
+            instance = random_instance(rng)
+            if rng.random() < 0.5:  # existential rules over the same database
+                program = random_existential_program(rng)
+                if not is_weakly_acyclic_ve(program)[0]:
+                    continue
+                instance = Instance(program, instance.database, instance.K)
+            for fast in (True, False):
+                engine = Engine(instance, relaxed=True, use_fast_path=fast)
+                ours = engine.model.assignment.support
+                assert ours == rewritten_relaxed_model(instance, use_fast_path=fast), instance
+                assert all(ours.get(a, 0) >= d > 0 for a, d in engine.seeds.items())
+            outcomes[instance.program.has_existential_rules, instance.K < 1] += 1
+        assert min(outcomes[e, k] for e in (False, True) for k in (False, True)) >= 100, outcomes
+
+    def test_a_bound_at_or_below_zero_is_no_atom(self):
+        # 1/20 - (1 - 9/10) < 0: p(a) has no lower bound and no degree, not degree 0
+        engine = Engine(inst("0.05 :: p(a).\nq(X) :- p(X).", F(9, 10)), relaxed=True)
+        assert engine.seeds == {}
+        assert engine.model.assignment.support == {}
 
 
 class TestFixpointWorkBound:

@@ -1,8 +1,8 @@
 import random
 
-from helpers import all_ground_atoms, naive_weakly_acyclic, random_degree, random_existential_program
+from helpers import all_ground_atoms, naive_weakly_acyclic, random_degree, random_existential_program, relax_rewrite
 from mvdatalog.chase import oblivious_chase
-from mvdatalog.core import FuzzyDatabase, Instance, Program, atom, make_rule, relax_rewrite
+from mvdatalog.core import FuzzyDatabase, Instance, Program, atom, make_rule
 from mvdatalog.termination import (
     PositionVertex,
     build_dependency_graph,
@@ -149,9 +149,9 @@ class TestWeakAcyclicity:
         assert 0 < rejected < 3000
 
     def test_relaxing_keeps_the_verdict(self):
-        # `mvdl --mode relaxed` tests the program as written: relax_rewrite
-        # renames tau's predicates and adds bridges out of positions that
-        # nothing feeds, so the relaxed program has no other cycle
+        # the relaxed-mode oracle chases relax_rewrite's program, the engine
+        # the program as written: the rewrite renames tau's predicates and
+        # adds bridges out of positions that nothing feeds, so it adds no cycle
         rng = random.Random(6)
         verdicts = set()
         for i in range(2000):
