@@ -459,6 +459,26 @@ class TestGround:
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt")])
+    @pytest.mark.parametrize(
+        "stem, argv, golden, code",
+        [
+            # 14 companies: null ids run past 9, so rank order and string order differ
+            ("keyperson14", ["solve"], "keyperson14.solve", 0),
+            ("keyperson14", ["solve", "--mode", "relaxed", "--K", "9/10"], "keyperson14-relaxed.solve", 0),
+            ("keyperson14", ["query", "person(p5x1)", "--at-least", "1/2"], "keyperson14.query", 0),
+            ("keyperson14", ["ground"], "keyperson14.ground", 0),
+            ("chain30", ["solve", "--K", "999/1000"], "chain30.solve", 0),
+            ("chain30", ["query", "reach(c29)", "--K", "999/1000", "--at-least", "99/100"], "chain30.query", 1),
+            ("chain30", ["ground", "--K", "999/1000"], "chain30.ground", 0),
+        ],
+    )
+    def test_golden_output_is_byte_for_byte(self, stem, argv, golden, code, fmt, ext):
+        command, *rest = argv
+        proc = run_cli(command, str(GOLDEN / f"{stem}.mvdl"), *rest, "--format", fmt)
+        assert proc.returncode == code and proc.stderr == ""
+        assert proc.stdout == (GOLDEN / f"{golden}.{ext}").read_text(encoding="utf-8")
+
     def test_lp_text_dump(self, files):
         proc = run_cli("ground", files["orca"], "--format", "text")
         assert proc.returncode == 0
