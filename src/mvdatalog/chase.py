@@ -1,30 +1,37 @@
-"""Oblivious chase over the crisp instance.
+"""Oblivious chase over the crisp instance, on ints.
 
-Saturation is round-based and semi-naive: round 0 joins the rules with the
-input facts, each later round only with homomorphisms that map some body
-atom into the atoms the previous round added (the delta). Each rule is
-compiled once per chase, with a slot plan per body position built when a
-join first reaches it: a homomorphism is the tuple of its body variables'
-images in name order, found by matching body[d] in the delta, then probing
-a hash index for each other body atom on the positions a constant or an
-earlier atom fixes. Every pair found is new and applied once, in rule-id
-and homomorphism order, until a round adds no atom. Heads come from a
-template, nulls from a registry keyed by (rule id, homomorphism). olim and
-the ground rules share one object per ground atom. The compiled rule also
-decides a ground rule's head sum (`head_atoms`) after the chase.
+A term is its rank: the program's and the facts' constants by name, then
+null n at C + n - 1 for C constants, which is `term_sort_key`'s order on
+ground terms. A ground atom is the key (predicate, rank tuple), with an
+int id given when the chase first holds it: the facts first, in input
+order. Saturation is round-based and semi-naive: round 0 joins the rules
+with the facts, each later round only with homomorphisms that map some
+body atom into the atoms the previous round added (the delta, an id
+range). Each rule is compiled once per chase, with a slot plan per body
+position built when a join first reaches it: a homomorphism is the tuple
+of its body variables' ranks in name order, which is also its sort key,
+found by matching body[d] in the delta, then probing a hash index for
+each other body atom on the positions a constant or an earlier atom
+fixes. Every pair found is new and applied once, in rule-id and
+homomorphism order, until a round adds no atom; an existential
+application takes the next null ranks. Gamma is kept as (rule id, head
+id, body ids). The compiled rule also decides a ground rule's head sum
+(`head_ids`) after the chase. `ChaseResult` builds atoms, Gamma and the
+nulls as `core` objects only when they are read.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import Atom, GroundRule, LabelledNull, Program, Rule, Term, Variable, term_sort_key
+from .core import Atom, Constant, GroundRule, LabelledNull, Program, Rule, Term, Variable
 
 Relation = tuple[str, int]  # (predicate, arity)
+Key = tuple[str, tuple]  # (predicate, args): ranks in the chase, terms in `engine.verify_model`
+Ground = tuple[int, int, tuple[int, ...]]  # a ground rule: (rule id, head id, body ids)
 
 
 def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -35,76 +42,125 @@ def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*indices) if indices else lambda seq: ()
 
 
-class NullRegistry:
-    """One tuple of fresh nulls per (rule, body homomorphism) pair."""
-
-    def __init__(self) -> None:
-        self._assigned: dict[tuple, tuple[LabelledNull, ...]] = {}
-        self._counter = itertools.count(1)
-
-    def nulls_for(self, rule: Rule, hom_key: tuple) -> tuple[LabelledNull, ...]:
-        """The nulls of `rule`'s existential vars in name order for the hom keyed `hom_key`."""
-        key = (rule.id, hom_key)
-        if key not in self._assigned:
-            self._assigned[key] = tuple(LabelledNull(next(self._counter)) for _ in rule.existential_vars)
-        return self._assigned[key]
+class NullRegistry(list):
+    """One tuple of fresh nulls per applied (rule, body homomorphism) pair of
+    an existential rule: (rule id, the homomorphism's (name, term) pairs in
+    name order, the nulls of its existential variables in name order), in
+    the order the chase made them."""
 
     def entries(self) -> list[tuple[int, tuple, tuple[LabelledNull, ...]]]:
-        return [(rid, hom_key, nulls) for (rid, hom_key), nulls in self._assigned.items()]
+        return list(self)
 
     def all_nulls(self) -> set[LabelledNull]:
-        return {n for nulls in self._assigned.values() for n in nulls}
-
-    def __len__(self) -> int:
-        return len(self._assigned)
+        return {n for _, _, nulls in self for n in nulls}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChaseResult:
     """The chase's atoms (olim: the facts plus Gamma's heads), Gamma and nulls.
 
-    olim is the engine's one atom universe, sorted once by `sorted_olim`.
-    Its constants all come from the program or the facts, so an atom lies
-    over the active domain exactly when it is null-free. `index` is an
-    `_Index` over olim (the chase's own), for head lookups after the chase.
+    Atom i is keys[i], (predicate, rank tuple), and facts[i] below
+    len(facts). Rank r < `ranks` is constants[r] below C = len(constants),
+    else null r - C + 1. `ground` is Gamma as (rule id, head id, body ids),
+    `nulls` the registry as (rule id, slot names, slot ranks, null ranks),
+    `index` the chase's own. The constants all come from the program or
+    the facts, so an atom lies over the active domain exactly when it is
+    null-free. `terms`, `atoms`, `olim`, `gamma`, `registry` and
+    `sorted_olim()` are views in `core` objects, built on first read, with
+    one object per atom.
     """
 
-    olim: frozenset[Atom]
-    gamma: tuple[GroundRule, ...]
-    registry: NullRegistry
+    keys: list[Key]
+    facts: list[Atom]
+    constants: list[Constant]
+    ground: list[Ground]
+    ranks: int
+    nulls: list[tuple[int, list[str], tuple[int, ...], tuple[int, ...]]]
     truncated: bool
     steps: int
-    index: _Index = field(compare=False, repr=False)
+    index: _Index = field(repr=False)
 
     @cached_property
-    def _sorted_olim(self) -> list[Atom]:
-        return sorted(self.olim, key=Atom.sort_key)
+    def order(self) -> list[int]:
+        """The atom ids in `Atom.sort_key` order: by relation, then by rank tuple."""
+        by_relation = self.index.by_relation
+        return [i for relation in sorted(by_relation) for _, i in sorted(by_relation[relation])]
+
+    @property
+    def terms(self) -> list[Term]:
+        """The terms by rank: the constants, then the nulls below rank `ranks`."""
+        return [*self.constants, *map(LabelledNull, range(1, self.ranks - len(self.constants) + 1))]
+
+    @cached_property
+    def atoms(self) -> list[Atom]:
+        """Atom i is atoms[i]."""
+        terms = self.terms.__getitem__
+        return [*self.facts, *(Atom(p, tuple(map(terms, args))) for p, args in self.keys[len(self.facts):])]
+
+    @cached_property
+    def olim(self) -> frozenset[Atom]:
+        return frozenset(self.atoms)
+
+    @cached_property
+    def gamma(self) -> tuple[GroundRule, ...]:
+        atoms = self.atoms
+        return tuple(GroundRule(r, tuple(map(atoms.__getitem__, body)), atoms[h]) for r, h, body in self.ground)
+
+    @cached_property
+    def registry(self) -> NullRegistry:
+        terms = self.terms.__getitem__
+        return NullRegistry([(r, tuple(zip(names, map(terms, slots))), tuple(map(terms, made)))
+                             for r, names, slots, made in self.nulls])
 
     def sorted_olim(self) -> list[Atom]:
-        """olim in `Atom.sort_key` order, sorted once per chase; do not mutate."""
-        return self._sorted_olim
+        """olim in `Atom.sort_key` order, sorted once per chase."""
+        return list(map(self.atoms.__getitem__, self.order))
 
 
-def _by_relation(atoms: Iterable[Atom]) -> dict[Relation, list[Atom]]:
-    index: dict[Relation, list[Atom]] = {}
+def _rank(rules: Iterable[Rule], atoms: Iterable[Atom]) -> tuple[dict[str, int], list[Constant], int, list[Atom], dict]:
+    """Rank the constants of `rules` and `atoms` by name, null n at C + n - 1
+    after the C constants, and key each distinct atom by (predicate, rank
+    tuple). Returns the ranks by name, the constants by rank, the number of
+    ranks the atoms use, the distinct atoms and their ids by key, both in
+    input order."""
+    atoms = atoms if isinstance(atoms, (list, tuple)) else list(atoms)
+    named = {t.name: t for r in rules for b in (*r.body, r.head) for t in b.args if type(t) is Constant}
+    top = 0  # the highest null id
     for a in atoms:
-        index.setdefault((a.predicate, len(a.args)), []).append(a)
-    return index
+        for t in a.args:
+            if type(t) is Constant:
+                named[t.name] = t
+            elif type(t) is LabelledNull:
+                top = max(top, t.id)
+            else:
+                raise ValueError(f"chase input atom {a} is not ground")
+    names = sorted(named)
+    rank = {name: r for r, name in enumerate(names)}
+    offset = len(names) - 1
+    ids: dict[Key, int] = {}
+    distinct = []
+    for a in atoms:
+        key = (a.predicate, tuple([rank[t.name] if type(t) is Constant else offset + t.id for t in a.args]))
+        if key not in ids:
+            ids[key] = len(distinct)
+            distinct.append(a)
+    return rank, list(map(named.__getitem__, names)), len(names) + top, distinct, ids
 
 
 class _CompiledRule:
-    """A rule compiled for the join and its head sums: `names` (its body
-    variables in name order) are a homomorphism's slots, `relations` its
-    body atoms' (predicate, arity). `head` holds the predicate, a getter of
-    the args from the slots, nulls and head constants, those constants, and
-    whether there are nulls; `lookup` the head positions of constants and
-    body variables, those of existential variables, and the pairs of
-    positions that one existential variable fills."""
+    """A rule compiled for the join and its head sums, its constants as
+    ranks: `names` (its body variables in name order) are a homomorphism's
+    slots, `relations` its body atoms' (predicate, arity). `head` holds the
+    predicate, a getter of the args from the slots, nulls and head
+    constants, those constants, and the number of nulls; `lookup` the head
+    positions of constants and body variables, those of existential
+    variables, and the pairs of positions that one existential variable
+    fills."""
 
-    __slots__ = ("rule", "relations", "names", "plans", "head", "lookup")
+    __slots__ = ("rule", "rank", "relations", "names", "plans", "head", "lookup")
 
-    def __init__(self, rule: Rule):
-        self.rule, self.plans = rule, [None] * len(rule.body)
+    def __init__(self, rule: Rule, rank: dict[str, int]):
+        self.rule, self.rank, self.plans = rule, rank, [None] * len(rule.body)
         self.names = sorted(rule.body_variables())
         self.relations = [(b.predicate, len(b.args)) for b in rule.body]
         existential = rule.existential_vars
@@ -115,13 +171,13 @@ class _CompiledRule:
                 i = pool.index(t.name)
             else:
                 i = len(pool) + len(constants)
-                constants.append(t)
+                constants.append(rank[t.name])
             existential_position = len(self.names) <= i < len(pool)
             (nulls if existential_position else kept).append(p)
             if existential_position and i in template:  # filled before, first at template.index(i)
                 repeats.append((p, template.index(i)))
             template.append(i)
-        self.head = (rule.head.predicate, _getter(template), tuple(constants), bool(existential))
+        self.head = (rule.head.predicate, _getter(template), tuple(constants), len(existential))
         self.lookup = (tuple(kept), nulls, repeats)
 
     def plan(self, d: int) -> tuple:
@@ -145,7 +201,7 @@ class _CompiledRule:
                 if type(t) is not Variable:
                     probe.append(p)
                     keys.append(size + len(constants))
-                    constants.append(t)
+                    constants.append(self.rank[t.name])
                 elif t.name not in registers:
                     registers[t.name] = size + p
                 elif registers[t.name] < size:
@@ -164,57 +220,61 @@ class _CompiledRule:
 
 
 class _Index:
-    """A round's atom set and delta, listed by relation, with hash indexes on
-    some argument positions, built on a join's first probe and extended each
-    round. A fresh `_Index` takes all its atoms as the delta. `rules` holds
-    the rules compiled for its joins, `examined` the candidates they took:
-    the delta atoms each plan scans and the atoms each probe returns."""
+    """A round's atoms and delta, by id into `keys`, listed by relation as
+    (args, id) pairs, with hash indexes on some argument positions, built on
+    a join's first probe and extended each round. The delta is the ids from
+    `start` on; a fresh `_Index` takes all of `keys` as the delta. `rules`
+    holds the rules compiled for its joins with the ranks `rank`,
+    `examined` the candidates they took: the delta atoms each plan scans and
+    the atoms each probe returns."""
 
-    def __init__(self, atoms: Iterable[Atom]):
-        # each atom maps to itself, so a lookup by an equal atom returns the held one
-        self.atoms = self.delta = {a: a for a in atoms}
-        self.by_relation = self.delta_by_relation = _by_relation(self.atoms)
-        self.tables: dict[tuple[Relation, tuple[int, ...]], tuple[dict[tuple, list[Atom]], Callable]] = {}
+    def __init__(self, keys: list[Key], rank: Optional[dict[str, int]] = None):
+        self.keys, self.rank, self.end, self.examined = keys, rank, 0, 0
+        self.by_relation: dict[Relation, list[tuple[tuple, int]]] = {}
+        self.tables: dict[tuple[Relation, tuple[int, ...]], tuple[dict[tuple, list], Callable]] = {}
         self.rules: dict[int, _CompiledRule] = {}
-        self.examined = 0
+        self.add()
 
-    def add(self, new_atoms: dict[Atom, Atom]) -> None:
-        """Make `new_atoms` part of the atom set and the next round's delta."""
-        self.delta, self.delta_by_relation = new_atoms, _by_relation(new_atoms)
-        self.atoms |= new_atoms
-        for relation, atoms in self.delta_by_relation.items():
+    def add(self) -> None:
+        """Make the atoms keyed since the last call the next round's delta."""
+        self.start, self.end = self.end, len(self.keys)
+        self.delta_by_relation = delta = {}
+        for i in range(self.start, self.end):
+            predicate, args = self.keys[i]
+            delta.setdefault((predicate, len(args)), []).append((args, i))
+        for relation, atoms in delta.items():
             self.by_relation.setdefault(relation, []).extend(atoms)
         for (relation, _), (table, key) in self.tables.items():
-            for a in self.delta_by_relation.get(relation, ()):
-                table.setdefault(key(a.args), []).append(a)
+            for c in self.delta_by_relation.get(relation, ()):
+                table.setdefault(key(c[0]), []).append(c)
 
-    def table(self, relation: Relation, positions: tuple[int, ...]) -> dict[tuple, list[Atom]]:
-        """The atoms of `relation` keyed by the tuple of their args at `positions`."""
+    def table(self, relation: Relation, positions: tuple[int, ...]) -> dict[tuple, list[tuple[tuple, int]]]:
+        """The (args, id) pairs of `relation` keyed by the tuple of their args at `positions`."""
         entry = self.tables.get((relation, positions))
         if entry is None:
-            table: dict[tuple, list[Atom]] = {}
+            table: dict[tuple, list] = {}
             key = _getter(positions)
-            for a in self.by_relation.get(relation, ()):
-                table.setdefault(key(a.args), []).append(a)
+            for c in self.by_relation.get(relation, ()):
+                table.setdefault(key(c[0]), []).append(c)
             entry = self.tables[relation, positions] = (table, key)
         return entry[0]
 
     def compiled(self, rule: Rule) -> _CompiledRule:
         """`rule` compiled for this index's joins and head lookups, once."""
-        return self.rules.get(rule.id) or self.rules.setdefault(rule.id, _CompiledRule(rule))
+        return self.rules.get(rule.id) or self.rules.setdefault(rule.id, _CompiledRule(rule, self.rank))
 
     def has_old(self, relation: Relation) -> bool:
         """True iff some atom of `relation` lies outside the delta."""
         return len(self.by_relation.get(relation, ())) > len(self.delta_by_relation.get(relation, ()))
 
 
-def _join(rule: Rule, index: _Index) -> list[tuple[tuple, tuple, tuple[Atom, ...]]]:
+def _join(rule: Rule, index: _Index) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The rule's body homomorphisms into the atom set that map a body atom
-    into the delta, as (sort key, slots, the matched atoms in body order),
-    sorted by the key, the slots' term sort keys. Plans extend partial
-    homomorphisms an atom at a time: no recursion bounds the body length."""
+    into the delta, as (slots, the matched atoms' ids in body order),
+    sorted by the slots. Plans extend partial homomorphisms an atom at a
+    time: no recursion bounds the body length."""
     compiled = index.compiled(rule)
-    delta, results, examined = index.delta, [], 0
+    start, results, examined = index.start, [], 0
     for d, relation in enumerate(compiled.relations):
         firsts = index.delta_by_relation.get(relation)
         if not firsts or d and not all(map(index.has_old, compiled.relations[:d])):
@@ -222,27 +282,25 @@ def _join(rule: Rule, index: _Index) -> list[tuple[tuple, tuple, tuple[Atom, ...
         (probe, constants, repeats), steps, slots = compiled.plans[d] or compiled.plan(d)
         examined += len(firsts)
         if probe or repeats:  # constants and repeated variables of body[d]
-            firsts = [c for c in firsts if list(map(c.args.__getitem__, probe)) == constants
-                      and all(c.args[p] == c.args[q] for p, q in repeats)]
-        partials = [(c.args, (c,)) for c in firsts]
+            firsts = [(args, i) for args, i in firsts if list(map(args.__getitem__, probe)) == constants
+                      and all(args[p] == args[q] for p, q in repeats)]
+        partials = [(args, (i,)) for args, i in firsts]
         for relation, positions, constants, key, old, repeats in steps:
             table = index.table(relation, positions) if partials else {}
             extended = []
             for registers, matched in partials:
                 candidates = table.get(key(registers + constants), ())
                 examined += len(candidates)
-                for c in candidates:
-                    args = c.args
-                    if not (old and c in delta or repeats and not all(args[p] == args[q] for p, q in repeats)):
-                        extended.append((registers + args, matched + (c,)))
+                for args, i in candidates:
+                    if not (old and i >= start or repeats and not all(args[p] == args[q] for p, q in repeats)):
+                        extended.append((registers + args, matched + (i,)))
             partials = extended
         for registers, matched in partials:
-            values = slots(registers) if slots else registers
             if d:  # back to body order
                 matched = matched[1:d + 1] + matched[:1] + matched[d + 1:]
-            results.append((tuple(map(term_sort_key, values)), values, matched))
+            results.append((slots(registers) if slots else registers, matched))
     index.examined += examined
-    results.sort(key=itemgetter(0))
+    results.sort()
     return results
 
 
@@ -250,27 +308,21 @@ def enumerate_homomorphisms(rule: Rule, atoms: Iterable[Atom]) -> list[dict[str,
     """All substitutions of the rule's body variables into `atoms`, sorted
     by their images in variable-name order: the chase's join with every atom
     in the delta."""
-    index = _Index(atoms)
+    rank, constants, ranks, _, ids = _rank([rule], atoms)
+    index = _Index(list(ids), rank)
     joined = _join(rule, index)
-    return [dict(zip(index.rules[rule.id].names, values)) for _, values, _ in joined]
+    terms = ChaseResult(index.keys, [], constants, [], ranks, [], False, 0, index).terms  # no rule applied
+    return [dict(zip(index.rules[rule.id].names, map(terms.__getitem__, slots))) for slots, _ in joined]
 
 
-def head_atoms(rule: Rule, g: GroundRule, index: _Index) -> list[Atom]:
-    """The atoms whose degrees sum to the head value of g, grounded from `rule`:
-    g.head for a plain rule; for an existential one, every atom of `index`
-    that agrees with g.head where the rule's head holds a constant or a body
-    variable, and with itself where an existential variable repeats (a hash
-    lookup on the compiled positions, then the join's repeat check). The
-    list may be the index's own."""
-    kept, nulls, repeats = index.compiled(rule).lookup
-    if not nulls:
-        return [g.head]
-    args = g.head.args
-    for p in nulls:
-        if type(args[p]) is not LabelledNull:
-            raise AssertionError(f"existential position of {g.head} holds {args[p]}")
-    candidates = index.table((g.head.predicate, len(args)), kept).get(tuple(map(args.__getitem__, kept)), [])
-    return [a for a in candidates if all(a.args[p] == a.args[q] for p, q in repeats)] if repeats else candidates
+def head_ids(compiled: _CompiledRule, args: tuple, index: _Index) -> list[int]:
+    """The ids of `index`'s atoms in the head sum of a ground rule of
+    compiled's existential rule with head args `args`: a hash lookup on the
+    positions of the head's constants and body variables, then the join's
+    check where an existential variable repeats."""
+    kept, _, repeats = compiled.lookup
+    candidates = index.table((compiled.head[0], len(args)), kept).get(tuple(map(args.__getitem__, kept)), ())
+    return [i for a, i in candidates if all(a[p] == a[q] for p, q in repeats)]
 
 
 def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optional[int] = None) -> ChaseResult:
@@ -278,46 +330,49 @@ def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optiona
 
     A rule none of whose body relations gained atoms in the previous round
     is not joined; null numbering, `steps` and the truncation point are those
-    of a chase that re-enumerates every pair each round. `gamma` holds the
+    of a chase that re-enumerates every pair each round. Gamma holds the
     ground rule of every applied pair, ordered by rule id and then as
     `enumerate_homomorphisms` orders homomorphisms: one per pair whose body
     maps into olim, or, flagged truncated past the step limit, one per
-    application performed. olim and `gamma` share one object per ground atom.
+    application performed.
     """
-    index = _Index(facts)  # round 0's delta is every fact
-    atoms = index.atoms
-    for a in atoms:
-        if not a.is_ground():
-            raise ValueError(f"chase input atom {a} is not ground")
-    registry = NullRegistry()
-    applied: list[tuple[int, tuple, GroundRule]] = []  # (rule id, hom order, ground rule)
+    rank, constants, ranks, facts, ids = _rank(program.rules, facts)
+    keys = list(ids)
+    index = _Index(keys, rank)
+    nulls: list[tuple[int, list[str], tuple[int, ...], tuple[int, ...]]] = []
+    applied: list[tuple[int, tuple[int, ...], int, tuple[int, ...]]] = []  # (rule id, slots, head, body)
     rules = [index.compiled(r) for r in sorted(program.rules, key=lambda r: r.id)]
+    fresh = len(constants)  # the next null's rank
     steps, truncated = 0, False
 
     while not truncated:
-        new_atoms: dict[Atom, Atom] = {}
         for compiled in rules:
             if truncated:
                 break
             if index.delta_by_relation.keys().isdisjoint(compiled.relations):
                 continue
             rule = compiled.rule
-            joined = _join(rule, index)
             predicate, head_args, head_constants, existential = compiled.head
-            for order, values, body in joined:
+            for slots, body in _join(rule, index):
                 if step_limit is not None and steps >= step_limit:
                     truncated = True
                     break
                 steps += 1
+                values = slots
                 if existential:
-                    values += registry.nulls_for(rule, tuple(zip(compiled.names, values)))
-                head = Atom(predicate, head_args(values + head_constants))
-                head = atoms.get(head) or new_atoms.setdefault(head, head)
-                applied.append((rule.id, order, GroundRule(rule.id, body, head)))
-        if not new_atoms:
+                    made = tuple(range(fresh, fresh + existential))
+                    fresh += existential
+                    nulls.append((rule.id, compiled.names, slots, made))
+                    values += made
+                key = (predicate, head_args(values + head_constants))
+                if (head := ids.setdefault(key, len(keys))) == len(keys):
+                    keys.append(key)
+                applied.append((rule.id, slots, head, body))
+        if len(keys) == index.end:
             # every pair into this unchanged atom set has been applied
             break
-        index.add(new_atoms)
+        index.add()
 
-    applied.sort(key=itemgetter(0, 1))
-    return ChaseResult(frozenset(atoms), tuple(g for _, _, g in applied), registry, truncated, steps, index)
+    applied.sort()
+    ground = [(r, h, body) for r, _, h, body in applied]
+    return ChaseResult(keys, facts, constants, ground, max(ranks, fresh), nulls, truncated, steps, index)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn, Optional
 
-from .core import ArityError, Atom, DomainError, Instance, as_degree
+from .core import ArityError, DomainError, Instance, as_degree
 from .engine import (
     Engine,
     NoObliviousBaseModel,
@@ -100,26 +100,16 @@ def _open(args) -> Engine:
     )
 
 
-def _presented(model, database) -> list[tuple[Atom, Fraction, str]]:
-    """The model's (atom, degree, source) rows, sorted."""
-    rows = []
-    for a, d in model.assignment.support.items():
-        if database.degree(a) == d:
-            source = "given"
-        elif a in model.certain_atoms:
-            source = "certain"
-        else:
-            source = "derived"
-        rows.append((a, d, source))
-    return sorted(rows, key=lambda row: row[0].sort_key())
-
-
 def cmd_solve(args) -> int:
     engine = _open(args)
-    model = engine.model
-    entries = [
-        {"atom": str(a), "degree": str(d), "source": source}
-        for a, d, source in _presented(model, engine.instance.database)
+    model, tau = engine.model, engine.instance.database.entries
+    entries = [  # the support is in Atom.sort_key order
+        {
+            "atom": str(a),
+            "degree": str(d),
+            "source": "given" if tau.get(a) == d else "certain" if a in model.certain_atoms else "derived",
+        }
+        for a, d in model.assignment.support.items()
     ]
     payload = {
         "status": "ok",
@@ -127,8 +117,8 @@ def cmd_solve(args) -> int:
         "K": str(engine.instance.K),
         "model": entries,
         "stats": {
-            "ground_rules": len(engine.chase.gamma),
-            "variables": len(engine.chase.olim),
+            "ground_rules": len(engine.chase.ground),
+            "variables": len(engine.chase.keys),
             "certain": len(model.certain_atoms),
         },
     }
@@ -181,7 +171,7 @@ def cmd_check(args) -> int:
         _emit(payload, args.format == "json", text)
         raise
     if payload["satisfiable"] is not None:
-        atoms, rules = len(engine.chase.olim), len(engine.chase.gamma)
+        atoms, rules = len(engine.chase.keys), len(engine.chase.ground)
         payload["stats"] = {"olim": atoms, "gamma": rules}
         text.append(f"chase atoms: {atoms}, ground rules: {rules}")
         text.append(f"satisfiable at K={engine.instance.K}: {'yes' if payload['satisfiable'] else 'no'}")
@@ -234,7 +224,7 @@ def _lp_as_text(lp, secondary: dict) -> list[str]:
 def cmd_ground(args) -> int:
     engine = _open(args)
     chase = engine.chase
-    lp, secondary = eoptk_columns(engine.instance, chase, engine.seeds, engine.pins).labelled()  # raises TruncatedChase
+    lp, secondary = eoptk_columns(engine.instance, chase, engine.seeds_by_id, engine.pins_by_id).labelled()  # raises TruncatedChase
     nulls = [
         {
             "rule": rid,

@@ -2,42 +2,40 @@
 
 Pipeline: chase the crisp instance once (`Engine.chase` refuses an
 existential program that is not weakly acyclic unless a step limit
-bounds it), then solve over what it returns. `Engine.model` is the one
-place that picks the route. The chase result is the one source of the
-universe: its atoms (olim, sorted once per chase) are the LP's columns
-and the model's atoms, an atom is active exactly when it is null-free,
-and the chase's compiled rules decide each ground rule's head sum
-(`head_atoms`, a lookup in the chase's index). The database enters the
-solve twice: as pins, the degrees a model must equal, and as seeds, the
-lower bounds it must reach. In strict mode both are tau; in relaxed mode
-nothing is pinned and each seed is tau's degree less 1 - K. A ground
-rule whose head sum holds at most one unpinned atom is Horn: the exact
-least fixpoint of nu(H) >= nu(body) - 1 + K, less the pinned heads'
-degrees, from the seeds decides it, on ints over the degrees' common
-denominator, checked against the pins. Only D, the free heads of the
-other rules closed under the rules they feed, goes to an exact LP: one
-`lp.solve` of the rows that mention D, every other atom fixed at its
-fixpoint degree and D's atoms bounded below by their seeds, minimizes
-the null-free atoms' total, then the null-carrying ones' as a
-tie-break. A plain program has D empty and builds no LP; the same holds
-for an existential one whose known witnesses are all pinned. The full
-LP over olim (`eoptk_columns`) is the reference route behind
-`use_fast_path=False` and what `mvdl ground` prints. A Kleene-style
-iteration of the consequence operator doubles as an independent oracle.
+bounds it), then solve over what it returns, on atom ids. `Engine.model`
+is the one place that picks the route. The chase's atoms (olim) are the
+LP's columns and the model's atoms, in rank order (`ChaseResult.order`,
+`Atom.sort_key`'s), an atom is active exactly when it is null-free, and
+the chase's compiled rules decide each ground rule's head sum
+(`head_ids`). The database enters the solve as pins, the degrees a model
+must equal, and seeds, the lower bounds it must reach, both keyed by
+fact id: tau's in strict mode; in relaxed mode no pins, and tau's
+degrees less 1 - K as seeds. A ground rule whose head sum holds at most
+one unpinned atom is Horn: the exact least fixpoint of nu(H) >= nu(body)
+- 1 + K, less the pinned heads' degrees, from the seeds decides it, on
+ints over the degrees' common denominator in lists indexed by id,
+checked against the pins. Only D, the free heads of the other rules
+closed under the rules they feed, goes to an exact LP: one `lp.solve` of
+the rows that mention D, every other atom fixed at its fixpoint degree
+and D's atoms bounded below by their seeds, minimizes the null-free
+atoms' total, then the null-carrying ones' as a tie-break. The model's
+support is built in rank order, so output needs no sort. The full LP
+over olim (`eoptk_columns`) is the reference route behind
+`use_fast_path=False` and what `mvdl ground` prints. `verify_model` and
+a Kleene-style oracle work on the chase's `core` views instead.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .chase import ChaseResult, _Index, head_atoms, oblivious_chase
+from .chase import ChaseResult, Ground, _Index, head_ids, oblivious_chase
 from .core import (
     ONE,
     ZERO,
@@ -128,46 +126,58 @@ def build_optk(instance: Instance, chase: ChaseResult) -> LinearProgram:
     return eoptk_columns(instance, chase).labelled()[0]
 
 
+def _head_sums(chase: ChaseResult) -> Iterator[tuple[Ground, list[int]]]:
+    """Each ground rule of Gamma, (rule id, head id, body ids), with the ids
+    of the atoms whose degrees sum to its head value: its head for a plain
+    rule; for an existential one every atom of the chase that matches the
+    head pattern (nulls replaced consistently by anything), by `head_ids`."""
+    index, keys = chase.index, chase.keys
+    for g in chase.ground:
+        compiled = index.rules[g[0]]
+        yield g, head_ids(compiled, keys[g[1]][1], index) if compiled.lookup[1] else [g[1]]
+
+
 def eoptk_columns(
     instance: Instance,
     chase: ChaseResult,
-    seeds: Optional[Mapping[Atom, Fraction]] = None,
-    pins: Optional[Mapping[Atom, Fraction]] = None,
+    seeds: Optional[Mapping[int, Fraction]] = None,
+    pins: Optional[Mapping[int, Fraction]] = None,
 ) -> ColumnProgram:
     """The existential LP and its tie-break over columns in [0, 1], column j
-    the j-th atom of chase.sorted_olim(): `column_program` of every ground
-    rule, its head the atoms of the chase's index that match the head
-    pattern (nulls replaced consistently by anything), `pins` fixed and
-    `seeds` as lower bounds; both default to tau."""
+    the j-th atom of chase.sorted_olim(), which names it: `column_program`
+    of every ground rule and its head sum, `pins` fixed and `seeds` as
+    lower bounds, both by atom id; both default to tau's degrees."""
     _require_complete(chase)
-    index, rule_by_id = chase.index, instance.program.rule_by_id
-    rows = ((head_atoms(rule_by_id(g.origin_rule_id), g, index), g.body) for g in chase.gamma)
-    tau = instance.database.entries
-    return column_program(
-        chase.sorted_olim(), rows, tau if pins is None else pins, tau if seeds is None else seeds, instance.K
-    )
+    ids = {a: i for i, a in enumerate(chase.facts)}
+    tau = {ids[a]: d for a, d in instance.database.entries.items()}
+    rows = ((heads, g[2]) for g, heads in _head_sums(chase))
+    columns = column_program(chase, chase.order, rows, tau if pins is None else pins, tau if seeds is None else seeds, instance.K)
+    columns.names = chase.sorted_olim()
+    return columns
 
 
 def column_program(
-    universe: Sequence[Atom],
-    rows: Iterable[tuple[Sequence[Atom], Sequence[Atom]]],
-    pins: Mapping[Atom, Fraction],
-    seeds: Mapping[Atom, Fraction],
+    chase: ChaseResult,
+    universe: Sequence[int],
+    rows: Iterable[tuple[Sequence[int], Sequence[int]]],
+    pins: Mapping[int, Fraction],
+    seeds: Mapping[int, Fraction],
     K: Fraction,
 ) -> ColumnProgram:
-    """The LP over `universe`'s atoms as columns in [0, 1], `pins`' fixed
-    and each other one in `seeds` bounded below by its seed: a row (heads,
-    body) is sum(heads) - sum(body) >= K - len(body), in ints scaled by K's
-    denominator. The objective sums the null-free atoms, the tie-break the
-    null-carrying ones."""
+    """The LP over the chase's atoms `universe` (ids) as columns in [0, 1],
+    named by their ids, `pins`' fixed and each other one in `seeds` bounded
+    below by its seed: a row (heads, body) is sum(heads) - sum(body) >=
+    K - len(body), in ints scaled by K's denominator. The objective sums
+    the null-free atoms, the tie-break the null-carrying ones."""
     column = {a: j for j, a in enumerate(universe)}
     bounds = [(ZERO, ONE)] * len(universe)
     for a, d in seeds.items():
         if a not in pins and (j := column.get(a)) is not None:
             bounds[j] = (d, ONE)
     costs: tuple[dict[int, int], dict[int, int]] = ({}, {})  # objective, secondary
+    keys, first_null = chase.keys, len(chase.constants)
     for j, a in enumerate(universe):
-        costs[a.has_nulls()][j] = 1
+        costs[max(keys[a][1], default=-1) >= first_null][j] = 1
     K, scale = K.as_integer_ratio()  # K - l scaled is K - l * scale
     lp_rows = []
     for heads, body in rows:
@@ -184,31 +194,29 @@ def column_program(
 
 
 def horn_split(
-    instance: Instance, chase: ChaseResult, pins: Mapping[Atom, Fraction]
-) -> tuple[list[GroundRule], dict[int, list[Atom]], list[tuple[list[Atom], tuple[Atom, ...]]], set[Atom]]:
-    """Split Gamma at D, the atoms that only the LP can decide.
+    chase: ChaseResult, pins: Mapping[int, Fraction]
+) -> tuple[list[Ground], dict[int, list[int]], list[tuple[list[int], tuple[int, ...]]], set[int]]:
+    """Split Gamma at D, the atoms that only the LP can decide, all by id.
 
-    A ground rule's free heads are its `head_atoms` outside `pins`;
+    A ground rule's free heads are its head sum's atoms outside `pins`;
     with at most one it is Horn. D is the free heads of the other rules,
     closed under Gamma: a rule with a body atom in D puts its free heads
     in D. Returns the ground rules that mention no atom of D, all Horn, whose
-    free head (if any) is g.head, with the other, pinned heads of the
+    free head (if any) is their head, with the other, pinned heads of the
     existential ones, keyed by position in that list; the (heads, body)
     rows of the others; and D.
     """
-    index, rule_by_id = chase.index, instance.program.rule_by_id
     rows = []
-    core: set[Atom] = set()
-    for g in chase.gamma:
-        heads = head_atoms(rule_by_id(g.origin_rule_id), g, index)
+    core: set[int] = set()
+    for g, heads in _head_sums(chase):
         free = [h for h in heads if h not in pins]
         if len(free) > 1:
             core.update(free)
         rows.append((g, heads, free))
     if core:
-        feeds: dict[Atom, list[list[Atom]]] = {}  # body atom -> free heads of its rules
+        feeds: dict[int, list[list[int]]] = {}  # body atom -> free heads of its rules
         for g, _, free in rows:
-            for b in g.body:
+            for b in g[2]:
                 feeds.setdefault(b, []).append(free)
         stack = list(core)
         while stack:
@@ -217,14 +225,14 @@ def horn_split(
                     if h not in core:
                         core.add(h)
                         stack.append(h)
-    horn: list[GroundRule] = []
-    pinned: dict[int, list[Atom]] = {}
+    horn = []
+    pinned: dict[int, list[int]] = {}
     rest = []
     for g, heads, free in rows:
-        if core and not (core.isdisjoint(free) and core.isdisjoint(g.body)):
-            rest.append((heads, g.body))
+        if core and not (core.isdisjoint(free) and core.isdisjoint(g[2])):
+            rest.append((heads, g[2]))
             continue
-        if len(heads) > 1:  # an existential rule's g.head holds nulls: free, and its one free head
+        if len(heads) > 1:  # an existential rule's head holds nulls: free, and its one free head
             pinned[len(horn)] = [h for h in heads if h in pins]
         horn.append(g)
     return horn, pinned, rest, core
@@ -234,24 +242,25 @@ _LCM_CAP_BITS = 256  # well below where the read-back gcds outgrow Fraction arit
 
 
 def least_fixpoint(
-    gamma: Sequence[GroundRule],
-    seeds: Mapping[Atom, Fraction],
+    gamma: Sequence[Ground],
+    seeds: Mapping[int, Fraction],
     K: Fraction,
-    pinned_heads: Mapping[int, Sequence[Atom]],
-) -> dict[Atom, Fraction]:
+    pinned_heads: Mapping[int, Sequence[int]],
+) -> dict[int, Fraction]:
     """The least nu >= seeds with nu(H) >= nu(body) - 1 + K - offset for
-    every ground rule of `gamma`, H its head and the offset of the i-th
-    rule the seed degrees of its `pinned_heads[i]` (0 when absent): the
-    other atoms of an existential head sum, held at their pins.
+    every ground rule (rule id, H, body ids) of `gamma`, by atom id, the
+    offset of the i-th rule the seed degrees of its `pinned_heads[i]` (0
+    when absent): the other atoms of an existential head sum, held at
+    their pins.
 
     Knuth's generalisation of Dijkstra's algorithm: a rule's value is
     monotone in its body and never above its weakest body atom, so the
     atom with the largest tentative degree is final when it leaves the
     heap. Each ground rule fires once, when the last of its distinct body
     atoms settles. Seeds are lower bounds, not pins; only positive
-    degrees are returned. Every degree is a multiple of 1/L, L the lcm of
-    the denominators of K and the seeds, so the heap and the rule values
-    are ints scaled by L, each distinct one read back once as
+    degrees are returned, by id. Every degree is a multiple of 1/L, L the
+    lcm of the denominators of K and the seeds, so the heap and the rule
+    values are ints scaled by L, each distinct one read back once as
     Fraction(v, L); past `_LCM_CAP_BITS` bits of L the same loop runs on
     the Fractions (L = 1).
     """
@@ -262,11 +271,10 @@ def least_fixpoint(
     L = L if scaled else 1
     nu = {a: d.numerator * (L // d.denominator) for a, d in seeds.items()} if scaled else dict(seeds)
     k = K.numerator * (L // K.denominator) if scaled else K
-    waiting: dict[Atom, list[int]] = {}
+    waiting: dict[int, list[int]] = {}
     unsettled: list[int] = []
     bias = []  # a rule's value less its body sum
-    for i, g in enumerate(gamma):
-        body = g.body
+    for i, (_, _, body) in enumerate(gamma):
         distinct = set(body) if len(body) > 1 else body
         unsettled.append(len(distinct))
         bias.append(k - len(body) * L)
@@ -274,24 +282,23 @@ def least_fixpoint(
             waiting.setdefault(b, []).append(i)
     for i, heads in pinned_heads.items():
         bias[i] -= sum(map(nu.__getitem__, heads))
-    tick = itertools.count()
-    heap = [(-d, next(tick), a) for a, d in nu.items()]
+    heap = [(-d, a) for a, d in nu.items()]
     heapq.heapify(heap)
     while heap:
         # an atom settles at its first pop; popping its list makes later pops no-ops
-        for i in waiting.pop(heapq.heappop(heap)[2], ()):
+        for i in waiting.pop(heapq.heappop(heap)[1], ()):
             unsettled[i] -= 1
             if unsettled[i]:
                 continue
-            g = gamma[i]
-            value = bias[i] + sum(map(nu.__getitem__, g.body))
-            if value > nu.get(g.head, 0):
-                nu[g.head] = value
-                heapq.heappush(heap, (-value, next(tick), g.head))
+            _, h, body = gamma[i]
+            value = bias[i] + sum(map(nu.__getitem__, body))
+            if value > nu.get(h, 0):
+                nu[h] = value
+                heapq.heappush(heap, (-value, h))
     if not scaled:
         return nu
-    degrees: dict[int, Fraction] = {}
-    return {a: degrees.get(v) or degrees.setdefault(v, Fraction(v, L)) for a, v in nu.items()}
+    degrees = {v: Fraction(v, L) for v in set(nu.values())}
+    return {a: degrees[v] for a, v in nu.items()}
 
 
 def minimal_model(
@@ -403,47 +410,58 @@ class VerificationReport:
 
 
 def verify_model(
-    instance: Instance, chase: ChaseResult, model: TruthAssignment
+    instance: Instance,
+    chase: ChaseResult,
+    model: TruthAssignment,
+    *,
+    pins: Optional[Mapping[Atom, Fraction]] = None,
+    seeds: Optional[Mapping[Atom, Fraction]] = None,
 ) -> VerificationReport:
-    """Check a truth assignment against the ground rules, tau, and the chase base.
+    """Check a truth assignment against the ground rules, the database and the chase base.
 
     Raises DomainError when a degree of `model` lies outside (0, 1], then
     TruncatedChase when the chase stopped at its step limit.
     Each ground rule's head value is the sum, truncated at 1, over the
-    chase's `head_atoms` in the model's support: for an existential rule,
-    strong existential semantics, every atom matching the head pattern.
+    atoms of the model's support that the rule's head pattern matches: for
+    an existential rule, strong existential semantics, every atom matching
+    it, nulls replaced consistently by anything. The database's degrees are
+    `pins`, which a model must equal, and `seeds`, which it must reach;
+    both default to tau, as in strict mode (`Engine.pins` and
+    `Engine.seeds` give relaxed mode's).
     """
     for d in model.support.values():
         as_degree(d, positive=True)
     _require_complete(chase)
     K = instance.K
-    index = _Index(set(model.support))  # atoms off the support add 0
+    support = list(model.support)  # atoms off the support add 0
+    index = _Index([(a.predicate, a.args) for a in support])
     rule_violations = []
     for g in chase.gamma:
-        heads = head_atoms(instance.program.rule_by_id(g.origin_rule_id), g, index)
+        compiled = chase.index.rules[g.origin_rule_id]
+        heads = [support[i] for i in head_ids(compiled, g.head.args, index)] if compiled.lookup[1] else [g.head]
         value = luk_implies(body_truth(model, g.body), min(ONE, sum(map(model, heads), ZERO)))
         if value < K:
             rule_violations.append((g, value))
-    tau_mismatches = []
-    for a, d in instance.database.entries.items():
-        if model(a) != d:
-            tau_mismatches.append((a, d, model(a)))
+    tau = instance.database.entries
+    pins, seeds = tau if pins is None else pins, tau if seeds is None else seeds
+    tau_mismatches = [(a, d, model(a)) for a, d in pins.items() if model(a) != d]
+    tau_mismatches += [(a, d, model(a)) for a, d in seeds.items() if a not in pins and model(a) < d]
     outside = tuple(
         sorted((a for a in model.support if a not in chase.olim), key=Atom.sort_key)
     )
     return VerificationReport(tuple(rule_violations), tuple(tau_mismatches), outside)
 
 
-def _optimum(cols: ColumnProgram, fail: type[NoObliviousBaseModel], K: Fraction) -> dict[Atom, Fraction]:
-    """The positive degrees of `solve(cols)`'s optimum, by column name; raise
-    `fail` when it is infeasible."""
+def _optimum(cols: ColumnProgram, fail: type[NoObliviousBaseModel], K: Fraction, ids: Sequence[int]) -> dict[int, Fraction]:
+    """The positive degrees of `solve(cols)`'s optimum, column j's under
+    ids[j]; raise `fail` when it is infeasible."""
     solution = solve(cols)
     if solution.status is Status.UNBOUNDED:
         raise AssertionError("box-bounded LP cannot be unbounded")
     if not solution.optimal:
         base = "" if fail is Unsatisfiable else " with an oblivious base"
         raise fail(f"no {K}-fuzzy model{base} exists")
-    return {a: d for j, a in enumerate(cols.names) if (d := solution.assignment[j])}  # by position
+    return {a: d for j, a in enumerate(ids) if (d := solution.assignment[j])}  # by position
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +489,16 @@ class Engine:
         self.instance = instance
         self.step_limit = step_limit
         self.use_fast_path = use_fast_path
-        tau, slack = instance.database.entries, ONE - instance.K
-        self.pins: Mapping[Atom, Fraction] = {} if relaxed else tau  # degrees a model must equal
-        # degrees a model must reach; a bound at or below 0 is none, and is left out
-        self.seeds: Mapping[Atom, Fraction] = {a: d - slack for a, d in tau.items() if d > slack} if relaxed else tau
+        # pins, the degrees a model must equal, and seeds, those it must reach, by
+        # atom and by id: the engine's chase numbers tau's atoms 0, 1, ... in order
+        tau = instance.database.entries
+        self.pins: Mapping[Atom, Fraction] = {} if relaxed else tau
+        self.pins_by_id: Mapping[int, Fraction] = {} if relaxed else dict(enumerate(tau.values()))
+        self.seeds, self.seeds_by_id = self.pins, self.pins_by_id
+        if relaxed:  # a bound at or below 0 is none, and is left out
+            slack, facts = ONE - instance.K, list(tau)
+            self.seeds_by_id = {i: d - slack for i, d in enumerate(tau.values()) if d > slack}
+            self.seeds = {facts[i]: d for i, d in self.seeds_by_id.items()}
 
     @property
     def is_existential(self) -> bool:
@@ -490,7 +514,7 @@ class Engine:
     def chase(self) -> ChaseResult:
         if self.step_limit is None and self.is_existential and self.witness:
             raise UnboundedChase(self.witness)
-        return oblivious_chase(self.instance.program, set(self.instance.database.entries), self.step_limit)
+        return oblivious_chase(self.instance.program, self.instance.database.entries, self.step_limit)
 
     @cached_property
     def model(self) -> GroundModel:
@@ -508,30 +532,31 @@ class Engine:
         """
         chase = self.chase
         _require_complete(chase)
-        instance, K = self.instance, self.instance.K
-        pins, seeds = self.pins, self.seeds
+        K = self.instance.K
+        pins, seeds = self.pins_by_id, self.seeds_by_id
         fail = NoObliviousBaseModel if self.is_existential else Unsatisfiable
         if not self.use_fast_path:
-            nu = _optimum(eoptk_columns(instance, chase, seeds, pins), fail, K)
+            nu = _optimum(eoptk_columns(self.instance, chase, seeds, pins), fail, K, chase.order)
         else:
             if self.is_existential:
-                horn, pinned, rest, core = horn_split(instance, chase, pins)
+                horn, pinned, rest, core = horn_split(chase, pins)
             else:  # every ground rule is Horn, D is empty
-                horn, pinned, rest, core = chase.gamma, {}, [], set()
+                horn, pinned, rest, core = chase.ground, {}, [], set()
             nu = least_fixpoint(horn, seeds, K, pinned)
             for a, d in pins.items():
                 if nu[a] > d:
-                    raise fail(f"derivations force {a} to {nu[a]} but the database pins it at {d}")
+                    raise fail(f"derivations force {chase.facts[a]} to {nu[a]} but the database pins it at {d}")
             if core:
                 used = core.union(*(heads for heads, _ in rest), *(body for _, body in rest))
-                universe = sorted(used, key=Atom.sort_key)
+                universe = [a for a in chase.order if a in used]
                 fixed = {a: nu.get(a, ZERO) for a in universe if a not in core}
-                nu.update(_optimum(column_program(universe, rest, fixed, seeds, K), fail, K))
-        assignment = TruthAssignment(nu)
+                nu.update(_optimum(column_program(chase, universe, rest, fixed, seeds, K), fail, K, universe))
+        atoms = chase.atoms  # the support in Atom.sort_key order
+        assignment = TruthAssignment({atoms[a]: nu[a] for a in chase.order if a in nu})
         if self.is_existential:
             return GroundModel(assignment, ModelKind.PREFERRED, K)
         # at K = 1 exactly the classical consequences of the fully-true facts
-        certain = frozenset(a for a, d in nu.items() if d == ONE) if K == ONE else frozenset()
+        certain = frozenset(a for a, d in assignment.support.items() if d == ONE) if K == ONE else frozenset()
         return GroundModel(assignment, ModelKind.MINIMAL, K, certain)
 
     def query(self, atom: Atom, threshold: RationalLike) -> QueryResult:

@@ -9,10 +9,10 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from types import SimpleNamespace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from mvdatalog.chase import ChaseResult, NullRegistry, _Index
 from mvdatalog.lp import ONE, ZERO, LinearProgram, MalformedModel, Solution, Status, _Columns, solve
 from mvdatalog.core import (
     Atom,
@@ -325,6 +325,28 @@ def naive_homomorphisms(rule: Rule, atoms: set[Atom]) -> list[dict]:
     return results
 
 
+class NullRegistry:
+    """The naive chase's nulls: one tuple of fresh nulls per (rule, body
+    homomorphism) pair, numbered from 1 in the order they are asked for."""
+
+    def __init__(self) -> None:
+        self._assigned: dict[tuple, tuple[LabelledNull, ...]] = {}
+        self._counter = itertools.count(1)
+
+    def nulls_for(self, rule: Rule, hom_key: tuple) -> tuple[LabelledNull, ...]:
+        """The nulls of `rule`'s existential vars in name order for the hom keyed `hom_key`."""
+        key = (rule.id, hom_key)
+        if key not in self._assigned:
+            self._assigned[key] = tuple(LabelledNull(next(self._counter)) for _ in rule.existential_vars)
+        return self._assigned[key]
+
+    def entries(self) -> list[tuple[int, tuple, tuple[LabelledNull, ...]]]:
+        return [(rid, hom_key, nulls) for (rid, hom_key), nulls in self._assigned.items()]
+
+    def __len__(self) -> int:
+        return len(self._assigned)
+
+
 def _ground_rule(rule: Rule, hom: dict, registry: NullRegistry) -> GroundRule:
     """The ground rule of (rule, hom) over freshly substituted atoms; the
     chase builds the same rule from the atoms it already holds."""
@@ -335,9 +357,11 @@ def _ground_rule(rule: Rule, hom: dict, registry: NullRegistry) -> GroundRule:
     return GroundRule(rule.id, body, substitute(rule.head, hom))
 
 
-def naive_oblivious_chase(program: Program, facts, step_limit=None) -> ChaseResult:
+def naive_oblivious_chase(program: Program, facts, step_limit=None) -> SimpleNamespace:
     """Reference chase: every round enumerates every homomorphism against
-    the whole atom set and applies those not applied before."""
+    the whole atom set and applies those not applied before. Returns what
+    `ChaseResult` shows of the chase: olim, gamma, registry, truncated and
+    steps, as Atom-level objects."""
     atoms: set[Atom] = set(facts)
     for a in atoms:
         if not a.is_ground():
@@ -371,8 +395,7 @@ def naive_oblivious_chase(program: Program, facts, step_limit=None) -> ChaseResu
 
     order = sorted(applied, key=lambda k: (k[0], _hom_order(k[1])))
     gamma = tuple(applied[k] for k in order)
-    olim = frozenset(atoms)
-    return ChaseResult(olim, gamma, registry, truncated, steps, _Index(olim))
+    return SimpleNamespace(olim=frozenset(atoms), gamma=gamma, registry=registry, truncated=truncated, steps=steps)
 
 
 def matches(candidate: Atom, head_pattern: Atom, nulls: set[LabelledNull]) -> bool:

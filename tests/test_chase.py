@@ -287,7 +287,7 @@ class TestRounds:
 
     def test_key_person_head_matching_is_linear(self, monkeypatch):
         """Head atoms found in eoptk_columns grow linearly with the companies."""
-        head_atoms = engine_module.head_atoms
+        head_ids = engine_module.head_ids
 
         def matched(companies):
             lines = ["kp(Y, X) :- company(X).", "person(Y) :- kp(Y, X)."]
@@ -298,13 +298,13 @@ class TestRounds:
             chase = oblivious_chase(program, set(tau.entries))
             count = 0
 
-            def counting_heads(rule, g, index):
+            def counting_heads(compiled, args, index):
                 nonlocal count
-                heads = head_atoms(rule, g, index)
+                heads = head_ids(compiled, args, index)
                 count += len(heads)
                 return heads
 
-            monkeypatch.setattr(engine_module, "head_atoms", counting_heads)
+            monkeypatch.setattr(engine_module, "head_ids", counting_heads)
             eoptk_columns(Instance(program, tau, F(1)), chase)
             monkeypatch.undo()
             assert count >= companies

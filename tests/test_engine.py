@@ -24,13 +24,14 @@ from helpers import (
     scan_head_atoms,
 )
 from mvdatalog import engine as engine_module
-from mvdatalog.chase import _Index, head_atoms, oblivious_chase
+from mvdatalog.chase import oblivious_chase
 from mvdatalog.core import (
     ArityError,
     Atom,
     Constant,
     DomainError,
     FuzzyDatabase,
+    GroundRule,
     Instance,
     LabelledNull,
     Program,
@@ -434,6 +435,22 @@ class TestVerifyModel:
         with pytest.raises(TruncatedChase):
             verify_model(instance, truncated, nu)
 
+    def test_relaxed_model_against_the_engine_pins_and_seeds(self):
+        instance = inst(INCONSISTENT)  # 1 :: r(a). 0.5 :: s(a). s(X) :- r(X).
+        engine = Engine(instance, relaxed=True)
+        model = engine.model.assignment
+        assert verify_model(instance, engine.chase, model, pins=engine.pins, seeds=engine.seeds).ok
+        # tau's degrees as pins: s(a) = 1 is not the pinned 1/2
+        assert verify_model(instance, engine.chase, model).tau_mismatches == ((atom("s", "a"), F(1, 2), F(1)),)
+
+    def test_seed_not_reached(self):
+        instance = inst("0.8 :: p(a).\nq(X) :- p(X).", F(9, 10))
+        engine = Engine(instance, relaxed=True)  # p(a) must reach 7/10
+        assert engine.model.assignment.support == {atom("p", "a"): F(7, 10), atom("q", "a"): F(3, 5)}
+        low = TruthAssignment({atom("p", "a"): F(3, 5), atom("q", "a"): F(1, 2)})
+        report = verify_model(instance, engine.chase, low, pins=engine.pins, seeds=engine.seeds)
+        assert report.rules_satisfied and report.tau_mismatches == ((atom("p", "a"), F(7, 10), F(3, 5)),)
+
     def test_hand_built_four_null_assignment(self):
         # satisfies every ground rule under strong existential semantics but
         # has no oblivious base (three of the nulls never appear in the chase)
@@ -456,19 +473,26 @@ class TestHeadIndex:
 
     @staticmethod
     def _check(instance, chase, models, monkeypatch):
-        """Compare every ground rule's head atoms, and verify_model's report
-        on each model, with the scan; returns the existential heads."""
+        """Compare every ground rule's head sum in the engine, by id, and
+        verify_model's report on each model, with the scan; returns the
+        existential heads."""
         universe = chase.sorted_olim()
-        index = _Index(set(universe))
         heads = []
-        for g in chase.gamma:
+        for g, (_, ids) in zip(chase.gamma, engine_module._head_sums(chase)):
             rule = instance.program.rule_by_id(g.origin_rule_id)
-            indexed = head_atoms(rule, g, index)
+            indexed = [chase.atoms[i] for i in ids]
             assert Counter(indexed) == Counter(scan_head_atoms(rule, g, universe))
             if rule.is_existential:
                 heads.append((g, set(indexed)))
         reports = [verify_model(instance, chase, m) for m in models]
-        monkeypatch.setattr(engine_module, "head_atoms", lambda r, g, ix: scan_head_atoms(r, g, ix.atoms))
+
+        def scanned(compiled, args, index):  # the same ids by the scan, over verify_model's support
+            support = [Atom(p, a) for p, a in index.keys]
+            head = Atom(compiled.rule.head.predicate, args)
+            found = set(scan_head_atoms(compiled.rule, GroundRule(compiled.rule.id, (), head), support))
+            return [i for i, a in enumerate(support) if a in found]
+
+        monkeypatch.setattr(engine_module, "head_ids", scanned)
         assert reports == [verify_model(instance, chase, m) for m in models]
         monkeypatch.undo()
         return heads
@@ -924,7 +948,7 @@ class TestHornSplit:
         """Check that both routes agree; returns D and the default route's
         model, None when there is none."""
         fast, full = Engine(instance, relaxed=relaxed), Engine(instance, use_fast_path=False, relaxed=relaxed)
-        core = engine_module.horn_split(instance, fast.chase, fast.pins)[3]
+        core = {fast.chase.atoms[a] for a in engine_module.horn_split(fast.chase, fast.pins_by_id)[3]}
         ours, reference = self._outcome(fast), self._outcome(full)
         if isinstance(reference, type):
             assert ours is reference
@@ -932,9 +956,7 @@ class TestHornSplit:
         assert not isinstance(ours, type) and ours[1] == reference[1]  # primary, secondary
         for a in fast.chase.olim - core:
             assert ours[0](a) == reference[0](a)
-        report = verify_model(instance, fast.chase, ours[0])
-        assert report.rules_satisfied and not report.outside_base
-        assert relaxed or report.ok  # relaxed, tau is a lower bound, not a pin
+        assert verify_model(instance, fast.chase, ours[0], pins=fast.pins, seeds=fast.seeds).ok
         return core, ours[0]
 
     def test_random_existential_programs(self):
@@ -1000,6 +1022,50 @@ class TestRelaxedMode:
         engine = Engine(inst("0.05 :: p(a).\nq(X) :- p(X).", F(9, 10)), relaxed=True)
         assert engine.seeds == {}
         assert engine.model.assignment.support == {}
+
+
+class TestModelOrder:
+    """`Engine.model`'s support iterates in `Atom.sort_key` order, which the
+    CLI prints without sorting: the chase's rank order, which differs from
+    string order once null ids reach two digits."""
+
+    @staticmethod
+    def _assert_sorted(engine):
+        try:
+            support = list(engine.model.assignment.support)
+        except NoObliviousBaseModel:
+            return False
+        assert support == sorted(support, key=Atom.sort_key)
+        return bool(support)
+
+    def test_random_draws(self):
+        rng = random.Random(22022)
+        facts = [atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")]
+        checked = Counter()
+        while min(checked[e, r] for e in (False, True) for r in (False, True)) < 100:
+            instance = random_instance(rng)
+            if rng.random() < 0.5:
+                program = random_existential_program(rng)
+                if not is_weakly_acyclic_ve(program)[0]:
+                    continue
+                tau = FuzzyDatabase({a: random_degree(rng) for a in facts})
+                instance = Instance(program, tau, instance.K)
+            relaxed = rng.random() < 0.5
+            if self._assert_sorted(Engine(instance, relaxed=relaxed)):
+                checked[instance.program.has_existential_rules, relaxed] += 1
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_twelve_nulls_and_program_constants(self, relaxed):
+        # the head constant a0 occurs only in the program and sorts before every fact constant
+        lines = ["kp(Y, X) :- company(X).", "person(Y) :- kp(Y, X).", "owner(a0, X) :- company(X)."]
+        for i in range(12):
+            lines += [f"company(c{i}).", f"0.{i % 5 + 3} :: kp(k{i}, c{i})."]
+        engine = Engine(inst("\n".join(lines)), relaxed=relaxed)
+        assert self._assert_sorted(engine)
+        support = [str(a) for a in engine.model.assignment.support]
+        assert support.index("person(_:n9)") < support.index("person(_:n10)")
+        assert support.index("owner(a0, c0)") < support.index("owner(a0, c10)") < support.index("owner(a0, c2)")
+        assert support[0] == "company(c0)" and "person(_:n12)" in support
 
 
 class TestFixpointWorkBound:
