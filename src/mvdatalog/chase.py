@@ -1,23 +1,18 @@
 """Oblivious chase over the crisp instance, on ints.
 
 A term is its rank: the program's and the facts' constants by name, then
-null n at C + n - 1 for C constants, which is `term_sort_key`'s order on
-ground terms. A ground atom is the key (predicate, rank tuple), with an
-int id given when the chase first holds it: the facts first, in input
-order. Saturation is round-based and semi-naive: round 0 joins the rules
-with the facts, each later round only with homomorphisms that map some
-body atom into the atoms the previous round added (the delta, an id
-range). Each rule is compiled once per chase, with a slot plan per body
-position built when a join first reaches it: a homomorphism is the tuple
-of its body variables' ranks in name order, which is also its sort key,
-found by matching body[d] in the delta, then probing a hash index for
-each other body atom on the positions a constant or an earlier atom
-fixes. Every pair found is new and applied once, in rule-id and
-homomorphism order, until a round adds no atom; an existential
-application takes the next null ranks. Gamma is kept as (rule id, head
-id, body ids). The compiled rule also decides a ground rule's head sum
-(`head_ids`) after the chase. `ChaseResult` builds atoms, Gamma and the
-nulls as `core` objects only when they are read.
+null n at C + n - 1 for C constants (`term_sort_key`'s order), and a
+ground atom is its key, (predicate, rank tuple), with an int id given
+when the chase first holds it, the facts first. Saturation is semi-naive:
+each round joins only homomorphisms that map some body atom into the
+previous round's new atoms (the delta, an id range). Each rule is
+compiled once per chase, with a slot plan per body position: a
+homomorphism is its body variables' ranks in name order, also its sort
+key, found by matching body[d] in the delta, then probing hash indexes
+on the positions a constant or an earlier atom fixes. Gamma is kept as
+(rule id, head id, body ids); the compiled rule also decides a ground
+rule's head sum (`head_ids`). `ChaseResult` builds `core` objects only
+when they are read.
 """
 
 from __future__ import annotations
@@ -117,13 +112,11 @@ class ChaseResult:
         return list(map(self.atoms.__getitem__, self.order))
 
 
-def _rank(rules: Iterable[Rule], atoms: Iterable[Atom]) -> tuple[dict[str, int], list[Constant], int, list[Atom], dict]:
+def _rank(rules: Iterable[Rule], atoms: Iterable[Atom]) -> tuple[dict[str, int], list[Constant], int, dict[Key, Atom]]:
     """Rank the constants of `rules` and `atoms` by name, null n at C + n - 1
-    after the C constants, and key each distinct atom by (predicate, rank
-    tuple). Returns the ranks by name, the constants by rank, the number of
-    ranks the atoms use, the distinct atoms and their ids by key, both in
-    input order."""
-    atoms = atoms if isinstance(atoms, (list, tuple)) else list(atoms)
+    after the C constants. Returns the ranks by name, the constants by rank,
+    the number of ranks the atoms use, and each distinct atom by its key."""
+    atoms = list(atoms)
     named = {t.name: t for r in rules for b in (*r.body, r.head) for t in b.args if type(t) is Constant}
     top = 0  # the highest null id
     for a in atoms:
@@ -137,14 +130,11 @@ def _rank(rules: Iterable[Rule], atoms: Iterable[Atom]) -> tuple[dict[str, int],
     names = sorted(named)
     rank = {name: r for r, name in enumerate(names)}
     offset = len(names) - 1
-    ids: dict[Key, int] = {}
-    distinct = []
+    held: dict[Key, Atom] = {}
     for a in atoms:
-        key = (a.predicate, tuple([rank[t.name] if type(t) is Constant else offset + t.id for t in a.args]))
-        if key not in ids:
-            ids[key] = len(distinct)
-            distinct.append(a)
-    return rank, list(map(named.__getitem__, names)), len(names) + top, distinct, ids
+        ranks = tuple([rank[t.name] if type(t) is Constant else offset + t.id for t in a.args])
+        held.setdefault((a.predicate, ranks), a)
+    return rank, list(map(named.__getitem__, names)), len(names) + top, held
 
 
 class _CompiledRule:
@@ -308,8 +298,8 @@ def enumerate_homomorphisms(rule: Rule, atoms: Iterable[Atom]) -> list[dict[str,
     """All substitutions of the rule's body variables into `atoms`, sorted
     by their images in variable-name order: the chase's join with every atom
     in the delta."""
-    rank, constants, ranks, _, ids = _rank([rule], atoms)
-    index = _Index(list(ids), rank)
+    rank, constants, ranks, held = _rank([rule], atoms)
+    index = _Index(list(held), rank)
     joined = _join(rule, index)
     terms = ChaseResult(index.keys, [], constants, [], ranks, [], False, 0, index).terms  # no rule applied
     return [dict(zip(index.rules[rule.id].names, map(terms.__getitem__, slots))) for slots, _ in joined]
@@ -336,8 +326,9 @@ def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optiona
     maps into olim, or, flagged truncated past the step limit, one per
     application performed.
     """
-    rank, constants, ranks, facts, ids = _rank(program.rules, facts)
-    keys = list(ids)
+    rank, constants, ranks, held = _rank(program.rules, facts)
+    keys = list(held)
+    ids = dict(zip(keys, range(len(keys))))
     index = _Index(keys, rank)
     nulls: list[tuple[int, list[str], tuple[int, ...], tuple[int, ...]]] = []
     applied: list[tuple[int, tuple[int, ...], int, tuple[int, ...]]] = []  # (rule id, slots, head, body)
@@ -375,4 +366,4 @@ def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optiona
 
     applied.sort()
     ground = [(r, h, body) for r, _, h, body in applied]
-    return ChaseResult(keys, facts, constants, ground, max(ranks, fresh), nulls, truncated, steps, index)
+    return ChaseResult(keys, list(held.values()), constants, ground, max(ranks, fresh), nulls, truncated, steps, index)

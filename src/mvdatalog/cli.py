@@ -103,11 +103,12 @@ def _open(args) -> Engine:
 def cmd_solve(args) -> int:
     engine = _open(args)
     model, tau = engine.model, engine.instance.database.entries
+    certain = model.certain_atoms
     entries = [  # the support is in Atom.sort_key order
         {
             "atom": str(a),
             "degree": str(d),
-            "source": "given" if tau.get(a) == d else "certain" if a in model.certain_atoms else "derived",
+            "source": "given" if tau.get(a) == d else "certain" if certain and a in certain else "derived",
         }
         for a, d in model.assignment.support.items()
     ]
@@ -119,7 +120,7 @@ def cmd_solve(args) -> int:
         "stats": {
             "ground_rules": len(engine.chase.ground),
             "variables": len(engine.chase.keys),
-            "certain": len(model.certain_atoms),
+            "certain": len(certain),
         },
     }
     text = [f"{e['atom']} = {e['degree']}  ({e['source']})" for e in entries]
@@ -224,7 +225,8 @@ def _lp_as_text(lp, secondary: dict) -> list[str]:
 def cmd_ground(args) -> int:
     engine = _open(args)
     chase = engine.chase
-    lp, secondary = eoptk_columns(engine.instance, chase, engine.seeds_by_id, engine.pins_by_id).labelled()  # raises TruncatedChase
+    columns = eoptk_columns(engine.instance, chase, engine.seeds_by_id, engine.pins_by_id)  # raises TruncatedChase
+    lp, secondary = columns.labelled()
     nulls = [
         {
             "rule": rid,

@@ -2,27 +2,20 @@
 
 Pipeline: chase the crisp instance once (`Engine.chase` refuses an
 existential program that is not weakly acyclic unless a step limit
-bounds it), then solve over what it returns, on atom ids. `Engine.model`
-is the one place that picks the route. The chase's atoms (olim) are the
-LP's columns and the model's atoms, in rank order (`ChaseResult.order`,
-`Atom.sort_key`'s), an atom is active exactly when it is null-free, and
-the chase's compiled rules decide each ground rule's head sum
-(`head_ids`). The database enters the solve as pins, the degrees a model
-must equal, and seeds, the lower bounds it must reach, both keyed by
-fact id: tau's in strict mode; in relaxed mode no pins, and tau's
-degrees less 1 - K as seeds. A ground rule whose head sum holds at most
-one unpinned atom is Horn: the exact least fixpoint of nu(H) >= nu(body)
-- 1 + K, less the pinned heads' degrees, from the seeds decides it, on
-ints over the degrees' common denominator in lists indexed by id,
-checked against the pins. Only D, the free heads of the other rules
-closed under the rules they feed, goes to an exact LP: one `lp.solve` of
-the rows that mention D, every other atom fixed at its fixpoint degree
-and D's atoms bounded below by their seeds, minimizes the null-free
-atoms' total, then the null-carrying ones' as a tie-break. The model's
-support is built in rank order, so output needs no sort. The full LP
-over olim (`eoptk_columns`) is the reference route behind
-`use_fast_path=False` and what `mvdl ground` prints. `verify_model` and
-a Kleene-style oracle work on the chase's `core` views instead.
+bounds it), then solve on the chase's atom ids; `Engine.model` is the
+one place that picks the route. olim is the LP's columns and the model's
+atoms, in rank order (`ChaseResult.order`, which is `Atom.sort_key`'s),
+an atom is active exactly when it is null-free, and the chase's compiled
+rules decide each ground rule's head sum. The database enters as pins,
+the degrees a model must equal, and seeds, the lower bounds it must
+reach, keyed by fact id. Ground rules whose head sum holds at most one
+unpinned atom are Horn and go to an exact least fixpoint on ints; only
+D, the free heads of the others closed under the rules they feed, goes
+to an exact LP (`horn_split`). The model's support is built in rank
+order, so its output needs no sort. The full LP over olim
+(`eoptk_columns`) is the reference route behind `use_fast_path=False`
+and what `mvdl ground` prints. `verify_model` and a Kleene-style oracle
+read the chase's `core` views instead.
 """
 
 from __future__ import annotations
@@ -150,8 +143,9 @@ def eoptk_columns(
     _require_complete(chase)
     ids = {a: i for i, a in enumerate(chase.facts)}
     tau = {ids[a]: d for a, d in instance.database.entries.items()}
+    pins, seeds = tau if pins is None else pins, tau if seeds is None else seeds
     rows = ((heads, g[2]) for g, heads in _head_sums(chase))
-    columns = column_program(chase, chase.order, rows, tau if pins is None else pins, tau if seeds is None else seeds, instance.K)
+    columns = column_program(chase, chase.order, rows, pins, seeds, instance.K)
     columns.names = chase.sorted_olim()
     return columns
 
@@ -452,7 +446,9 @@ def verify_model(
     return VerificationReport(tuple(rule_violations), tuple(tau_mismatches), outside)
 
 
-def _optimum(cols: ColumnProgram, fail: type[NoObliviousBaseModel], K: Fraction, ids: Sequence[int]) -> dict[int, Fraction]:
+def _optimum(
+    cols: ColumnProgram, fail: type[NoObliviousBaseModel], K: Fraction, ids: Sequence[int]
+) -> dict[int, Fraction]:
     """The positive degrees of `solve(cols)`'s optimum, column j's under
     ids[j]; raise `fail` when it is infeasible."""
     solution = solve(cols)
