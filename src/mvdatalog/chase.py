@@ -11,8 +11,8 @@ homomorphism is its body variables' ranks in name order, also its sort
 key, found by matching body[d] in the delta, then probing hash indexes
 on the positions a constant or an earlier atom fixes. Gamma is kept as
 (rule id, head id, body ids); the compiled rule also decides a ground
-rule's head sum (`head_ids`). `ChaseResult` builds `core` objects only
-when they are read.
+rule's head sum (`head_ids`). `ChaseResult` builds `core` atoms and
+ground rules only when they are read.
 """
 
 from __future__ import annotations
@@ -55,21 +55,21 @@ class ChaseResult:
     """The chase's atoms (olim: the facts plus Gamma's heads), Gamma and nulls.
 
     Atom i is keys[i], (predicate, rank tuple), and facts[i] below
-    len(facts). Rank r < `ranks` is constants[r] below C = len(constants),
-    else null r - C + 1. `ground` is Gamma as (rule id, head id, body ids),
-    `nulls` the registry as (rule id, slot names, slot ranks, null ranks),
-    `index` the chase's own. The constants all come from the program or
-    the facts, so an atom lies over the active domain exactly when it is
-    null-free. `terms`, `atoms`, `olim`, `gamma`, `registry` and
+    len(facts); rank r is terms[r], a constant below `first_null`, else
+    null r - first_null + 1. `ground` is Gamma as (rule id, head id, body
+    ids), `nulls` the registry as (rule id, slot names, slot ranks, null
+    ranks), `index` the chase's own. The constants all come from the
+    program or the facts, so an atom lies over the active domain exactly
+    when it is null-free. `atoms`, `olim`, `gamma`, `registry` and
     `sorted_olim()` are views in `core` objects, built on first read, with
     one object per atom.
     """
 
     keys: list[Key]
     facts: list[Atom]
-    constants: list[Constant]
+    terms: list[Term]
+    first_null: int
     ground: list[Ground]
-    ranks: int
     nulls: list[tuple[int, list[str], tuple[int, ...], tuple[int, ...]]]
     truncated: bool
     steps: int
@@ -80,11 +80,6 @@ class ChaseResult:
         """The atom ids in `Atom.sort_key` order: by relation, then by rank tuple."""
         by_relation = self.index.by_relation
         return [i for relation in sorted(by_relation) for _, i in sorted(by_relation[relation])]
-
-    @property
-    def terms(self) -> list[Term]:
-        """The terms by rank: the constants, then the nulls below rank `ranks`."""
-        return [*self.constants, *map(LabelledNull, range(1, self.ranks - len(self.constants) + 1))]
 
     @cached_property
     def atoms(self) -> list[Atom]:
@@ -112,10 +107,10 @@ class ChaseResult:
         return list(map(self.atoms.__getitem__, self.order))
 
 
-def _rank(rules: Iterable[Rule], atoms: Iterable[Atom]) -> tuple[dict[str, int], list[Constant], int, dict[Key, Atom]]:
+def _rank(rules: Iterable[Rule], atoms: Iterable[Atom]) -> tuple[dict[str, int], list[Term], dict[Key, Atom]]:
     """Rank the constants of `rules` and `atoms` by name, null n at C + n - 1
-    after the C constants. Returns the ranks by name, the constants by rank,
-    the number of ranks the atoms use, and each distinct atom by its key."""
+    after the C constants. Returns the ranks by name, the terms by rank up
+    to the atoms' highest, and each distinct atom by its key."""
     atoms = list(atoms)
     named = {t.name: t for r in rules for b in (*r.body, r.head) for t in b.args if type(t) is Constant}
     top = 0  # the highest null id
@@ -134,7 +129,7 @@ def _rank(rules: Iterable[Rule], atoms: Iterable[Atom]) -> tuple[dict[str, int],
     for a in atoms:
         ranks = tuple([rank[t.name] if type(t) is Constant else offset + t.id for t in a.args])
         held.setdefault((a.predicate, ranks), a)
-    return rank, list(map(named.__getitem__, names)), len(names) + top, held
+    return rank, [*map(named.__getitem__, names), *map(LabelledNull, range(1, top + 1))], held
 
 
 class _CompiledRule:
@@ -298,11 +293,9 @@ def enumerate_homomorphisms(rule: Rule, atoms: Iterable[Atom]) -> list[dict[str,
     """All substitutions of the rule's body variables into `atoms`, sorted
     by their images in variable-name order: the chase's join with every atom
     in the delta."""
-    rank, constants, ranks, held = _rank([rule], atoms)
+    rank, terms, held = _rank([rule], atoms)
     index = _Index(list(held), rank)
-    joined = _join(rule, index)
-    terms = ChaseResult(index.keys, [], constants, [], ranks, [], False, 0, index).terms  # no rule applied
-    return [dict(zip(index.rules[rule.id].names, map(terms.__getitem__, slots))) for slots, _ in joined]
+    return [dict(zip(index.compiled(rule).names, map(terms.__getitem__, slots))) for slots, _ in _join(rule, index)]
 
 
 def head_ids(compiled: _CompiledRule, args: tuple, index: _Index) -> list[int]:
@@ -326,14 +319,14 @@ def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optiona
     maps into olim, or, flagged truncated past the step limit, one per
     application performed.
     """
-    rank, constants, ranks, held = _rank(program.rules, facts)
+    rank, terms, held = _rank(program.rules, facts)
     keys = list(held)
     ids = dict(zip(keys, range(len(keys))))
     index = _Index(keys, rank)
     nulls: list[tuple[int, list[str], tuple[int, ...], tuple[int, ...]]] = []
     applied: list[tuple[int, tuple[int, ...], int, tuple[int, ...]]] = []  # (rule id, slots, head, body)
     rules = [index.compiled(r) for r in sorted(program.rules, key=lambda r: r.id)]
-    fresh = len(constants)  # the next null's rank
+    fresh = first_null = len(rank)  # the next null's rank
     steps, truncated = 0, False
 
     while not truncated:
@@ -366,4 +359,5 @@ def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optiona
 
     applied.sort()
     ground = [(r, h, body) for r, _, h, body in applied]
-    return ChaseResult(keys, list(held.values()), constants, ground, max(ranks, fresh), nulls, truncated, steps, index)
+    terms += map(LabelledNull, range(len(terms) - first_null + 1, fresh - first_null + 1))
+    return ChaseResult(keys, list(held.values()), terms, first_null, ground, nulls, truncated, steps, index)

@@ -169,7 +169,7 @@ def column_program(
         if a not in pins and (j := column.get(a)) is not None:
             bounds[j] = (d, ONE)
     costs: tuple[dict[int, int], dict[int, int]] = ({}, {})  # objective, secondary
-    keys, first_null = chase.keys, len(chase.constants)
+    keys, first_null = chase.keys, chase.first_null
     for j, a in enumerate(universe):
         costs[max(keys[a][1], default=-1) >= first_null][j] = 1
     K, scale = K.as_integer_ratio()  # K - l scaled is K - l * scale
