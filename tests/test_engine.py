@@ -468,7 +468,7 @@ class TestVerifyModel:
 
 
 class TestHeadIndex:
-    """`chase.head_atoms` finds through the chase's hash index exactly the atoms
+    """`chase.head_ids` finds through the chase's hash index exactly the atoms
     that the scan in tests/helpers.py finds."""
 
     @staticmethod
