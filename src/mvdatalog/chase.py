@@ -60,12 +60,14 @@ class ChaseResult:
     ids), `nulls` the registry as (rule id, slot names, slot ranks, null
     ranks), `index` the chase's own. The constants all come from the
     program or the facts, so an atom lies over the active domain exactly
-    when it is null-free. `atoms`, `olim`, `gamma`, `registry` and
-    `sorted_olim()` are views in `core` objects, built on first read, with
-    one object per atom.
+    when it is null-free. `ids` maps each key back to its atom's id, so
+    `id_of` finds a `core` atom without building any. `atoms`, `olim`,
+    `gamma`, `registry` and `sorted_olim()` are views in `core` objects,
+    built on first read, with one object per atom.
     """
 
     keys: list[Key]
+    ids: dict[Key, int]
     facts: list[Atom]
     terms: list[Term]
     first_null: int
@@ -101,6 +103,19 @@ class ChaseResult:
         terms = self.terms.__getitem__
         return NullRegistry([(r, tuple(zip(names, map(terms, slots))), tuple(map(terms, made)))
                              for r, names, slots, made in self.nulls])
+
+    def id_of(self, atom: Atom) -> Optional[int]:
+        """The id of the ground atom `atom`, None when the chase does not hold
+        it: a constant by its rank, null n at `first_null` + n - 1 for n >= 1
+        (below 1 it would alias a constant's rank)."""
+        rank, ranks = self.index.rank, []
+        for t in atom.args:
+            r = rank.get(t.name) if type(t) is Constant else (
+                self.first_null + t.id - 1 if type(t) is LabelledNull and t.id >= 1 else None)
+            if r is None:
+                return None
+            ranks.append(r)
+        return self.ids.get((atom.predicate, tuple(ranks)))
 
     def sorted_olim(self) -> list[Atom]:
         """olim in `Atom.sort_key` order, sorted once per chase."""
@@ -360,4 +375,4 @@ def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optiona
     applied.sort()
     ground = [(r, h, body) for r, _, h, body in applied]
     terms += map(LabelledNull, range(len(terms) - first_null + 1, fresh - first_null + 1))
-    return ChaseResult(keys, list(held.values()), terms, first_null, ground, nulls, truncated, steps, index)
+    return ChaseResult(keys, ids, list(held.values()), terms, first_null, ground, nulls, truncated, steps, index)

@@ -8,6 +8,10 @@ acyclic or --max-chase-steps bounds it. `check` reports a refused chase
 with the engine's witness cycle; the other commands exit 4 on it,
 `query` before it parses its atom.
 
+`solve`, `query` and `check` answer from `Engine.degrees`, by atom id,
+and build no `core` atom: `solve` writes each atom from the chase's rank
+key and its terms' text, in rank order.
+
 Results go to stdout as deterministic JSON (or plain text with
 --format text); degrees are printed as reduced fractions, never floats.
 
@@ -26,9 +30,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn, Optional
 
-from .core import ArityError, DomainError, Instance, as_degree
+from .core import ArityError, DomainError, Instance, as_degree, atom_text
 from .engine import (
     Engine,
+    ModelKind,
     NoObliviousBaseModel,
     TruncatedChase,
     UnboundedChase,
@@ -54,6 +59,10 @@ class CliError(Exception):
 _encode_string = json.encoder.encode_basestring_ascii
 
 
+class _Laid(str):
+    """JSON that is already laid out at its place in a payload: `_dumps` writes it as is."""
+
+
 def _dumps(value, newline: str = "\n") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)` for str-keyed payloads, byte for byte.
     json.dumps runs its pure-Python encoder whenever `indent` is set; this
@@ -67,15 +76,16 @@ def _dumps(value, newline: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, list) and value:
         return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + newline + "]"
+    if type(value) is _Laid:
+        return value
     return _encode_string(value) if type(value) is str else json.dumps(value)
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
     if as_json:
         print(_dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
+    elif text_lines:
+        print("\n".join(text_lines))
 
 
 def _read_files(paths: list[str]) -> list[str]:
@@ -100,31 +110,44 @@ def _open(args) -> Engine:
     )
 
 
+# one model entry of `solve`'s JSON, as `_dumps` lays it out at its depth
+_ROW = '{{\n      "atom": {},\n      "degree": "{}",\n      "source": "{}"\n    }}'
+
+
 def cmd_solve(args) -> int:
     engine = _open(args)
-    model, tau = engine.model, engine.instance.database.entries
-    certain = model.certain_atoms
-    entries = [  # the support is in Atom.sort_key order
-        {
-            "atom": str(a),
-            "degree": str(d),
-            "source": "given" if tau.get(a) == d else "certain" if certain and a in certain else "derived",
-        }
-        for a, d in model.assignment.support.items()
-    ]
+    degrees, chase, K = engine.degrees, engine.chase, engine.instance.K
+    tau = list(engine.instance.database.entries.values())  # fact i's degree, i < len(tau)
+    pins = engine.pins_by_id  # a pinned fact's degree is tau's by construction
+    certainty = K == 1 and not engine.is_existential  # a minimal model at K = 1: its degree-1 atoms are certain
+    names, keys = [str(t) for t in chase.terms], chase.keys  # a term's text by rank
+    entries = []  # (atom, degree, source) in rank order, as `str(Atom)` and `str(Fraction)`
+    certain = 0
+    for i in chase.order:
+        d = degrees.get(i)
+        if d is None:
+            continue
+        predicate, ranks = keys[i]
+        one = certainty and d == 1
+        certain += one
+        source = "given" if i in pins or i < len(tau) and tau[i] == d else "certain" if one else "derived"
+        entries.append((atom_text(predicate, [names[r] for r in ranks]), str(d), source))
+    if args.format == "text":
+        _emit({}, False, [f"{a} = {d}  ({source})" for a, d, source in entries])
+        return EXIT_OK
+    rows = [_ROW.format(_encode_string(a), d, source) for a, d, source in entries]
     payload = {
         "status": "ok",
-        "kind": model.kind.value,
-        "K": str(engine.instance.K),
-        "model": entries,
+        "kind": (ModelKind.PREFERRED if engine.is_existential else ModelKind.MINIMAL).value,
+        "K": str(K),
+        "model": _Laid("[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"),
         "stats": {
-            "ground_rules": len(engine.chase.ground),
-            "variables": len(engine.chase.keys),
-            "certain": len(certain),
+            "ground_rules": len(chase.ground),
+            "variables": len(keys),
+            "certain": certain,
         },
     }
-    text = [f"{e['atom']} = {e['degree']}  ({e['source']})" for e in entries]
-    _emit(payload, args.format == "json", text)
+    _emit(payload, True, [])
     return EXIT_OK
 
 
@@ -162,7 +185,7 @@ def cmd_check(args) -> int:
     if witness:
         text.append(f"witness cycle: {witness}")
     try:
-        engine.model
+        engine.degrees
         payload["satisfiable"] = True
     except UnboundedChase:  # refused: the witness is the report
         pass

@@ -122,9 +122,12 @@ class Atom:
         return {"predicate": self.predicate, "args": self.args}
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.predicate
-        return f"{self.predicate}({', '.join(str(t) for t in self.args)})"
+        return atom_text(self.predicate, [str(t) for t in self.args])
+
+
+def atom_text(predicate: str, args: Sequence[str]) -> str:
+    """An atom as `.mvdl` writes it, from its args' text: bare when nullary."""
+    return f"{predicate}({', '.join(args)})" if args else predicate
 
 
 def atom(predicate: str, *args: Union[Term, str]) -> Atom:

@@ -2,20 +2,22 @@
 
 Pipeline: chase the crisp instance once (`Engine.chase` refuses an
 existential program that is not weakly acyclic unless a step limit
-bounds it), then solve on the chase's atom ids; `Engine.model` is the
-one place that picks the route. olim is the LP's columns and the model's
-atoms, in rank order (`ChaseResult.order`, which is `Atom.sort_key`'s),
-an atom is active exactly when it is null-free, and the chase's compiled
-rules decide each ground rule's head sum. The database enters as pins,
-the degrees a model must equal, and seeds, the lower bounds it must
-reach, keyed by fact id. Ground rules whose head sum holds at most one
-unpinned atom are Horn and go to an exact least fixpoint on ints; only
-D, the free heads of the others closed under the rules they feed, goes
-to an exact LP (`horn_split`). The model's support is built in rank
-order, so its output needs no sort. The full LP over olim
-(`eoptk_columns`) is the reference route behind `use_fast_path=False`
-and what `mvdl ground` prints. `verify_model` and a Kleene-style oracle
-read the chase's `core` views instead.
+bounds it), then solve on the chase's atom ids; `Engine.degrees` is the
+one place that picks the route, and answers by atom id. olim is the LP's
+columns and the model's atoms, in rank order (`ChaseResult.order`, which
+is `Atom.sort_key`'s), an atom is active exactly when it is null-free,
+and the chase's compiled rules decide each ground rule's head sum. The
+database enters as pins, the degrees a model must equal, and seeds, the
+lower bounds it must reach, keyed by fact id. Ground rules whose head
+sum holds at most one unpinned atom are Horn and go to an exact least
+fixpoint on ints, which also finds a pin the rules overshoot; only D,
+the free heads of the others closed under the rules they feed, goes to
+an exact LP (`horn_split`). `Engine.query` reads one degree by the
+chase's `id_of`; `Engine.model` is a view of the degrees in `core`
+atoms, its support built in rank order, for library callers. The full
+LP over olim (`eoptk_columns`) is the reference route behind
+`use_fast_path=False` and what `mvdl ground` prints. `verify_model` and
+a Kleene-style oracle read the chase's `core` views instead.
 """
 
 from __future__ import annotations
@@ -240,12 +242,15 @@ def least_fixpoint(
     seeds: Mapping[int, Fraction],
     K: Fraction,
     pinned_heads: Mapping[int, Sequence[int]],
-) -> dict[int, Fraction]:
+    pins: Iterable[int] = (),
+) -> tuple[dict[int, Fraction], Optional[int]]:
     """The least nu >= seeds with nu(H) >= nu(body) - 1 + K - offset for
     every ground rule (rule id, H, body ids) of `gamma`, by atom id, the
     offset of the i-th rule the seed degrees of its `pinned_heads[i]` (0
     when absent): the other atoms of an existential head sum, held at
-    their pins.
+    their pins. Also returns the first of `pins`, seeds held at their seed
+    degree, that nu raises above its seed, None when there is none: nu
+    only grows, so that is a test for equality, made on the scaled ints.
 
     Knuth's generalisation of Dijkstra's algorithm: a rule's value is
     monotone in its body and never above its weakest body atom, so the
@@ -265,6 +270,7 @@ def least_fixpoint(
     L = L if scaled else 1
     nu = {a: d.numerator * (L // d.denominator) for a, d in seeds.items()} if scaled else dict(seeds)
     k = K.numerator * (L // K.denominator) if scaled else K
+    start = nu.copy()
     waiting: dict[int, list[int]] = {}
     unsettled: list[int] = []
     bias = []  # a rule's value less its body sum
@@ -289,10 +295,11 @@ def least_fixpoint(
             if value > nu.get(h, 0):
                 nu[h] = value
                 heapq.heappush(heap, (-value, h))
+    over = next((a for a in pins if nu[a] != start[a]), None)
     if not scaled:
-        return nu
+        return nu, over
     degrees = {v: Fraction(v, L) for v in set(nu.values())}
-    return {a: degrees[v] for a, v in nu.items()}
+    return {a: degrees[v] for a, v in nu.items()}, over
 
 
 def minimal_model(
@@ -513,8 +520,9 @@ class Engine:
         return oblivious_chase(self.instance.program, self.instance.database.entries, self.step_limit)
 
     @cached_property
-    def model(self) -> GroundModel:
-        """The one route to a model, chosen by the program class.
+    def degrees(self) -> dict[int, Fraction]:
+        """The model's positive degrees by atom id: the one route to a model,
+        chosen by the program class.
 
         The least fixpoint from the seeds, checked against the pins, runs
         on every ground rule that `horn_split` leaves outside D (all of
@@ -532,23 +540,28 @@ class Engine:
         pins, seeds = self.pins_by_id, self.seeds_by_id
         fail = NoObliviousBaseModel if self.is_existential else Unsatisfiable
         if not self.use_fast_path:
-            nu = _optimum(eoptk_columns(self.instance, chase, seeds, pins), fail, K, chase.order)
-        else:
-            if self.is_existential:
-                horn, pinned, rest, core = horn_split(chase, pins)
-            else:  # every ground rule is Horn, D is empty
-                horn, pinned, rest, core = chase.ground, {}, [], set()
-            nu = least_fixpoint(horn, seeds, K, pinned)
-            for a, d in pins.items():
-                if nu[a] > d:
-                    raise fail(f"derivations force {chase.facts[a]} to {nu[a]} but the database pins it at {d}")
-            if core:
-                used = core.union(*(heads for heads, _ in rest), *(body for _, body in rest))
-                universe = [a for a in chase.order if a in used]
-                fixed = {a: nu.get(a, ZERO) for a in universe if a not in core}
-                nu.update(_optimum(column_program(chase, universe, rest, fixed, seeds, K), fail, K, universe))
-        atoms = chase.atoms  # the support in Atom.sort_key order
-        assignment = TruthAssignment({atoms[a]: nu[a] for a in chase.order if a in nu})
+            return _optimum(eoptk_columns(self.instance, chase, seeds, pins), fail, K, chase.order)
+        if self.is_existential:
+            horn, pinned, rest, core = horn_split(chase, pins)
+        else:  # every ground rule is Horn, D is empty
+            horn, pinned, rest, core = chase.ground, {}, [], set()
+        nu, over = least_fixpoint(horn, seeds, K, pinned, pins)
+        if over is not None:
+            raise fail(f"derivations force {chase.facts[over]} to {nu[over]} but the database pins it at {pins[over]}")
+        if core:
+            used = core.union(*(heads for heads, _ in rest), *(body for _, body in rest))
+            universe = [a for a in chase.order if a in used]
+            fixed = {a: nu.get(a, ZERO) for a in universe if a not in core}
+            nu.update(_optimum(column_program(chase, universe, rest, fixed, seeds, K), fail, K, universe))
+        return nu
+
+    @cached_property
+    def model(self) -> GroundModel:
+        """`degrees` as `core` atoms, the support in `Atom.sort_key` order;
+        raises as `degrees` does."""
+        degrees, chase, K = self.degrees, self.chase, self.instance.K
+        atoms = chase.atoms
+        assignment = TruthAssignment({atoms[a]: degrees[a] for a in chase.order if a in degrees})
         if self.is_existential:
             return GroundModel(assignment, ModelKind.PREFERRED, K)
         # at K = 1 exactly the classical consequences of the fully-true facts
@@ -560,5 +573,5 @@ class Engine:
         if not atom.is_ground():
             raise ValueError(f"query atom must be ground: {atom}")
         infer_signature([atom], self.instance.signature)  # ArityError
-        degree = self.model.assignment(atom)
+        degree = self.degrees.get(self.chase.id_of(atom), ZERO)
         return QueryResult(atom, c, degree >= c, degree, self.is_existential)

@@ -471,6 +471,15 @@ class TestGround:
             ("chain30", ["solve", "--K", "999/1000"], "chain30.solve", 0),
             ("chain30", ["query", "reach(c29)", "--K", "999/1000", "--at-least", "99/100"], "chain30.query", 1),
             ("chain30", ["ground", "--K", "999/1000"], "chain30.ground", 0),
+            # given, certain and derived entries at K = 1, nullary atoms among them
+            ("mixed", ["solve"], "mixed.solve", 0),
+            ("mixed", ["query", "q(zed)"], "mixed.query", 1),  # a constant the chase never saw
+            # relaxed at K = 3/4: facts fall below tau, one is raised back to it
+            ("relaxed", ["solve", "--mode", "relaxed", "--K", "3/4"], "relaxed.solve", 0),
+            ("unsat", ["solve"], "unsat.solve", 2),
+            ("unsat", ["check"], "unsat.check", 0),
+            # numeric and program-only constants, then nulls, in rank order
+            ("ranks", ["solve"], "ranks.solve", 0),
         ],
     )
     def test_golden_output_is_byte_for_byte(self, stem, argv, golden, code, fmt, ext):
@@ -610,3 +619,41 @@ class TestJsonWriter:
         for command in ("solve", "check", "ground"):
             proc = run_cli(command, files[name])
             assert proc.stdout == json.dumps(json.loads(proc.stdout), indent=2, sort_keys=True) + "\n", command
+
+
+class TestAnswerOnIds:
+    """`solve`, `query` and `check` answer from `Engine.degrees` by atom id:
+    none builds the chase's `core` atoms (`ChaseResult.atoms`) or the
+    `Engine.model` view on them."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", "orca"], 0),
+            (["solve", "kp", "--format", "text"], 0),
+            (["solve", "kp", "--mode", "relaxed"], 0),  # the core LP
+            (["solve", "nullary", "--K", "1/2"], 0),
+            (["solve", "unsat"], 2),
+            (["query", "kp", "kp(amy, acme)"], 1),
+            (["query", "kp", "kp(zed, acme)", "--at-least", "0"], 0),
+            (["query", "orca", "orca(i1)", "--mode", "relaxed", "--format", "text"], 1),
+            (["check", "kp"], 0),
+            (["check", "nulls"], 0),
+        ],
+    )
+    def test_no_atom_views(self, files, monkeypatch, capsys, argv, code):
+        from mvdatalog import cli
+
+        engines = []
+        real = cli._open
+
+        def recorded(args):
+            engines.append(real(args))
+            return engines[-1]
+
+        monkeypatch.setattr(cli, "_open", recorded)
+        assert cli.main([argv[0], files[argv[1]], *argv[2:]]) == code
+        capsys.readouterr()
+        (engine,) = engines
+        assert ("degrees" in engine.__dict__) == (argv[1] not in ("unsat", "nulls"))  # the route ran, with a model
+        assert "model" not in engine.__dict__ and "atoms" not in engine.chase.__dict__

@@ -771,6 +771,60 @@ class TestEngineWrapper:
         assert engine.query(atom("unknown", "a", "b"), F(0)).degree == 0
 
 
+class TestQueryById:
+    """`Engine.query` looks its atom up by id in `Engine.degrees`; it must
+    read what `Engine.model` holds for every atom of olim and for atoms the
+    chase never held, nulls below 1 and past the last one included."""
+
+    @staticmethod
+    def _variants(chase, a):
+        """`a` with one argument replaced by a constant the chase never saw,
+        null 0, null -1 or the null after the chase's last."""
+        last = len(chase.terms) - chase.first_null
+        outside = (Constant("unseen"), LabelledNull(0), LabelledNull(-1), LabelledNull(last + 1))
+        for j in range(len(a.args)):
+            for t in outside:
+                yield Atom(a.predicate, (*a.args[:j], t, *a.args[j + 1:]))
+
+    def test_random_draws(self):
+        rng = random.Random(23001)
+        facts = [atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")]
+        checked, nulls, aliases = Counter(), 0, 0
+        while min(checked[e, r] for e in (False, True) for r in (False, True)) < 100:
+            instance = random_instance(rng)
+            if rng.random() < 0.5:
+                program = random_existential_program(rng)
+                if not is_weakly_acyclic_ve(program)[0]:
+                    continue
+                instance = Instance(program, FuzzyDatabase({a: random_degree(rng) for a in facts}), instance.K)
+            relaxed = rng.random() < 0.5
+            engine = Engine(instance, relaxed=relaxed)
+            try:
+                model = engine.model.assignment
+            except NoObliviousBaseModel:
+                continue
+            chase = engine.chase
+            named = {t.name: r for r, t in enumerate(chase.terms[:chase.first_null])}
+            for a in chase.olim:
+                assert engine.query(a, 0).degree == model(a), a
+                nulls += a.has_nulls() and model(a) > 0
+                for b in self._variants(chase, a):
+                    assert engine.query(b, 0).degree == model(b) == 0, b
+                    # a null below 1 read as first_null + n - 1 would land on a constant's rank
+                    ranks = [named.get(t.name, -1) if type(t) is Constant else chase.first_null + t.id - 1 for t in b.args]
+                    aliases += engine.degrees.get(chase.ids.get((b.predicate, tuple(ranks)), -1), 0) > 0
+            assert engine.query(Atom("unknown", (Constant("a"),)), 0).degree == 0
+            checked[instance.program.has_existential_rules, relaxed] += 1
+        assert nulls >= 50 and aliases >= 1000, (nulls, aliases)
+
+    def test_query_builds_no_model(self):
+        engine = Engine(inst(KEY_PERSON))
+        assert engine.query(atom("kp", "amy", "acme"), F(1, 2)).degree == F(4, 5)
+        assert engine.query(atom("kp", LabelledNull(1), "acme"), F(0)).degree == F(1, 5)
+        assert engine.query(atom("kp", LabelledNull(0), "acme"), F(0)).degree == 0
+        assert "model" not in engine.__dict__ and "atoms" not in engine.chase.__dict__
+
+
 class TestLeastFixpointRoute:
     """The default least-fixpoint route against the LP route and the Kleene oracle."""
 
@@ -911,6 +965,28 @@ class TestIntegerFixpoint:
         assert [assignment(atom("reach", f"c{i}")) for i in range(81)] == reached
         expected = {atom("reach", f"c{i}") for i in range(4)} | {a for a, d in instance.database.entries.items() if d == 1}
         assert certain == (expected if K == 1 else set())
+
+    @pytest.mark.parametrize("cap", [None, 0])  # ints, then Fractions past the cap
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("1 :: r(a).\n0.5 :: s(a).\n0.25 :: t(a).\ns(X) :- r(X).\nt(X) :- r(X).", Unsatisfiable),
+            ("1 :: r(a).\n0.5 :: s(a).\ns(X) :- r(X).\nu(X, Y) :- r(X).", NoObliviousBaseModel),
+        ],
+    )
+    def test_overshoot_names_the_first_pinned_fact(self, monkeypatch, cap, text, error):
+        if cap is not None:
+            monkeypatch.setattr(engine_module, "_LCM_CAP_BITS", cap)
+        with pytest.raises(error, match=r"^derivations force s\(a\) to 1 but the database pins it at 1/2$") as raised:
+            Engine(inst(text)).degrees
+        assert type(raised.value) is error
+
+    @pytest.mark.parametrize("cap", [None, 0])
+    def test_a_pin_reached_exactly_is_no_overshoot(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(engine_module, "_LCM_CAP_BITS", cap)
+        engine = Engine(inst("0.5 :: r(a).\n0.5 :: s(a).\ns(X) :- r(X).\nt(X) :- s(X)."))
+        assert sorted(engine.degrees.values()) == [F(1, 2)] * 3
 
     @pytest.mark.parametrize("pin, satisfiable", [(F(1), True), (F(1, 7919), False)])
     def test_pinned_end_past_the_cap(self, pin, satisfiable):
