@@ -1,18 +1,21 @@
 """Oblivious chase over the crisp instance, on ints.
 
-A term is its rank: the program's and the facts' constants by name, then
-null n at C + n - 1 for C constants (`term_sort_key`'s order), and a
-ground atom is its key, (predicate, rank tuple), with an int id given
-when the chase first holds it, the facts first. Saturation is semi-naive:
-each round joins only homomorphisms that map some body atom into the
-previous round's new atoms (the delta, an id range). Each rule is
-compiled once per chase, with a slot plan per body position: a
-homomorphism is its body variables' ranks in name order, also its sort
-key, found by matching body[d] in the delta, then probing hash indexes
-on the positions a constant or an earlier atom fixes. Gamma is kept as
-(rule id, head id, body ids); the compiled rule also decides a ground
-rule's head sum (`head_ids`). `ChaseResult` builds `core` atoms and
-ground rules only when they are read.
+A term is its rank: the program's and the facts' constant names in
+sorted order, then null n at C + n - 1 for C constants
+(`term_sort_key`'s order), and a ground atom is its key, (predicate,
+rank tuple), with an int id given when the chase first holds it, the
+facts first. A database's facts arrive as name keys, (predicate, names),
+and one pass (`_rank`) sorts the names and ranks them; `core` atoms
+given to `oblivious_chase` are keyed by name at its boundary.
+Saturation is semi-naive: each round joins only homomorphisms that map
+some body atom into the previous round's new atoms (the delta, an id
+range). Each rule is compiled once per chase, with a slot plan per body
+position: a homomorphism is its body variables' ranks in name order,
+also its sort key, found by matching body[d] in the delta, then probing
+hash indexes on the positions a constant or an earlier atom fixes.
+Gamma is kept as (rule id, head id, body ids); the compiled rule also
+decides a ground rule's head sum (`head_ids`). `ChaseResult` builds
+`core` terms, atoms and ground rules only when they are read.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
-from .core import Atom, Constant, GroundRule, LabelledNull, Program, Rule, Term, Variable
+from .core import Atom, Constant, FuzzyDatabase, GroundRule, LabelledNull, Program, Rule, Term, Variable, atom_text
 
 Relation = tuple[str, int]  # (predicate, arity)
 Key = tuple[str, tuple]  # (predicate, args): ranks in the chase, terms in `engine.verify_model`
@@ -54,28 +57,59 @@ class NullRegistry(list):
 class ChaseResult:
     """The chase's atoms (olim: the facts plus Gamma's heads), Gamma and nulls.
 
-    Atom i is keys[i], (predicate, rank tuple), and facts[i] below
-    len(facts); rank r is terms[r], a constant below `first_null`, else
-    null r - first_null + 1. `ground` is Gamma as (rule id, head id, body
-    ids), `nulls` the registry as (rule id, slot names, slot ranks, null
-    ranks), `index` the chase's own. The constants all come from the
-    program or the facts, so an atom lies over the active domain exactly
-    when it is null-free. `ids` maps each key back to its atom's id, so
-    `id_of` finds a `core` atom without building any. `atoms`, `olim`,
-    `gamma`, `registry` and `sorted_olim()` are views in `core` objects,
-    built on first read, with one object per atom.
+    Atom i is keys[i], (predicate, rank tuple), a fact below
+    `fact_count`; rank r is the constant names[r] below `first_null`,
+    len(names), else null r - first_null + 1, up to null `null_count`.
+    `ground` is Gamma as (rule id, head id, body ids), `nulls` the
+    registry as (rule id, slot names, slot ranks, null ranks), `index`
+    the chase's own. The constants all come from the program or the
+    facts, so an atom lies over the active domain exactly when it is
+    null-free. `ids` maps each key back to its atom's id, so `id_of`
+    finds a `core` atom without building any, and `text` writes one.
+    `terms`, `facts`, `atoms`, `olim`, `gamma`, `registry` and
+    `sorted_olim()` are views in `core` objects, built on first read,
+    with one object per atom; `facts` holds the caller's own atoms when
+    `oblivious_chase` was given atoms.
     """
 
     keys: list[Key]
     ids: dict[Key, int]
-    facts: list[Atom]
-    terms: list[Term]
-    first_null: int
+    names: list[str]
+    fact_count: int
+    null_count: int
     ground: list[Ground]
     nulls: list[tuple[int, list[str], tuple[int, ...], tuple[int, ...]]]
     truncated: bool
     steps: int
     index: _Index = field(repr=False)
+
+    @property
+    def first_null(self) -> int:
+        return len(self.names)
+
+    @cached_property
+    def terms(self) -> list[Term]:
+        """Term r is terms[r]."""
+        return _terms(self.names, self.null_count)
+
+    @cached_property
+    def texts(self) -> list[str]:
+        """Term r's text, str(terms[r]), without building the terms."""
+        return [*self.names, *(str(LabelledNull(n)) for n in range(1, self.null_count + 1))]
+
+    def text(self, i: int) -> str:
+        """Atom i's text, str(atoms[i]), without building the atom."""
+        predicate, ranks = self.keys[i]
+        return atom_text(predicate, list(map(self.texts.__getitem__, ranks)))
+
+    @cached_property
+    def facts(self) -> list[Atom]:
+        """Fact i is facts[i]."""
+        return self._atoms(self.keys[:self.fact_count])
+
+    def _atoms(self, keys: Iterable[Key]) -> list[Atom]:
+        terms = self.terms.__getitem__
+        return [Atom(p, tuple(map(terms, args))) for p, args in keys]
 
     @cached_property
     def order(self) -> list[int]:
@@ -86,8 +120,7 @@ class ChaseResult:
     @cached_property
     def atoms(self) -> list[Atom]:
         """Atom i is atoms[i]."""
-        terms = self.terms.__getitem__
-        return [*self.facts, *(Atom(p, tuple(map(terms, args))) for p, args in self.keys[len(self.facts):])]
+        return [*self.facts, *self._atoms(self.keys[self.fact_count:])]
 
     @cached_property
     def olim(self) -> frozenset[Atom]:
@@ -122,29 +155,42 @@ class ChaseResult:
         return list(map(self.atoms.__getitem__, self.order))
 
 
-def _rank(rules: Iterable[Rule], atoms: Iterable[Atom]) -> tuple[dict[str, int], list[Term], dict[Key, Atom]]:
-    """Rank the constants of `rules` and `atoms` by name, null n at C + n - 1
-    after the C constants. Returns the ranks by name, the terms by rank up
-    to the atoms' highest, and each distinct atom by its key."""
-    atoms = list(atoms)
-    named = {t.name: t for r in rules for b in (*r.body, r.head) for t in b.args if type(t) is Constant}
-    top = 0  # the highest null id
+def _terms(names: list[str], nulls: int) -> list[Term]:
+    """The terms by rank: a constant per name, then nulls 1 to `nulls`."""
+    return [*map(Constant, names), *map(LabelledNull, range(1, nulls + 1))]
+
+
+def _rank(
+    rules: Iterable[Rule], facts: Collection[tuple[str, tuple]], nulls: Collection[int] = ()
+) -> tuple[dict[str, int], list[Key]]:
+    """Rank the constant names of `rules` and `facts` in sorted order, null n
+    at C + n - 1 after the C constants, and key each fact by its args'
+    ranks. A fact's args are constant names, or null ids as ints, `nulls`
+    the ids that occur. Returns the ranks by name and the facts' keys, in
+    order."""
+    named = {t.name for r in rules for b in (*r.body, r.head) for t in b.args if type(t) is Constant}
+    named.update(*[args for _, args in facts])
+    named.difference_update(nulls)
+    rank = {name: r for r, name in enumerate(sorted(named))}
+    lookup = {**rank, **{n: len(rank) + n - 1 for n in nulls}} if nulls else rank
+    return rank, [(p, tuple(map(lookup.__getitem__, args))) for p, args in facts]
+
+
+def _rank_atoms(rules: Iterable[Rule], atoms: Iterable[Atom]) -> tuple[dict[str, int], dict[Key, Atom], int]:
+    """`_rank` of ground `core` atoms, a constant by its name and null n by
+    the int n. Returns the ranks by name, each distinct key with the first
+    atom that has it, and the highest null id (0 without one)."""
+    atoms, named, nulls = list(atoms), [], set()
     for a in atoms:
-        for t in a.args:
-            if type(t) is Constant:
-                named[t.name] = t
-            elif type(t) is LabelledNull:
-                top = max(top, t.id)
-            else:
-                raise ValueError(f"chase input atom {a} is not ground")
-    names = sorted(named)
-    rank = {name: r for r, name in enumerate(names)}
-    offset = len(names) - 1
+        if not a.is_ground():
+            raise ValueError(f"chase input atom {a} is not ground")
+        nulls.update([t.id for t in a.args if type(t) is LabelledNull])
+        named.append((a.predicate, tuple([t.name if type(t) is Constant else t.id for t in a.args])))
+    rank, keys = _rank(rules, named, nulls)
     held: dict[Key, Atom] = {}
-    for a in atoms:
-        ranks = tuple([rank[t.name] if type(t) is Constant else offset + t.id for t in a.args])
-        held.setdefault((a.predicate, ranks), a)
-    return rank, [*map(named.__getitem__, names), *map(LabelledNull, range(1, top + 1))], held
+    for key, a in zip(keys, atoms):
+        held.setdefault(key, a)
+    return rank, held, max([0, *nulls])
 
 
 class _CompiledRule:
@@ -308,8 +354,9 @@ def enumerate_homomorphisms(rule: Rule, atoms: Iterable[Atom]) -> list[dict[str,
     """All substitutions of the rule's body variables into `atoms`, sorted
     by their images in variable-name order: the chase's join with every atom
     in the delta."""
-    rank, terms, held = _rank([rule], atoms)
+    rank, held, top = _rank_atoms([rule], atoms)
     index = _Index(list(held), rank)
+    terms = _terms(list(rank), top)
     return [dict(zip(index.compiled(rule).names, map(terms.__getitem__, slots))) for slots, _ in _join(rule, index)]
 
 
@@ -323,8 +370,14 @@ def head_ids(compiled: _CompiledRule, args: tuple, index: _Index) -> list[int]:
     return [i for a, i in candidates if all(a[p] == a[q] for p, q in repeats)]
 
 
-def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optional[int] = None) -> ChaseResult:
+def oblivious_chase(
+    program: Program, facts: Union[FuzzyDatabase, Iterable[Atom]], step_limit: Optional[int] = None
+) -> ChaseResult:
     """Chase `facts` with the (crisp) program, applying each pair once.
+
+    `facts` is a database, whose name keys are ranked as they are, or
+    ground `core` atoms, nulls allowed, which are keyed at this boundary
+    and kept as the result's `facts`.
 
     A rule none of whose body relations gained atoms in the previous round
     is not joined; null numbering, `steps` and the truncation point are those
@@ -334,9 +387,14 @@ def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optiona
     maps into olim, or, flagged truncated past the step limit, one per
     application performed.
     """
-    rank, terms, held = _rank(program.rules, facts)
-    keys = list(held)
-    ids = dict(zip(keys, range(len(keys))))
+    if isinstance(facts, FuzzyDatabase):
+        given, top = None, 0
+        rank, keys = _rank(program.rules, facts.facts)
+    else:
+        rank, held, top = _rank_atoms(program.rules, facts)
+        keys, given = list(held), list(held.values())
+    fact_count = len(keys)
+    ids = dict(zip(keys, range(fact_count)))
     index = _Index(keys, rank)
     nulls: list[tuple[int, list[str], tuple[int, ...], tuple[int, ...]]] = []
     applied: list[tuple[int, tuple[int, ...], int, tuple[int, ...]]] = []  # (rule id, slots, head, body)
@@ -374,5 +432,9 @@ def oblivious_chase(program: Program, facts: Iterable[Atom], step_limit: Optiona
 
     applied.sort()
     ground = [(r, h, body) for r, _, h, body in applied]
-    terms += map(LabelledNull, range(len(terms) - first_null + 1, fresh - first_null + 1))
-    return ChaseResult(keys, ids, list(held.values()), terms, first_null, ground, nulls, truncated, steps, index)
+    result = ChaseResult(
+        keys, ids, list(rank), fact_count, max(top, fresh - first_null), ground, nulls, truncated, steps, index
+    )
+    if given is not None:
+        result.__dict__["facts"] = given
+    return result

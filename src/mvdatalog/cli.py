@@ -9,8 +9,10 @@ with the engine's witness cycle; the other commands exit 4 on it,
 `query` before it parses its atom.
 
 `solve`, `query` and `check` answer from `Engine.degrees`, by atom id,
-and build no `core` atom: `solve` writes each atom from the chase's rank
-key and its terms' text, in rank order.
+and build no `core` atom, of the chase or of the database, also under
+--no-fast-path: `solve` writes each atom from the chase's rank key and
+its constants' names, in rank order. Input files are read as UTF-8, a
+leading byte-order mark dropped; other bytes are an input error.
 
 Results go to stdout as deterministic JSON (or plain text with
 --format text); degrees are printed as reduced fractions, never floats.
@@ -30,7 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn, Optional
 
-from .core import ArityError, DomainError, Instance, as_degree, atom_text
+from .core import ArityError, DomainError, Instance, as_degree
 from .engine import (
     Engine,
     ModelKind,
@@ -89,12 +91,15 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
 
 
 def _read_files(paths: list[str]) -> list[str]:
+    """Each file's text; a leading byte-order mark is dropped."""
     texts = []
     for p in paths:
         try:
-            texts.append(Path(p).read_text(encoding="utf-8"))
+            texts.append(Path(p).read_bytes().decode("utf-8-sig"))
         except OSError as exc:
             raise CliError(EXIT_INPUT_ERROR, f"cannot read {p}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CliError(EXIT_INPUT_ERROR, f"cannot read {p}: not UTF-8 (byte {exc.start})") from exc
     return texts
 
 
@@ -117,21 +122,19 @@ _ROW = '{{\n      "atom": {},\n      "degree": "{}",\n      "source": "{}"\n    
 def cmd_solve(args) -> int:
     engine = _open(args)
     degrees, chase, K = engine.degrees, engine.chase, engine.instance.K
-    tau = list(engine.instance.database.entries.values())  # fact i's degree, i < len(tau)
+    tau = list(engine.instance.database.facts.values())  # fact i's degree, i < len(tau)
     pins = engine.pins_by_id  # a pinned fact's degree is tau's by construction
     certainty = K == 1 and not engine.is_existential  # a minimal model at K = 1: its degree-1 atoms are certain
-    names, keys = [str(t) for t in chase.terms], chase.keys  # a term's text by rank
     entries = []  # (atom, degree, source) in rank order, as `str(Atom)` and `str(Fraction)`
     certain = 0
     for i in chase.order:
         d = degrees.get(i)
         if d is None:
             continue
-        predicate, ranks = keys[i]
         one = certainty and d == 1
         certain += one
         source = "given" if i in pins or i < len(tau) and tau[i] == d else "certain" if one else "derived"
-        entries.append((atom_text(predicate, [names[r] for r in ranks]), str(d), source))
+        entries.append((chase.text(i), str(d), source))
     if args.format == "text":
         _emit({}, False, [f"{a} = {d}  ({source})" for a, d, source in entries])
         return EXIT_OK
@@ -143,7 +146,7 @@ def cmd_solve(args) -> int:
         "model": _Laid("[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"),
         "stats": {
             "ground_rules": len(chase.ground),
-            "variables": len(keys),
+            "variables": len(chase.keys),
             "certain": certain,
         },
     }

@@ -2,7 +2,9 @@
 
 Truth degrees are exact rationals (`fractions.Fraction`) in [0, 1]; the
 whole engine avoids floating point, so every comparison such as
-``degree >= threshold`` is an exact decision.
+``degree >= threshold`` is an exact decision. A fuzzy database keys its
+facts by name, (predicate, tuple of constant names), as the parser reads
+them; its map over `Atom`s is a view.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -192,15 +194,13 @@ def make_rule(rule_id: int, body: Sequence[Atom], head: Atom) -> Rule:
     return Rule(rule_id, tuple(body), head)
 
 
-def infer_signature(atoms: Iterable[Atom], signature: Optional[dict[str, int]] = None) -> dict[str, int]:
-    """Accumulate a predicate -> arity map, rejecting inconsistent arities."""
+def infer_signature(relations: Iterable[tuple[str, int]], signature: Optional[dict[str, int]] = None) -> dict[str, int]:
+    """Accumulate a predicate -> arity map from (predicate, arity) pairs, rejecting inconsistent arities."""
     sig = dict(signature) if signature else {}
-    for a in atoms:
-        known = sig.get(a.predicate)
-        if known is None:
-            sig[a.predicate] = a.arity
-        elif known != a.arity:
-            raise ArityError(f"predicate {a.predicate!r} used with arities {known} and {a.arity}")
+    for predicate, arity in relations:
+        known = sig.setdefault(predicate, arity)
+        if known != arity:
+            raise ArityError(f"predicate {predicate!r} used with arities {known} and {arity}")
     return sig
 
 
@@ -210,15 +210,17 @@ class Program:
     signature: dict[str, int] = field(default_factory=dict)
 
     @classmethod
-    def from_rules(cls, rules: Sequence[Rule], extra_atoms: Iterable[Atom] = ()) -> "Program":
+    def from_rules(
+        cls, rules: Sequence[Rule], extra_atoms: Iterable[Atom] = (), relations: Iterable[tuple[str, int]] = ()
+    ) -> "Program":
+        """The program of `rules`, its signature also over `extra_atoms` and
+        the (predicate, arity) pairs `relations`."""
         rules = tuple(rules)
         ids = [r.id for r in rules]
         if len(set(ids)) != len(ids):
             raise ValueError("rule ids must be unique")
-        sig = infer_signature(
-            [a for r in rules for a in (*r.body, r.head)] + list(extra_atoms)
-        )
-        return cls(rules, sig)
+        atoms = [a for r in rules for a in (*r.body, r.head)] + list(extra_atoms)
+        return cls(rules, infer_signature([*((a.predicate, a.arity) for a in atoms), *relations]))
 
     @cached_property
     def _rules_by_id(self) -> dict[int, Rule]:
@@ -232,40 +234,70 @@ class Program:
         return any(r.is_existential for r in self.rules)
 
 
-@dataclass(frozen=True)
+NameKey = tuple[str, tuple[str, ...]]  # a database atom by name: (predicate, its constants' names)
+
+
+def _name_key(a: Atom) -> Optional[NameKey]:
+    """`a`'s key in a database, None when some argument is not a constant."""
+    if all(type(t) is Constant for t in a.args):
+        return a.predicate, tuple([t.name for t in a.args])
+    return None
+
+
+@dataclass(frozen=True, init=False)
 class FuzzyDatabase:
-    """The partial truth assignment tau: finitely many ground atoms with degrees in (0, 1]."""
+    """The partial truth assignment tau: finitely many ground atoms with
+    degrees in (0, 1]. `facts` keys each atom by name, in input order;
+    `entries`, the same map over `core` atoms, and `relations`, the
+    distinct (predicate, arity) pairs, are views built on first read."""
 
-    entries: dict[Atom, Fraction] = field(default_factory=dict)
+    facts: dict[NameKey, Fraction]
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Optional[Mapping[Atom, RationalLike]] = None) -> None:
+        entries = {} if entries is None else entries
+        facts: dict[NameKey, Fraction] = {}
         exact = True
-        for a, d in self.entries.items():
+        for a, d in entries.items():
             if not a.is_ground():
                 raise DomainError(f"database atom {a} is not ground")
             if a.has_nulls():
                 raise DomainError(f"database atom {a} contains a labelled null")
             exact &= as_degree(d, positive=True) is d
+            facts[_name_key(a)] = d
         if not exact:  # keep the exact degrees, in a copy: the caller's dict stays as it is
-            object.__setattr__(self, "entries", {a: as_degree(d) for a, d in self.entries.items()})
+            entries = {a: as_degree(d) for a, d in entries.items()}
+            facts = dict(zip(facts, entries.values()))
+        object.__setattr__(self, "facts", facts)
+        self.__dict__["entries"] = entries
 
     @classmethod
-    def from_validated(cls, entries: dict[Atom, Fraction]) -> "FuzzyDatabase":
-        """A database over entries that the caller has checked as
-        `__post_init__` would: ground, null-free atoms with `Fraction`
-        degrees in (0, 1]. The parser's facts are; nothing is re-checked."""
+    def from_facts(cls, facts: dict[NameKey, Fraction]) -> "FuzzyDatabase":
+        """A database over name-keyed facts that the caller has checked as
+        `__init__` would: `Fraction` degrees in (0, 1]. The parser's facts
+        are; nothing is re-checked."""
         database = object.__new__(cls)
-        object.__setattr__(database, "entries", entries)
+        object.__setattr__(database, "facts", facts)
         return database
 
+    @cached_property
+    def entries(self) -> dict[Atom, Fraction]:
+        """`facts` over `core` atoms, in the same order, one `Constant` per name."""
+        constant = {name: Constant(name) for name in {n for _, args in self.facts for n in args}}.__getitem__
+        return {Atom(p, tuple(map(constant, args))): d for (p, args), d in self.facts.items()}
+
+    @cached_property
+    def relations(self) -> list[tuple[str, int]]:
+        """The distinct (predicate, arity) pairs of the facts, in first-seen order."""
+        return list(dict.fromkeys([(p, len(args)) for p, args in self.facts]))
+
     def degree(self, a: Atom) -> Optional[Fraction]:
-        return self.entries.get(a)
+        return self.facts.get(_name_key(a))
 
     def __contains__(self, a: Atom) -> bool:
-        return a in self.entries
+        return _name_key(a) in self.facts
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.facts)
 
 
 @dataclass(frozen=True)
@@ -305,7 +337,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "K", as_degree(self.K, positive=True))
-        object.__setattr__(self, "signature", infer_signature(self.database.entries, self.program.signature))
+        object.__setattr__(self, "signature", infer_signature(self.database.relations, self.program.signature))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ fixpoint on ints, which also finds a pin the rules overshoot; only D,
 the free heads of the others closed under the rules they feed, goes to
 an exact LP (`horn_split`). `Engine.query` reads one degree by the
 chase's `id_of`; `Engine.model` is a view of the degrees in `core`
-atoms, its support built in rank order, for library callers. The full
-LP over olim (`eoptk_columns`) is the reference route behind
-`use_fast_path=False` and what `mvdl ground` prints. `verify_model` and
-a Kleene-style oracle read the chase's `core` views instead.
+atoms, its support built in rank order, for library callers, as are
+`Engine.pins` and `Engine.seeds`. The full LP over olim
+(`eoptk_columns`) is the reference route behind `use_fast_path=False`,
+its columns left unnamed there, and what `mvdl ground` prints, named by
+atom. `verify_model` and a Kleene-style oracle read the chase's `core`
+views instead.
 """
 
 from __future__ import annotations
@@ -141,11 +143,13 @@ def eoptk_columns(
     """The existential LP and its tie-break over columns in [0, 1], column j
     the j-th atom of chase.sorted_olim(), which names it: `column_program`
     of every ground rule and its head sum, `pins` fixed and `seeds` as
-    lower bounds, both by atom id; both default to tau's degrees."""
+    lower bounds, both by atom id; both default to tau's degrees, each
+    fact found by its name key's ranks."""
     _require_complete(chase)
-    ids = {a: i for i, a in enumerate(chase.facts)}
-    tau = {ids[a]: d for a, d in instance.database.entries.items()}
-    pins, seeds = tau if pins is None else pins, tau if seeds is None else seeds
+    if pins is None or seeds is None:
+        rank, ids = chase.index.rank, chase.ids
+        tau = {ids[p, tuple(map(rank.__getitem__, args))]: d for (p, args), d in instance.database.facts.items()}
+        pins, seeds = tau if pins is None else pins, tau if seeds is None else seeds
     rows = ((heads, g[2]) for g, heads in _head_sums(chase))
     columns = column_program(chase, chase.order, rows, pins, seeds, instance.K)
     columns.names = chase.sorted_olim()
@@ -492,16 +496,28 @@ class Engine:
         self.instance = instance
         self.step_limit = step_limit
         self.use_fast_path = use_fast_path
+        self.relaxed = relaxed
         # pins, the degrees a model must equal, and seeds, those it must reach, by
-        # atom and by id: the engine's chase numbers tau's atoms 0, 1, ... in order
-        tau = instance.database.entries
-        self.pins: Mapping[Atom, Fraction] = {} if relaxed else tau
-        self.pins_by_id: Mapping[int, Fraction] = {} if relaxed else dict(enumerate(tau.values()))
-        self.seeds, self.seeds_by_id = self.pins, self.pins_by_id
+        # id: the engine's chase numbers tau's facts 0, 1, ... in order
+        tau = instance.database.facts.values()
+        self.pins_by_id: Mapping[int, Fraction] = {} if relaxed else dict(enumerate(tau))
+        self.seeds_by_id = self.pins_by_id
         if relaxed:  # a bound at or below 0 is none, and is left out
-            slack, facts = ONE - instance.K, list(tau)
-            self.seeds_by_id = {i: d - slack for i, d in enumerate(tau.values()) if d > slack}
-            self.seeds = {facts[i]: d for i, d in self.seeds_by_id.items()}
+            slack = ONE - instance.K
+            self.seeds_by_id = {i: d - slack for i, d in enumerate(tau) if d > slack}
+
+    @cached_property
+    def pins(self) -> Mapping[Atom, Fraction]:
+        """`pins_by_id` by `core` atom."""
+        return {} if self.relaxed else self.instance.database.entries
+
+    @cached_property
+    def seeds(self) -> Mapping[Atom, Fraction]:
+        """`seeds_by_id` by `core` atom."""
+        if not self.relaxed:
+            return self.pins
+        facts = list(self.instance.database.entries)
+        return {facts[i]: d for i, d in self.seeds_by_id.items()}
 
     @property
     def is_existential(self) -> bool:
@@ -517,7 +533,7 @@ class Engine:
     def chase(self) -> ChaseResult:
         if self.step_limit is None and self.is_existential and self.witness:
             raise UnboundedChase(self.witness)
-        return oblivious_chase(self.instance.program, self.instance.database.entries, self.step_limit)
+        return oblivious_chase(self.instance.program, self.instance.database, self.step_limit)
 
     @cached_property
     def degrees(self) -> dict[int, Fraction]:
@@ -539,15 +555,16 @@ class Engine:
         K = self.instance.K
         pins, seeds = self.pins_by_id, self.seeds_by_id
         fail = NoObliviousBaseModel if self.is_existential else Unsatisfiable
-        if not self.use_fast_path:
-            return _optimum(eoptk_columns(self.instance, chase, seeds, pins), fail, K, chase.order)
+        if not self.use_fast_path:  # `eoptk_columns`, its columns left unnamed
+            rows = ((heads, g[2]) for g, heads in _head_sums(chase))
+            return _optimum(column_program(chase, chase.order, rows, pins, seeds, K), fail, K, chase.order)
         if self.is_existential:
             horn, pinned, rest, core = horn_split(chase, pins)
         else:  # every ground rule is Horn, D is empty
             horn, pinned, rest, core = chase.ground, {}, [], set()
         nu, over = least_fixpoint(horn, seeds, K, pinned, pins)
         if over is not None:
-            raise fail(f"derivations force {chase.facts[over]} to {nu[over]} but the database pins it at {pins[over]}")
+            raise fail(f"derivations force {chase.text(over)} to {nu[over]} but the database pins it at {pins[over]}")
         if core:
             used = core.union(*(heads for heads, _ in rest), *(body for _, body in rest))
             universe = [a for a in chase.order if a in used]
@@ -572,6 +589,6 @@ class Engine:
         c = as_degree(threshold)
         if not atom.is_ground():
             raise ValueError(f"query atom must be ground: {atom}")
-        infer_signature([atom], self.instance.signature)  # ArityError
+        infer_signature([(atom.predicate, atom.arity)], self.instance.signature)  # ArityError
         degree = self.degrees.get(self.chase.id_of(atom), ZERO)
         return QueryResult(atom, c, degree >= c, degree, self.is_existential)

@@ -14,8 +14,14 @@ decimal part (`[0-9]+(.[0-9]+)?`), so other Unicode digits are
 unexpected characters. Head variables absent from the body are
 existentially quantified unless strict mode is on.
 
-The tokenizer is one `findall` into plain strings; a token's kind is
-read off its text, and its position is recovered only for an error.
+The tokenizer is one `findall` into plain strings, comments dropped
+after it; a token's kind is read off its text, and its position is
+recovered only for an error.
+The descent reads an atom as its name key, (predicate, tuple of term
+texts), a text being a variable exactly when it starts with
+`[A-Z_]`. Facts stay name keys, deduplicated and checked on those
+tuples, and become a `FuzzyDatabase` as they are; only rules, which are
+few, are built as `core` atoms.
 """
 
 from __future__ import annotations
@@ -30,11 +36,12 @@ from .core import (
     Constant,
     DomainError,
     FuzzyDatabase,
+    NameKey,
     Program,
     Rule,
-    Term,
     Variable,
     as_degree,
+    atom_text,
     make_rule,
 )
 
@@ -60,9 +67,9 @@ class NonGroundQuery(ValueError):
     """A query atom contains variables."""
 
 
-# One findall yields the token texts: the group is empty for whitespace
-# and comments, and `.` takes any character the grammar has no token for.
-_TOKEN_RE = re.compile(r"\s+|%[^\n]*|([0-9]+(?:\.[0-9]+)?|[a-z][A-Za-z0-9_']*|[A-Z_][A-Za-z0-9_]*|:-|::|.)")
+# One findall yields the token texts and the comments, and skips whitespace;
+# `\S` takes any character the grammar has no token for.
+_TOKEN_RE = re.compile(r"[a-z][A-Za-z0-9_']*|[(),.]|[0-9]+(?:\.[0-9]+)?|[A-Z_][A-Za-z0-9_]*|:-|::|%[^\n]*|\S")
 
 # A token's kind by its first character, else by its whole text; the empty text is EOF.
 _KINDS = {
@@ -73,26 +80,33 @@ _KINDS = {
     "": "EOF",
 }
 
+_TERM_KINDS = frozenset(("VAR", "IDENT", "NUMBER"))
+
 T = TypeVar("T")
 
 
 class _Parser:
     """Recursive descent over the token texts, ending in EOF's empty text,
-    and their kinds in a parallel list. An error alone finds its token's
-    offset. Each distinct degree or term literal is built once."""
+    and their kinds in a parallel list; `variables` holds the texts of
+    kind VAR. An error alone finds its token's offset. Each distinct
+    degree literal, and each distinct term of a rule, is built once."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = [*filter(None, _TOKEN_RE.findall(text)), ""]
+        self.tokens = _TOKEN_RE.findall(text)
+        if "%" in text:
+            self.tokens = [token for token in self.tokens if token[0] != "%"]
+        self.tokens.append("")
         kinds = {token: _KINDS.get(token[:1]) or _KINDS.get(token, "OTHER") for token in set(self.tokens)}
         self.kinds = list(map(kinds.__getitem__, self.tokens))
+        self.variables = {token for token, kind in kinds.items() if kind == "VAR"}
         self.pos = 0
         self.degrees, self.terms = {}, {}  # literal -> the Fraction or Term built for it
         if "OTHER" in kinds.values():
             self.fail("unexpected character", self.kinds.index("OTHER"))
 
     def line_column(self, index: int) -> tuple[int, int]:
-        offset = [*(m.start() for m in _TOKEN_RE.finditer(self.text) if m.lastindex), len(self.text)][index]
+        offset = [*(m.start() for m in _TOKEN_RE.finditer(self.text) if m[0][0] != "%"), len(self.text)][index]
         line_start = self.text.rfind("\n", 0, offset) + 1
         return self.text.count("\n", 0, offset) + 1, offset - line_start + 1
 
@@ -108,7 +122,7 @@ class _Parser:
         self.pos = pos + 1
         return self.tokens[pos]
 
-    def statements(self) -> Iterator[tuple[Atom, Optional[list[Atom]], Fraction, int]]:
+    def statements(self) -> Iterator[tuple[NameKey, Optional[list[NameKey]], Fraction, int]]:
         """Yield (head, body, degree, first token index) per statement; a fact's body is None."""
         kinds = self.kinds
         while kinds[self.pos] != "EOF":
@@ -123,16 +137,12 @@ class _Parser:
             head = self.atom()
             if kind == "IDENT" and kinds[self.pos] == "IMPLIEDBY":
                 self.pos += 1
-                body = self.comma_separated(self.atom)
+                body = [self.atom()]
+                while kinds[self.pos] == "COMMA":
+                    self.pos += 1
+                    body.append(self.atom())
             self.expect("DOT")
             yield head, body, degree, start
-
-    def comma_separated(self, item: Callable[[], T]) -> list[T]:
-        items = [item()]
-        while self.kinds[self.pos] == "COMMA":
-            self.pos += 1
-            items.append(item())
-        return items
 
     def degree(self) -> Fraction:
         first = self.pos
@@ -163,25 +173,38 @@ class _Parser:
             # Python refuses to convert integer strings beyond sys.get_int_max_str_digits()
             self.fail("too many digits in degree", index)
 
-    def atom(self) -> Atom:
-        name = self.expect("IDENT")
-        if self.kinds[self.pos] != "LPAREN":
-            return Atom(name)
-        self.pos += 1
-        args = self.comma_separated(self.term)
-        self.expect("RPAREN")
-        return Atom(name, tuple(args))
+    def atom(self) -> NameKey:
+        """The next atom's name key: (predicate, its term texts)."""
+        tokens, kinds, pos = self.tokens, self.kinds, self.pos
+        if kinds[pos] != "IDENT":
+            self.fail("expected IDENT")
+        name = tokens[pos]
+        pos += 1
+        if kinds[pos] != "LPAREN":
+            self.pos = pos
+            return name, ()
+        args = []
+        while True:
+            pos += 1
+            if kinds[pos] not in _TERM_KINDS:
+                self.fail("expected a term", pos)
+            args.append(tokens[pos])
+            pos += 1
+            if kinds[pos] != "COMMA":
+                break
+        if kinds[pos] != "RPAREN":
+            self.fail("expected RPAREN", pos)
+        self.pos = pos + 1
+        return name, tuple(args)
 
-    def term(self) -> Term:
-        text = self.tokens[self.pos]
-        term = self.terms.get(text)
-        if term is None:
-            kind = self.kinds[self.pos]
-            if kind != "VAR" and kind != "IDENT" and kind != "NUMBER":
-                self.fail("expected a term")
-            term = self.terms[text] = Variable(text) if kind == "VAR" else Constant(text)
-        self.pos += 1
-        return term
+    def to_atom(self, key: NameKey) -> Atom:
+        """The `core` atom of a name key."""
+        predicate, args = key
+        terms = self.terms
+        for t in args:
+            if t not in terms:
+                terms[t] = Variable(t) if t in self.variables else Constant(t)
+        return Atom(predicate, tuple(map(terms.__getitem__, args)))
 
 
 def parse(text: str, *, strict: bool = False) -> tuple[Program, FuzzyDatabase]:
@@ -196,46 +219,47 @@ def parse_many(texts: Iterable[str], *, strict: bool = False) -> tuple[Program, 
     anywhere is reported before a semantic one.
     """
     parsed = [(parser, list(parser.statements())) for parser in map(_Parser, texts)]
-    facts: dict[Atom, Fraction] = {}
+    facts: dict[NameKey, Fraction] = {}
     rules: list[Rule] = []
     for parser, statements in parsed:
+        variables = parser.variables
         for head, body, degree, start in statements:
             if body is not None:
-                rule = make_rule(len(rules), body, head)
+                rule = make_rule(len(rules), list(map(parser.to_atom, body)), parser.to_atom(head))
                 if strict and rule.existential_vars:
                     raise SafetyError(
                         f"head variables {sorted(rule.existential_vars)} do not occur in the body "
-                        f"(line {parser.line_column(start)[0]}): {head}"
+                        f"(line {parser.line_column(start)[0]}): {rule.head}"
                     )
                 rules.append(rule)
                 continue
-            if not head.is_ground():
-                parser.fail("facts must be ground", start, str(head))
+            if not variables.isdisjoint(head[1]):
+                parser.fail("facts must be ground", start, atom_text(*head))
             # checked here, in statement order, and not again by FuzzyDatabase:
-            # a parsed term is never a labelled null, a parsed degree a Fraction
+            # a parsed degree is a Fraction
             as_degree(degree, positive=True)
-            known = facts.get(head)
-            if known is not None and known != degree:
+            known = facts.setdefault(head, degree)
+            if known is not degree and known != degree:
                 raise DomainError(
-                    f"conflicting degrees {known} and {degree} for fact {head} "
+                    f"conflicting degrees {known} and {degree} for fact {atom_text(*head)} "
                     f"(line {parser.line_column(start)[0]})"
                 )
-            facts[head] = degree
+    database = FuzzyDatabase.from_facts(facts)
     # Program.from_rules rejects a predicate used with two arities.
-    return Program.from_rules(rules, extra_atoms=list(facts)), FuzzyDatabase.from_validated(facts)
+    return Program.from_rules(rules, relations=database.relations), database
 
 
 def parse_ground_atom(text: str) -> Atom:
     """Parse a single ground atom, e.g. a query argument."""
     parser = _Parser(text)
-    a = parser.atom()
+    key = parser.atom()
     if parser.kinds[parser.pos] == "DOT":
         parser.pos += 1
     if parser.kinds[parser.pos] != "EOF":
         parser.fail("trailing input after atom")
-    if not a.is_ground():
-        raise NonGroundQuery(f"query atom must be ground: {a}")
-    return a
+    if not parser.variables.isdisjoint(key[1]):
+        raise NonGroundQuery(f"query atom must be ground: {atom_text(*key)}")
+    return parser.to_atom(key)
 
 
 def parse_degree(text: str) -> Fraction:

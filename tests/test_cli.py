@@ -572,6 +572,25 @@ class TestDegreeOptions:
         assert proc.stderr == f"error: {message}\n"
 
 
+class TestFileEncoding:
+    """Input files are UTF-8, a leading byte-order mark allowed; any other
+    bytes are an input error (exit 3), not a crash."""
+
+    @pytest.mark.parametrize("argv", [("solve",), ("query", "p(a)")], ids=["solve", "query"])
+    def test_non_utf8_exit_3(self, tmp_path, argv):
+        path = tmp_path / "bad.mvdl"
+        path.write_bytes(b"p(a).\n\xff\n")
+        proc = run_cli(argv[0], str(path), *argv[1:])
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: cannot read {path}: not UTF-8 (byte 6)\n"
+
+    def test_byte_order_mark_is_dropped(self, files, tmp_path):
+        path = tmp_path / "bom.mvdl"
+        path.write_bytes(KEY_PERSON.encode("utf-8-sig"))
+        assert run_cli("solve", str(path)).stdout == run_cli("solve", files["kp"]).stdout != ""
+
+
 class TestLongRuleBody:
     """A rule body of any length joins without running out of recursion depth."""
 
@@ -622,9 +641,10 @@ class TestJsonWriter:
 
 
 class TestAnswerOnIds:
-    """`solve`, `query` and `check` answer from `Engine.degrees` by atom id:
-    none builds the chase's `core` atoms (`ChaseResult.atoms`) or the
-    `Engine.model` view on them."""
+    """`solve`, `query` and `check` answer from `Engine.degrees` by atom id,
+    on the reference LP route too: none builds the chase's `core` atoms
+    (`ChaseResult.atoms`), the `Engine.model` view on them or the
+    database's `entries` view."""
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -639,6 +659,11 @@ class TestAnswerOnIds:
             (["query", "orca", "orca(i1)", "--mode", "relaxed", "--format", "text"], 1),
             (["check", "kp"], 0),
             (["check", "nulls"], 0),
+            (["solve", "kp", "--no-fast-path"], 0),
+            (["solve", "orca", "--no-fast-path", "--mode", "relaxed", "--format", "text"], 0),
+            (["solve", "unsat", "--no-fast-path"], 2),
+            (["query", "kp", "kp(amy, acme)", "--no-fast-path"], 1),
+            (["check", "kp", "--no-fast-path"], 0),
         ],
     )
     def test_no_atom_views(self, files, monkeypatch, capsys, argv, code):
@@ -657,3 +682,4 @@ class TestAnswerOnIds:
         (engine,) = engines
         assert ("degrees" in engine.__dict__) == (argv[1] not in ("unsat", "nulls"))  # the route ran, with a model
         assert "model" not in engine.__dict__ and "atoms" not in engine.chase.__dict__
+        assert "entries" not in engine.instance.database.__dict__

@@ -7,9 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import database_from_pairs, naive_parse_degree, naive_parse_ground_atom, naive_parse_many, random_instance
+from helpers import (
+    database_from_pairs,
+    naive_parse_degree,
+    naive_parse_ground_atom,
+    naive_parse_many,
+    random_degree,
+    random_existential_program,
+    random_instance,
+)
 from mvdatalog import core, parser
-from mvdatalog.core import ArityError, Atom, DomainError, FuzzyDatabase, LabelledNull, atom
+from mvdatalog.chase import oblivious_chase
+from mvdatalog.core import ArityError, Atom, DomainError, FuzzyDatabase, Instance, LabelledNull, atom
+from mvdatalog.engine import Engine
+from mvdatalog.termination import is_weakly_acyclic_ve
 from mvdatalog.parser import (
     NonGroundQuery,
     ParseError,
@@ -403,3 +414,50 @@ class TestAgainstNaiveParser:
     def test_parse_ground_atom_and_degree(self, text):
         assert _outcome(parse_ground_atom, text) == _outcome(naive_parse_ground_atom, text)
         assert _outcome(parse_degree, text) == _outcome(naive_parse_degree, text)
+
+
+class TestKeyedDatabase:
+    """The parser hands over its facts as name keys; a database built from
+    `core` atoms keys them the same way, so the two routes agree."""
+
+    @staticmethod
+    def _outcome(engine):
+        try:
+            return engine.degrees
+        except Exception as exc:  # Unsatisfiable and kin: compare the verdict
+            return type(exc)
+
+    def test_atoms_and_text_give_the_same_database(self):
+        rng = random.Random(2424)
+        draws = existential = 0
+        while draws < 300:
+            instance = random_instance(rng)
+            if rng.random() < 0.3:
+                program = random_existential_program(rng)
+                if not is_weakly_acyclic_ve(program)[0]:
+                    continue
+                facts = [atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")]
+                rng.shuffle(facts)
+                tau = FuzzyDatabase({a: random_degree(rng) for a in facts})
+                instance = Instance(program, tau, instance.K)
+                existential += 1
+            draws += 1
+            given = instance.database
+            text = "".join(f"{d} :: {a}.\n" for a, d in given.entries.items())
+            text += "".join(f"{r}.\n" for r in instance.program.rules)
+            program, parsed = parse(text)
+            assert parsed == given and len(parsed) == len(given)
+            assert list(parsed.entries.items()) == list(given.entries.items())
+            for a, d in given.entries.items():
+                assert parsed.degree(a) == d and a in parsed
+            assert parsed.degree(atom("p", "zz")) is None and atom("p", "zz") not in parsed
+            assert parsed.degree(atom("p", "X")) is None and Atom("p", (LabelledNull(1),)) not in parsed
+            # one ranking for database and atom input
+            by_key, by_atom = oblivious_chase(program, parsed), oblivious_chase(program, list(given.entries))
+            assert (by_key.keys, by_key.ground, by_key.terms) == (by_atom.keys, by_atom.ground, by_atom.terms)
+            for relaxed in (False, True):
+                engines = [Engine(Instance(p, d, instance.K), relaxed=relaxed)
+                           for p, d in ((instance.program, given), (program, parsed))]
+                assert self._outcome(engines[0]) == self._outcome(engines[1])
+                assert engines[0].pins == engines[1].pins and engines[0].seeds == engines[1].seeds
+        assert existential >= 50
