@@ -66,10 +66,10 @@ class ChaseResult:
     facts, so an atom lies over the active domain exactly when it is
     null-free. `ids` maps each key back to its atom's id, so `id_of`
     finds a `core` atom without building any, and `text` writes one.
-    `terms`, `facts`, `atoms`, `olim`, `gamma`, `registry` and
-    `sorted_olim()` are views in `core` objects, built on first read,
-    with one object per atom; `facts` holds the caller's own atoms when
-    `oblivious_chase` was given atoms.
+    `terms`, `atoms`, `olim`, `gamma`, `registry` and `sorted_olim()`
+    are views in `core` objects, built on first read, with one object
+    per atom. `given` is None, or, when `oblivious_chase` was given
+    atoms, the caller's own, which `atoms` holds as its facts.
     """
 
     keys: list[Key]
@@ -82,6 +82,7 @@ class ChaseResult:
     truncated: bool
     steps: int
     index: _Index = field(repr=False)
+    given: Optional[list[Atom]] = field(repr=False)
 
     @property
     def first_null(self) -> int:
@@ -103,15 +104,6 @@ class ChaseResult:
         return atom_text(predicate, list(map(self.texts.__getitem__, ranks)))
 
     @cached_property
-    def facts(self) -> list[Atom]:
-        """Fact i is facts[i]."""
-        return self._atoms(self.keys[:self.fact_count])
-
-    def _atoms(self, keys: Iterable[Key]) -> list[Atom]:
-        terms = self.terms.__getitem__
-        return [Atom(p, tuple(map(terms, args))) for p, args in keys]
-
-    @cached_property
     def order(self) -> list[int]:
         """The atom ids in `Atom.sort_key` order: by relation, then by rank tuple."""
         by_relation = self.index.by_relation
@@ -120,7 +112,8 @@ class ChaseResult:
     @cached_property
     def atoms(self) -> list[Atom]:
         """Atom i is atoms[i]."""
-        return [*self.facts, *self._atoms(self.keys[self.fact_count:])]
+        given, terms = self.given or [], self.terms.__getitem__
+        return [*given, *(Atom(p, tuple(map(terms, args))) for p, args in self.keys[len(given):])]
 
     @cached_property
     def olim(self) -> frozenset[Atom]:
@@ -377,7 +370,7 @@ def oblivious_chase(
 
     `facts` is a database, whose name keys are ranked as they are, or
     ground `core` atoms, nulls allowed, which are keyed at this boundary
-    and kept as the result's `facts`.
+    and kept as the result's `given`.
 
     A rule none of whose body relations gained atoms in the previous round
     is not joined; null numbering, `steps` and the truncation point are those
@@ -432,9 +425,6 @@ def oblivious_chase(
 
     applied.sort()
     ground = [(r, h, body) for r, _, h, body in applied]
-    result = ChaseResult(
-        keys, ids, list(rank), fact_count, max(top, fresh - first_null), ground, nulls, truncated, steps, index
+    return ChaseResult(
+        keys, ids, list(rank), fact_count, max(top, fresh - first_null), ground, nulls, truncated, steps, index, given
     )
-    if given is not None:
-        result.__dict__["facts"] = given
-    return result

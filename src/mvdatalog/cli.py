@@ -19,7 +19,7 @@ Results go to stdout as deterministic JSON (or plain text with
 
 Exit codes: 0 ok/entailed, 1 not entailed, 2 unsatisfiable, 3 usage,
 parse or input error, 4 chase limit reached/required, 5 no
-obliviously-based model.
+obliviously-based model, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -50,6 +51,7 @@ EXIT_UNSAT = 2
 EXIT_INPUT_ERROR = 3
 EXIT_CHASE_LIMIT = 4
 EXIT_NO_OBLIVIOUS_BASE = 5
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a process that SIGPIPE killed
 
 
 class CliError(Exception):
@@ -290,7 +292,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _step_count(text: str) -> int:
-    if not text.strip().isdecimal():
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
@@ -334,6 +337,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is left of the output goes to /dev/null, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _run(argv: Optional[list[str]]) -> int:
     try:
         args = build_arg_parser().parse_args(argv)
         return args.func(args)

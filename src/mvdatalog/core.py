@@ -111,18 +111,6 @@ class Atom:
     def sort_key(self) -> tuple:
         return (self.predicate, len(self.args), tuple(map(term_sort_key, self.args)))
 
-    def __hash__(self) -> int:
-        # cached: the generated hash would re-hash every term on each set or
-        # dict operation
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.predicate, self.args))
-        return h
-
-    def __getstate__(self) -> dict:
-        # the cached hash of a str is only valid in the process that computed it
-        return {"predicate": self.predicate, "args": self.args}
-
     def __str__(self) -> str:
         return atom_text(self.predicate, [str(t) for t in self.args])
 

@@ -144,11 +144,10 @@ def eoptk_columns(
     the j-th atom of chase.sorted_olim(), which names it: `column_program`
     of every ground rule and its head sum, `pins` fixed and `seeds` as
     lower bounds, both by atom id; both default to tau's degrees, each
-    fact found by its name key's ranks."""
+    fact found by the chase's `id_of`."""
     _require_complete(chase)
     if pins is None or seeds is None:
-        rank, ids = chase.index.rank, chase.ids
-        tau = {ids[p, tuple(map(rank.__getitem__, args))]: d for (p, args), d in instance.database.facts.items()}
+        tau = {chase.id_of(a): d for a, d in instance.database.entries.items()}
         pins, seeds = tau if pins is None else pins, tau if seeds is None else seeds
     rows = ((heads, g[2]) for g, heads in _head_sums(chase))
     columns = column_program(chase, chase.order, rows, pins, seeds, instance.K)

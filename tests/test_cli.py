@@ -507,8 +507,12 @@ class TestUsageErrors:
             ("check", "{orca}", "--max-chase-steps", "2.5"),
             ("frobnicate", "{orca}"),
             (),
+            ("solve", "{orca}", "--max-chase-steps", "٣"),
         ],
-        ids=["no-files", "format-xml", "steps-word", "steps-negative", "steps-fraction", "unknown-command", "no-command"],
+        ids=[
+            "no-files", "format-xml", "steps-word", "steps-negative", "steps-fraction", "unknown-command", "no-command",
+            "steps-arabic-indic-digit",
+        ],
     )
     def test_usage_error_exit_3(self, files, argv):
         proc = run_cli(*(a.format(**files) for a in argv))
@@ -524,6 +528,26 @@ class TestUsageErrors:
         proc = run_cli("solve", files["orca"], "--max-chase-steps", "0")
         assert proc.returncode == 4
         assert proc.stderr == "error: chase stopped after 0 steps\n"
+
+
+class TestClosedStdout:
+    """A reader that stops early ends the CLI quietly with exit 141, which
+    no other outcome uses, not with a traceback and 1 (not entailed)."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_reader_closes_after_one_line(self, tmp_path, fmt):
+        path = tmp_path / "wide.mvdl"
+        # 12,000 model atoms: some 300 KB of text, 1 MB of JSON, more than a pipe holds
+        path.write_text("".join(f"0.5 :: p(c{i}).\n" for i in range(6000)) + "q(X) :- p(X).\n", encoding="utf-8")
+        argv = [sys.executable, "-m", "mvdatalog", "solve", str(path), "--format", fmt]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert stderr == b""
+        assert code == 141
 
 
 class TestDegreeOptions:
@@ -668,7 +692,11 @@ class TestAnswerOnIds:
     )
     def test_no_atom_views(self, files, monkeypatch, capsys, argv, code):
         from mvdatalog import cli
+        from mvdatalog.core import Atom
 
+        hashed = []  # every `core` atom hashed during the call: none
+        generated = Atom.__hash__
+        monkeypatch.setattr(Atom, "__hash__", lambda a: hashed.append(a) or generated(a))
         engines = []
         real = cli._open
 
@@ -683,3 +711,4 @@ class TestAnswerOnIds:
         assert ("degrees" in engine.__dict__) == (argv[1] not in ("unsat", "nulls"))  # the route ran, with a model
         assert "model" not in engine.__dict__ and "atoms" not in engine.chase.__dict__
         assert "entries" not in engine.instance.database.__dict__
+        assert hashed == []
