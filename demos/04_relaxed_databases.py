@@ -35,5 +35,6 @@ print("at K=1/2:", {str(a): str(d) for a, d in sorted(half.assignment.support.it
 #    degree d only asks for d - (1 - K), its own degree at K = 1.
 for K in (Fraction(1), Fraction(3, 4)):
     engine = Engine(Instance(program, database, K), relaxed=True)
-    print(f"relaxed at K={K}: lower bounds", {str(a): str(d) for a, d in engine.seeds.items()})
+    facts = list(database.entries)  # seeds_by_id is keyed by fact index
+    print(f"relaxed at K={K}: lower bounds", {str(facts[i]): str(d) for i, d in engine.seeds_by_id.items()})
     print("  model:", {str(a): str(d) for a, d in sorted(engine.model.assignment.support.items(), key=lambda kv: str(kv[0]))})

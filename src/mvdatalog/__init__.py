@@ -20,11 +20,10 @@ from .core import (
     as_degree,
     atom,
     body_truth,
-    k_satisfies,
     make_rule,
     rule_gap,
 )
-from .chase import ChaseResult, enumerate_homomorphisms, oblivious_chase
+from .chase import ChaseResult, oblivious_chase
 from .engine import (
     Engine,
     GroundModel,
@@ -39,7 +38,7 @@ from .engine import (
     preferred_model,
     verify_model,
 )
-from .parser import ParseError, format_instance, parse, parse_ground_atom, parse_many
+from .parser import ParseError, parse, parse_ground_atom, parse_many
 from .termination import is_weakly_acyclic_ve, variable_expansion
 
 __version__ = "0.1.0"
@@ -68,11 +67,8 @@ __all__ = [
     "as_degree",
     "atom",
     "body_truth",
-    "enumerate_homomorphisms",
     "fixpoint_minimal_model",
-    "format_instance",
     "is_weakly_acyclic_ve",
-    "k_satisfies",
     "k_truth",
     "make_rule",
     "minimal_model",

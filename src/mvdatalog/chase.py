@@ -15,21 +15,26 @@ also its sort key, found by matching body[d] in the delta, then probing
 hash indexes on the positions a constant or an earlier atom fixes.
 Gamma is kept as (rule id, head id, body ids); the compiled rule also
 decides a ground rule's head sum (`head_ids`). `ChaseResult` builds
-`core` terms, atoms and ground rules only when they are read.
+`core` terms, atoms and ground rules only when they are read; its
+`AtomTable` part, the keys and the ways to write and find an atom, is
+also the table of `settle`, a least fixpoint of a plain program that
+reuses `_rank`, `_Index` and `_join` to ground only the rules that fire.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import Atom, Constant, FuzzyDatabase, GroundRule, LabelledNull, Program, Rule, Term, Variable, atom_text
 
 Relation = tuple[str, int]  # (predicate, arity)
 Key = tuple[str, tuple]  # (predicate, args): ranks in the chase, terms in `engine.verify_model`
 Ground = tuple[int, int, tuple[int, ...]]  # a ground rule: (rule id, head id, body ids)
+Scaled = Union[int, Fraction]  # a degree in units of 1/L: an int, or a Fraction where L is 1
 
 
 def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -53,50 +58,36 @@ class NullRegistry(list):
         return {n for _, _, nulls in self for n in nulls}
 
 
-@dataclass(frozen=True, eq=False)
-class ChaseResult:
-    """The chase's atoms (olim: the facts plus Gamma's heads), Gamma and nulls.
-
-    Atom i is keys[i], (predicate, rank tuple), a fact below
-    `fact_count`; rank r is the constant names[r] below `first_null`,
-    len(names), else null r - first_null + 1, up to null `null_count`.
-    `ground` is Gamma as (rule id, head id, body ids), `nulls` the
-    registry as (rule id, slot names, slot ranks, null ranks), `index`
-    the chase's own. The constants all come from the program or the
-    facts, so an atom lies over the active domain exactly when it is
-    null-free. `ids` maps each key back to its atom's id, so `id_of`
-    finds a `core` atom without building any, and `text` writes one.
-    `terms`, `atoms`, `olim`, `gamma`, `registry` and `sorted_olim()`
-    are views in `core` objects, built on first read, with one object
-    per atom. `given` is None, or, when `oblivious_chase` was given
-    atoms, the caller's own, which `atoms` holds as its facts.
+class AtomTable:
+    """Ground atoms by int id: atom i is keys[i], (predicate, rank tuple), a
+    fact below `fact_count`. Rank r is the constant of the r-th name of
+    `rank` (names to ranks, sorted) below `first_null`, else null
+    r - first_null + 1, up to null `null_count`. `ids` maps each key back
+    to its id, so `id_of` finds a `core` atom without building any, and
+    `text` writes one. `order` is the ids in key order, `Atom.sort_key`'s
+    when each predicate has one arity, as in an `Instance`. `terms` and
+    `atoms` are views in `core` objects, built on first read; `given` is
+    None, or the caller's own atoms, which `atoms` holds as its facts.
     """
 
-    keys: list[Key]
-    ids: dict[Key, int]
-    names: list[str]
-    fact_count: int
-    null_count: int
-    ground: list[Ground]
-    nulls: list[tuple[int, list[str], tuple[int, ...], tuple[int, ...]]]
-    truncated: bool
-    steps: int
-    index: _Index = field(repr=False)
-    given: Optional[list[Atom]] = field(repr=False)
+    def __init__(self, keys: list[Key], ids: dict[Key, int], rank: dict[str, int], fact_count: int,
+                 null_count: int, given: Optional[list[Atom]]) -> None:
+        self.keys, self.ids, self.rank = keys, ids, rank
+        self.fact_count, self.null_count, self.given = fact_count, null_count, given
 
     @property
     def first_null(self) -> int:
-        return len(self.names)
+        return len(self.rank)
 
     @cached_property
     def terms(self) -> list[Term]:
         """Term r is terms[r]."""
-        return _terms(self.names, self.null_count)
+        return _terms(list(self.rank), self.null_count)
 
     @cached_property
     def texts(self) -> list[str]:
         """Term r's text, str(terms[r]), without building the terms."""
-        return [*self.names, *(str(LabelledNull(n)) for n in range(1, self.null_count + 1))]
+        return [*self.rank, *(str(LabelledNull(n)) for n in range(1, self.null_count + 1))]
 
     def text(self, i: int) -> str:
         """Atom i's text, str(atoms[i]), without building the atom."""
@@ -105,15 +96,49 @@ class ChaseResult:
 
     @cached_property
     def order(self) -> list[int]:
-        """The atom ids in `Atom.sort_key` order: by relation, then by rank tuple."""
-        by_relation = self.index.by_relation
-        return [i for relation in sorted(by_relation) for _, i in sorted(by_relation[relation])]
+        """The atom ids in key order."""
+        return sorted(range(len(self.keys)), key=self.keys.__getitem__)
 
     @cached_property
     def atoms(self) -> list[Atom]:
         """Atom i is atoms[i]."""
         given, terms = self.given or [], self.terms.__getitem__
         return [*given, *(Atom(p, tuple(map(terms, args))) for p, args in self.keys[len(given):])]
+
+    def id_of(self, atom: Atom) -> Optional[int]:
+        """The id of the ground atom `atom`, None when the table does not hold
+        it: a constant by its rank, null n at `first_null` + n - 1 for n >= 1
+        (below 1 it would alias a constant's rank)."""
+        rank, ranks = self.rank, []
+        for t in atom.args:
+            r = rank.get(t.name) if type(t) is Constant else (
+                self.first_null + t.id - 1 if type(t) is LabelledNull and t.id >= 1 else None)
+            if r is None:
+                return None
+            ranks.append(r)
+        return self.ids.get((atom.predicate, tuple(ranks)))
+
+
+class ChaseResult(AtomTable):
+    """The chase's atoms (olim: the facts plus Gamma's heads), Gamma and nulls.
+
+    An `AtomTable` with Gamma as (rule id, head id, body ids) in `ground`,
+    the registry as (rule id, slot names, slot ranks, null ranks) in
+    `nulls`, and the chase's own `index`. The constants all come from the
+    program or the facts, so an atom lies over the active domain exactly
+    when it is null-free. `olim`, `gamma`, `registry` and `sorted_olim()`
+    are views in `core` objects, built on first read, one object per atom.
+    """
+
+    ground: list[Ground]
+    nulls: list[tuple[int, list[str], tuple[int, ...], tuple[int, ...]]]
+    truncated: bool
+    steps: int
+    index: _Index
+
+    def __init__(self, keys, ids, rank, fact_count, null_count, given, ground, nulls, truncated, steps, index):
+        super().__init__(keys, ids, rank, fact_count, null_count, given)
+        self.ground, self.nulls, self.truncated, self.steps, self.index = ground, nulls, truncated, steps, index
 
     @cached_property
     def olim(self) -> frozenset[Atom]:
@@ -130,21 +155,8 @@ class ChaseResult:
         return NullRegistry([(r, tuple(zip(names, map(terms, slots))), tuple(map(terms, made)))
                              for r, names, slots, made in self.nulls])
 
-    def id_of(self, atom: Atom) -> Optional[int]:
-        """The id of the ground atom `atom`, None when the chase does not hold
-        it: a constant by its rank, null n at `first_null` + n - 1 for n >= 1
-        (below 1 it would alias a constant's rank)."""
-        rank, ranks = self.index.rank, []
-        for t in atom.args:
-            r = rank.get(t.name) if type(t) is Constant else (
-                self.first_null + t.id - 1 if type(t) is LabelledNull and t.id >= 1 else None)
-            if r is None:
-                return None
-            ranks.append(r)
-        return self.ids.get((atom.predicate, tuple(ranks)))
-
     def sorted_olim(self) -> list[Atom]:
-        """olim in `Atom.sort_key` order, sorted once per chase."""
+        """olim in `order`, sorted once per chase."""
         return list(map(self.atoms.__getitem__, self.order))
 
 
@@ -343,16 +355,6 @@ def _join(rule: Rule, index: _Index) -> list[tuple[tuple[int, ...], tuple[int, .
     return results
 
 
-def enumerate_homomorphisms(rule: Rule, atoms: Iterable[Atom]) -> list[dict[str, Term]]:
-    """All substitutions of the rule's body variables into `atoms`, sorted
-    by their images in variable-name order: the chase's join with every atom
-    in the delta."""
-    rank, held, top = _rank_atoms([rule], atoms)
-    index = _Index(list(held), rank)
-    terms = _terms(list(rank), top)
-    return [dict(zip(index.compiled(rule).names, map(terms.__getitem__, slots))) for slots, _ in _join(rule, index)]
-
-
 def head_ids(compiled: _CompiledRule, args: tuple, index: _Index) -> list[int]:
     """The ids of `index`'s atoms in the head sum of a ground rule of
     compiled's existential rule with head args `args`: a hash lookup on the
@@ -375,8 +377,8 @@ def oblivious_chase(
     A rule none of whose body relations gained atoms in the previous round
     is not joined; null numbering, `steps` and the truncation point are those
     of a chase that re-enumerates every pair each round. Gamma holds the
-    ground rule of every applied pair, ordered by rule id and then as
-    `enumerate_homomorphisms` orders homomorphisms: one per pair whose body
+    ground rule of every applied pair, ordered by rule id and then by the
+    homomorphism's images in variable-name order: one per pair whose body
     maps into olim, or, flagged truncated past the step limit, one per
     application performed.
     """
@@ -426,5 +428,61 @@ def oblivious_chase(
     applied.sort()
     ground = [(r, h, body) for r, _, h, body in applied]
     return ChaseResult(
-        keys, ids, list(rank), fact_count, max(top, fresh - first_null), ground, nulls, truncated, steps, index, given
+        keys, ids, rank, fact_count, max(top, fresh - first_null), given, ground, nulls, truncated, steps, index
     )
+
+
+def settle(
+    program: Program, database: FuzzyDatabase, k: Scaled, L: int, seeds: Mapping[int, Scaled]
+) -> tuple[AtomTable, dict[int, Scaled]]:
+    """The least degrees nu >= `seeds` (by fact index) with nu(H) >= nu(body)
+    - 1 + K for every ground rule of a plain program, grounding only the
+    rules that fire: the atom table (the facts, ids 0, 1, ... in input
+    order, then each derived atom of positive degree) and the positive
+    degrees by id, all in units of 1/L, as is K = k/L.
+
+    Datalog over ([0, 1], max, Lukasiewicz t-norm), in Knuth's
+    generalisation of Dijkstra's algorithm: a rule's value is never above
+    its weakest body atom, so the atoms at the heap's top degree are final
+    and settle together as the index's delta, and the semi-naive `_join`
+    of each rule that touches it fires a ground rule once, when its last
+    body atom settles.
+    """
+    rank, keys = _rank(program.rules, database.facts)
+    ids = dict(zip(keys, range(len(keys))))
+    nu = dict(seeds)
+    heap = [(-d, a) for a, d in nu.items()]
+    heapq.heapify(heap)
+    values = []  # the settled atoms' degrees, by position in the index
+    index = _Index([], rank)
+    compiled = [index.compiled(r) for r in program.rules]
+    # each rule with its body relations and its value less its body sum
+    rules = [(c, frozenset(c.relations), k - len(c.relations) * L) for c in compiled]
+    joined = {p for c in compiled for p, _ in c.relations}  # no other atom enters the index
+    pop, push, indexed, value_of = heapq.heappop, heapq.heappush, index.keys, values.__getitem__
+    while heap:
+        top = heap[0][0]
+        level = -top
+        while heap and heap[0][0] == top:
+            a = pop(heap)[1]
+            if nu[a] == level and keys[a][0] in joined:  # else stale (nu[a] was raised, or a settled) or unjoined
+                indexed.append(keys[a])
+                values.append(level)
+        if len(values) == index.end:
+            continue
+        index.add()
+        delta, held = index.delta_by_relation.keys(), index.by_relation.keys()
+        for c, relations, bias in rules:  # joined when the delta and every body relation hold atoms
+            if delta.isdisjoint(relations) or not held >= relations:
+                continue
+            predicate, head_args, constants, _ = c.head
+            for slots, body in _join(c.rule, index):
+                value = bias + sum(map(value_of, body))
+                if value > 0:
+                    key = (predicate, head_args(slots + constants))
+                    if (h := ids.setdefault(key, len(keys))) == len(keys):
+                        keys.append(key)
+                    if value > nu.get(h, 0):
+                        nu[h] = value
+                        push(heap, (-value, h))
+    return AtomTable(keys, ids, rank, len(database), 0, None), nu

@@ -3,15 +3,18 @@
 Subcommands: solve, query, check, ground. All four run one pipeline,
 `_open`: parse the files and build the Engine, relaxed under --mode
 relaxed (tau's degrees become lower bounds; the program is unchanged).
-Its chase gate chases an existential program only when it is weakly
-acyclic or --max-chase-steps bounds it. `check` reports a refused chase
-with the engine's witness cycle; the other commands exit 4 on it,
+`solve` and `query` settle a plain program without a chase; `check`,
+`ground`, --no-fast-path, --max-chase-steps and existential programs
+chase. The chase gate chases an existential program only when it is
+weakly acyclic or --max-chase-steps bounds it. `check` reports a refused
+chase with the engine's witness cycle; the other commands exit 4 on it,
 `query` before it parses its atom.
 
-`solve`, `query` and `check` answer from `Engine.degrees`, by atom id,
-and build no `core` atom, of the chase or of the database, also under
---no-fast-path: `solve` writes each atom from the chase's rank key and
-its constants' names, in rank order. Input files are read as UTF-8, a
+`solve`, `query` and `check` answer from `Engine.degrees`, by the id of
+an atom of `Engine.table`, and build no `core` atom, of the table or of
+the database, on any route: `solve` writes each atom from its rank key
+and its constants' names, in rank order, and each distinct degree once;
+its JSON is the same on every route. Input files are read as UTF-8, a
 leading byte-order mark dropped; other bytes are an input error.
 
 Results go to stdout as deterministic JSON (or plain text with
@@ -123,20 +126,22 @@ _ROW = '{{\n      "atom": {},\n      "degree": "{}",\n      "source": "{}"\n    
 
 def cmd_solve(args) -> int:
     engine = _open(args)
-    degrees, chase, K = engine.degrees, engine.chase, engine.instance.K
+    degrees, table, K = engine.degrees, engine.table, engine.instance.K
     tau = list(engine.instance.database.facts.values())  # fact i's degree, i < len(tau)
     pins = engine.pins_by_id  # a pinned fact's degree is tau's by construction
     certainty = K == 1 and not engine.is_existential  # a minimal model at K = 1: its degree-1 atoms are certain
+    # the fixpoint routes share one Fraction per distinct degree: each is written once
+    texts = {i: str(d) for i, d in {id(d): d for d in degrees.values()}.items()}
     entries = []  # (atom, degree, source) in rank order, as `str(Atom)` and `str(Fraction)`
     certain = 0
-    for i in chase.order:
+    for i in table.order:
         d = degrees.get(i)
         if d is None:
             continue
         one = certainty and d == 1
         certain += one
         source = "given" if i in pins or i < len(tau) and tau[i] == d else "certain" if one else "derived"
-        entries.append((chase.text(i), str(d), source))
+        entries.append((table.text(i), texts[id(d)], source))
     if args.format == "text":
         _emit({}, False, [f"{a} = {d}  ({source})" for a, d, source in entries])
         return EXIT_OK
@@ -146,11 +151,7 @@ def cmd_solve(args) -> int:
         "kind": (ModelKind.PREFERRED if engine.is_existential else ModelKind.MINIMAL).value,
         "K": str(K),
         "model": _Laid("[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"),
-        "stats": {
-            "ground_rules": len(chase.ground),
-            "variables": len(chase.keys),
-            "certain": certain,
-        },
+        "stats": {"certain": certain},
     }
     _emit(payload, True, [])
     return EXIT_OK
@@ -158,7 +159,8 @@ def cmd_solve(args) -> int:
 
 def cmd_query(args) -> int:
     engine = _open(args)
-    engine.chase  # the chase gate precedes parsing the atom
+    if engine.is_existential:  # the chase gate, which only refuses an existential program, precedes parsing the atom
+        engine.chase
     atom = parse_ground_atom(args.atom)
     threshold = as_degree(parse_degree(args.at_least))
     result = engine.query(atom, threshold)

@@ -210,13 +210,6 @@ class Program:
         atoms = [a for r in rules for a in (*r.body, r.head)] + list(extra_atoms)
         return cls(rules, infer_signature([*((a.predicate, a.arity) for a in atoms), *relations]))
 
-    @cached_property
-    def _rules_by_id(self) -> dict[int, Rule]:
-        return {r.id: r for r in self.rules}
-
-    def rule_by_id(self, rule_id: int) -> Rule:
-        return self._rules_by_id[rule_id]
-
     @property
     def has_existential_rules(self) -> bool:
         return any(r.is_existential for r in self.rules)
@@ -347,9 +340,4 @@ def body_truth(nu: TruthAssignment, body: Sequence[Atom]) -> Fraction:
 def rule_gap(nu: TruthAssignment, gamma: GroundRule, K: Fraction) -> Fraction:
     """nu(head) - (nu(body) - 1 + K); >= 0 iff K-satisfied, == 0 iff tight."""
     return nu(gamma.head) - (body_truth(nu, gamma.body) - ONE + K)
-
-
-def k_satisfies(nu: TruthAssignment, gamma: GroundRule, K: Fraction) -> bool:
-    """True iff the implication value min(1, 1 - nu(body) + nu(head)) reaches K."""
-    return rule_gap(nu, gamma, K) >= ZERO
 

@@ -1,25 +1,25 @@
 """Model computation and fact entailment.
 
-Pipeline: chase the crisp instance once (`Engine.chase` refuses an
-existential program that is not weakly acyclic unless a step limit
-bounds it), then solve on the chase's atom ids; `Engine.degrees` is the
-one place that picks the route, and answers by atom id. olim is the LP's
-columns and the model's atoms, in rank order (`ChaseResult.order`, which
-is `Atom.sort_key`'s), an atom is active exactly when it is null-free,
-and the chase's compiled rules decide each ground rule's head sum. The
-database enters as pins, the degrees a model must equal, and seeds, the
-lower bounds it must reach, keyed by fact id. Ground rules whose head
-sum holds at most one unpinned atom are Horn and go to an exact least
-fixpoint on ints, which also finds a pin the rules overshoot; only D,
-the free heads of the others closed under the rules they feed, goes to
-an exact LP (`horn_split`). `Engine.query` reads one degree by the
-chase's `id_of`; `Engine.model` is a view of the degrees in `core`
-atoms, its support built in rank order, for library callers, as are
-`Engine.pins` and `Engine.seeds`. The full LP over olim
-(`eoptk_columns`) is the reference route behind `use_fast_path=False`,
-its columns left unnamed there, and what `mvdl ground` prints, named by
-atom. `verify_model` and a Kleene-style oracle read the chase's `core`
-views instead.
+`Engine.degrees` picks the route and answers by the id of an atom of
+`Engine.table`, facts first in input order. The database enters as pins,
+the degrees a model must equal, and seeds, the lower bounds it must
+reach, by fact id. A plain program on the default route `settle`s
+(`chase.settle`, on `_scaled` ints): a least fixpoint in decreasing
+degree that joins the rules as atoms settle, so it grounds only the
+rules that fire and builds no chase. Every other engine chases once (`Engine.chase`,
+built on first read, refuses an existential program that is not weakly
+acyclic unless a step limit bounds it) and solves on the chase's ids:
+ground rules whose head sum holds at most one unpinned atom are Horn and
+go to an exact least fixpoint on ints, which also finds a pin the rules
+overshoot; only D, the free heads of the others closed under the rules
+they feed, goes to an exact LP over its columns in rank order
+(`horn_split`). An atom is active exactly when it is null-free, and the
+chase's compiled rules decide each ground rule's head sum.
+`Engine.query` reads one degree by the table's `id_of`; `Engine.model`
+is a view of the degrees in `core` atoms, in `Atom.sort_key` order. The
+full LP over olim (`eoptk_columns`) is the reference route behind
+`use_fast_path=False` and what `mvdl ground` prints, named by atom.
+`verify_model` and a Kleene-style oracle read the chase's `core` views.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .chase import ChaseResult, Ground, _Index, head_ids, oblivious_chase
+from .chase import AtomTable, ChaseResult, Ground, Scaled, _Index, head_ids, oblivious_chase, settle
 from .core import (
     ONE,
     ZERO,
@@ -240,6 +240,29 @@ def horn_split(
 _LCM_CAP_BITS = 256  # well below where the read-back gcds outgrow Fraction arithmetic (1,400-3,200 bits on a path)
 
 
+def _scaled(K: Fraction, seeds: Mapping[int, Fraction]) -> tuple[int, Scaled, dict[int, Scaled]]:
+    """L, the lcm of the denominators of K and the seeds, and K and the seeds
+    as ints scaled by L, as is every degree the rules derive from them;
+    past `_LCM_CAP_BITS` bits of L, L is 1 and they stay Fractions."""
+    L = K.denominator
+    for d in seeds.values():
+        L = lcm(L, d.denominator) if L.bit_length() <= _LCM_CAP_BITS else L
+    if L.bit_length() > _LCM_CAP_BITS:
+        return 1, K, dict(seeds)
+    return L, K.numerator * (L // K.denominator), {a: d.numerator * (L // d.denominator) for a, d in seeds.items()}
+
+
+def _read_back(
+    nu: dict[int, Scaled], L: int, start: Mapping[int, Scaled], pins: Iterable[int]
+) -> tuple[dict[int, Fraction], Optional[int]]:
+    """`_scaled` degrees as Fractions, one per distinct value, and the first
+    of `pins` that nu raises above its `start` (None if none): nu only
+    grows, so that is a test for equality, made on the scaled ints."""
+    over = next((a for a in pins if nu[a] != start[a]), None)
+    degrees = {v: Fraction(v, L) for v in set(nu.values())}
+    return {a: degrees[v] for a, v in nu.items()}, over
+
+
 def least_fixpoint(
     gamma: Sequence[Ground],
     seeds: Mapping[int, Fraction],
@@ -252,27 +275,17 @@ def least_fixpoint(
     offset of the i-th rule the seed degrees of its `pinned_heads[i]` (0
     when absent): the other atoms of an existential head sum, held at
     their pins. Also returns the first of `pins`, seeds held at their seed
-    degree, that nu raises above its seed, None when there is none: nu
-    only grows, so that is a test for equality, made on the scaled ints.
+    degree, that nu raises above its seed, None when there is none.
 
     Knuth's generalisation of Dijkstra's algorithm: a rule's value is
     monotone in its body and never above its weakest body atom, so the
     atom with the largest tentative degree is final when it leaves the
     heap. Each ground rule fires once, when the last of its distinct body
     atoms settles. Seeds are lower bounds, not pins; only positive
-    degrees are returned, by id. Every degree is a multiple of 1/L, L the
-    lcm of the denominators of K and the seeds, so the heap and the rule
-    values are ints scaled by L, each distinct one read back once as
-    Fraction(v, L); past `_LCM_CAP_BITS` bits of L the same loop runs on
-    the Fractions (L = 1).
+    degrees are returned, by id. The heap and the rule values are
+    `_scaled` ints, each distinct one read back once (`_read_back`).
     """
-    L = K.denominator
-    for d in seeds.values():
-        L = lcm(L, d.denominator) if L.bit_length() <= _LCM_CAP_BITS else L
-    scaled = L.bit_length() <= _LCM_CAP_BITS
-    L = L if scaled else 1
-    nu = {a: d.numerator * (L // d.denominator) for a, d in seeds.items()} if scaled else dict(seeds)
-    k = K.numerator * (L // K.denominator) if scaled else K
+    L, k, nu = _scaled(K, seeds)
     start = nu.copy()
     waiting: dict[int, list[int]] = {}
     unsettled: list[int] = []
@@ -298,11 +311,7 @@ def least_fixpoint(
             if value > nu.get(h, 0):
                 nu[h] = value
                 heapq.heappush(heap, (-value, h))
-    over = next((a for a in pins if nu[a] != start[a]), None)
-    if not scaled:
-        return nu, over
-    degrees = {v: Fraction(v, L) for v in set(nu.values())}
-    return {a: degrees[v] for a, v in nu.items()}, over
+    return _read_back(nu, L, start, pins)
 
 
 def minimal_model(
@@ -430,8 +439,8 @@ def verify_model(
     an existential rule, strong existential semantics, every atom matching
     it, nulls replaced consistently by anything. The database's degrees are
     `pins`, which a model must equal, and `seeds`, which it must reach;
-    both default to tau, as in strict mode (`Engine.pins` and
-    `Engine.seeds` give relaxed mode's).
+    both default to tau, as in strict mode (relaxed mode's are
+    `Engine.pins_by_id` and `Engine.seeds_by_id` by fact index).
     """
     for d in model.support.values():
         as_degree(d, positive=True)
@@ -475,7 +484,7 @@ def _optimum(
 
 
 class Engine:
-    """One instance, one chase, cached models; safe for repeated queries.
+    """One instance, at most one chase, cached models; safe for repeated queries.
 
     With `relaxed`, tau bounds models from below instead of pinning them: a
     model need only K-satisfy tau(a) -> a for each of tau's atoms, so it
@@ -497,26 +506,13 @@ class Engine:
         self.use_fast_path = use_fast_path
         self.relaxed = relaxed
         # pins, the degrees a model must equal, and seeds, those it must reach, by
-        # id: the engine's chase numbers tau's facts 0, 1, ... in order
+        # id: every atom table of the engine numbers tau's facts 0, 1, ... in order
         tau = instance.database.facts.values()
         self.pins_by_id: Mapping[int, Fraction] = {} if relaxed else dict(enumerate(tau))
         self.seeds_by_id = self.pins_by_id
         if relaxed:  # a bound at or below 0 is none, and is left out
             slack = ONE - instance.K
             self.seeds_by_id = {i: d - slack for i, d in enumerate(tau) if d > slack}
-
-    @cached_property
-    def pins(self) -> Mapping[Atom, Fraction]:
-        """`pins_by_id` by `core` atom."""
-        return {} if self.relaxed else self.instance.database.entries
-
-    @cached_property
-    def seeds(self) -> Mapping[Atom, Fraction]:
-        """`seeds_by_id` by `core` atom."""
-        if not self.relaxed:
-            return self.pins
-        facts = list(self.instance.database.entries)
-        return {facts[i]: d for i, d in self.seeds_by_id.items()}
 
     @property
     def is_existential(self) -> bool:
@@ -535,35 +531,52 @@ class Engine:
         return oblivious_chase(self.instance.program, self.instance.database, self.step_limit)
 
     @cached_property
-    def degrees(self) -> dict[int, Fraction]:
-        """The model's positive degrees by atom id: the one route to a model,
-        chosen by the program class.
+    def settled(self) -> Optional[tuple[AtomTable, dict[int, Fraction], Optional[int]]]:
+        """`settle`'s table, degrees and overshot pin for a plain program on
+        the default route without a step limit; None where `degrees` chases."""
+        if not self.use_fast_path or self.step_limit is not None or self.is_existential:
+            return None
+        L, k, seeds = _scaled(self.instance.K, self.seeds_by_id)
+        table, nu = settle(self.instance.program, self.instance.database, k, L, seeds)
+        return (table, *_read_back(nu, L, seeds, self.pins_by_id))
 
-        The least fixpoint from the seeds, checked against the pins, runs
-        on every ground rule that `horn_split` leaves outside D (all of
-        them for a plain program, which skips the split); when D is not
-        empty, one `lp.solve` of the rows that mention D, every other atom
-        fixed at its fixpoint degree, decides D's atoms: the minimal model
-        of a plain program, a preferred model of an existential one. With
-        use_fast_path=False the full `eoptk_columns` LP decides every
-        atom. With no model, Unsatisfiable for a plain program,
-        NoObliviousBaseModel for an existential one.
+    @property
+    def table(self) -> AtomTable:
+        """The atoms that `degrees` is keyed by: `settle`'s, or the chase's."""
+        return self.settled[0] if self.settled else self.chase
+
+    @cached_property
+    def degrees(self) -> dict[int, Fraction]:
+        """The model's positive degrees by the id of `table`'s atoms: the one
+        route to a model, chosen by the program class.
+
+        A plain program on the default route `settle`s, grounding only the
+        rules that fire. Otherwise the least fixpoint from the seeds,
+        checked against the pins, runs on every ground rule of the chase
+        that `horn_split` leaves outside D (all of them for a plain
+        program); when D is not empty, one `lp.solve` of the rows that
+        mention D, every other atom fixed at its fixpoint degree, decides
+        D's atoms: the minimal model of a plain program, a preferred model
+        of an existential one. With use_fast_path=False the full
+        `eoptk_columns` LP decides every atom. With no model,
+        Unsatisfiable for a plain program, NoObliviousBaseModel for an
+        existential one.
         """
-        chase = self.chase
-        _require_complete(chase)
         K = self.instance.K
         pins, seeds = self.pins_by_id, self.seeds_by_id
         fail = NoObliviousBaseModel if self.is_existential else Unsatisfiable
-        if not self.use_fast_path:  # `eoptk_columns`, its columns left unnamed
-            rows = ((heads, g[2]) for g, heads in _head_sums(chase))
-            return _optimum(column_program(chase, chase.order, rows, pins, seeds, K), fail, K, chase.order)
-        if self.is_existential:
+        if self.settled:
+            (table, nu, over), core = self.settled, None
+        else:
+            table = chase = self.chase
+            _require_complete(chase)
+            if not self.use_fast_path:  # `eoptk_columns`, its columns left unnamed
+                rows = ((heads, g[2]) for g, heads in _head_sums(chase))
+                return _optimum(column_program(chase, chase.order, rows, pins, seeds, K), fail, K, chase.order)
             horn, pinned, rest, core = horn_split(chase, pins)
-        else:  # every ground rule is Horn, D is empty
-            horn, pinned, rest, core = chase.ground, {}, [], set()
-        nu, over = least_fixpoint(horn, seeds, K, pinned, pins)
+            nu, over = least_fixpoint(horn, seeds, K, pinned, pins)
         if over is not None:
-            raise fail(f"derivations force {chase.text(over)} to {nu[over]} but the database pins it at {pins[over]}")
+            raise fail(f"derivations force {table.text(over)} to {nu[over]} but the database pins it at {pins[over]}")
         if core:
             used = core.union(*(heads for heads, _ in rest), *(body for _, body in rest))
             universe = [a for a in chase.order if a in used]
@@ -575,9 +588,9 @@ class Engine:
     def model(self) -> GroundModel:
         """`degrees` as `core` atoms, the support in `Atom.sort_key` order;
         raises as `degrees` does."""
-        degrees, chase, K = self.degrees, self.chase, self.instance.K
-        atoms = chase.atoms
-        assignment = TruthAssignment({atoms[a]: degrees[a] for a in chase.order if a in degrees})
+        degrees, table, K = self.degrees, self.table, self.instance.K
+        atoms = table.atoms
+        assignment = TruthAssignment({atoms[a]: degrees[a] for a in table.order if a in degrees})
         if self.is_existential:
             return GroundModel(assignment, ModelKind.PREFERRED, K)
         # at K = 1 exactly the classical consequences of the fully-true facts
@@ -589,5 +602,5 @@ class Engine:
         if not atom.is_ground():
             raise ValueError(f"query atom must be ground: {atom}")
         infer_signature([(atom.predicate, atom.arity)], self.instance.signature)  # ArityError
-        degree = self.degrees.get(self.chase.id_of(atom), ZERO)
+        degree = self.degrees.get(self.table.id_of(atom), ZERO)
         return QueryResult(atom, c, degree >= c, degree, self.is_existential)

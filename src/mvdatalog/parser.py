@@ -1,4 +1,4 @@
-"""Parser and pretty-printer for the `.mvdl` textual format.
+"""Parser for the `.mvdl` textual format.
 
 Grammar (line comments start with `%`):
 
@@ -269,16 +269,3 @@ def parse_degree(text: str) -> Fraction:
     parser.expect("EOF")
     return degree
 
-
-def format_instance(program: Program, database: FuzzyDatabase) -> str:
-    """Canonical text: facts sorted by predicate then arguments, rules in order.
-
-    parse(format_instance(p, d)) is structurally identical to (p, d) for
-    parser-produced instances (rule ids are positional).
-    """
-    lines = []
-    for a in sorted(database.entries, key=Atom.sort_key):
-        lines.append(f"{database.entries[a]} :: {a}.")
-    for r in program.rules:
-        lines.append(f"{r.head} :- {', '.join(str(b) for b in r.body)}.")
-    return "\n".join(lines) + ("\n" if lines else "")

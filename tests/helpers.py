@@ -29,8 +29,10 @@ from mvdatalog.core import (
     Variable,
     as_degree,
     make_rule,
+    rule_gap,
     term_sort_key,
 )
+from mvdatalog.chase import _Index, _join, _rank_atoms, _terms
 from mvdatalog.engine import Engine
 from mvdatalog.parser import NonGroundQuery, ParseError, SafetyError
 
@@ -58,6 +60,47 @@ def constants(atoms: Iterable[Atom]) -> set[str]:
 
 def program_constants(program: Program) -> set[str]:
     return constants(a for r in program.rules for a in (*r.body, r.head))
+
+
+def rule_by_id(program: Program, rule_id: int) -> Rule:
+    return next(r for r in program.rules if r.id == rule_id)
+
+
+def k_satisfies(nu: TruthAssignment, gamma: GroundRule, K: Fraction) -> bool:
+    """True iff the implication value min(1, 1 - nu(body) + nu(head)) reaches K."""
+    return rule_gap(nu, gamma, K) >= ZERO
+
+
+def format_instance(program: Program, database: FuzzyDatabase) -> str:
+    """Canonical text: facts sorted by predicate then arguments, rules in order.
+
+    parse(format_instance(p, d)) is structurally identical to (p, d) for
+    parser-produced instances (rule ids are positional).
+    """
+    lines = []
+    for a in sorted(database.entries, key=Atom.sort_key):
+        lines.append(f"{database.entries[a]} :: {a}.")
+    for r in program.rules:
+        lines.append(f"{r.head} :- {', '.join(str(b) for b in r.body)}.")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def enumerate_homomorphisms(rule: Rule, atoms: Iterable[Atom]) -> list[dict[str, Term]]:
+    """All substitutions of the rule's body variables into `atoms`, sorted
+    by their images in variable-name order: the chase's join with every atom
+    in the delta (not an oracle: it runs the chase's own join)."""
+    rank, held, top = _rank_atoms([rule], atoms)
+    index = _Index(list(held), rank)
+    terms = _terms(list(rank), top)
+    return [dict(zip(index.compiled(rule).names, map(terms.__getitem__, slots))) for slots, _ in _join(rule, index)]
+
+
+def atom_bounds(engine: Engine) -> tuple[dict[Atom, Fraction], dict[Atom, Fraction]]:
+    """The engine's `pins_by_id` and `seeds_by_id` by `core` atom: fact i is
+    the database's i-th entry."""
+    facts = list(engine.instance.database.entries)
+    return ({facts[i]: d for i, d in engine.pins_by_id.items()},
+            {facts[i]: d for i, d in engine.seeds_by_id.items()})
 
 
 def database_from_pairs(pairs) -> FuzzyDatabase:

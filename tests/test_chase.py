@@ -6,17 +6,19 @@ import pytest
 
 from helpers import (
     constants,
+    enumerate_homomorphisms,
     matches,
     naive_oblivious_chase,
     program_constants,
     random_existential_program,
     random_instance,
     random_wide_program,
+    rule_by_id,
     substitute,
 )
 from mvdatalog import chase as chase_module
 from mvdatalog import engine as engine_module
-from mvdatalog.chase import enumerate_homomorphisms, oblivious_chase
+from mvdatalog.chase import oblivious_chase
 from mvdatalog.core import (
     Atom,
     Constant,
@@ -174,7 +176,7 @@ class TestGammaCompleteness:
             expected = self._independent_groundings(program, result.olim)
             keys = []
             for g in result.gamma:
-                rule = program.rule_by_id(g.origin_rule_id)
+                rule = rule_by_id(program, g.origin_rule_id)
                 sub = {}
                 for pattern, ground in zip(rule.body, g.body):
                     for p, c in zip(pattern.args, ground.args):

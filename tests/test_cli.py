@@ -666,9 +666,9 @@ class TestJsonWriter:
 
 class TestAnswerOnIds:
     """`solve`, `query` and `check` answer from `Engine.degrees` by atom id,
-    on the reference LP route too: none builds the chase's `core` atoms
-    (`ChaseResult.atoms`), the `Engine.model` view on them or the
-    database's `entries` view."""
+    on the reference LP route too: none builds the `core` atoms of the
+    engine's atom table (`Engine.table.atoms`), the `Engine.model` view on
+    them or the database's `entries` view."""
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -709,6 +709,6 @@ class TestAnswerOnIds:
         capsys.readouterr()
         (engine,) = engines
         assert ("degrees" in engine.__dict__) == (argv[1] not in ("unsat", "nulls"))  # the route ran, with a model
-        assert "model" not in engine.__dict__ and "atoms" not in engine.chase.__dict__
+        assert "model" not in engine.__dict__ and "atoms" not in engine.table.__dict__
         assert "entries" not in engine.instance.database.__dict__
         assert hashed == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import assignment_from_map, database_from_pairs, luk_and, luk_not, luk_or, relax_rewrite
+from helpers import assignment_from_map, database_from_pairs, k_satisfies, luk_and, luk_not, luk_or, relax_rewrite
 from mvdatalog.core import (
     Atom,
     Constant,
@@ -20,7 +20,6 @@ from mvdatalog.core import (
     as_degree,
     atom,
     body_truth,
-    k_satisfies,
     make_rule,
     rule_gap,
 )

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    atom_bounds,
     classical_closure,
     constants,
     program_constants,
@@ -21,8 +22,10 @@ from helpers import (
     random_existential_program,
     random_instance,
     rewritten_relaxed_model,
+    rule_by_id,
     scan_head_atoms,
 )
+from mvdatalog import chase as chase_module
 from mvdatalog import engine as engine_module
 from mvdatalog.chase import oblivious_chase
 from mvdatalog.core import (
@@ -439,7 +442,8 @@ class TestVerifyModel:
         instance = inst(INCONSISTENT)  # 1 :: r(a). 0.5 :: s(a). s(X) :- r(X).
         engine = Engine(instance, relaxed=True)
         model = engine.model.assignment
-        assert verify_model(instance, engine.chase, model, pins=engine.pins, seeds=engine.seeds).ok
+        pins, seeds = atom_bounds(engine)
+        assert verify_model(instance, engine.chase, model, pins=pins, seeds=seeds).ok
         # tau's degrees as pins: s(a) = 1 is not the pinned 1/2
         assert verify_model(instance, engine.chase, model).tau_mismatches == ((atom("s", "a"), F(1, 2), F(1)),)
 
@@ -448,7 +452,8 @@ class TestVerifyModel:
         engine = Engine(instance, relaxed=True)  # p(a) must reach 7/10
         assert engine.model.assignment.support == {atom("p", "a"): F(7, 10), atom("q", "a"): F(3, 5)}
         low = TruthAssignment({atom("p", "a"): F(3, 5), atom("q", "a"): F(1, 2)})
-        report = verify_model(instance, engine.chase, low, pins=engine.pins, seeds=engine.seeds)
+        pins, seeds = atom_bounds(engine)
+        report = verify_model(instance, engine.chase, low, pins=pins, seeds=seeds)
         assert report.rules_satisfied and report.tau_mismatches == ((atom("p", "a"), F(7, 10), F(3, 5)),)
 
     def test_hand_built_four_null_assignment(self):
@@ -479,7 +484,7 @@ class TestHeadIndex:
         universe = chase.sorted_olim()
         heads = []
         for g, (_, ids) in zip(chase.gamma, engine_module._head_sums(chase)):
-            rule = instance.program.rule_by_id(g.origin_rule_id)
+            rule = rule_by_id(instance.program, g.origin_rule_id)
             indexed = [chase.atoms[i] for i in ids]
             assert Counter(indexed) == Counter(scan_head_atoms(rule, g, universe))
             if rule.is_existential:
@@ -812,7 +817,7 @@ class TestQueryById:
                     assert engine.query(b, 0).degree == model(b) == 0, b
                     # a null below 1 read as first_null + n - 1 would land on a constant's rank
                     ranks = [named.get(t.name, -1) if type(t) is Constant else chase.first_null + t.id - 1 for t in b.args]
-                    aliases += engine.degrees.get(chase.ids.get((b.predicate, tuple(ranks)), -1), 0) > 0
+                    aliases += engine.degrees.get(engine.table.ids.get((b.predicate, tuple(ranks)), -1), 0) > 0
             assert engine.query(Atom("unknown", (Constant("a"),)), 0).degree == 0
             checked[instance.program.has_existential_rules, relaxed] += 1
         assert nulls >= 50 and aliases >= 1000, (nulls, aliases)
@@ -1032,7 +1037,8 @@ class TestHornSplit:
         assert not isinstance(ours, type) and ours[1] == reference[1]  # primary, secondary
         for a in fast.chase.olim - core:
             assert ours[0](a) == reference[0](a)
-        assert verify_model(instance, fast.chase, ours[0], pins=fast.pins, seeds=fast.seeds).ok
+        pins, seeds = atom_bounds(fast)
+        assert verify_model(instance, fast.chase, ours[0], pins=pins, seeds=seeds).ok
         return core, ours[0]
 
     def test_random_existential_programs(self):
@@ -1089,14 +1095,14 @@ class TestRelaxedMode:
                 engine = Engine(instance, relaxed=True, use_fast_path=fast)
                 ours = engine.model.assignment.support
                 assert ours == rewritten_relaxed_model(instance, use_fast_path=fast), instance
-                assert all(ours.get(a, 0) >= d > 0 for a, d in engine.seeds.items())
+                assert all(ours.get(a, 0) >= d > 0 for a, d in atom_bounds(engine)[1].items())
             outcomes[instance.program.has_existential_rules, instance.K < 1] += 1
         assert min(outcomes[e, k] for e in (False, True) for k in (False, True)) >= 100, outcomes
 
     def test_a_bound_at_or_below_zero_is_no_atom(self):
         # 1/20 - (1 - 9/10) < 0: p(a) has no lower bound and no degree, not degree 0
         engine = Engine(inst("0.05 :: p(a).\nq(X) :- p(X).", F(9, 10)), relaxed=True)
-        assert engine.seeds == {}
+        assert engine.seeds_by_id == {}
         assert engine.model.assignment.support == {}
 
 
@@ -1145,9 +1151,11 @@ class TestModelOrder:
 
 
 class TestFixpointWorkBound:
-    """`least_fixpoint` fires each ground rule once, when the last of its
+    """Each fixpoint route fires a ground rule once, when the last of its
     body atoms settles, so it pushes at most one heap entry per ground rule
-    it is given, at every size of four program families."""
+    fired, at every size of four program families: the plain ones `settle`,
+    which grounds only the rules that fire, and key persons run
+    `least_fixpoint` on the chase's Horn ground rules."""
 
     @staticmethod
     def chain(n):
@@ -1187,28 +1195,160 @@ class TestFixpointWorkBound:
          ("transitive_closure", (5, 10, 20, 40)), ("keyperson", (25, 50, 100, 200))],
     )
     def test_one_push_per_ground_rule_at_most(self, family, sizes, monkeypatch):
-        least_fixpoint, horn_split = engine_module.least_fixpoint, engine_module.horn_split
-        pushes, rules, splits = [], [], []
+        least_fixpoint, horn_split, join = engine_module.least_fixpoint, engine_module.horn_split, chase_module._join
+        pushes, rules, fixpoints, splits = [], [], [], []
 
         def counting_push(heap, item):
             pushes[-1] += 1
             heapq.heappush(heap, item)
 
         def recording(gamma, *rest):
-            rules.append(len(gamma))
+            fixpoints.append(family)
+            rules[-1] += len(gamma)
             return least_fixpoint(gamma, *rest)
+
+        def firing(rule, index):  # each homomorphism `settle` joins fires one ground rule
+            fired = join(rule, index)
+            rules[-1] += len(fired)
+            return fired
 
         def splitting(*args):
             splits.append(family)
             return horn_split(*args)
 
-        monkeypatch.setattr(engine_module, "heapq", types.SimpleNamespace(
-            heapify=heapq.heapify, heappop=heapq.heappop, heappush=counting_push))
+        counting = types.SimpleNamespace(heapify=heapq.heapify, heappop=heapq.heappop, heappush=counting_push)
+        monkeypatch.setattr(engine_module, "heapq", counting)
+        monkeypatch.setattr(chase_module, "heapq", counting)
         monkeypatch.setattr(engine_module, "least_fixpoint", recording)
+        monkeypatch.setattr(chase_module, "_join", firing)
         monkeypatch.setattr(engine_module, "horn_split", splitting)
         for n in sizes:
             pushes.append(0)
+            rules.append(0)
             Engine(getattr(self, family)(n)).model
-        assert len(rules) == len(sizes) and min(pushes) > 0
+        assert min(pushes) > 0
         assert all(p <= r for p, r in zip(pushes, rules)), list(zip(pushes, rules))
-        assert len(splits) == (len(sizes) if family == "keyperson" else 0)  # only keyperson is existential
+        existential = family == "keyperson"  # the only existential family: the chase, split and fixpoint
+        assert len(fixpoints) == len(splits) == (len(sizes) if existential else 0)
+
+
+class TestSettle:
+    """`settle`, the plain programs' default route, against `least_fixpoint`
+    on the crisp chase and the reference LP; the chase runs only where a
+    command needs it, and the pass grounds only the live ground rules,
+    those whose body atoms all have a positive degree."""
+
+    @staticmethod
+    def _outcome(engine):
+        """The degrees by atom key, or the Unsatisfiable message."""
+        try:
+            degrees = engine.degrees
+        except Unsatisfiable as exc:
+            return str(exc)
+        return {engine.table.keys[i]: d for i, d in degrees.items()}
+
+    def test_against_the_chase_routes(self):
+        rng = random.Random(26026)
+        outcomes = Counter()
+        for _ in range(1500):
+            instance = random_instance(rng, max_rules=8, max_facts=7)
+            for relaxed in (False, True):
+                ours = Engine(instance, relaxed=relaxed)
+                fixpoint = Engine(instance, relaxed=relaxed, step_limit=10**6)  # the chase, then `least_fixpoint`
+                reference = Engine(instance, relaxed=relaxed, use_fast_path=False)
+                assert ours.settled and fixpoint.settled is reference.settled is None
+                outcome, by_lp = self._outcome(ours), self._outcome(reference)
+                assert outcome == self._outcome(fixpoint), instance
+                unsatisfiable = isinstance(outcome, str)
+                if unsatisfiable:
+                    assert isinstance(by_lp, str)  # the LP's message names no fact
+                else:
+                    assert outcome == by_lp and ours.model == fixpoint.model == reference.model
+                    # the facts first, in input order, then only atoms of positive degree
+                    n = len(instance.database)
+                    assert ours.table.keys[:n] == fixpoint.chase.keys[:n]
+                    assert set(range(n, len(ours.table.keys))) <= ours.degrees.keys()
+                outcomes[relaxed, instance.K < 1, unsatisfiable] += 1
+        assert outcomes[False, False, True] + outcomes[False, True, True] >= 200, outcomes
+        assert min(outcomes[r, k, False] for r in (False, True) for k in (False, True)) >= 200, outcomes
+
+    @pytest.mark.parametrize(
+        "argv, chases",
+        [
+            (["solve", "chain30"], 0),
+            (["solve", "chain30", "--mode", "relaxed", "--format", "text"], 0),
+            (["query", "chain30", "reach(c9)", "--at-least", "0.99"], 0),
+            (["query", "chain30", "reach(zed)"], 0),
+            (["check", "chain30"], 1),
+            (["ground", "chain30"], 1),
+            (["solve", "chain30", "--no-fast-path"], 1),
+            (["query", "chain30", "reach(c9)", "--no-fast-path"], 1),
+            (["solve", "chain30", "--max-chase-steps", "1000"], 1),
+            (["query", "chain30", "reach(c9)", "--max-chase-steps", "1000"], 1),
+            (["solve", "keyperson14"], 1),
+            (["query", "keyperson14", "kp(k0, c0)"], 1),
+        ],
+    )
+    def test_chase_only_on_demand(self, monkeypatch, capsys, argv, chases):
+        from mvdatalog import cli
+
+        calls = []
+        chase = engine_module.oblivious_chase
+        monkeypatch.setattr(engine_module, "oblivious_chase", lambda *args: calls.append(args) or chase(*args))
+        path = Path(__file__).resolve().parent / "golden" / f"{argv[1]}.mvdl"
+        assert cli.main([argv[0], str(path), *argv[2:]]) in (0, 1)
+        capsys.readouterr()
+        assert len(calls) == chases
+        engine = Engine(inst(path.read_text(encoding="utf-8"), F(999, 1000)))
+        engine.query(atom("reach", "c9"), F(1, 2))
+        engine.model
+        assert len(calls) == chases + (argv[1] == "keyperson14")  # a library query and model: no chase either
+
+    @staticmethod
+    def _chain(n):
+        lines = ["reach(c0).", "reach(Y) :- reach(X), edge(X, Y)."]
+        return inst("\n".join(lines + [f"0.999 :: edge(c{i}, c{i + 1})." for i in range(n)]), F(9, 10))
+
+    @staticmethod
+    def _transitive_closure(n):
+        lines = ["tc(X, Y) :- e(X, Y).", "tc(X, Z) :- tc(X, Y), tc(Y, Z)."]
+        return inst("\n".join(lines + [f"e(c{i}, c{i + 1})." for i in range(n)]), F(9, 10))
+
+    @pytest.mark.parametrize(
+        "family, sizes, sparse",
+        [pytest.param(_chain, (100, 200, 400, 800), True, id="chain"),
+         pytest.param(_transitive_closure, (20, 40, 80), True, id="transitive_closure"),
+         pytest.param(TestFixpointWorkBound.grid, (4, 8, 16), False, id="grid")],
+    )
+    def test_work_is_linear_in_the_live_ground_rules(self, family, sizes, sparse, monkeypatch):
+        """At K = 9/10 live Gamma is a sliver of the chain's and the closure's
+        Gamma; the grid's uneven degrees raise nodes after their first push."""
+        indexes, fired = [], []
+        join = chase_module._join
+
+        class Recorded(chase_module._Index):
+            def __init__(self, *args):
+                super().__init__(*args)
+                indexes.append(self)
+
+        def recording(rule, index):
+            found = join(rule, index)
+            fired.extend((rule.id, tuple(index.keys[i] for i in body)) for _, body in found)
+            return found
+
+        monkeypatch.setattr(chase_module, "_Index", Recorded)
+        monkeypatch.setattr(chase_module, "_join", recording)
+        for n in sizes:
+            instance = family(n)
+            chase = oblivious_chase(instance.program, instance.database)  # first: its joins are cleared below
+            indexes.clear()
+            fired.clear()
+            engine = Engine(instance)
+            positive = {engine.table.keys[i] for i in engine.degrees}
+            live = [(r, tuple(chase.keys[b] for b in body)) for r, _, body in chase.ground
+                    if all(chase.keys[b] in positive for b in body)]
+            assert sorted(fired) == sorted(live)  # each live ground rule fires once, and no other
+            (index,) = indexes
+            assert index.examined <= 2 * (len(instance.database) + len(live)), (n, index.examined, len(live))
+        if sparse:  # at the largest size, live Gamma is at most 1/30 of Gamma
+            assert len(live) * 30 <= len(chase.ground)
