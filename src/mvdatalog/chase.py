@@ -51,9 +51,6 @@ class NullRegistry(list):
     name order, the nulls of its existential variables in name order), in
     the order the chase made them."""
 
-    def entries(self) -> list[tuple[int, tuple, tuple[LabelledNull, ...]]]:
-        return list(self)
-
     def all_nulls(self) -> set[LabelledNull]:
         return {n for _, _, nulls in self for n in nulls}
 

@@ -3,12 +3,13 @@
 Subcommands: solve, query, check, ground. All four run one pipeline,
 `_open`: parse the files and build the Engine, relaxed under --mode
 relaxed (tau's degrees become lower bounds; the program is unchanged).
-`solve` and `query` settle a plain program without a chase; `check`,
-`ground`, --no-fast-path, --max-chase-steps and existential programs
-chase. The chase gate chases an existential program only when it is
-weakly acyclic or --max-chase-steps bounds it. `check` reports a refused
-chase with the engine's witness cycle; the other commands exit 4 on it,
-`query` before it parses its atom.
+`solve` and `query` settle a plain program without a chase, under any
+--max-chase-steps; `check`, `ground`, --no-fast-path and existential
+programs chase, and --max-chase-steps bounds only that chase. The chase
+gate chases an existential program only when it is weakly acyclic or
+--max-chase-steps bounds it. `check` reports a refused chase with the
+engine's witness cycle, and one cut short before it exits 4; the other
+commands exit 4 on either, `query` before it parses its atom.
 
 `solve`, `query` and `check` answer from `Engine.degrees`, by the id of
 an atom of `Engine.table`, and build no `core` atom, of the table or of
@@ -159,8 +160,7 @@ def cmd_solve(args) -> int:
 
 def cmd_query(args) -> int:
     engine = _open(args)
-    if engine.is_existential:  # the chase gate, which only refuses an existential program, precedes parsing the atom
-        engine.chase
+    engine.table  # a chase, where one is built, is refused or cut short before the atom is parsed
     atom = parse_ground_atom(args.atom)
     threshold = as_degree(parse_degree(args.at_least))
     result = engine.query(atom, threshold)
@@ -192,6 +192,7 @@ def cmd_check(args) -> int:
     if witness:
         text.append(f"witness cycle: {witness}")
     try:
+        engine.chase  # the reported chase: refused or cut short here, also where `degrees` needs none
         engine.degrees
         payload["satisfiable"] = True
     except UnboundedChase:  # refused: the witness is the report
@@ -254,8 +255,8 @@ def _lp_as_text(lp, secondary: dict) -> list[str]:
 
 def cmd_ground(args) -> int:
     engine = _open(args)
-    chase = engine.chase
-    columns = eoptk_columns(engine.instance, chase, engine.seeds_by_id, engine.pins_by_id)  # raises TruncatedChase
+    chase = engine.chase  # raises TruncatedChase
+    columns = eoptk_columns(engine.instance, chase, engine.seeds_by_id, engine.pins_by_id)
     lp, secondary = columns.labelled()
     nulls = [
         {
@@ -263,9 +264,7 @@ def cmd_ground(args) -> int:
             "homomorphism": {var: str(term) for var, term in hom_key},
             "nulls": [str(n) for n in null_tuple],
         }
-        for rid, hom_key, null_tuple in sorted(
-            chase.registry.entries(), key=lambda e: [str(n) for n in e[2]]
-        )
+        for rid, hom_key, null_tuple in sorted(chase.registry, key=lambda e: [str(n) for n in e[2]])
     ]
     payload = {
         "olim": [str(a) for a in chase.sorted_olim()],

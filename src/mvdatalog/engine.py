@@ -4,11 +4,12 @@
 `Engine.table`, facts first in input order. The database enters as pins,
 the degrees a model must equal, and seeds, the lower bounds it must
 reach, by fact id. A plain program on the default route `settle`s
-(`chase.settle`, on `_scaled` ints): a least fixpoint in decreasing
-degree that joins the rules as atoms settle, so it grounds only the
-rules that fire and builds no chase. Every other engine chases once (`Engine.chase`,
-built on first read, refuses an existential program that is not weakly
-acyclic unless a step limit bounds it) and solves on the chase's ids:
+(`chase.settle`, on `_scaled` ints), under any step limit: a least
+fixpoint in decreasing degree that joins the rules as atoms settle, so
+it grounds only the rules that fire and builds no chase. Every other
+engine chases once (`Engine.chase`, built on first read, refuses an
+existential program that is not weakly acyclic unless a step limit
+bounds it, and a chase the limit cut short) and solves on the chase's ids:
 ground rules whose head sum holds at most one unpinned atom are Horn and
 go to an exact least fixpoint on ints, which also finds a pin the rules
 overshoot; only D, the free heads of the others closed under the rules
@@ -322,10 +323,10 @@ def minimal_model(
 ) -> GroundModel:
     """The unique minimal K-fuzzy model, or raise Unsatisfiable.
 
-    Only defined for programs without existential rules; their chase
-    always terminates, so `step_limit` is normally left unset.
-    `use_fast_path=False` solves the reference LP in place of the least
-    fixpoint; the model is the same.
+    Only defined for programs without existential rules, which settle
+    with no chase, so `step_limit` changes nothing on the default route;
+    `use_fast_path=False` chases, under `step_limit`, and solves the
+    reference LP in place of the least fixpoint; the model is the same.
     """
     if instance.program.has_existential_rules:
         raise ValueError("minimal_model requires an existential-free program")
@@ -341,8 +342,8 @@ def preferred_model(
     representative with the least total truth on null-carrying atoms is
     returned. A plain program gets its minimal model (kind MINIMAL), or
     Unsatisfiable, a NoObliviousBaseModel, when it has none. Raises
-    TruncatedChase when the chase limit cuts the run short (the result
-    would be unsound).
+    TruncatedChase when the chase limit cuts an existential program's
+    chase short (the result would be unsound).
     """
     return Engine(instance, step_limit=step_limit).model
 
@@ -377,7 +378,6 @@ def fixpoint_minimal_model(
     stabilize within the round budget.
     """
     chase = Engine(instance, step_limit=step_limit).chase
-    _require_complete(chase)
     tau = instance.database
     K = instance.K
     nu: dict[Atom, Fraction] = dict(tau.entries)
@@ -526,15 +526,21 @@ class Engine:
 
     @cached_property
     def chase(self) -> ChaseResult:
+        """The oblivious chase, built on first read; raises UnboundedChase
+        where it is refused and TruncatedChase where `step_limit` cuts it short."""
         if self.step_limit is None and self.is_existential and self.witness:
             raise UnboundedChase(self.witness)
-        return oblivious_chase(self.instance.program, self.instance.database, self.step_limit)
+        chase = oblivious_chase(self.instance.program, self.instance.database, self.step_limit)
+        _require_complete(chase)
+        return chase
 
     @cached_property
     def settled(self) -> Optional[tuple[AtomTable, dict[int, Fraction], Optional[int]]]:
         """`settle`'s table, degrees and overshot pin for a plain program on
-        the default route without a step limit; None where `degrees` chases."""
-        if not self.use_fast_path or self.step_limit is not None or self.is_existential:
+        the default route, whatever the step limit, which bounds only a
+        chase; None where `degrees` chases: the choice reads only the
+        program class and `use_fast_path`."""
+        if not self.use_fast_path or self.is_existential:
             return None
         L, k, seeds = _scaled(self.instance.K, self.seeds_by_id)
         table, nu = settle(self.instance.program, self.instance.database, k, L, seeds)
@@ -548,16 +554,15 @@ class Engine:
     @cached_property
     def degrees(self) -> dict[int, Fraction]:
         """The model's positive degrees by the id of `table`'s atoms: the one
-        route to a model, chosen by the program class.
+        route to a model, chosen by the program class and `use_fast_path`.
 
         A plain program on the default route `settle`s, grounding only the
-        rules that fire. Otherwise the least fixpoint from the seeds,
-        checked against the pins, runs on every ground rule of the chase
-        that `horn_split` leaves outside D (all of them for a plain
-        program); when D is not empty, one `lp.solve` of the rows that
-        mention D, every other atom fixed at its fixpoint degree, decides
-        D's atoms: the minimal model of a plain program, a preferred model
-        of an existential one. With use_fast_path=False the full
+        rules that fire: its minimal model. An existential one runs the
+        least fixpoint from the seeds, checked against the pins, on every
+        ground rule of its chase that `horn_split` leaves outside D; when
+        D is not empty, one `lp.solve` of the rows that mention D, every
+        other atom fixed at its fixpoint degree, decides D's atoms: a
+        preferred model. With use_fast_path=False the full
         `eoptk_columns` LP decides every atom. With no model,
         Unsatisfiable for a plain program, NoObliviousBaseModel for an
         existential one.
@@ -569,7 +574,6 @@ class Engine:
             (table, nu, over), core = self.settled, None
         else:
             table = chase = self.chase
-            _require_complete(chase)
             if not self.use_fast_path:  # `eoptk_columns`, its columns left unnamed
                 rows = ((heads, g[2]) for g, heads in _head_sums(chase))
                 return _optimum(column_program(chase, chase.order, rows, pins, seeds, K), fail, K, chase.order)

@@ -32,8 +32,8 @@ from mvdatalog.core import (
     rule_gap,
     term_sort_key,
 )
-from mvdatalog.chase import _Index, _join, _rank_atoms, _terms
-from mvdatalog.engine import Engine
+from mvdatalog.chase import ChaseResult, Key, _Index, _join, _rank_atoms, _terms, oblivious_chase
+from mvdatalog.engine import Engine, horn_split, least_fixpoint
 from mvdatalog.parser import NonGroundQuery, ParseError, SafetyError
 
 CONSTANTS = ["a", "b"]
@@ -101,6 +101,20 @@ def atom_bounds(engine: Engine) -> tuple[dict[Atom, Fraction], dict[Atom, Fracti
     facts = list(engine.instance.database.entries)
     return ({facts[i]: d for i, d in engine.pins_by_id.items()},
             {facts[i]: d for i, d in engine.seeds_by_id.items()})
+
+
+def chase_fixpoint(engine: Engine) -> tuple[ChaseResult, dict[Key, Fraction] | str]:
+    """The route a plain program took before it settled: `least_fixpoint`
+    on the `horn_split` of its whole crisp `oblivious_chase`, from the
+    engine's `seeds_by_id` and against its `pins_by_id`. Returns the chase
+    and the degrees by atom key, or the Unsatisfiable message."""
+    instance, pins = engine.instance, engine.pins_by_id
+    chase = oblivious_chase(instance.program, instance.database)
+    horn, pinned, _, _ = horn_split(chase, pins)  # a plain program's rules are all Horn
+    nu, over = least_fixpoint(horn, engine.seeds_by_id, instance.K, pinned, pins)
+    if over is not None:
+        return chase, f"derivations force {chase.text(over)} to {nu[over]} but the database pins it at {pins[over]}"
+    return chase, {chase.keys[i]: d for i, d in nu.items()}
 
 
 def database_from_pairs(pairs) -> FuzzyDatabase:

@@ -283,6 +283,12 @@ class TestQuery:
         assert proc.returncode == 4
         assert "weakly acyclic" in proc.stderr
 
+    @pytest.mark.parametrize("name, route", [("orca", ["--no-fast-path"]), ("kp", [])])
+    def test_chase_cut_short_precedes_atom_parsing(self, files, name, route):
+        # a chase that is built and cut short ends the query before its atom parses, as a refused one does
+        proc = run_cli("query", files[name], "p(X)", "--max-chase-steps", "0", *route)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", "error: chase stopped after 0 steps\n")
+
     def test_nullary_atom(self, files):
         proc = run_cli("query", files["nullary"], "s", "--at-least", "0.5")
         assert proc.returncode == 0
@@ -410,6 +416,19 @@ class TestCheck:
         ]
         assert proc.stderr == "error: chase stopped after 5 steps\n"
 
+    @pytest.mark.parametrize(
+        "fmt, stdout",
+        [
+            ("json", '{\n  "satisfiable": null,\n  "stats": null,\n  "weakly_acyclic": true,\n  "witness": null\n}\n'),
+            ("text", "weakly acyclic (variable expansion): yes\n"),
+        ],
+    )
+    def test_plain_program_cut_short_keeps_the_report(self, files, fmt, stdout):
+        # a plain program settles without a chase, but check reads the chase
+        # before the degrees, so a step limit that cuts it short still shows
+        proc = run_cli("check", files["orca"], "--max-chase-steps", "0", "--format", fmt)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (4, stdout, "error: chase stopped after 0 steps\n")
+
 
 class TestGround:
     def test_nulls_example_dump(self, files):
@@ -525,7 +544,7 @@ class TestUsageErrors:
         assert proc.returncode == 0 and proc.stdout.startswith("usage: mvdl solve")
 
     def test_zero_steps_still_allowed(self, files):
-        proc = run_cli("solve", files["orca"], "--max-chase-steps", "0")
+        proc = run_cli("ground", files["orca"], "--max-chase-steps", "0")  # ground chases a plain program too
         assert proc.returncode == 4
         assert proc.stderr == "error: chase stopped after 0 steps\n"
 

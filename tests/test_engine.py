@@ -15,6 +15,7 @@ import pytest
 
 from helpers import (
     atom_bounds,
+    chase_fixpoint,
     classical_closure,
     constants,
     program_constants,
@@ -1254,19 +1255,19 @@ class TestSettle:
             instance = random_instance(rng, max_rules=8, max_facts=7)
             for relaxed in (False, True):
                 ours = Engine(instance, relaxed=relaxed)
-                fixpoint = Engine(instance, relaxed=relaxed, step_limit=10**6)  # the chase, then `least_fixpoint`
+                chase, by_fixpoint = chase_fixpoint(ours)  # the chase, then `least_fixpoint`
                 reference = Engine(instance, relaxed=relaxed, use_fast_path=False)
-                assert ours.settled and fixpoint.settled is reference.settled is None
+                assert ours.settled and reference.settled is None
                 outcome, by_lp = self._outcome(ours), self._outcome(reference)
-                assert outcome == self._outcome(fixpoint), instance
+                assert outcome == by_fixpoint, instance
                 unsatisfiable = isinstance(outcome, str)
                 if unsatisfiable:
                     assert isinstance(by_lp, str)  # the LP's message names no fact
                 else:
-                    assert outcome == by_lp and ours.model == fixpoint.model == reference.model
+                    assert outcome == by_lp and ours.model == reference.model
                     # the facts first, in input order, then only atoms of positive degree
                     n = len(instance.database)
-                    assert ours.table.keys[:n] == fixpoint.chase.keys[:n]
+                    assert ours.table.keys[:n] == chase.keys[:n]
                     assert set(range(n, len(ours.table.keys))) <= ours.degrees.keys()
                 outcomes[relaxed, instance.K < 1, unsatisfiable] += 1
         assert outcomes[False, False, True] + outcomes[False, True, True] >= 200, outcomes
@@ -1283,8 +1284,10 @@ class TestSettle:
             (["ground", "chain30"], 1),
             (["solve", "chain30", "--no-fast-path"], 1),
             (["query", "chain30", "reach(c9)", "--no-fast-path"], 1),
-            (["solve", "chain30", "--max-chase-steps", "1000"], 1),
-            (["query", "chain30", "reach(c9)", "--max-chase-steps", "1000"], 1),
+            (["solve", "chain30", "--max-chase-steps", "1000"], 0),
+            (["query", "chain30", "reach(c9)", "--max-chase-steps", "1000"], 0),
+            (["check", "chain30", "--max-chase-steps", "1000"], 1),
+            (["solve", "chain30", "--no-fast-path", "--max-chase-steps", "1000"], 1),
             (["solve", "keyperson14"], 1),
             (["query", "keyperson14", "kp(k0, c0)"], 1),
         ],
@@ -1303,6 +1306,76 @@ class TestSettle:
         engine.query(atom("reach", "c9"), F(1, 2))
         engine.model
         assert len(calls) == chases + (argv[1] == "keyperson14")  # a library query and model: no chase either
+
+    @staticmethod
+    def _chase_route(monkeypatch):
+        """Calls of the chase route's three stages, by name, from now on."""
+        calls = Counter()
+        for name in ("oblivious_chase", "horn_split", "least_fixpoint"):
+            real = getattr(engine_module, name)
+            monkeypatch.setattr(engine_module, name, lambda *args, _r=real, _n=name: calls.update([_n]) or _r(*args))
+        return calls
+
+    def test_step_limit_bounds_only_a_chase(self, monkeypatch):
+        """A plain program settles under any step limit, with the answers
+        it has without one; only reading the chase itself is cut short."""
+
+        def outcome(call):
+            try:
+                return call()
+            except Unsatisfiable as exc:
+                return str(exc)
+
+        rng = random.Random(27027)
+        calls = self._chase_route(monkeypatch)
+        outcomes = Counter()
+        for _ in range(400):
+            instance = random_instance(rng, max_rules=8, max_facts=7)
+            fact = next(iter(instance.database.entries))
+            for relaxed in (False, True):
+                unlimited = Engine(instance, relaxed=relaxed)
+                expected = self._outcome(unlimited)
+                for s in (0, 1, 10**6):
+                    engine = Engine(instance, relaxed=relaxed, step_limit=s)
+                    assert self._outcome(engine) == expected, (instance, s)
+                    if not isinstance(expected, str):
+                        assert engine.query(fact, F(1, 2)) == unlimited.query(fact, F(1, 2))
+                outcomes[relaxed, isinstance(expected, str)] += 1
+            model = outcome(lambda: Engine(instance).model)
+            query = outcome(lambda: Engine(instance).query(fact, F(1, 2)))
+            for s in (0, 1, 10**6):
+                assert outcome(lambda: minimal_model(instance, step_limit=s)) == model
+                assert outcome(lambda: preferred_model(instance, step_limit=s)) == model
+                assert outcome(lambda: k_truth(instance, fact, F(1, 2), step_limit=s)) == query
+            assert not calls, calls
+            if oblivious_chase(instance.program, instance.database).steps:
+                with pytest.raises(TruncatedChase, match="^chase stopped after 0 steps$"):
+                    Engine(instance, step_limit=0).chase
+                outcomes["cut short"] += 1
+            calls.clear()
+        assert outcomes[False, True] >= 50 and outcomes[True, True] == 0, outcomes
+        assert min(outcomes[False, False], outcomes[True, False], outcomes["cut short"]) >= 200, outcomes
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],
+            ["solve", "--mode", "relaxed", "--format", "text"],
+            ["query", "reach(c9)", "--at-least", "0.99"],
+            ["query", "reach(zed)", "--format", "text"],
+        ],
+    )
+    def test_step_limit_changes_no_output(self, monkeypatch, capsys, argv):
+        from mvdatalog import cli
+
+        path = str(Path(__file__).resolve().parent / "golden" / "chain30.mvdl")
+        calls = self._chase_route(monkeypatch)
+        runs = []
+        for limit in ([], ["--max-chase-steps", "0"]):
+            code = cli.main([argv[0], path, *argv[1:], *limit])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1] and runs[0][0] in (0, 1) and runs[0][1]
+        assert not calls, calls
 
     @staticmethod
     def _chain(n):
