@@ -537,9 +537,8 @@ class Engine:
     @cached_property
     def settled(self) -> Optional[tuple[AtomTable, dict[int, Fraction], Optional[int]]]:
         """`settle`'s table, degrees and overshot pin for a plain program on
-        the default route, whatever the step limit, which bounds only a
-        chase; None where `degrees` chases: the choice reads only the
-        program class and `use_fast_path`."""
+        the default route; None where `degrees` chases. The choice reads only
+        the program class and `use_fast_path`: a step limit bounds a chase."""
         if not self.use_fast_path or self.is_existential:
             return None
         L, k, seeds = _scaled(self.instance.K, self.seeds_by_id)
