@@ -9,7 +9,8 @@ programs chase, and --max-chase-steps bounds only that chase. The chase
 gate chases an existential program only when it is weakly acyclic or
 --max-chase-steps bounds it. `check` reports a refused chase with the
 engine's witness cycle, and one cut short before it exits 4; the other
-commands exit 4 on either, `query` before it parses its atom.
+commands exit 4 on either, `query` before it parses its atom where the
+engine chases; where it settles, it parses the atom before the pass.
 
 `solve`, `query` and `check` answer from `Engine.degrees`, by the id of
 an atom of `Engine.table`, and build no `core` atom, of the table or of
@@ -20,6 +21,8 @@ leading byte-order mark dropped; other bytes are an input error.
 
 Results go to stdout as deterministic JSON (or plain text with
 --format text); degrees are printed as reduced fractions, never floats.
+The JSON is json.dumps(indent=2, sort_keys=True)'s: `solve` and `query`
+fill templates laid out so. Each command builds only the format it prints.
 
 Exit codes: 0 ok/entailed, 1 not entailed, 2 unsatisfiable, 3 usage,
 parse or input error, 4 chase limit reached/required, 5 no
@@ -34,6 +37,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NoReturn, Optional
 
@@ -64,34 +68,9 @@ class CliError(Exception):
         self.code = code
 
 
-_encode_string = json.encoder.encode_basestring_ascii
-
-
-class _Laid(str):
-    """JSON that is already laid out at its place in a payload: `_dumps` writes it as is."""
-
-
-def _dumps(value, newline: str = "\n") -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)` for str-keyed payloads, byte for byte.
-    json.dumps runs its pure-Python encoder whenever `indent` is set; this
-    writes the layout itself and leaves each leaf to json's C encoders."""
-    inner = newline + "  "
-    if isinstance(value, dict) and value:
-        items = [  # a str value, the common case, is encoded without a call
-            f"{_encode_string(k)}: {_encode_string(v) if type(v) is str else _dumps(v, inner)}"
-            for k, v in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, list) and value:
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + newline + "]"
-    if type(value) is _Laid:
-        return value
-    return _encode_string(value) if type(value) is str else json.dumps(value)
-
-
 def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
     if as_json:
-        print(_dumps(payload))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     elif text_lines:
         print("\n".join(text_lines))
 
@@ -121,8 +100,14 @@ def _open(args) -> Engine:
     )
 
 
-# one model entry of `solve`'s JSON, as `_dumps` lays it out at its depth
+# `solve`'s and `query`'s JSON as json.dumps(payload, indent=2, sort_keys=True) writes it,
+# filled without json's pure-Python indent encoder: one model entry at its depth, solve's
+# wrapper around the entries, and query's payload
 _ROW = '{{\n      "atom": {},\n      "degree": "{}",\n      "source": "{}"\n    }}'
+_SOLVE = ('{{\n  "K": "{}",\n  "kind": "{}",\n  "model": {},\n'
+          '  "stats": {{\n    "certain": {}\n  }},\n  "status": "ok"\n}}')
+_QUERY = ('{{\n  "atom": {},\n  "degree": "{}",\n  "entailed": {},\n  "model_relative": {},\n'
+          '  "status": "ok",\n  "threshold": "{}"\n}}')
 
 
 def cmd_solve(args) -> int:
@@ -146,34 +131,25 @@ def cmd_solve(args) -> int:
     if args.format == "text":
         _emit({}, False, [f"{a} = {d}  ({source})" for a, d, source in entries])
         return EXIT_OK
-    rows = [_ROW.format(_encode_string(a), d, source) for a, d, source in entries]
-    payload = {
-        "status": "ok",
-        "kind": (ModelKind.PREFERRED if engine.is_existential else ModelKind.MINIMAL).value,
-        "K": str(K),
-        "model": _Laid("[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"),
-        "stats": {"certain": certain},
-    }
-    _emit(payload, True, [])
+    rows = [_ROW.format(encode_basestring_ascii(a), d, source) for a, d, source in entries]
+    kind = (ModelKind.PREFERRED if engine.is_existential else ModelKind.MINIMAL).value
+    print(_SOLVE.format(K, kind, "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]", certain))
     return EXIT_OK
 
 
 def cmd_query(args) -> int:
     engine = _open(args)
-    engine.table  # a chase, where one is built, is refused or cut short before the atom is parsed
+    if not engine.settles:
+        engine.chase  # a chase is refused or cut short before the atom is parsed
     atom = parse_ground_atom(args.atom)
     threshold = as_degree(parse_degree(args.at_least))
     result = engine.query(atom, threshold)
-    payload = {
-        "status": "ok",
-        "atom": args.atom,
-        "threshold": str(result.threshold),
-        "degree": str(result.degree),
-        "entailed": result.entailed,
-        "model_relative": result.model_relative,
-    }
-    verdict = "entailed" if result.entailed else "not entailed"
-    _emit(payload, args.format == "json", [f"{args.atom} >= {result.threshold}: {verdict} (degree {result.degree})"])
+    if args.format == "json":
+        flags = json.dumps(result.entailed), json.dumps(result.model_relative)
+        print(_QUERY.format(encode_basestring_ascii(args.atom), result.degree, *flags, result.threshold))
+    else:
+        verdict = "entailed" if result.entailed else "not entailed"
+        print(f"{args.atom} >= {result.threshold}: {verdict} (degree {result.degree})")
     return EXIT_OK if result.entailed else EXIT_NOT_ENTAILED
 
 
@@ -258,14 +234,9 @@ def cmd_ground(args) -> int:
     chase = engine.chase  # raises TruncatedChase
     columns = eoptk_columns(engine.instance, chase, engine.seeds_by_id, engine.pins_by_id)
     lp, secondary = columns.labelled()
-    nulls = [
-        {
-            "rule": rid,
-            "homomorphism": {var: str(term) for var, term in hom_key},
-            "nulls": [str(n) for n in null_tuple],
-        }
-        for rid, hom_key, null_tuple in sorted(chase.registry, key=lambda e: [str(n) for n in e[2]])
-    ]
+    if args.format == "text":
+        print("\n".join(_lp_as_text(lp, secondary)))
+        return EXIT_OK
     payload = {
         "olim": [str(a) for a in chase.sorted_olim()],
         "gamma": [
@@ -276,11 +247,14 @@ def cmd_ground(args) -> int:
             }
             for g in chase.gamma
         ],
-        "nulls": nulls,
+        "nulls": [  # in the order the chase made them: by null id
+            {"rule": rid, "homomorphism": {var: str(term) for var, term in hom_key}, "nulls": [str(n) for n in made]}
+            for rid, hom_key, made in chase.registry
+        ],
         "lp": _lp_as_json(lp, secondary),
         "steps": chase.steps,
     }
-    _emit(payload, args.format == "json", _lp_as_text(lp, secondary))
+    _emit(payload, True, [])
     return EXIT_OK
 
 

@@ -534,12 +534,17 @@ class Engine:
         _require_complete(chase)
         return chase
 
+    @property
+    def settles(self) -> bool:
+        """Whether `degrees` settles, not chases: a plain program on the default
+        route. A step limit bounds a chase, and does not choose the route."""
+        return self.use_fast_path and not self.is_existential
+
     @cached_property
     def settled(self) -> Optional[tuple[AtomTable, dict[int, Fraction], Optional[int]]]:
-        """`settle`'s table, degrees and overshot pin for a plain program on
-        the default route; None where `degrees` chases. The choice reads only
-        the program class and `use_fast_path`: a step limit bounds a chase."""
-        if not self.use_fast_path or self.is_existential:
+        """`settle`'s table, degrees and overshot pin where the engine
+        `settles`; None where `degrees` chases."""
+        if not self.settles:
             return None
         L, k, seeds = _scaled(self.instance.K, self.seeds_by_id)
         table, nu = settle(self.instance.program, self.instance.database, k, L, seeds)

@@ -1248,6 +1248,14 @@ class TestSettle:
             return str(exc)
         return {engine.table.keys[i]: d for i, d in degrees.items()}
 
+    def test_settles_reads_class_and_route_only(self):
+        plain, existential = inst(ORCA), inst(KEY_PERSON)
+        assert Engine(plain, step_limit=0, relaxed=True).settles
+        assert not Engine(plain, use_fast_path=False).settles
+        assert not Engine(existential).settles and Engine(existential).settled is None
+        engine = Engine(plain, use_fast_path=False)
+        assert engine.settled is None and "chase" not in engine.__dict__  # deciding reads no chase
+
     def test_against_the_chase_routes(self):
         rng = random.Random(26026)
         outcomes = Counter()
@@ -1257,7 +1265,7 @@ class TestSettle:
                 ours = Engine(instance, relaxed=relaxed)
                 chase, by_fixpoint = chase_fixpoint(ours)  # the chase, then `least_fixpoint`
                 reference = Engine(instance, relaxed=relaxed, use_fast_path=False)
-                assert ours.settled and reference.settled is None
+                assert ours.settles and ours.settled and not reference.settles and reference.settled is None
                 outcome, by_lp = self._outcome(ours), self._outcome(reference)
                 assert outcome == by_fixpoint, instance
                 unsatisfiable = isinstance(outcome, str)
