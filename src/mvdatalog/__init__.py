@@ -2,7 +2,8 @@
 
 Exact-rational minimal and preferred fuzzy models via the oblivious
 chase, a least fixpoint and a rational simplex; fuzzy fact entailment
-on top.
+on top. `is_weakly_acyclic_ve` and `variable_expansion` load with
+`termination` on first access (PEP 562), so a plain program never loads it.
 """
 
 from .core import (
@@ -39,9 +40,16 @@ from .engine import (
     verify_model,
 )
 from .parser import ParseError, parse, parse_ground_atom, parse_many
-from .termination import is_weakly_acyclic_ve, variable_expansion
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in ("is_weakly_acyclic_ve", "variable_expansion"):
+        from . import termination
+        return getattr(termination, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Atom",

@@ -38,7 +38,6 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import NoReturn, Optional
 
 from .core import ArityError, DomainError, Instance, as_degree
@@ -80,7 +79,8 @@ def _read_files(paths: list[str]) -> list[str]:
     texts = []
     for p in paths:
         try:
-            texts.append(Path(p).read_bytes().decode("utf-8-sig"))
+            with open(p, "rb") as f:
+                texts.append(f.read().decode("utf-8-sig"))
         except OSError as exc:
             raise CliError(EXIT_INPUT_ERROR, f"cannot read {p}: {exc}") from exc
         except UnicodeDecodeError as exc:

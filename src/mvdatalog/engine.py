@@ -21,6 +21,8 @@ is a view of the degrees in `core` atoms, in `Atom.sort_key` order. The
 full LP over olim (`eoptk_columns`) is the reference route behind
 `use_fast_path=False` and what `mvdl ground` prints, named by atom.
 `verify_model` and a Kleene-style oracle read the chase's `core` views.
+`lp` loads with the first LP built or solved, `termination` with an
+existential program's `Engine.witness`: a plain program loads neither.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .chase import AtomTable, ChaseResult, Ground, Scaled, _Index, head_ids, oblivious_chase, settle
 from .core import (
@@ -48,8 +50,10 @@ from .core import (
     infer_signature,
     luk_implies,
 )
-from .lp import ColumnProgram, LinearProgram, Status, solve
-from .termination import WitnessCycle, is_weakly_acyclic_ve
+
+if TYPE_CHECKING:  # `lp` and `termination` load where they run, not with the engine
+    from .lp import ColumnProgram, LinearProgram
+    from .termination import WitnessCycle
 
 
 class NoObliviousBaseModel(Exception):
@@ -169,6 +173,7 @@ def column_program(
     below by its seed: a row (heads, body) is sum(heads) - sum(body) >=
     K - len(body), in ints scaled by K's denominator. The objective sums
     the null-free atoms, the tie-break the null-carrying ones."""
+    from .lp import ColumnProgram
     column = {a: j for j, a in enumerate(universe)}
     bounds = [(ZERO, ONE)] * len(universe)
     for a, d in seeds.items():
@@ -470,6 +475,7 @@ def _optimum(
 ) -> dict[int, Fraction]:
     """The positive degrees of `solve(cols)`'s optimum, column j's under
     ids[j]; raise `fail` when it is infeasible."""
+    from .lp import Status, solve
     solution = solve(cols)
     if solution.status is Status.UNBOUNDED:
         raise AssertionError("box-bounded LP cannot be unbounded")
@@ -521,14 +527,18 @@ class Engine:
     @cached_property
     def witness(self) -> Optional[WitnessCycle]:
         """The weak-acyclicity test's witness cycle, None when the program
-        passes; the test runs once per engine."""
+        passes; the test runs once per engine, and not for a plain program,
+        whose variable expansion has no special edge to close a cycle."""
+        if not self.is_existential:
+            return None
+        from .termination import is_weakly_acyclic_ve
         return is_weakly_acyclic_ve(self.instance.program)[1]
 
     @cached_property
     def chase(self) -> ChaseResult:
         """The oblivious chase, built on first read; raises UnboundedChase
         where it is refused and TruncatedChase where `step_limit` cuts it short."""
-        if self.step_limit is None and self.is_existential and self.witness:
+        if self.step_limit is None and self.witness:
             raise UnboundedChase(self.witness)
         chase = oblivious_chase(self.instance.program, self.instance.database, self.step_limit)
         _require_complete(chase)

@@ -61,7 +61,7 @@ RELAXED_CYCLE_WITNESS = "e[1] => e*[2], e*[2] -> e[2], e[2] -> e*[1], e*[1] -> e
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(*argv):
+def run_cli(*argv, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
     return subprocess.run(
@@ -69,6 +69,7 @@ def run_cli(*argv):
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
         timeout=120,
     )
 
@@ -350,19 +351,33 @@ class TestCheck:
         ],
     )
     def test_weak_acyclicity_tested_once(self, files, monkeypatch, capsys, argv, code):
-        from mvdatalog import cli, engine
+        from mvdatalog import cli, termination
 
         calls = []
-        real = engine.is_weakly_acyclic_ve
+        real = termination.is_weakly_acyclic_ve
 
         def counted(program):
             calls.append(program)
             return real(program)
 
-        monkeypatch.setattr(engine, "is_weakly_acyclic_ve", counted)
+        monkeypatch.setattr(termination, "is_weakly_acyclic_ve", counted)
         assert cli.main([argv[0], files[argv[1]], *argv[2:]]) == code
         capsys.readouterr()
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_plain_program_runs_no_test(self, files, monkeypatch, capsys, fmt):
+        from mvdatalog import cli, termination
+
+        calls = []
+        monkeypatch.setattr(termination, "is_weakly_acyclic_ve", lambda program: calls.append(program))
+        assert cli.main(["check", files["orca"], "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert calls == []
+        if fmt == "json":
+            assert '"weakly_acyclic": true' in out
+        else:
+            assert out.splitlines()[0] == "weakly acyclic (variable expansion): yes"
 
     def test_datalog_stats(self, files):
         proc = run_cli("check", files["orca"])
@@ -684,6 +699,19 @@ class TestFileEncoding:
         path.write_bytes(KEY_PERSON.encode("utf-8-sig"))
         assert run_cli("solve", str(path)).stdout == run_cli("solve", files["kp"]).stdout != ""
 
+    @pytest.mark.parametrize(
+        "path, error",
+        [("./missing.mvdl", "No such file or directory"), ("inputs/", "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_unreadable_path_named_as_typed(self, tmp_path, path, error):
+        (tmp_path / "inputs").mkdir()
+        proc = run_cli("solve", path, cwd=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot read {path}: ") and proc.stderr.count("\n") == 1
+        assert proc.stderr.endswith(f"{error}: '{path}'\n")
+
 
 class TestLongRuleBody:
     """A rule body of any length joins without running out of recursion depth."""
@@ -790,3 +818,93 @@ class TestAnswerOnIds:
         assert "model" not in engine.__dict__ and "atoms" not in engine.table.__dict__
         assert "entries" not in engine.instance.database.__dict__
         assert hashed == []
+
+
+class TestLoadOnUse:
+    """`lp` and `termination` load where they run: a plain program's `solve`,
+    `query` and `check` load neither, an existential program's chase gate
+    loads `termination`, and only an LP built or solved loads `lp`. Each
+    case is a fresh interpreter's `sys.modules` after `import mvdatalog.cli`
+    and one in-process `cli.main(argv)`."""
+
+    LP, TERMINATION = "mvdatalog.lp", "mvdatalog.termination"
+
+    @staticmethod
+    def _loaded(*argv):
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from mvdatalog import cli\n"
+            "code = None\n"
+            "if sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('mvdatalog'))]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        return code, set(modules)
+
+    def test_import_loads_neither(self):
+        _, modules = self._loaded()
+        assert "mvdatalog.cli" in modules and not modules & {self.LP, self.TERMINATION}
+
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", str(GOLDEN / "chain30.mvdl"), "--K", "999/1000"], 0),
+            (["query", str(GOLDEN / "chain30.mvdl"), "reach(c29)", "--K", "999/1000", "--at-least", "99/100"], 1),
+            (["check", "orca"], 0),
+        ],
+        ids=["solve", "query", "check"],
+    )
+    def test_plain_program_loads_neither(self, files, argv, code, fmt, mode):
+        command, path, *rest = argv
+        loaded = self._loaded(command, files.get(path, path), *rest, "--format", fmt, "--mode", mode)
+        assert loaded[0] == code and not loaded[1] & {self.LP, self.TERMINATION}
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_existential_program_without_core_loads_termination_only(self, fmt):
+        code, modules = self._loaded("solve", str(GOLDEN / "keyperson14.mvdl"), "--format", fmt)
+        assert code == 0 and self.TERMINATION in modules and self.LP not in modules
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "chain30.mvdl", "--K", "999/1000", "--no-fast-path"],
+            ["ground", "chain30.mvdl", "--K", "999/1000"],
+            ["solve", "keyperson14.mvdl", "--mode", "relaxed", "--K", "9/10"],  # a non-empty core
+        ],
+        ids=["no-fast-path", "ground", "core"],
+    )
+    def test_lp_loads_where_an_lp_is_built(self, argv):
+        command, name, *rest = argv
+        code, modules = self._loaded(command, str(GOLDEN / name), *rest)
+        assert code == 0 and self.LP in modules
+
+    def test_termination_names_still_exported(self):
+        import mvdatalog
+        from mvdatalog import is_weakly_acyclic_ve, termination, variable_expansion
+
+        assert (is_weakly_acyclic_ve, variable_expansion) == (
+            termination.is_weakly_acyclic_ve,
+            termination.variable_expansion,
+        )
+        assert mvdatalog.__all__ == [
+            "Atom", "ChaseResult", "Constant", "DomainError", "Engine", "FuzzyDatabase", "GroundModel",
+            "GroundRule", "Instance", "LabelledNull", "NoObliviousBaseModel", "ParseError", "Program",
+            "QueryResult", "Rule", "TruncatedChase", "TruthAssignment", "UnboundedChase", "Unsatisfiable",
+            "Variable", "as_degree", "atom", "body_truth", "fixpoint_minimal_model", "is_weakly_acyclic_ve",
+            "k_truth", "make_rule", "minimal_model", "oblivious_chase", "parse", "parse_ground_atom",
+            "parse_many", "preferred_model", "rule_gap", "variable_expansion", "verify_model",
+        ]
+        namespace: dict = {}
+        exec("from mvdatalog import *", namespace)
+        assert {name: namespace[name] for name in mvdatalog.__all__} == {
+            name: getattr(mvdatalog, name) for name in mvdatalog.__all__
+        }

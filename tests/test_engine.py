@@ -28,6 +28,7 @@ from helpers import (
 )
 from mvdatalog import chase as chase_module
 from mvdatalog import engine as engine_module
+from mvdatalog import termination as termination_module
 from mvdatalog.chase import oblivious_chase
 from mvdatalog.core import (
     ArityError,
@@ -754,7 +755,7 @@ class TestEngineWrapper:
             calls.append(program)
             return is_weakly_acyclic_ve(program)
 
-        monkeypatch.setattr(engine_module, "is_weakly_acyclic_ve", counted)
+        monkeypatch.setattr(termination_module, "is_weakly_acyclic_ve", counted)
         engine = Engine(inst("p(a).\np(Y) :- p(X)."))
         for _ in range(3):  # a cached_property that raises caches nothing
             with pytest.raises(UnboundedChase) as refused:
@@ -898,10 +899,11 @@ class TestLeastFixpointRoute:
         # be reported as a solver fault, never as an unsatisfiable instance
         script = (
             "import mvdatalog.engine as engine\n"
+            "import mvdatalog.lp\n"
             "from mvdatalog.lp import Solution, Status\n"
             "from mvdatalog.parser import parse\n"
             "from mvdatalog.core import Instance\n"
-            "engine.solve = lambda lp, secondary=None: Solution(Status.UNBOUNDED, {}, None)\n"
+            "mvdatalog.lp.solve = lambda lp, secondary=None: Solution(Status.UNBOUNDED, {}, None)\n"
             "program, database = parse('0.8 :: p(a).\\nq(X) :- p(X).')\n"
             "try:\n"
             "    engine.minimal_model(Instance(program, database), use_fast_path=False)\n"

@@ -1,6 +1,13 @@
 import random
 
-from helpers import all_ground_atoms, naive_weakly_acyclic, random_degree, random_existential_program, relax_rewrite
+from helpers import (
+    all_ground_atoms,
+    naive_weakly_acyclic,
+    random_degree,
+    random_existential_program,
+    random_instance,
+    relax_rewrite,
+)
 from mvdatalog.chase import oblivious_chase
 from mvdatalog.core import FuzzyDatabase, Instance, Program, atom, make_rule
 from mvdatalog.termination import (
@@ -103,6 +110,16 @@ class TestWeakAcyclicity:
     def test_datalog_accepted(self):
         ok, witness = is_weakly_acyclic_ve(PLAIN)
         assert ok and witness is None
+
+    def test_plain_programs_accepted(self):
+        # why `Engine.witness` skips the test for a plain program: with no
+        # existential variable the expansion has no special edge to close a cycle
+        rng = random.Random(5)
+        for _ in range(2000):
+            program = random_instance(rng).program
+            assert not program.has_existential_rules
+            assert build_dependency_graph(variable_expansion(program)).special_edges == frozenset()
+            assert is_weakly_acyclic_ve(program) == (True, None), program.rules
 
     def test_witness_edges_exist_in_graph(self):
         ok, witness = is_weakly_acyclic_ve(SELF_FEEDING)
