@@ -12,7 +12,8 @@ some body atom into the previous round's new atoms (the delta, an id
 range). Each rule is compiled once per chase, with a slot plan per body
 position: a homomorphism is its body variables' ranks in name order,
 also its sort key, found by matching body[d] in the delta, then probing
-hash indexes on the positions a constant or an earlier atom fixes.
+hash indexes, each built on first use, on the positions a constant or an
+earlier atom fixes.
 Gamma is kept as (rule id, head id, body ids); the compiled rule also
 decides a ground rule's head sum (`head_ids`). `ChaseResult` builds
 `core` terms, atoms and ground rules only when they are read; its
@@ -56,8 +57,8 @@ class NullRegistry(list):
 
 
 class AtomTable:
-    """Ground atoms by int id: atom i is keys[i], (predicate, rank tuple), a
-    fact below `fact_count`. Rank r is the constant of the r-th name of
+    """Ground atoms by int id: atom i is keys[i], (predicate, rank tuple), the
+    facts first. Rank r is the constant of the r-th name of
     `rank` (names to ranks, sorted) below `first_null`, else null
     r - first_null + 1, up to null `null_count`. `ids` maps each key back
     to its id, so `id_of` finds a `core` atom without building any, and
@@ -67,10 +68,9 @@ class AtomTable:
     None, or the caller's own atoms, which `atoms` holds as its facts.
     """
 
-    def __init__(self, keys: list[Key], ids: dict[Key, int], rank: dict[str, int], fact_count: int,
-                 null_count: int, given: Optional[list[Atom]]) -> None:
-        self.keys, self.ids, self.rank = keys, ids, rank
-        self.fact_count, self.null_count, self.given = fact_count, null_count, given
+    def __init__(self, keys: list[Key], ids: dict[Key, int], rank: dict[str, int], null_count: int,
+                 given: Optional[list[Atom]]) -> None:
+        self.keys, self.ids, self.rank, self.null_count, self.given = keys, ids, rank, null_count, given
 
     @property
     def first_null(self) -> int:
@@ -133,8 +133,8 @@ class ChaseResult(AtomTable):
     steps: int
     index: _Index
 
-    def __init__(self, keys, ids, rank, fact_count, null_count, given, ground, nulls, truncated, steps, index):
-        super().__init__(keys, ids, rank, fact_count, null_count, given)
+    def __init__(self, keys, ids, rank, null_count, given, ground, nulls, truncated, steps, index):
+        super().__init__(keys, ids, rank, null_count, given)
         self.ground, self.nulls, self.truncated, self.steps, self.index = ground, nulls, truncated, steps, index
 
     @cached_property
@@ -385,8 +385,7 @@ def oblivious_chase(
     else:
         rank, held, top = _rank_atoms(program.rules, facts)
         keys, given = list(held), list(held.values())
-    fact_count = len(keys)
-    ids = dict(zip(keys, range(fact_count)))
+    ids = dict(zip(keys, range(len(keys))))
     index = _Index(keys, rank)
     nulls: list[tuple[int, list[str], tuple[int, ...], tuple[int, ...]]] = []
     applied: list[tuple[int, tuple[int, ...], int, tuple[int, ...]]] = []  # (rule id, slots, head, body)
@@ -424,9 +423,7 @@ def oblivious_chase(
 
     applied.sort()
     ground = [(r, h, body) for r, _, h, body in applied]
-    return ChaseResult(
-        keys, ids, rank, fact_count, max(top, fresh - first_null), given, ground, nulls, truncated, steps, index
-    )
+    return ChaseResult(keys, ids, rank, max(top, fresh - first_null), given, ground, nulls, truncated, steps, index)
 
 
 def settle(
@@ -482,4 +479,4 @@ def settle(
                     if value > nu.get(h, 0):
                         nu[h] = value
                         push(heap, (-value, h))
-    return AtomTable(keys, ids, rank, len(database), 0, None), nu
+    return AtomTable(keys, ids, rank, 0, None), nu

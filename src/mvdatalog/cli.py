@@ -219,7 +219,8 @@ def _lp_as_text(lp, secondary: dict) -> list[str]:
         lines.append("  " + " + ".join(f"{c} {v}" for v, c in sorted(secondary.items())))
     lines.append("subject to")
     for constraint in lp.constraints:
-        terms = " + ".join(f"{c} {v}" for v, c in sorted(constraint.coeffs.items()))
+        # a rule whose coefficients all cancel, as in p(X) :- p(X), has an empty sum
+        terms = " + ".join(f"{c} {v}" for v, c in sorted(constraint.coeffs.items())) or "0"
         lines.append(f"  {terms} >= {constraint.rhs}")
     for v, lo in _lower_bounds(lp):
         lines.append(f"  {v} >= {lo}")

@@ -9,15 +9,19 @@ fixpoint in decreasing degree that joins the rules as atoms settle, so
 it grounds only the rules that fire and builds no chase. Every other
 engine chases once (`Engine.chase`, built on first read, refuses an
 existential program that is not weakly acyclic unless a step limit
-bounds it, and a chase the limit cut short) and solves on the chase's ids:
-ground rules whose head sum holds at most one unpinned atom are Horn and
-go to an exact least fixpoint on ints, which also finds a pin the rules
-overshoot; only D, the free heads of the others closed under the rules
-they feed, goes to an exact LP over its columns in rank order
-(`horn_split`). An atom is active exactly when it is null-free, and the
-chase's compiled rules decide each ground rule's head sum.
+bounds it, and a chase the limit cut short) and solves on its rows: each
+ground rule as (heads, body), the ids of its head sum's atoms and of its
+body (`_rows`), the one type that the fixpoint and both LPs read. Rows
+whose heads hold at most one unpinned atom are Horn and go to an exact
+least fixpoint on ints, which also finds a pin the rules overshoot; only
+D, the free heads of the others closed under the rows they feed, goes to
+an exact LP over its columns in rank order (`horn_split`). An atom is
+active exactly when it is null-free, and the chase's compiled rules
+decide each ground rule's head sum.
 `Engine.query` reads one degree by the table's `id_of`; `Engine.model`
-is a view of the degrees in `core` atoms, in `Atom.sort_key` order. The
+is a view of the degrees in `core` atoms, in `Atom.sort_key` order, for
+library callers: `minimal_model` and `preferred_model` read it, and
+`k_truth` reads `Engine.query`. The
 full LP over olim (`eoptk_columns`) is the reference route behind
 `use_fast_path=False` and what `mvdl ground` prints, named by atom.
 `verify_model` and a Kleene-style oracle read the chase's `core` views.
@@ -33,9 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .chase import AtomTable, ChaseResult, Ground, Scaled, _Index, head_ids, oblivious_chase, settle
+from .chase import AtomTable, ChaseResult, Scaled, _Index, head_ids, oblivious_chase, settle
 from .core import (
     ONE,
     ZERO,
@@ -128,15 +132,20 @@ def build_optk(instance: Instance, chase: ChaseResult) -> LinearProgram:
     return eoptk_columns(instance, chase).labelled()[0]
 
 
-def _head_sums(chase: ChaseResult) -> Iterator[tuple[Ground, list[int]]]:
-    """Each ground rule of Gamma, (rule id, head id, body ids), with the ids
-    of the atoms whose degrees sum to its head value: its head for a plain
-    rule; for an existential one every atom of the chase that matches the
-    head pattern (nulls replaced consistently by anything), by `head_ids`."""
+Row = tuple[list[int], tuple[int, ...]]  # a ground rule as (heads, body), atom ids
+
+
+def _rows(chase: ChaseResult) -> Iterator[Row]:
+    """Each ground rule of Gamma, in order, as the one row type that the
+    fixpoint and both LPs read: (heads, body), the ids of the atoms whose
+    degrees sum to its head value and of its body atoms. The heads are its
+    head for a plain rule; for an existential one every atom of the chase
+    that matches the head pattern (nulls replaced consistently by
+    anything), by `head_ids`. Rule ids stop here."""
     index, keys = chase.index, chase.keys
-    for g in chase.ground:
-        compiled = index.rules[g[0]]
-        yield g, head_ids(compiled, keys[g[1]][1], index) if compiled.lookup[1] else [g[1]]
+    for r, h, body in chase.ground:
+        compiled = index.rules[r]
+        yield head_ids(compiled, keys[h][1], index) if compiled.lookup[1] else [h], body
 
 
 def eoptk_columns(
@@ -147,15 +156,14 @@ def eoptk_columns(
 ) -> ColumnProgram:
     """The existential LP and its tie-break over columns in [0, 1], column j
     the j-th atom of chase.sorted_olim(), which names it: `column_program`
-    of every ground rule and its head sum, `pins` fixed and `seeds` as
+    of every row of `_rows(chase)`, `pins` fixed and `seeds` as
     lower bounds, both by atom id; both default to tau's degrees, each
     fact found by the chase's `id_of`."""
     _require_complete(chase)
     if pins is None or seeds is None:
         tau = {chase.id_of(a): d for a, d in instance.database.entries.items()}
         pins, seeds = tau if pins is None else pins, tau if seeds is None else seeds
-    rows = ((heads, g[2]) for g, heads in _head_sums(chase))
-    columns = column_program(chase, chase.order, rows, pins, seeds, instance.K)
+    columns = column_program(chase, chase.order, _rows(chase), pins, seeds, instance.K)
     columns.names = chase.sorted_olim()
     return columns
 
@@ -163,7 +171,7 @@ def eoptk_columns(
 def column_program(
     chase: ChaseResult,
     universe: Sequence[int],
-    rows: Iterable[tuple[Sequence[int], Sequence[int]]],
+    rows: Iterable[Row],
     pins: Mapping[int, Fraction],
     seeds: Mapping[int, Fraction],
     K: Fraction,
@@ -198,30 +206,26 @@ def column_program(
     return ColumnProgram(bounds, fixed, lp_rows, *costs, universe)
 
 
-def horn_split(
-    chase: ChaseResult, pins: Mapping[int, Fraction]
-) -> tuple[list[Ground], dict[int, list[int]], list[tuple[list[int], tuple[int, ...]]], set[int]]:
-    """Split Gamma at D, the atoms that only the LP can decide, all by id.
+def horn_split(chase: ChaseResult, pins: Mapping[int, Fraction]) -> tuple[list[Row], list[Row], set[int]]:
+    """Split Gamma's `_rows` at D, the atoms that only the LP can decide, all by id.
 
-    A ground rule's free heads are its head sum's atoms outside `pins`;
-    with at most one it is Horn. D is the free heads of the other rules,
-    closed under Gamma: a rule with a body atom in D puts its free heads
-    in D. Returns the ground rules that mention no atom of D, all Horn, whose
-    free head (if any) is their head, with the other, pinned heads of the
-    existential ones, keyed by position in that list; the (heads, body)
-    rows of the others; and D.
+    A row's free heads are its heads outside `pins`; with at most one it
+    is Horn. D is the free heads of the other rows, closed under Gamma: a
+    row with a body atom in D puts its free heads in D. Returns the rows
+    that mention no atom of D, all Horn, for `least_fixpoint`; the others,
+    for the LP; and D. Each row goes into one list, in `_rows` order.
     """
     rows = []
     core: set[int] = set()
-    for g, heads in _head_sums(chase):
-        free = [h for h in heads if h not in pins]
+    for row in _rows(chase):
+        free = [h for h in row[0] if h not in pins]
         if len(free) > 1:
             core.update(free)
-        rows.append((g, heads, free))
+        rows.append((row, free))
     if core:
-        feeds: dict[int, list[list[int]]] = {}  # body atom -> free heads of its rules
-        for g, _, free in rows:
-            for b in g[2]:
+        feeds: dict[int, list[list[int]]] = {}  # body atom -> free heads of its rows
+        for (_, body), free in rows:
+            for b in body:
                 feeds.setdefault(b, []).append(free)
         stack = list(core)
         while stack:
@@ -230,17 +234,11 @@ def horn_split(
                     if h not in core:
                         core.add(h)
                         stack.append(h)
-    horn = []
-    pinned: dict[int, list[int]] = {}
-    rest = []
-    for g, heads, free in rows:
-        if core and not (core.isdisjoint(free) and core.isdisjoint(g[2])):
-            rest.append((heads, g[2]))
-            continue
-        if len(heads) > 1:  # an existential rule's head holds nulls: free, and its one free head
-            pinned[len(horn)] = [h for h in heads if h in pins]
-        horn.append(g)
-    return horn, pinned, rest, core
+    horn: list[Row] = []
+    rest: list[Row] = []
+    for row, free in rows:
+        (rest if core and not (core.isdisjoint(free) and core.isdisjoint(row[1])) else horn).append(row)
+    return horn, rest, core
 
 
 _LCM_CAP_BITS = 256  # well below where the read-back gcds outgrow Fraction arithmetic (1,400-3,200 bits on a path)
@@ -270,40 +268,43 @@ def _read_back(
 
 
 def least_fixpoint(
-    gamma: Sequence[Ground],
-    seeds: Mapping[int, Fraction],
-    K: Fraction,
-    pinned_heads: Mapping[int, Sequence[int]],
-    pins: Iterable[int] = (),
+    rows: Sequence[Row], seeds: Mapping[int, Fraction], K: Fraction, pins: Collection[int]
 ) -> tuple[dict[int, Fraction], Optional[int]]:
     """The least nu >= seeds with nu(H) >= nu(body) - 1 + K - offset for
-    every ground rule (rule id, H, body ids) of `gamma`, by atom id, the
-    offset of the i-th rule the seed degrees of its `pinned_heads[i]` (0
-    when absent): the other atoms of an existential head sum, held at
-    their pins. Also returns the first of `pins`, seeds held at their seed
-    degree, that nu raises above its seed, None when there is none.
+    every row (heads, body) of `rows`, by atom id: H is its one head
+    outside `pins`, or its first head when all are pinned, and the offset
+    is the sum of its other heads' seed degrees, as an existential head
+    sum's pinned atoms hold them. Also returns the first of `pins`, seeds
+    held at their seed degree, that nu raises above its seed, None when
+    there is none.
 
     Knuth's generalisation of Dijkstra's algorithm: a rule's value is
     monotone in its body and never above its weakest body atom, so the
     atom with the largest tentative degree is final when it leaves the
-    heap. Each ground rule fires once, when the last of its distinct body
-    atoms settles. Seeds are lower bounds, not pins; only positive
-    degrees are returned, by id. The heap and the rule values are
-    `_scaled` ints, each distinct one read back once (`_read_back`).
+    heap. Each row fires once, when the last of its distinct body atoms
+    settles. Seeds are lower bounds, not pins; only positive degrees are
+    returned, by id. The heap and the rule values are `_scaled` ints,
+    each distinct one read back once (`_read_back`).
     """
     L, k, nu = _scaled(K, seeds)
     start = nu.copy()
     waiting: dict[int, list[int]] = {}
     unsettled: list[int] = []
-    bias = []  # a rule's value less its body sum
-    for i, (_, _, body) in enumerate(gamma):
+    fires = []  # a row's H, body and value less its body sum
+    for i, (heads, body) in enumerate(rows):
         distinct = set(body) if len(body) > 1 else body
         unsettled.append(len(distinct))
-        bias.append(k - len(body) * L)
         for b in distinct:
             waiting.setdefault(b, []).append(i)
-    for i, heads in pinned_heads.items():
-        bias[i] -= sum(map(nu.__getitem__, heads))
+        h, bias = heads[0], k - len(body) * L
+        if len(heads) > 1:  # H by a plain loop, cheaper per row than next() over a generator
+            for h in heads:
+                if h not in pins:
+                    break
+            else:
+                h = heads[0]
+            bias -= sum([nu[a] for a in heads if a != h])
+        fires.append((h, body, bias))
     heap = [(-d, a) for a, d in nu.items()]
     heapq.heapify(heap)
     while heap:
@@ -312,8 +313,8 @@ def least_fixpoint(
             unsettled[i] -= 1
             if unsettled[i]:
                 continue
-            _, h, body = gamma[i]
-            value = bias[i] + sum(map(nu.__getitem__, body))
+            h, body, bias = fires[i]
+            value = bias + sum(map(nu.__getitem__, body))
             if value > nu.get(h, 0):
                 nu[h] = value
                 heapq.heappush(heap, (-value, h))
@@ -470,11 +471,10 @@ def verify_model(
     return VerificationReport(tuple(rule_violations), tuple(tau_mismatches), outside)
 
 
-def _optimum(
-    cols: ColumnProgram, fail: type[NoObliviousBaseModel], K: Fraction, ids: Sequence[int]
-) -> dict[int, Fraction]:
+def _optimum(cols: ColumnProgram, fail: type[NoObliviousBaseModel], K: Fraction) -> dict[int, Fraction]:
     """The positive degrees of `solve(cols)`'s optimum, column j's under
-    ids[j]; raise `fail` when it is infeasible."""
+    its name, an atom id as `column_program` names it; raise `fail` when
+    it is infeasible."""
     from .lp import Status, solve
     solution = solve(cols)
     if solution.status is Status.UNBOUNDED:
@@ -482,7 +482,7 @@ def _optimum(
     if not solution.optimal:
         base = "" if fail is Unsatisfiable else " with an oblivious base"
         raise fail(f"no {K}-fuzzy model{base} exists")
-    return {a: d for j, a in enumerate(ids) if (d := solution.assignment[j])}  # by position
+    return {a: d for j, a in enumerate(cols.names) if (d := solution.assignment[j])}  # by position
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +573,7 @@ class Engine:
         A plain program on the default route `settle`s, grounding only the
         rules that fire: its minimal model. An existential one runs the
         least fixpoint from the seeds, checked against the pins, on every
-        ground rule of its chase that `horn_split` leaves outside D; when
+        row of its chase that `horn_split` leaves outside D; when
         D is not empty, one `lp.solve` of the rows that mention D, every
         other atom fixed at its fixpoint degree, decides D's atoms: a
         preferred model. With use_fast_path=False the full
@@ -589,17 +589,16 @@ class Engine:
         else:
             table = chase = self.chase
             if not self.use_fast_path:  # `eoptk_columns`, its columns left unnamed
-                rows = ((heads, g[2]) for g, heads in _head_sums(chase))
-                return _optimum(column_program(chase, chase.order, rows, pins, seeds, K), fail, K, chase.order)
-            horn, pinned, rest, core = horn_split(chase, pins)
-            nu, over = least_fixpoint(horn, seeds, K, pinned, pins)
+                return _optimum(column_program(chase, chase.order, _rows(chase), pins, seeds, K), fail, K)
+            horn, rest, core = horn_split(chase, pins)
+            nu, over = least_fixpoint(horn, seeds, K, pins)
         if over is not None:
             raise fail(f"derivations force {table.text(over)} to {nu[over]} but the database pins it at {pins[over]}")
         if core:
             used = core.union(*(heads for heads, _ in rest), *(body for _, body in rest))
             universe = [a for a in chase.order if a in used]
             fixed = {a: nu.get(a, ZERO) for a in universe if a not in core}
-            nu.update(_optimum(column_program(chase, universe, rest, fixed, seeds, K), fail, K, universe))
+            nu.update(_optimum(column_program(chase, universe, rest, fixed, seeds, K), fail, K))
         return nu
 
     @cached_property

@@ -36,9 +36,6 @@ class DependencyGraph:
     normal_edges: frozenset[Edge]
     special_edges: frozenset[Edge]
 
-    def all_edges(self) -> set[Edge]:
-        return set(self.normal_edges) | set(self.special_edges)
-
 
 @dataclass(frozen=True)
 class WitnessCycle:
@@ -158,7 +155,7 @@ def is_weakly_acyclic_ve(program: Program) -> tuple[bool, Optional[WitnessCycle]
     ve = variable_expansion(program)
     graph = build_dependency_graph(ve)
     adjacency: dict[PositionVertex, list[PositionVertex]] = {}
-    for src, dst in sorted(graph.all_edges(), key=lambda e: (str(e[0]), str(e[1]))):
+    for src, dst in sorted(graph.normal_edges | graph.special_edges, key=lambda e: (str(e[0]), str(e[1]))):
         adjacency.setdefault(src, []).append(dst)
     for src, dst in sorted(graph.special_edges, key=lambda e: (str(e[0]), str(e[1]))):
         back = _shortest_path(dst, src, adjacency)

@@ -110,8 +110,8 @@ def chase_fixpoint(engine: Engine) -> tuple[ChaseResult, dict[Key, Fraction] | s
     and the degrees by atom key, or the Unsatisfiable message."""
     instance, pins = engine.instance, engine.pins_by_id
     chase = oblivious_chase(instance.program, instance.database)
-    horn, pinned, _, _ = horn_split(chase, pins)  # a plain program's rules are all Horn
-    nu, over = least_fixpoint(horn, engine.seeds_by_id, instance.K, pinned, pins)
+    horn, _, _ = horn_split(chase, pins)  # a plain program's rules are all Horn
+    nu, over = least_fixpoint(horn, engine.seeds_by_id, instance.K, pins)
     if over is not None:
         return chase, f"derivations force {chase.text(over)} to {nu[over]} but the database pins it at {pins[over]}"
     return chase, {chase.keys[i]: d for i, d in nu.items()}

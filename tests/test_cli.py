@@ -479,6 +479,16 @@ class TestGround:
         payload = json.loads(proc.stdout)
         assert payload["gamma"] == []
 
+    def test_cancelled_row_prints_zero(self, tmp_path):
+        # p(a) -> p(a): its coefficients cancel, leaving an empty sum
+        looped = tmp_path / "looped.mvdl"
+        looped.write_text("0.5 :: p(a).\np(X) :- p(X).\n", encoding="utf-8")
+        text = run_cli("ground", str(looped), "--format", "text")
+        assert text.returncode == 0 and "\n  0 >= 0\n" in text.stdout
+        assert "   >=" not in text.stdout
+        (constraint,) = json.loads(run_cli("ground", str(looped)).stdout)["lp"]["constraints"]
+        assert constraint == {"coeffs": {}, "rhs": "0"}
+
     def test_non_weakly_acyclic_requires_limit_exit_4(self, files):
         proc = run_cli("ground", files["selfloop"])
         assert proc.returncode == 4 and proc.stdout == ""

@@ -485,7 +485,7 @@ class TestHeadIndex:
         existential heads."""
         universe = chase.sorted_olim()
         heads = []
-        for g, (_, ids) in zip(chase.gamma, engine_module._head_sums(chase)):
+        for g, (ids, _) in zip(chase.gamma, engine_module._rows(chase)):
             rule = rule_by_id(instance.program, g.origin_rule_id)
             indexed = [chase.atoms[i] for i in ids]
             assert Counter(indexed) == Counter(scan_head_atoms(rule, g, universe))
@@ -1032,7 +1032,7 @@ class TestHornSplit:
         """Check that both routes agree; returns D and the default route's
         model, None when there is none."""
         fast, full = Engine(instance, relaxed=relaxed), Engine(instance, use_fast_path=False, relaxed=relaxed)
-        core = {fast.chase.atoms[a] for a in engine_module.horn_split(fast.chase, fast.pins_by_id)[3]}
+        core = {fast.chase.atoms[a] for a in engine_module.horn_split(fast.chase, fast.pins_by_id)[2]}
         ours, reference = self._outcome(fast), self._outcome(full)
         if isinstance(reference, type):
             assert ours is reference
@@ -1074,6 +1074,64 @@ class TestHornSplit:
         assert bool(core) == relaxed
         nulls = {a.args[1]: d for a, d in model.support.items() if a.has_nulls() and a.predicate == "kp"}
         assert nulls == {Constant(f"c{i}"): F(1, p) for i, p in enumerate(primes)}
+
+
+class TestRows:
+    """The one row type after the chase, (heads, body) by atom id:
+    `least_fixpoint` on hand-built rows, on ints and on Fractions past the
+    cap, and `horn_split`'s partition of `_rows`."""
+
+    @pytest.fixture(params=[None, 0])  # ints, then Fractions past the cap
+    def cap(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(engine_module, "_LCM_CAP_BITS", request.param)
+
+    def test_head_found_by_membership(self, cap):
+        # atoms 0 and 2 pinned, 3 the body: the free head 1 is not first
+        pins = {0: F(1, 5), 2: F(1, 10)}
+        seeds = {**pins, 3: F(9, 10)}
+        nu, over = engine_module.least_fixpoint([([0, 1, 2], (3,))], seeds, F(4, 5), pins)
+        assert over is None
+        assert nu == {**seeds, 1: F(9, 10) - 1 + F(4, 5) - F(1, 5) - F(1, 10)}
+
+    def test_only_pinned_head_overshoots(self, cap):
+        pins = {0: F(1, 2)}
+        nu, over = engine_module.least_fixpoint([([0], (1,))], {**pins, 1: F(1)}, F(1), pins)
+        assert over == 0 and nu[0] == F(1)
+
+    def test_all_pinned_heads_raise_the_first(self, cap):
+        pins = {0: F(1, 2), 2: F(1, 4)}
+        nu, over = engine_module.least_fixpoint([([0, 2], (1,))], {**pins, 1: F(1)}, F(1), pins)
+        assert over == 0 and nu == {0: F(3, 4), 1: F(1), 2: F(1, 4)}
+
+    def test_repeated_body_atom_counts_twice(self, cap):
+        nu, over = engine_module.least_fixpoint([([1], (0, 0))], {0: F(9, 10)}, F(1), {})
+        assert over is None and nu == {0: F(9, 10), 1: F(4, 5)}
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_horn_split_partitions_the_rows(self, relaxed):
+        rng = random.Random(30030)
+        facts = [atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")]
+        split = Counter()
+        while sum(split.values()) < 400:
+            program = random_existential_program(rng)
+            if not program.has_existential_rules or not is_weakly_acyclic_ve(program)[0]:
+                continue
+            tau = FuzzyDatabase({a: random_degree(rng) for a in facts})
+            engine = Engine(Instance(program, tau, rng.choice([F(1), F(4, 5)])), relaxed=relaxed)
+            chase, pins = engine.chase, engine.pins_by_id
+            rows = list(engine_module._rows(chase))
+            horn, rest, core = engine_module.horn_split(chase, pins)
+            merged, parts = [], [list(horn), list(rest)]  # each row in one list, both in `_rows` order
+            for row in rows:
+                part = next(p for p in parts if p and p[0] == row)
+                merged.append(part.pop(0))
+            assert merged == rows and parts == [[], []]
+            for heads, body in horn:
+                assert sum(h not in pins for h in heads) <= 1
+                assert core.isdisjoint(heads) and core.isdisjoint(body)
+            split[bool(horn), bool(rest)] += 1
+        assert split[True, True] >= 20 and split[True, False] >= 20, split
 
 
 class TestRelaxedMode:
