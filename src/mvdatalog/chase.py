@@ -1,25 +1,25 @@
-"""Oblivious chase over the crisp instance, on ints.
+"""Saturation on ints: `settle`, a least fixpoint by degree, and the
+oblivious chase, which is `settle` at one degree.
 
 A term is its rank: the program's and the facts' constant names in
 sorted order, then null n at C + n - 1 for C constants
 (`term_sort_key`'s order), and a ground atom is its key, (predicate,
-rank tuple), with an int id given when the chase first holds it, the
+rank tuple), with an int id given when the loop first derives it, the
 facts first. A database's facts arrive as name keys, (predicate, names),
 and one pass (`_rank`) sorts the names and ranks them; `core` atoms
 given to `oblivious_chase` are keyed by name at its boundary.
-Saturation is semi-naive: each round joins only homomorphisms that map
-some body atom into the previous round's new atoms (the delta, an id
-range). Each rule is compiled once per chase, with a slot plan per body
-position: a homomorphism is its body variables' ranks in name order,
-also its sort key, found by matching body[d] in the delta, then probing
-hash indexes, each built on first use, on the positions a constant or an
-earlier atom fixes.
+`settle` settles a whole degree at a time, that level being the delta
+(at one degree, a chase round), and joins only homomorphisms that map
+some body atom into it. Each rule is compiled once per loop, with a
+slot plan per body position: a homomorphism is its body variables'
+ranks in name order, also its sort key, found by matching body[d] in
+the delta, then probing hash indexes, each built on first use, on the
+positions a constant or an earlier atom fixes.
 Gamma is kept as (rule id, head id, body ids); the compiled rule also
 decides a ground rule's head sum (`head_ids`). `ChaseResult` builds
 `core` terms, atoms and ground rules only when they are read; its
 `AtomTable` part, the keys and the ways to write and find an atom, is
-also the table of `settle`, a least fixpoint of a plain program that
-reuses `_rank`, `_Index` and `_join` to ground only the rules that fire.
+also the table that `Engine.settled` builds from `settle`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
+from operator import attrgetter, itemgetter, neg
+from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 from .core import Atom, Constant, FuzzyDatabase, GroundRule, LabelledNull, Program, Rule, Term, Variable, atom_text
 
@@ -36,6 +36,8 @@ Relation = tuple[str, int]  # (predicate, arity)
 Key = tuple[str, tuple]  # (predicate, args): ranks in the chase, terms in `engine.verify_model`
 Ground = tuple[int, int, tuple[int, ...]]  # a ground rule: (rule id, head id, body ids)
 Scaled = Union[int, Fraction]  # a degree in units of 1/L: an int, or a Fraction where L is 1
+Made = tuple[int, list[str], tuple[int, ...], tuple[int, ...]]  # (rule id, slot names, slot ranks, null ranks)
+Applied = tuple[int, tuple[int, ...], int, tuple[int, ...]]  # a fired ground rule: (rule id, slots, head id, body ids)
 
 
 def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -128,7 +130,7 @@ class ChaseResult(AtomTable):
     """
 
     ground: list[Ground]
-    nulls: list[tuple[int, list[str], tuple[int, ...], tuple[int, ...]]]
+    nulls: list[Made]
     truncated: bool
     steps: int
     index: _Index
@@ -365,101 +367,81 @@ def head_ids(compiled: _CompiledRule, args: tuple, index: _Index) -> list[int]:
 def oblivious_chase(
     program: Program, facts: Union[FuzzyDatabase, Iterable[Atom]], step_limit: Optional[int] = None
 ) -> ChaseResult:
-    """Chase `facts` with the (crisp) program, applying each pair once.
+    """Chase `facts` with the (crisp) program, applying each pair once:
+    `settle` with K = L = 1 and every fact seeded at 1, each level a round.
 
     `facts` is a database, whose name keys are ranked as they are, or
-    ground `core` atoms, nulls allowed, which are keyed at this boundary
-    and kept as the result's `given`.
+    ground `core` atoms, keyed at this boundary and kept as the result's
+    `given`. Fresh nulls are numbered from 1, so an input atom that holds
+    a null would alias them, and is refused.
 
-    A rule none of whose body relations gained atoms in the previous round
-    is not joined; null numbering, `steps` and the truncation point are those
-    of a chase that re-enumerates every pair each round. Gamma holds the
-    ground rule of every applied pair, ordered by rule id and then by the
-    homomorphism's images in variable-name order: one per pair whose body
-    maps into olim, or, flagged truncated past the step limit, one per
-    application performed.
+    A rule is joined in a round only when one of its body relations gained
+    atoms in the previous one and each holds an atom; null numbering,
+    `steps` and the truncation point are those of a chase that
+    re-enumerates every pair each round. Gamma holds the ground rule of
+    every applied pair, ordered by rule id and then by the homomorphism's
+    images in variable-name order: one per pair whose body maps into olim,
+    or, flagged truncated past the step limit, one per application
+    performed.
     """
     if isinstance(facts, FuzzyDatabase):
-        given, top = None, 0
-        rank, keys = _rank(program.rules, facts.facts)
+        rank, keys, given = *_rank(program.rules, facts.facts), None
     else:
-        rank, held, top = _rank_atoms(program.rules, facts)
+        facts = list(facts)
+        if carrier := next((a for a in facts if a.has_nulls()), None):
+            raise ValueError(f"chase input atom {carrier} holds a labelled null")
+        rank, held, _ = _rank_atoms(program.rules, facts)
         keys, given = list(held), list(held.values())
-    ids = dict(zip(keys, range(len(keys))))
-    index = _Index(keys, rank)
-    nulls: list[tuple[int, list[str], tuple[int, ...], tuple[int, ...]]] = []
-    applied: list[tuple[int, tuple[int, ...], int, tuple[int, ...]]] = []  # (rule id, slots, head, body)
-    rules = [index.compiled(r) for r in sorted(program.rules, key=lambda r: r.id)]
-    fresh = first_null = len(rank)  # the next null's rank
-    steps, truncated = 0, False
-
-    while not truncated:
-        for compiled in rules:
-            if truncated:
-                break
-            if index.delta_by_relation.keys().isdisjoint(compiled.relations):
-                continue
-            rule = compiled.rule
-            predicate, head_args, head_constants, existential = compiled.head
-            for slots, body in _join(rule, index):
-                if step_limit is not None and steps >= step_limit:
-                    truncated = True
-                    break
-                steps += 1
-                values = slots
-                if existential:
-                    made = tuple(range(fresh, fresh + existential))
-                    fresh += existential
-                    nulls.append((rule.id, compiled.names, slots, made))
-                    values += made
-                key = (predicate, head_args(values + head_constants))
-                if (head := ids.setdefault(key, len(keys))) == len(keys):
-                    keys.append(key)
-                applied.append((rule.id, slots, head, body))
-        if len(keys) == index.end:
-            # every pair into this unchanged atom set has been applied
-            break
-        index.add()
-
-    applied.sort()
-    ground = [(r, h, body) for r, _, h, body in applied]
-    return ChaseResult(keys, ids, rank, max(top, fresh - first_null), given, ground, nulls, truncated, steps, index)
+    applied: list[Applied] = []
+    ids, index, nulls, steps, truncated = settle(
+        program, rank, keys, 1, 1, dict.fromkeys(range(len(keys)), 1), step_limit, applied)
+    ground = [(r, h, body) for r, _, h, body in sorted(applied)]
+    return ChaseResult(keys, ids, rank, sum(len(m) for *_, m in nulls), given, ground, nulls, truncated, steps, index)
 
 
 def settle(
-    program: Program, database: FuzzyDatabase, k: Scaled, L: int, seeds: Mapping[int, Scaled]
-) -> tuple[AtomTable, dict[int, Scaled]]:
-    """The least degrees nu >= `seeds` (by fact index) with nu(H) >= nu(body)
-    - 1 + K for every ground rule of a plain program, grounding only the
-    rules that fire: the atom table (the facts, ids 0, 1, ... in input
-    order, then each derived atom of positive degree) and the positive
-    degrees by id, all in units of 1/L, as is K = k/L.
+    program: Program, rank: dict[str, int], keys: list[Key], k: Scaled, L: int, nu: dict[int, Scaled],
+    step_limit: Optional[int] = None, applied: Optional[list[Applied]] = None,
+) -> tuple[dict[Key, int], _Index, list[Made], int, bool]:
+    """Raise `nu`, seeds by id into `keys` (ranked by `rank`), to the least
+    degrees with nu(H) >= nu(body) - 1 + K for every ground rule, in units
+    of 1/L as is K = k/L, appending each derived atom of positive degree to
+    `keys`. Returns the ids by key, the index, the nulls made, the steps
+    and whether `step_limit` cut the loop short.
 
-    Datalog over ([0, 1], max, Lukasiewicz t-norm), in Knuth's
-    generalisation of Dijkstra's algorithm: a rule's value is never above
-    its weakest body atom, so the atoms at the heap's top degree are final
-    and settle together as the index's delta, and the semi-naive `_join`
-    of each rule that touches it fires a ground rule once, when its last
-    body atom settles.
+    Knuth's generalisation of Dijkstra's algorithm over ([0, 1], max,
+    Lukasiewicz t-norm): a rule's value is never above its weakest body
+    atom, so the atoms at the top degree are final. A heap of the distinct
+    degrees, with the ids pushed at each, pops a whole level; its atoms,
+    less stale ids that `nu` has since raised, settle as the index's delta,
+    and the semi-naive `_join` of each rule that touches it, in rule-id
+    order, fires a ground rule once, when its last body atom settles. An
+    existential rule's ground rule makes fresh nulls, ranks from len(rank)
+    on; after `step_limit` ground rules the loop stops before the next one
+    makes its nulls or its head. `oblivious_chase` runs it at one degree,
+    where a level is a round, and passes `applied` to record each fired
+    ground rule: then every atom enters the index, as `head_ids` probes
+    head relations, and settles in id order, so that its index position is
+    its id. Without it, only atoms of a relation that some body reads enter.
     """
-    rank, keys = _rank(program.rules, database.facts)
     ids = dict(zip(keys, range(len(keys))))
-    nu = dict(seeds)
-    heap = [(-d, a) for a, d in nu.items()]
-    heapq.heapify(heap)
+    levels: dict[Scaled, list[int]] = {}  # degree -> the ids pushed at it
+    for a, d in nu.items():
+        levels.setdefault(d, []).append(a)
+    heap = sorted(map(neg, levels))  # a sorted list is a heap
     values = []  # the settled atoms' degrees, by position in the index
     index = _Index([], rank)
-    compiled = [index.compiled(r) for r in program.rules]
+    compiled = [index.compiled(r) for r in sorted(program.rules, key=attrgetter("id"))]
     # each rule with its body relations and its value less its body sum
     rules = [(c, frozenset(c.relations), k - len(c.relations) * L) for c in compiled]
-    joined = {p for c in compiled for p, _ in c.relations}  # no other atom enters the index
+    # the predicates whose atoms enter the index: every one (None) when `applied` records, else those a body reads
+    joined = None if applied is not None else {p for c in compiled for p, _ in c.relations}
+    nulls, fresh, steps, truncated = [], len(rank), 0, False  # fresh: the next null's rank
     pop, push, indexed, value_of = heapq.heappop, heapq.heappush, index.keys, values.__getitem__
-    while heap:
-        top = heap[0][0]
-        level = -top
-        while heap and heap[0][0] == top:
-            a = pop(heap)[1]
-            if nu[a] == level and keys[a][0] in joined:  # else stale (nu[a] was raised, or a settled) or unjoined
+    while heap and not truncated:
+        level = -pop(heap)
+        for a in levels.pop(level):
+            if nu[a] == level and (joined is None or keys[a][0] in joined):  # else stale or unjoined
                 indexed.append(keys[a])
                 values.append(level)
         if len(values) == index.end:
@@ -467,16 +449,28 @@ def settle(
         index.add()
         delta, held = index.delta_by_relation.keys(), index.by_relation.keys()
         for c, relations, bias in rules:  # joined when the delta and every body relation hold atoms
-            if delta.isdisjoint(relations) or not held >= relations:
+            if truncated or delta.isdisjoint(relations) or not held >= relations:
                 continue
-            predicate, head_args, constants, _ = c.head
-            for slots, body in _join(c.rule, index):
+            predicate, head_args, constants, existential = c.head
+            found = _join(c.rule, index)
+            if step_limit is not None and steps + len(found) > step_limit:
+                del found[step_limit - steps:]
+                truncated = True
+            steps += len(found)
+            for slots, body in found:
                 value = bias + sum(map(value_of, body))
                 if value > 0:
-                    key = (predicate, head_args(slots + constants))
+                    if existential:  # fresh nulls, in the order the ground rules fire
+                        made = tuple(range(fresh, fresh := fresh + existential))
+                        nulls.append((c.rule.id, c.names, slots, made))
+                    key = (predicate, head_args((slots + made if existential else slots) + constants))
                     if (h := ids.setdefault(key, len(keys))) == len(keys):
                         keys.append(key)
+                    if applied is not None:
+                        applied.append((c.rule.id, slots, h, body))
                     if value > nu.get(h, 0):
                         nu[h] = value
-                        push(heap, (-value, h))
-    return AtomTable(keys, ids, rank, 0, None), nu
+                        if not (bucket := levels.setdefault(value, [])):
+                            push(heap, -value)
+                        bucket.append(h)
+    return ids, index, nulls, steps, truncated

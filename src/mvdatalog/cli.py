@@ -212,20 +212,17 @@ def _lp_as_json(lp, secondary: dict) -> dict:
 
 
 def _lp_as_text(lp, secondary: dict) -> list[str]:
-    lines = ["minimize"]
-    lines.append("  " + " + ".join(f"{c} {v}" for v, c in sorted(lp.objective.items())))
+    def total(coeffs: dict) -> str:
+        # an empty sum is 0: a rule whose coefficients all cancel, as in p(X) :- p(X), or an LP with no atom
+        return " + ".join(f"{c} {v}" for v, c in sorted(coeffs.items())) or "0"
+
+    lines = ["minimize", "  " + total(lp.objective)]
     if secondary:
-        lines.append("then minimize")
-        lines.append("  " + " + ".join(f"{c} {v}" for v, c in sorted(secondary.items())))
+        lines += ["then minimize", "  " + total(secondary)]
     lines.append("subject to")
-    for constraint in lp.constraints:
-        # a rule whose coefficients all cancel, as in p(X) :- p(X), has an empty sum
-        terms = " + ".join(f"{c} {v}" for v, c in sorted(constraint.coeffs.items())) or "0"
-        lines.append(f"  {terms} >= {constraint.rhs}")
-    for v, lo in _lower_bounds(lp):
-        lines.append(f"  {v} >= {lo}")
-    for v, d in sorted(lp.fixings.items()):
-        lines.append(f"  {v} = {d}")
+    lines += [f"  {total(constraint.coeffs)} >= {constraint.rhs}" for constraint in lp.constraints]
+    lines += [f"  {v} >= {lo}" for v, lo in _lower_bounds(lp)]
+    lines += [f"  {v} = {d}" for v, d in sorted(lp.fixings.items())]
     lines.append("  0 <= x <= 1 for all variables")
     return lines
 

@@ -5,12 +5,13 @@
 the degrees a model must equal, and seeds, the lower bounds it must
 reach, by fact id. A plain program on the default route `settle`s
 (`chase.settle`, on `_scaled` ints), under any step limit: a least
-fixpoint in decreasing degree that joins the rules as atoms settle, so
-it grounds only the rules that fire and builds no chase. Every other
-engine chases once (`Engine.chase`, built on first read, refuses an
-existential program that is not weakly acyclic unless a step limit
-bounds it, and a chase the limit cut short) and solves on its rows: each
-ground rule as (heads, body), the ids of its head sum's atoms and of its
+fixpoint that settles a whole degree at a time and joins the rules as
+atoms settle, so it grounds only the rules that fire; the chase, the
+same loop at one degree, does not run. Every other engine chases once
+(`Engine.chase`, built on first read, refuses an existential program
+that is not weakly acyclic unless a step limit bounds it, and a chase
+the limit cut short) and solves on its rows: each ground rule as
+(heads, body), the ids of its head sum's atoms and of its
 body (`_rows`), the one type that the fixpoint and both LPs read. Rows
 whose heads hold at most one unpinned atom are Horn and go to an exact
 least fixpoint on ints, which also finds a pin the rules overshoot; only
@@ -39,7 +40,7 @@ from functools import cached_property
 from math import lcm
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .chase import AtomTable, ChaseResult, Scaled, _Index, head_ids, oblivious_chase, settle
+from .chase import AtomTable, ChaseResult, Scaled, _Index, _rank, head_ids, oblivious_chase, settle
 from .core import (
     ONE,
     ZERO,
@@ -280,11 +281,12 @@ def least_fixpoint(
 
     Knuth's generalisation of Dijkstra's algorithm: a rule's value is
     monotone in its body and never above its weakest body atom, so the
-    atom with the largest tentative degree is final when it leaves the
-    heap. Each row fires once, when the last of its distinct body atoms
-    settles. Seeds are lower bounds, not pins; only positive degrees are
-    returned, by id. The heap and the rule values are `_scaled` ints,
-    each distinct one read back once (`_read_back`).
+    atoms at the largest tentative degree are final. A heap of the distinct
+    degrees, with the ids pushed at each, pops a whole level at a time, as
+    `settle` does. Each row fires once, when the last of its distinct body
+    atoms settles. Seeds are lower bounds, not pins; only positive degrees
+    are returned, by id. The degrees and the rule values are `_scaled`
+    ints, each distinct one read back once (`_read_back`).
     """
     L, k, nu = _scaled(K, seeds)
     start = nu.copy()
@@ -305,19 +307,24 @@ def least_fixpoint(
                 h = heads[0]
             bias -= sum([nu[a] for a in heads if a != h])
         fires.append((h, body, bias))
-    heap = [(-d, a) for a, d in nu.items()]
-    heapq.heapify(heap)
+    levels: dict[Scaled, list[int]] = {}  # degree -> the ids pushed at it
+    for a, d in nu.items():
+        levels.setdefault(d, []).append(a)
+    heap = sorted(-d for d in levels)  # a sorted list is a heap
     while heap:
-        # an atom settles at its first pop; popping its list makes later pops no-ops
-        for i in waiting.pop(heapq.heappop(heap)[1], ()):
-            unsettled[i] -= 1
-            if unsettled[i]:
-                continue
-            h, body, bias = fires[i]
-            value = bias + sum(map(nu.__getitem__, body))
-            if value > nu.get(h, 0):
-                nu[h] = value
-                heapq.heappush(heap, (-value, h))
+        for a in levels.pop(-heapq.heappop(heap)):
+            # an atom settles at its first pop; popping its list makes later pops no-ops
+            for i in waiting.pop(a, ()):
+                unsettled[i] -= 1
+                if unsettled[i]:
+                    continue
+                h, body, bias = fires[i]
+                value = bias + sum(map(nu.__getitem__, body))
+                if value > nu.get(h, 0):
+                    nu[h] = value
+                    if not (bucket := levels.setdefault(value, [])):
+                        heapq.heappush(heap, -value)
+                    bucket.append(h)
     return _read_back(nu, L, start, pins)
 
 
@@ -557,8 +564,9 @@ class Engine:
         if not self.settles:
             return None
         L, k, seeds = _scaled(self.instance.K, self.seeds_by_id)
-        table, nu = settle(self.instance.program, self.instance.database, k, L, seeds)
-        return (table, *_read_back(nu, L, seeds, self.pins_by_id))
+        rank, keys = _rank(self.instance.program.rules, self.instance.database.facts)
+        ids = settle(self.instance.program, rank, keys, k, L, nu := dict(seeds))[0]
+        return (AtomTable(keys, ids, rank, 0, None), *_read_back(nu, L, seeds, self.pins_by_id))
 
     @property
     def table(self) -> AtomTable:

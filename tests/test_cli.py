@@ -489,6 +489,14 @@ class TestGround:
         (constraint,) = json.loads(run_cli("ground", str(looped)).stdout)["lp"]["constraints"]
         assert constraint == {"coeffs": {}, "rhs": "0"}
 
+    def test_empty_objective_prints_zero(self, tmp_path):
+        # rules and no facts: the LP has no column, so the objective is an empty sum
+        rules = tmp_path / "rules.mvdl"
+        rules.write_text("p(X) :- q(X).\n", encoding="utf-8")
+        text = run_cli("ground", str(rules), "--format", "text")
+        assert text.returncode == 0 and text.stderr == ""
+        assert text.stdout == "minimize\n  0\nsubject to\n  0 <= x <= 1 for all variables\n"
+
     def test_non_weakly_acyclic_requires_limit_exit_4(self, files):
         proc = run_cli("ground", files["selfloop"])
         assert proc.returncode == 4 and proc.stdout == ""

@@ -1134,6 +1134,66 @@ class TestRows:
         assert split[True, True] >= 20 and split[True, False] >= 20, split
 
 
+class TestDegreeQueue:
+    """Both Knuth loops, `least_fixpoint` and `settle`, pop a whole degree
+    at a time: a head derived at the degree being popped is popped at it
+    again, and an id that its atom's raise left at a lower degree is
+    stale; on ints and on Fractions past the cap."""
+
+    @pytest.fixture(params=[None, 0])  # ints, then Fractions past the cap
+    def cap(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(engine_module, "_LCM_CAP_BITS", request.param)
+
+    @staticmethod
+    def _settled(monkeypatch, text):
+        """`Engine.degrees` at K = 1 by atom text, checked against the Kleene
+        oracle; no atom enters `settle`'s index twice."""
+        indexes = []
+
+        class Recorded(chase_module._Index):
+            def __init__(self, *args):
+                super().__init__(*args)
+                indexes.append(self)
+
+        monkeypatch.setattr(chase_module, "_Index", Recorded)
+        instance = inst(text)
+        engine = Engine(instance)
+        degrees = {engine.table.text(a): d for a, d in engine.degrees.items()}
+        (index,) = indexes
+        assert engine.settles and len(set(index.keys)) == len(index.keys)
+        assert degrees == {str(a): d for a, d in fixpoint_minimal_model(instance).support.items()}
+        return degrees
+
+    def test_rows_derive_at_the_popped_degree(self, cap):
+        # at K = 1 a one-atom body passes its degree on: 1, then 2, join 0's level after it is popped;
+        # 3's value, 1/2 + 1/2 - 1, is 0
+        rows = [([1], (0,)), ([2], (1,)), ([3], (1, 2)), ([4], (2,))]
+        nu, over = engine_module.least_fixpoint(rows, {0: F(1, 2)}, F(1), {})
+        assert over is None and nu == {0: F(1, 2), 1: F(1, 2), 2: F(1, 2), 4: F(1, 2)}
+
+    def test_rows_leave_stale_ids_below(self, cap):
+        # 2 is seeded at 1/10, raised to 2/5 at level 1/2 and to 9/20 at level 9/20:
+        # its ids at 2/5 and 1/10 are stale, and the row it feeds fires once, at 9/20
+        seeds = {1: F(9, 10), 2: F(1, 10), 6: F(1, 2), 8: F(9, 20)}
+        rows = [([2], (1, 6)), ([2], (8,)), ([3], (2,))]
+        nu, over = engine_module.least_fixpoint(rows, seeds, F(1), {2: F(1, 10)})
+        assert over == 2 and nu == {**seeds, 2: F(9, 20), 3: F(9, 20)}
+
+    def test_settle_derives_at_the_popped_degree(self, cap, monkeypatch):
+        degrees = self._settled(monkeypatch, "0.5 :: p(a).\nq(X) :- p(X).\nr(X) :- q(X).\ns(X) :- q(X), r(X).")
+        assert degrees == {"p(a)": F(1, 2), "q(a)": F(1, 2), "r(a)": F(1, 2)}
+        text = "0.5 :: p(a).\n0.5 :: e(a, b).\nq(X) :- p(X).\nq(Y) :- q(X), e(X, Y)."
+        degrees = self._settled(monkeypatch, text)
+        assert degrees == {"p(a)": F(1, 2), "e(a, b)": F(1, 2), "q(a)": F(1, 2)}  # q(b) is 1/2 + 1/2 - 1
+
+    def test_settle_leaves_stale_ids_below(self, cap, monkeypatch):
+        # t(x) is raised to 2/5 at level 1/2, then to 9/20 at level 9/20: its id at 2/5 is stale
+        text = "0.9 :: a(x).\n0.5 :: b(x).\n0.45 :: c(x).\nt(X) :- a(X), b(X).\nt(X) :- c(X).\nu(X) :- t(X)."
+        degrees = self._settled(monkeypatch, text)
+        assert degrees == {"a(x)": F(9, 10), "b(x)": F(1, 2), "c(x)": F(9, 20), "t(x)": F(9, 20), "u(x)": F(9, 20)}
+
+
 class TestRelaxedMode:
     """`Engine(relaxed=True)`, the strict chase solved with tau's degrees
     less 1 - K as lower bounds, against the `relax_rewrite` oracle: the
