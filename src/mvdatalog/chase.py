@@ -4,10 +4,10 @@ oblivious chase, which is `settle` at one degree.
 A term is its rank: the program's and the facts' constant names in
 sorted order, then null n at C + n - 1 for C constants
 (`term_sort_key`'s order), and a ground atom is its key, (predicate,
-rank tuple), with an int id given when the loop first derives it, the
+rank tuple), with an int id assigned when the loop first derives it, the
 facts first. A database's facts arrive as name keys, (predicate, names),
 and one pass (`_rank`) sorts the names and ranks them; `core` atoms
-given to `oblivious_chase` are keyed by name at its boundary.
+passed to `oblivious_chase` become a database at its boundary.
 `settle` settles a whole degree at a time, that level being the delta
 (at one degree, a chase round), and joins only homomorphisms that map
 some body atom into it. Each rule is compiled once per loop, with a
@@ -30,7 +30,7 @@ from functools import cached_property
 from operator import attrgetter, itemgetter, neg
 from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
-from .core import Atom, Constant, FuzzyDatabase, GroundRule, LabelledNull, Program, Rule, Term, Variable, atom_text
+from .core import ONE, Atom, Constant, FuzzyDatabase, GroundRule, LabelledNull, Program, Rule, Term, Variable, atom_text
 
 Relation = tuple[str, int]  # (predicate, arity)
 Key = tuple[str, tuple]  # (predicate, args): ranks in the chase, terms in `engine.verify_model`
@@ -66,13 +66,11 @@ class AtomTable:
     to its id, so `id_of` finds a `core` atom without building any, and
     `text` writes one. `order` is the ids in key order, `Atom.sort_key`'s
     when each predicate has one arity, as in an `Instance`. `terms` and
-    `atoms` are views in `core` objects, built on first read; `given` is
-    None, or the caller's own atoms, which `atoms` holds as its facts.
+    `atoms` are views in `core` objects, built from the keys on first read.
     """
 
-    def __init__(self, keys: list[Key], ids: dict[Key, int], rank: dict[str, int], null_count: int,
-                 given: Optional[list[Atom]]) -> None:
-        self.keys, self.ids, self.rank, self.null_count, self.given = keys, ids, rank, null_count, given
+    def __init__(self, keys: list[Key], ids: dict[Key, int], rank: dict[str, int], null_count: int) -> None:
+        self.keys, self.ids, self.rank, self.null_count = keys, ids, rank, null_count
 
     @property
     def first_null(self) -> int:
@@ -101,8 +99,8 @@ class AtomTable:
     @cached_property
     def atoms(self) -> list[Atom]:
         """Atom i is atoms[i]."""
-        given, terms = self.given or [], self.terms.__getitem__
-        return [*given, *(Atom(p, tuple(map(terms, args))) for p, args in self.keys[len(given):])]
+        terms = self.terms.__getitem__
+        return [Atom(p, tuple(map(terms, args))) for p, args in self.keys]
 
     def id_of(self, atom: Atom) -> Optional[int]:
         """The id of the ground atom `atom`, None when the table does not hold
@@ -135,8 +133,8 @@ class ChaseResult(AtomTable):
     steps: int
     index: _Index
 
-    def __init__(self, keys, ids, rank, null_count, given, ground, nulls, truncated, steps, index):
-        super().__init__(keys, ids, rank, null_count, given)
+    def __init__(self, keys, ids, rank, null_count, ground, nulls, truncated, steps, index):
+        super().__init__(keys, ids, rank, null_count)
         self.ground, self.nulls, self.truncated, self.steps, self.index = ground, nulls, truncated, steps, index
 
     @cached_property
@@ -164,37 +162,14 @@ def _terms(names: list[str], nulls: int) -> list[Term]:
     return [*map(Constant, names), *map(LabelledNull, range(1, nulls + 1))]
 
 
-def _rank(
-    rules: Iterable[Rule], facts: Collection[tuple[str, tuple]], nulls: Collection[int] = ()
-) -> tuple[dict[str, int], list[Key]]:
-    """Rank the constant names of `rules` and `facts` in sorted order, null n
-    at C + n - 1 after the C constants, and key each fact by its args'
-    ranks. A fact's args are constant names, or null ids as ints, `nulls`
-    the ids that occur. Returns the ranks by name and the facts' keys, in
-    order."""
+def _rank(rules: Iterable[Rule], facts: Collection[tuple[str, tuple[str, ...]]]) -> tuple[dict[str, int], list[Key]]:
+    """Rank the constant names of `rules` and `facts` in sorted order, and
+    key each fact, (predicate, names), by its args' ranks. Returns the
+    ranks by name and the facts' keys, in order."""
     named = {t.name for r in rules for b in (*r.body, r.head) for t in b.args if type(t) is Constant}
     named.update(*[args for _, args in facts])
-    named.difference_update(nulls)
     rank = {name: r for r, name in enumerate(sorted(named))}
-    lookup = {**rank, **{n: len(rank) + n - 1 for n in nulls}} if nulls else rank
-    return rank, [(p, tuple(map(lookup.__getitem__, args))) for p, args in facts]
-
-
-def _rank_atoms(rules: Iterable[Rule], atoms: Iterable[Atom]) -> tuple[dict[str, int], dict[Key, Atom], int]:
-    """`_rank` of ground `core` atoms, a constant by its name and null n by
-    the int n. Returns the ranks by name, each distinct key with the first
-    atom that has it, and the highest null id (0 without one)."""
-    atoms, named, nulls = list(atoms), [], set()
-    for a in atoms:
-        if not a.is_ground():
-            raise ValueError(f"chase input atom {a} is not ground")
-        nulls.update([t.id for t in a.args if type(t) is LabelledNull])
-        named.append((a.predicate, tuple([t.name if type(t) is Constant else t.id for t in a.args])))
-    rank, keys = _rank(rules, named, nulls)
-    held: dict[Key, Atom] = {}
-    for key, a in zip(keys, atoms):
-        held.setdefault(key, a)
-    return rank, held, max([0, *nulls])
+    return rank, [(p, tuple(map(rank.__getitem__, args))) for p, args in facts]
 
 
 class _CompiledRule:
@@ -370,10 +345,10 @@ def oblivious_chase(
     """Chase `facts` with the (crisp) program, applying each pair once:
     `settle` with K = L = 1 and every fact seeded at 1, each level a round.
 
-    `facts` is a database, whose name keys are ranked as they are, or
-    ground `core` atoms, keyed at this boundary and kept as the result's
-    `given`. Fresh nulls are numbered from 1, so an input atom that holds
-    a null would alias them, and is refused.
+    `facts` is a database, or `core` atoms, which enter as the database
+    that holds each at degree 1: its `DomainError` refuses an atom that is
+    not ground or holds a null (fresh nulls are numbered from 1, and would
+    alias it). olim's facts equal the atoms but are new objects.
 
     A rule is joined in a round only when one of its body relations gained
     atoms in the previous one and each holds an atom; null numbering,
@@ -384,19 +359,14 @@ def oblivious_chase(
     or, flagged truncated past the step limit, one per application
     performed.
     """
-    if isinstance(facts, FuzzyDatabase):
-        rank, keys, given = *_rank(program.rules, facts.facts), None
-    else:
-        facts = list(facts)
-        if carrier := next((a for a in facts if a.has_nulls()), None):
-            raise ValueError(f"chase input atom {carrier} holds a labelled null")
-        rank, held, _ = _rank_atoms(program.rules, facts)
-        keys, given = list(held), list(held.values())
+    if not isinstance(facts, FuzzyDatabase):
+        facts = FuzzyDatabase(dict.fromkeys(facts, ONE))
+    rank, keys = _rank(program.rules, facts.facts)
     applied: list[Applied] = []
     ids, index, nulls, steps, truncated = settle(
         program, rank, keys, 1, 1, dict.fromkeys(range(len(keys)), 1), step_limit, applied)
     ground = [(r, h, body) for r, _, h, body in sorted(applied)]
-    return ChaseResult(keys, ids, rank, sum(len(m) for *_, m in nulls), given, ground, nulls, truncated, steps, index)
+    return ChaseResult(keys, ids, rank, sum(len(m) for *_, m in nulls), ground, nulls, truncated, steps, index)
 
 
 def settle(

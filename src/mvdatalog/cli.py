@@ -50,7 +50,7 @@ from .engine import (
     Unsatisfiable,
     eoptk_columns,
 )
-from .parser import NonGroundQuery, ParseError, SafetyError, parse_degree, parse_ground_atom, parse_many
+from .parser import NonGroundQuery, ParseError, parse_degree, parse_ground_atom, parse_many
 
 EXIT_OK = 0
 EXIT_NOT_ENTAILED = 1
@@ -340,7 +340,7 @@ def _run(argv: Optional[list[str]]) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ParseError, DomainError, ArityError, SafetyError, NonGroundQuery) as exc:
+    except (ParseError, DomainError, ArityError, NonGroundQuery) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

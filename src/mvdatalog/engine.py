@@ -566,7 +566,7 @@ class Engine:
         L, k, seeds = _scaled(self.instance.K, self.seeds_by_id)
         rank, keys = _rank(self.instance.program.rules, self.instance.database.facts)
         ids = settle(self.instance.program, rank, keys, k, L, nu := dict(seeds))[0]
-        return (AtomTable(keys, ids, rank, 0, None), *_read_back(nu, L, seeds, self.pins_by_id))
+        return (AtomTable(keys, ids, rank, 0), *_read_back(nu, L, seeds, self.pins_by_id))
 
     @property
     def table(self) -> AtomTable:

@@ -32,7 +32,7 @@ from mvdatalog.core import (
     rule_gap,
     term_sort_key,
 )
-from mvdatalog.chase import ChaseResult, Key, _Index, _join, _rank_atoms, _terms, oblivious_chase
+from mvdatalog.chase import ChaseResult, Key, _Index, _join, oblivious_chase
 from mvdatalog.engine import Engine, horn_split, least_fixpoint
 from mvdatalog.parser import NonGroundQuery, ParseError, SafetyError
 
@@ -88,10 +88,14 @@ def format_instance(program: Program, database: FuzzyDatabase) -> str:
 def enumerate_homomorphisms(rule: Rule, atoms: Iterable[Atom]) -> list[dict[str, Term]]:
     """All substitutions of the rule's body variables into `atoms`, sorted
     by their images in variable-name order: the chase's join with every atom
-    in the delta (not an oracle: it runs the chase's own join)."""
-    rank, held, top = _rank_atoms([rule], atoms)
-    index = _Index(list(held), rank)
-    terms = _terms(list(rank), top)
+    in the delta (not an oracle: it runs the chase's own join). Its atoms may
+    hold nulls: a term's rank is its place in `term_sort_key`'s order."""
+    atoms = list(dict.fromkeys(atoms))
+    named = [t for b in (*rule.body, rule.head) for t in b.args if isinstance(t, Constant)]
+    terms = sorted({*named, *(t for a in atoms for t in a.args)}, key=term_sort_key)
+    rank = {t: r for r, t in enumerate(terms)}
+    index = _Index([(a.predicate, tuple(map(rank.__getitem__, a.args))) for a in atoms],
+                   {t.name: r for t, r in rank.items() if isinstance(t, Constant)})
     return [dict(zip(index.compiled(rule).names, map(terms.__getitem__, slots))) for slots, _ in _join(rule, index)]
 
 

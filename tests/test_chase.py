@@ -22,6 +22,8 @@ from mvdatalog.chase import oblivious_chase
 from mvdatalog.core import (
     Atom,
     Constant,
+    DomainError,
+    FuzzyDatabase,
     Instance,
     LabelledNull,
     Program,
@@ -97,7 +99,7 @@ class TestObliviousChase:
 
     def test_non_ground_fact_rejected(self):
         prog = _program(([atom("p", "X")], atom("q", "X")))
-        with pytest.raises(ValueError, match="not ground"):
+        with pytest.raises(DomainError, match=r"^database atom p\(X\) is not ground$"):
             oblivious_chase(prog, {atom("p", "X")})
 
     @pytest.mark.parametrize("null", [1, 0])
@@ -105,8 +107,50 @@ class TestObliviousChase:
         # fresh nulls are numbered from 1: s(a)'s would alias the input's, deriving r(_:n1)
         prog = _program(([atom("s", "X")], atom("q", "Y")), ([atom("p", "X"), atom("q", "X")], atom("r", "X")))
         facts = [atom("p", "a"), Atom("p", (LabelledNull(null),)), atom("s", "a")]  # _:n0 would alias a's rank
-        with pytest.raises(ValueError, match=rf"^chase input atom p\(_:n{null}\) holds a labelled null$"):
+        with pytest.raises(DomainError, match=rf"^database atom p\(_:n{null}\) contains a labelled null$"):
             oblivious_chase(prog, facts)
+
+    def test_repeated_atoms_get_one_id_each_in_first_seen_order(self):
+        rng = random.Random(53)
+        prog = _program(([atom("r", "X", "Y")], atom("q", "Y")), ([atom("q", "X")], atom("s", "X", "Z")))
+        distinct = [atom("r", "b", "a"), atom("p", "a"), atom("r", "a", "b"), atom("q", "c"), atom("s", "a", "b")]
+        for _ in range(20):
+            facts = distinct * 2 + rng.sample(distinct, 3)
+            rng.shuffle(facts)
+            first_seen = list(dict.fromkeys(facts))
+            result = oblivious_chase(prog, facts)
+            n = len(first_seen)
+            assert result.keys[:n] == [(a.predicate, tuple(result.rank[t.name] for t in a.args)) for a in first_seen]
+            assert result.atoms[:n] == first_seen
+            assert [result.id_of(a) for a in first_seen] == list(range(n))
+            assert len(set(result.keys)) == len(result.keys)
+
+    @staticmethod
+    def _assert_atoms_enter_as_a_database(program, atoms, step_limit):
+        by_atoms = oblivious_chase(program, atoms, step_limit)
+        by_database = oblivious_chase(program, FuzzyDatabase(dict.fromkeys(atoms, 1)), step_limit)
+        for name in ("keys", "ground", "nulls", "steps", "truncated", "olim"):
+            assert getattr(by_atoms, name) == getattr(by_database, name), name
+        return by_atoms.truncated
+
+    def test_atoms_chase_as_the_database_that_holds_them_at_one(self):
+        rng = random.Random(59)
+        truncated = 0
+        for n in range(300):
+            if n % 3 == 0:
+                inst = random_instance(rng)
+                program, atoms = inst.program, list(inst.database.entries)
+            elif n % 3 == 1:
+                program = random_existential_program(rng)
+                atoms = [atom("p", "a"), atom("q", "b"), atom("r", "a", "b"), atom("s", "a")]
+            else:
+                program, atoms = random_wide_program(rng, n % 2 == 1)
+                atoms = list(atoms)
+            rng.shuffle(atoms)
+            finite = not program.has_existential_rules or is_weakly_acyclic_ve(program)[0]
+            for step_limit in (None, 1, 7) if finite else (1, 7):
+                truncated += self._assert_atoms_enter_as_a_database(program, atoms, step_limit)
+        assert 0 < truncated
 
     def test_atoms_of_another_arity_are_not_matched(self):
         # r(c) shares r's name, not its arity: probing r(X, Y) on position 1 must skip it
@@ -391,14 +435,12 @@ class TestNaiveOracle:
 
 class TestSharedAtoms:
     """olim and Gamma hold one object per ground atom: every body and head
-    atom of a ground rule is the olim member itself, and every fact is the
-    object the caller passed in."""
+    atom of a ground rule is the olim member itself."""
 
     @staticmethod
     def _assert_shared(program, facts, step_limit):
         result = oblivious_chase(program, facts, step_limit)
         held = {a: a for a in result.olim}
-        assert all(held[a] is a for a in facts)
         for g in result.gamma:
             for a in (*g.body, g.head):
                 assert held[a] is a, f"{a} in {g} is a copy"
