@@ -4,12 +4,12 @@ Truth degrees are exact rationals (`fractions.Fraction`) in [0, 1]; the
 whole engine avoids floating point, so every comparison such as
 ``degree >= threshold`` is an exact decision. A fuzzy database keys its
 facts by name, (predicate, tuple of constant names), as the parser reads
-them; its map over `Atom`s is a view.
+them; its map over `Atom`s is a view. The value types are plain classes
+over `Value`, so importing them generates no code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -43,34 +43,105 @@ def as_degree(value: RationalLike, *, positive: bool = False) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Immutable values
+
+_set = object.__setattr__  # how an `__init__` writes a field past `Value.__setattr__`
+
+
+class Value:
+    """An immutable value, compared, hashed and shown by its `_fields` in
+    order: equal only to an instance of its own class, hashed as the
+    fields' tuple, shown as `Class(field=...)`, and refusing assignment.
+    Each class writes its `__init__`; the types hashed in loops write
+    their own `__eq__` and `__hash__`."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({', '.join([f'{f}={getattr(self, f)!r}' for f in self._fields])})"
+
+    # a subclass that declares no `_fields` keeps its own attributes assignable
+    def __setattr__(self, name: str, value: object) -> None:
+        if "_fields" in type(self).__dict__ or name in self._fields:
+            raise AttributeError(f"cannot assign to field {name!r}")
+        _set(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if "_fields" in type(self).__dict__ or name in self._fields:
+            raise AttributeError(f"cannot delete field {name!r}")
+        object.__delattr__(self, name)
+
+
+# ---------------------------------------------------------------------------
 # Terms and atoms
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(Value):
+    _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Constant:
-    name: str
+class Constant(Value):
+    _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class LabelledNull:
+class LabelledNull(Value):
     """Fresh constant invented by the chase to witness an existential head variable.
 
     Ids are unique within one chase run and can never collide with constants
     (distinct type, distinct rendering).
     """
 
-    id: int
+    _fields = ("id",)
+
+    def __init__(self, id: int) -> None:
+        _set(self, "id", id)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.id == other.id
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id,))
 
     def __str__(self) -> str:
         return f"_:n{self.id}"
@@ -88,12 +159,22 @@ def term_sort_key(term: Term) -> tuple:
     return (2, "", term.id)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Value):
     """A relational atom. Ground atoms (no variables) are hashable map keys."""
 
-    predicate: str
-    args: tuple[Term, ...] = ()
+    _fields = ("predicate", "args")
+
+    def __init__(self, predicate: str, args: tuple[Term, ...] = ()) -> None:
+        _set(self, "predicate", predicate)
+        _set(self, "args", args)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.predicate == other.predicate and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.predicate, self.args))
 
     @property
     def arity(self) -> int:
@@ -141,8 +222,7 @@ def atom(predicate: str, *args: Union[Term, str]) -> Atom:
 # Rules, programs, databases
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Value):
     """A rule body_1 (x) ... (x) body_n -> head.
 
     Head variables that do not occur in the body are existentially
@@ -151,14 +231,15 @@ class Rule:
     rule can carry a wrong set.
     """
 
-    id: int
-    body: tuple[Atom, ...]
-    head: Atom
+    _fields = ("id", "body", "head")
 
-    def __post_init__(self) -> None:
-        if not self.body:
+    def __init__(self, id: int, body: tuple[Atom, ...], head: Atom) -> None:
+        _set(self, "id", id)
+        _set(self, "body", body)
+        _set(self, "head", head)
+        if not body:
             raise ValueError("rule body must be non-empty")
-        for a in (*self.body, self.head):
+        for a in (*body, head):
             if a.has_nulls():
                 raise ValueError("labelled nulls cannot occur in a rule")
 
@@ -192,10 +273,12 @@ def infer_signature(relations: Iterable[tuple[str, int]], signature: Optional[di
     return sig
 
 
-@dataclass(frozen=True)
-class Program:
-    rules: tuple[Rule, ...]
-    signature: dict[str, int] = field(default_factory=dict)
+class Program(Value):
+    _fields = ("rules", "signature")
+
+    def __init__(self, rules: tuple[Rule, ...], signature: Optional[dict[str, int]] = None) -> None:
+        _set(self, "rules", rules)
+        _set(self, "signature", {} if signature is None else signature)
 
     @classmethod
     def from_rules(
@@ -225,31 +308,34 @@ def _name_key(a: Atom) -> Optional[NameKey]:
     return None
 
 
-@dataclass(frozen=True, init=False)
-class FuzzyDatabase:
+class FuzzyDatabase(Value):
     """The partial truth assignment tau: finitely many ground atoms with
     degrees in (0, 1]. `facts` keys each atom by name, in input order;
     `entries`, the same map over `core` atoms, and `relations`, the
     distinct (predicate, arity) pairs, are views built on first read."""
 
-    facts: dict[NameKey, Fraction]
+    _fields = ("facts",)
 
     def __init__(self, entries: Optional[Mapping[Atom, RationalLike]] = None) -> None:
         entries = {} if entries is None else entries
         facts: dict[NameKey, Fraction] = {}
         exact = True
         for a, d in entries.items():
-            if not a.is_ground():
-                raise DomainError(f"database atom {a} is not ground")
-            if a.has_nulls():
-                raise DomainError(f"database atom {a} contains a labelled null")
+            key = a.predicate, tuple([t.name for t in a.args if type(t) is Constant])
+            if len(key[1]) < len(a.args):  # a variable anywhere wins over a null
+                kinds = set(map(type, a.args))
+                if Variable in kinds:
+                    raise DomainError(f"database atom {a} is not ground")
+                if LabelledNull in kinds:
+                    raise DomainError(f"database atom {a} contains a labelled null")
+                key = _name_key(a)
             exact &= as_degree(d, positive=True) is d
-            facts[_name_key(a)] = d
+            facts[key] = d
         if not exact:  # keep the exact degrees, in a copy: the caller's dict stays as it is
             entries = {a: as_degree(d) for a, d in entries.items()}
             facts = dict(zip(facts, entries.values()))
-        object.__setattr__(self, "facts", facts)
-        self.__dict__["entries"] = entries
+        _set(self, "facts", facts)
+        _set(self, "entries", entries)
 
     @classmethod
     def from_facts(cls, facts: dict[NameKey, Fraction]) -> "FuzzyDatabase":
@@ -257,7 +343,7 @@ class FuzzyDatabase:
         `__init__` would: `Fraction` degrees in (0, 1]. The parser's facts
         are; nothing is re-checked."""
         database = object.__new__(cls)
-        object.__setattr__(database, "facts", facts)
+        _set(database, "facts", facts)
         return database
 
     @cached_property
@@ -281,12 +367,14 @@ class FuzzyDatabase:
         return len(self.facts)
 
 
-@dataclass(frozen=True)
-class TruthAssignment:
+class TruthAssignment(Value):
     """A total valuation with finite support: atoms off-support have
     degree 0. The constructor trusts `support`'s degrees."""
 
-    support: dict[Atom, Fraction] = field(default_factory=dict)
+    _fields = ("support",)
+
+    def __init__(self, support: Optional[dict[Atom, Fraction]] = None) -> None:
+        _set(self, "support", {} if support is None else support)
 
     def __call__(self, a: Atom) -> Fraction:
         return self.support.get(a, ZERO)
@@ -295,30 +383,31 @@ class TruthAssignment:
         return len(self.support)
 
 
-@dataclass(frozen=True)
-class GroundRule:
+class GroundRule(Value):
     """A grounding of a rule; body order (and multiplicity) is preserved."""
 
-    origin_rule_id: int
-    body: tuple[Atom, ...]
-    head: Atom
+    _fields = ("origin_rule_id", "body", "head")
+
+    def __init__(self, origin_rule_id: int, body: tuple[Atom, ...], head: Atom) -> None:
+        _set(self, "origin_rule_id", origin_rule_id)
+        _set(self, "body", body)
+        _set(self, "head", head)
 
     def __str__(self) -> str:
         return f"{self.head} :- {', '.join(str(a) for a in self.body)}"
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A program paired with a fuzzy database and the satisfaction level K."""
+class Instance(Value):
+    """A program paired with a fuzzy database and the satisfaction level K.
+    `signature`, the program's and the database's, is neither compared nor shown."""
 
-    program: Program
-    database: FuzzyDatabase
-    K: Fraction = ONE
-    signature: dict[str, int] = field(init=False, repr=False, compare=False)  # program's and database's
+    _fields = ("program", "database", "K")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "K", as_degree(self.K, positive=True))
-        object.__setattr__(self, "signature", infer_signature(self.database.relations, self.program.signature))
+    def __init__(self, program: Program, database: FuzzyDatabase, K: RationalLike = ONE) -> None:
+        _set(self, "program", program)
+        _set(self, "database", database)
+        _set(self, "K", as_degree(K, positive=True))
+        _set(self, "signature", infer_signature(database.relations, program.signature))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -50,6 +49,8 @@ from .core import (
     Instance,
     RationalLike,
     TruthAssignment,
+    Value,
+    _set,
     as_degree,
     body_truth,
     infer_signature,
@@ -94,21 +95,29 @@ class ModelKind(enum.Enum):
     PREFERRED = "preferred"
 
 
-@dataclass(frozen=True)
-class GroundModel:
-    assignment: TruthAssignment
-    kind: ModelKind
-    K: Fraction
-    certain_atoms: frozenset[Atom] = frozenset()
+class GroundModel(Value):
+    _fields = ("assignment", "kind", "K", "certain_atoms")
+
+    def __init__(
+        self, assignment: TruthAssignment, kind: ModelKind, K: Fraction, certain_atoms: frozenset[Atom] = frozenset()
+    ) -> None:
+        _set(self, "assignment", assignment)
+        _set(self, "kind", kind)
+        _set(self, "K", K)
+        _set(self, "certain_atoms", certain_atoms)
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    atom: Atom
-    threshold: Fraction
-    entailed: bool
-    degree: Fraction
-    model_relative: bool = False
+class QueryResult(Value):
+    _fields = ("atom", "threshold", "entailed", "degree", "model_relative")
+
+    def __init__(
+        self, atom: Atom, threshold: Fraction, entailed: bool, degree: Fraction, model_relative: bool = False
+    ) -> None:
+        _set(self, "atom", atom)
+        _set(self, "threshold", threshold)
+        _set(self, "entailed", entailed)
+        _set(self, "degree", degree)
+        _set(self, "model_relative", model_relative)
 
 
 def _require_complete(chase: ChaseResult) -> None:
@@ -420,11 +429,18 @@ def fixpoint_minimal_model(
 # Model verification
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    rule_violations: tuple[tuple[GroundRule, Fraction], ...]
-    tau_mismatches: tuple[tuple[Atom, Fraction, Fraction], ...]
-    outside_base: tuple[Atom, ...]
+class VerificationReport(Value):
+    _fields = ("rule_violations", "tau_mismatches", "outside_base")
+
+    def __init__(
+        self,
+        rule_violations: tuple[tuple[GroundRule, Fraction], ...],
+        tau_mismatches: tuple[tuple[Atom, Fraction, Fraction], ...],
+        outside_base: tuple[Atom, ...],
+    ) -> None:
+        _set(self, "rule_violations", rule_violations)
+        _set(self, "tau_mismatches", tau_mismatches)
+        _set(self, "outside_base", outside_base)
 
     @property
     def rules_satisfied(self) -> bool:

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Union
+
+from .core import Value, _set
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -76,21 +77,36 @@ class Status(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Value):
     """sum(coeffs[v] * v) >= rhs"""
 
-    coeffs: dict[str, Fraction]
-    rhs: Fraction
+    _fields = ("coeffs", "rhs")
+
+    def __init__(self, coeffs: dict[str, Fraction], rhs: Fraction) -> None:
+        _set(self, "coeffs", coeffs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass
-class LinearProgram:
-    variables: list[str] = field(default_factory=list)
-    bounds: dict[str, tuple[Fraction, Optional[Fraction]]] = field(default_factory=dict)
-    fixings: dict[str, Fraction] = field(default_factory=dict)
-    constraints: list[Constraint] = field(default_factory=list)
-    objective: dict[str, Fraction] = field(default_factory=dict)
+class LinearProgram(Value):
+    """A mutable LP over named variables, built by the methods below; a
+    field left out starts empty."""
+
+    _fields = ("variables", "bounds", "fixings", "constraints", "objective")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self,
+        variables: Optional[list[str]] = None,
+        bounds: Optional[dict[str, tuple[Fraction, Optional[Fraction]]]] = None,
+        fixings: Optional[dict[str, Fraction]] = None,
+        constraints: Optional[list[Constraint]] = None,
+        objective: Optional[dict[str, Fraction]] = None,
+    ) -> None:
+        self.variables = [] if variables is None else variables
+        self.bounds = {} if bounds is None else bounds
+        self.fixings = {} if fixings is None else fixings
+        self.constraints = [] if constraints is None else constraints
+        self.objective = {} if objective is None else objective
 
     def add_variable(
         self,
@@ -115,20 +131,31 @@ class LinearProgram:
         )
 
 
-@dataclass
-class ColumnProgram:
+class ColumnProgram(Value):
     """An LP over integer columns 0..n-1, n = len(bounds): column j lies
     in bounds[j] = (lo, hi or None), is pinned at fixed[j] when set and is
     labelled names[j]. A row (coeffs, rhs, scale) of ints is a constraint
     times `scale`; costs map columns to ints or Fractions. `check` raises
-    MalformedModel on inconsistent data."""
+    MalformedModel on inconsistent data. Mutable, as `LinearProgram` is."""
 
-    bounds: list[tuple[Fraction, Optional[Fraction]]]
-    fixed: dict[int, Fraction]
-    rows: list[tuple[dict[int, int], int, int]]
-    objective: dict[int, Rational]
-    secondary: dict[int, Rational]
-    names: Sequence
+    _fields = ("bounds", "fixed", "rows", "objective", "secondary", "names")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self,
+        bounds: list[tuple[Fraction, Optional[Fraction]]],
+        fixed: dict[int, Fraction],
+        rows: list[tuple[dict[int, int], int, int]],
+        objective: dict[int, Rational],
+        secondary: dict[int, Rational],
+        names: Sequence,
+    ) -> None:
+        self.bounds = bounds
+        self.fixed = fixed
+        self.rows = rows
+        self.objective = objective
+        self.secondary = secondary
+        self.names = names
 
     def check(self) -> None:
         n = len(self.bounds)
@@ -200,11 +227,13 @@ def _audit(cols: ColumnProgram, values: Mapping[int, Rational]) -> tuple[list[in
     return p, d
 
 
-@dataclass(frozen=True)
-class Solution:
-    status: Status
-    assignment: dict  # by name, or by column for a ColumnProgram
-    objective_value: Optional[Fraction]
+class Solution(Value):
+    _fields = ("status", "assignment", "objective_value")
+
+    def __init__(self, status: Status, assignment: dict, objective_value: Optional[Fraction]) -> None:
+        _set(self, "status", status)
+        _set(self, "assignment", assignment)  # by name, or by column for a ColumnProgram
+        _set(self, "objective_value", objective_value)
 
     @property
     def optimal(self) -> bool:

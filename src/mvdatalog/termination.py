@@ -12,16 +12,25 @@ the witness cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import Atom, Program, Rule, Variable, make_rule
+from .core import Atom, Program, Rule, Value, Variable, _set, make_rule
 
 
-@dataclass(frozen=True)
-class PositionVertex:
-    predicate: str
-    index: int  # 1-based
+class PositionVertex(Value):
+    _fields = ("predicate", "index")
+
+    def __init__(self, predicate: str, index: int) -> None:  # index is 1-based
+        _set(self, "predicate", predicate)
+        _set(self, "index", index)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.predicate == other.predicate and self.index == other.index
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.predicate, self.index))
 
     def __str__(self) -> str:
         return f"{self.predicate}[{self.index}]"
@@ -30,18 +39,24 @@ class PositionVertex:
 Edge = tuple[PositionVertex, PositionVertex]
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    vertices: frozenset[PositionVertex]
-    normal_edges: frozenset[Edge]
-    special_edges: frozenset[Edge]
+class DependencyGraph(Value):
+    _fields = ("vertices", "normal_edges", "special_edges")
+
+    def __init__(
+        self, vertices: frozenset[PositionVertex], normal_edges: frozenset[Edge], special_edges: frozenset[Edge]
+    ) -> None:
+        _set(self, "vertices", vertices)
+        _set(self, "normal_edges", normal_edges)
+        _set(self, "special_edges", special_edges)
 
 
-@dataclass(frozen=True)
-class WitnessCycle:
+class WitnessCycle(Value):
     """A cycle through at least one special edge, as (src, dst, is_special) steps."""
 
-    steps: tuple[tuple[PositionVertex, PositionVertex, bool], ...]
+    _fields = ("steps",)
+
+    def __init__(self, steps: tuple[tuple[PositionVertex, PositionVertex, bool], ...]) -> None:
+        _set(self, "steps", steps)
 
     def __str__(self) -> str:
         parts = []

@@ -1258,3 +1258,391 @@ def naive_parse_degree(text: str) -> Fraction:
     degree = parser.degree()
     parser.expect("EOF")
     return degree
+
+
+# ---------------------------------------------------------------------------
+# The value types as frozen dataclasses
+
+
+def dataclass_twins() -> SimpleNamespace:
+    """The 20 value types of `core`, `engine`, `lp` and `termination`,
+    declared as the `@dataclass`es they once were, word for word: the
+    reference their plain classes are checked against. Declared in this
+    function's scope, so a twin's methods (and `term_sort_key` and
+    `_name_key`, copied too) see the other twins; their qualified names
+    carry the prefix `dataclass_twins.<locals>.`."""
+    from dataclasses import dataclass, field
+    from functools import cached_property
+
+    from mvdatalog.core import as_degree, atom_text, infer_signature
+    from mvdatalog.lp import _exact, _less
+
+    # core
+
+    @dataclass(frozen=True)
+    class Variable:
+        name: str
+
+        def __str__(self) -> str:
+            return self.name
+
+    @dataclass(frozen=True)
+    class Constant:
+        name: str
+
+        def __str__(self) -> str:
+            return self.name
+
+    @dataclass(frozen=True)
+    class LabelledNull:
+        """Fresh constant invented by the chase to witness an existential head variable.
+
+        Ids are unique within one chase run and can never collide with constants
+        (distinct type, distinct rendering).
+        """
+
+        id: int
+
+        def __str__(self) -> str:
+            return f"_:n{self.id}"
+
+    def term_sort_key(term: Term) -> tuple:
+        """Total order over terms: constants, then variables, then nulls."""
+        if isinstance(term, Constant):
+            return (0, term.name, 0)
+        if isinstance(term, Variable):
+            return (1, term.name, 0)
+        return (2, "", term.id)
+
+    @dataclass(frozen=True)
+    class Atom:
+        """A relational atom. Ground atoms (no variables) are hashable map keys."""
+
+        predicate: str
+        args: tuple[Term, ...] = ()
+
+        @property
+        def arity(self) -> int:
+            return len(self.args)
+
+        def is_ground(self) -> bool:
+            return Variable not in map(type, self.args)
+
+        def has_nulls(self) -> bool:
+            return LabelledNull in map(type, self.args)
+
+        def variables(self) -> set[str]:
+            return {t.name for t in self.args if isinstance(t, Variable)}
+
+        def sort_key(self) -> tuple:
+            return (self.predicate, len(self.args), tuple(map(term_sort_key, self.args)))
+
+        def __str__(self) -> str:
+            return atom_text(self.predicate, [str(t) for t in self.args])
+
+    @dataclass(frozen=True)
+    class Rule:
+        """A rule body_1 (x) ... (x) body_n -> head.
+
+        Head variables that do not occur in the body are existentially
+        quantified (the Datalog+- convention); plain rules have none.
+        `existential_vars` is derived from body and head on first use, so no
+        rule can carry a wrong set.
+        """
+
+        id: int
+        body: tuple[Atom, ...]
+        head: Atom
+
+        def __post_init__(self) -> None:
+            if not self.body:
+                raise ValueError("rule body must be non-empty")
+            for a in (*self.body, self.head):
+                if a.has_nulls():
+                    raise ValueError("labelled nulls cannot occur in a rule")
+
+        @cached_property
+        def existential_vars(self) -> frozenset[str]:
+            return frozenset(self.head.variables() - self.body_variables())
+
+        @property
+        def is_existential(self) -> bool:
+            return bool(self.existential_vars)
+
+        def body_variables(self) -> set[str]:
+            return set().union(*(a.variables() for a in self.body))
+
+        def __str__(self) -> str:
+            return f"{self.head} :- {', '.join(str(a) for a in self.body)}"
+
+    @dataclass(frozen=True)
+    class Program:
+        rules: tuple[Rule, ...]
+        signature: dict[str, int] = field(default_factory=dict)
+
+        @classmethod
+        def from_rules(
+            cls, rules: Sequence[Rule], extra_atoms: Iterable[Atom] = (), relations: Iterable[tuple[str, int]] = ()
+        ) -> "Program":
+            """The program of `rules`, its signature also over `extra_atoms` and
+            the (predicate, arity) pairs `relations`."""
+            rules = tuple(rules)
+            ids = [r.id for r in rules]
+            if len(set(ids)) != len(ids):
+                raise ValueError("rule ids must be unique")
+            atoms = [a for r in rules for a in (*r.body, r.head)] + list(extra_atoms)
+            return cls(rules, infer_signature([*((a.predicate, a.arity) for a in atoms), *relations]))
+
+        @property
+        def has_existential_rules(self) -> bool:
+            return any(r.is_existential for r in self.rules)
+
+    def _name_key(a: Atom) -> Optional[NameKey]:
+        """`a`'s key in a database, None when some argument is not a constant."""
+        if all(type(t) is Constant for t in a.args):
+            return a.predicate, tuple([t.name for t in a.args])
+        return None
+
+    @dataclass(frozen=True, init=False)
+    class FuzzyDatabase:
+        """The partial truth assignment tau: finitely many ground atoms with
+        degrees in (0, 1]. `facts` keys each atom by name, in input order;
+        `entries`, the same map over `core` atoms, and `relations`, the
+        distinct (predicate, arity) pairs, are views built on first read."""
+
+        facts: dict[NameKey, Fraction]
+
+        def __init__(self, entries: Optional[Mapping[Atom, RationalLike]] = None) -> None:
+            entries = {} if entries is None else entries
+            facts: dict[NameKey, Fraction] = {}
+            exact = True
+            for a, d in entries.items():
+                if not a.is_ground():
+                    raise DomainError(f"database atom {a} is not ground")
+                if a.has_nulls():
+                    raise DomainError(f"database atom {a} contains a labelled null")
+                exact &= as_degree(d, positive=True) is d
+                facts[_name_key(a)] = d
+            if not exact:  # keep the exact degrees, in a copy: the caller's dict stays as it is
+                entries = {a: as_degree(d) for a, d in entries.items()}
+                facts = dict(zip(facts, entries.values()))
+            object.__setattr__(self, "facts", facts)
+            self.__dict__["entries"] = entries
+
+        @classmethod
+        def from_facts(cls, facts: dict[NameKey, Fraction]) -> "FuzzyDatabase":
+            """A database over name-keyed facts that the caller has checked as
+            `__init__` would: `Fraction` degrees in (0, 1]. The parser's facts
+            are; nothing is re-checked."""
+            database = object.__new__(cls)
+            object.__setattr__(database, "facts", facts)
+            return database
+
+        @cached_property
+        def entries(self) -> dict[Atom, Fraction]:
+            """`facts` over `core` atoms, in the same order, one `Constant` per name."""
+            constant = {name: Constant(name) for name in {n for _, args in self.facts for n in args}}.__getitem__
+            return {Atom(p, tuple(map(constant, args))): d for (p, args), d in self.facts.items()}
+
+        @cached_property
+        def relations(self) -> list[tuple[str, int]]:
+            """The distinct (predicate, arity) pairs of the facts, in first-seen order."""
+            return list(dict.fromkeys([(p, len(args)) for p, args in self.facts]))
+
+        def degree(self, a: Atom) -> Optional[Fraction]:
+            return self.facts.get(_name_key(a))
+
+        def __contains__(self, a: Atom) -> bool:
+            return _name_key(a) in self.facts
+
+        def __len__(self) -> int:
+            return len(self.facts)
+
+    @dataclass(frozen=True)
+    class TruthAssignment:
+        """A total valuation with finite support: atoms off-support have
+        degree 0. The constructor trusts `support`'s degrees."""
+
+        support: dict[Atom, Fraction] = field(default_factory=dict)
+
+        def __call__(self, a: Atom) -> Fraction:
+            return self.support.get(a, ZERO)
+
+        def __len__(self) -> int:
+            return len(self.support)
+
+    @dataclass(frozen=True)
+    class GroundRule:
+        """A grounding of a rule; body order (and multiplicity) is preserved."""
+
+        origin_rule_id: int
+        body: tuple[Atom, ...]
+        head: Atom
+
+        def __str__(self) -> str:
+            return f"{self.head} :- {', '.join(str(a) for a in self.body)}"
+
+    @dataclass(frozen=True)
+    class Instance:
+        """A program paired with a fuzzy database and the satisfaction level K."""
+
+        program: Program
+        database: FuzzyDatabase
+        K: Fraction = ONE
+        signature: dict[str, int] = field(init=False, repr=False, compare=False)  # program's and database's
+
+        def __post_init__(self) -> None:
+            object.__setattr__(self, "K", as_degree(self.K, positive=True))
+            object.__setattr__(self, "signature", infer_signature(self.database.relations, self.program.signature))
+
+    # engine
+
+    @dataclass(frozen=True)
+    class GroundModel:
+        assignment: TruthAssignment
+        kind: ModelKind
+        K: Fraction
+        certain_atoms: frozenset[Atom] = frozenset()
+
+    @dataclass(frozen=True)
+    class QueryResult:
+        atom: Atom
+        threshold: Fraction
+        entailed: bool
+        degree: Fraction
+        model_relative: bool = False
+
+    @dataclass(frozen=True)
+    class VerificationReport:
+        rule_violations: tuple[tuple[GroundRule, Fraction], ...]
+        tau_mismatches: tuple[tuple[Atom, Fraction, Fraction], ...]
+        outside_base: tuple[Atom, ...]
+
+        @property
+        def rules_satisfied(self) -> bool:
+            return not self.rule_violations
+
+        @property
+        def ok(self) -> bool:
+            return not (self.rule_violations or self.tau_mismatches or self.outside_base)
+
+    # lp
+
+    @dataclass(frozen=True)
+    class Constraint:
+        """sum(coeffs[v] * v) >= rhs"""
+
+        coeffs: dict[str, Fraction]
+        rhs: Fraction
+
+    @dataclass
+    class LinearProgram:
+        variables: list[str] = field(default_factory=list)
+        bounds: dict[str, tuple[Fraction, Optional[Fraction]]] = field(default_factory=dict)
+        fixings: dict[str, Fraction] = field(default_factory=dict)
+        constraints: list[Constraint] = field(default_factory=list)
+        objective: dict[str, Fraction] = field(default_factory=dict)
+
+        def add_variable(
+            self,
+            name: str,
+            lo: Fraction = ZERO,
+            hi: Optional[Fraction] = ONE,
+        ) -> str:
+            if name in self.bounds:
+                raise MalformedModel(f"variable {name!r} declared twice")
+            self.variables.append(name)
+            self.bounds[name] = (_exact(lo), None if hi is None else _exact(hi))
+            return name
+
+        def fix(self, name: str, value: Fraction) -> None:
+            self.fixings[name] = _exact(value)
+
+        def add_constraint(self, coeffs: Mapping[str, Fraction], rhs: Fraction) -> None:
+            """Add sum(coeffs) >= rhs; a coefficient equal to 0, in any
+            spelling, is left out."""
+            self.constraints.append(
+                Constraint({v: a for v, c in coeffs.items() if (a := _exact(c))}, _exact(rhs))
+            )
+
+    @dataclass
+    class ColumnProgram:
+        """An LP over integer columns 0..n-1, n = len(bounds): column j lies
+        in bounds[j] = (lo, hi or None), is pinned at fixed[j] when set and is
+        labelled names[j]. A row (coeffs, rhs, scale) of ints is a constraint
+        times `scale`; costs map columns to ints or Fractions. `check` raises
+        MalformedModel on inconsistent data."""
+
+        bounds: list[tuple[Fraction, Optional[Fraction]]]
+        fixed: dict[int, Fraction]
+        rows: list[tuple[dict[int, int], int, int]]
+        objective: dict[int, Rational]
+        secondary: dict[int, Rational]
+        names: Sequence
+
+        def check(self) -> None:
+            n = len(self.bounds)
+            for used in (self.fixed, *(row for row, _, _ in self.rows), self.objective, self.secondary):
+                if used and (min(used) < 0 or max(used) >= n):
+                    raise MalformedModel(f"reference to a column outside 0..{n - 1}")
+            for lo, hi in self.bounds:
+                if hi is not None and _less(hi, lo):
+                    raise MalformedModel("lower bound above upper bound")
+            for j, value in self.fixed.items():
+                lo, hi = self.bounds[j]
+                if _less(value, lo) or (hi is not None and _less(hi, value)):
+                    raise MalformedModel(f"fixed value {value} of {self.names[j]!r} outside bounds")
+
+        def labelled(self) -> tuple[LinearProgram, dict[str, Fraction]]:
+            """The same LP and secondary objective over names: column j is str(names[j])."""
+            names = [str(v) for v in self.names]
+            fixings, objective, secondary = ({names[j]: _exact(c) for j, c in m.items()} for m in (
+                self.fixed, self.objective, self.secondary))
+            rows = [Constraint({names[j]: Fraction(a, s) for j, a in row.items()}, Fraction(rhs, s))
+                    for row, rhs, s in self.rows]
+            return LinearProgram(names, dict(zip(names, self.bounds)), fixings, rows, objective), secondary
+
+    @dataclass(frozen=True)
+    class Solution:
+        status: Status
+        assignment: dict  # by name, or by column for a ColumnProgram
+        objective_value: Optional[Fraction]
+
+        @property
+        def optimal(self) -> bool:
+            return self.status is Status.OPTIMAL
+
+    # termination
+
+    @dataclass(frozen=True)
+    class PositionVertex:
+        predicate: str
+        index: int  # 1-based
+
+        def __str__(self) -> str:
+            return f"{self.predicate}[{self.index}]"
+
+    @dataclass(frozen=True)
+    class DependencyGraph:
+        vertices: frozenset[PositionVertex]
+        normal_edges: frozenset[Edge]
+        special_edges: frozenset[Edge]
+
+    @dataclass(frozen=True)
+    class WitnessCycle:
+        """A cycle through at least one special edge, as (src, dst, is_special) steps."""
+
+        steps: tuple[tuple[PositionVertex, PositionVertex, bool], ...]
+
+        def __str__(self) -> str:
+            parts = []
+            for src, dst, special in self.steps:
+                arrow = "=>" if special else "->"
+                parts.append(f"{src} {arrow} {dst}")
+            return ", ".join(parts)
+
+    return SimpleNamespace(**{cls.__name__: cls for cls in (
+        Variable, Constant, LabelledNull, Atom, Rule, Program, FuzzyDatabase, TruthAssignment, GroundRule, Instance,
+        GroundModel, QueryResult, VerificationReport, Constraint, LinearProgram, ColumnProgram, Solution,
+        PositionVertex, DependencyGraph, WitnessCycle,
+    )})

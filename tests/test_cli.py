@@ -841,22 +841,29 @@ class TestAnswerOnIds:
 class TestLoadOnUse:
     """`lp` and `termination` load where they run: a plain program's `solve`,
     `query` and `check` load neither, an existential program's chase gate
-    loads `termination`, and only an LP built or solved loads `lp`. Each
-    case is a fresh interpreter's `sys.modules` after `import mvdatalog.cli`
-    and one in-process `cli.main(argv)`."""
+    loads `termination`, and only an LP built or solved loads `lp`. No
+    route loads `dataclasses` or `inspect`: the value types are plain
+    classes. Each case is what a fresh interpreter's `sys.modules` gains
+    from `import mvdatalog.cli` and one in-process `cli.main(argv)`. Those
+    two are dropped from `sys.modules` first, so a site that preloads them
+    neither hides an import by the package nor fails the test."""
 
     LP, TERMINATION = "mvdatalog.lp", "mvdatalog.termination"
+    CODE_GENERATION = {"dataclasses", "inspect"}
 
-    @staticmethod
-    def _loaded(*argv):
+    @classmethod
+    def _loaded(cls, *argv):
         script = (
             "import contextlib, io, json, sys\n"
+            f"for name in {sorted(cls.CODE_GENERATION)}:\n"
+            "    sys.modules.pop(name, None)\n"
+            "before = set(sys.modules)\n"
             "from mvdatalog import cli\n"
             "code = None\n"
             "if sys.argv[1:]:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = cli.main(sys.argv[1:])\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('mvdatalog'))]))\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(
@@ -864,6 +871,7 @@ class TestLoadOnUse:
         )
         assert proc.returncode == 0, proc.stderr
         code, modules = json.loads(proc.stdout)
+        assert not set(modules) & cls.CODE_GENERATION, argv
         return code, set(modules)
 
     def test_import_loads_neither(self):
