@@ -52,8 +52,10 @@ class Value:
     """An immutable value, compared, hashed and shown by its `_fields` in
     order: equal only to an instance of its own class, hashed as the
     fields' tuple, shown as `Class(field=...)`, and refusing assignment.
-    Each class writes its `__init__`; the types hashed in loops write
-    their own `__eq__` and `__hash__`."""
+    Each class writes its `__init__`. The terms and `Atom` also write the
+    same `__eq__` and `__hash__` out: a model or a database read by atom
+    hashes them in bulk, and the generic ones cost three to seven times
+    as much per call."""
 
     _fields: tuple[str, ...] = ()
 
@@ -321,16 +323,12 @@ class FuzzyDatabase(Value):
         facts: dict[NameKey, Fraction] = {}
         exact = True
         for a, d in entries.items():
-            key = a.predicate, tuple([t.name for t in a.args if type(t) is Constant])
-            if len(key[1]) < len(a.args):  # a variable anywhere wins over a null
-                kinds = set(map(type, a.args))
-                if Variable in kinds:
-                    raise DomainError(f"database atom {a} is not ground")
-                if LabelledNull in kinds:
-                    raise DomainError(f"database atom {a} contains a labelled null")
-                key = _name_key(a)
+            if not a.is_ground():
+                raise DomainError(f"database atom {a} is not ground")
+            if a.has_nulls():
+                raise DomainError(f"database atom {a} contains a labelled null")
             exact &= as_degree(d, positive=True) is d
-            facts[key] = d
+            facts[_name_key(a)] = d
         if not exact:  # keep the exact degrees, in a copy: the caller's dict stays as it is
             entries = {a: as_degree(d) for a, d in entries.items()}
             facts = dict(zip(facts, entries.values()))

@@ -24,14 +24,6 @@ class PositionVertex(Value):
         _set(self, "predicate", predicate)
         _set(self, "index", index)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.predicate == other.predicate and self.index == other.index
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.predicate, self.index))
-
     def __str__(self) -> str:
         return f"{self.predicate}[{self.index}]"
 
